@@ -15,9 +15,10 @@ from .rauzy import (RauzyCycle, RauzyStep, cycle_matrix, rauzy_cycle_detect,
                     rauzy_run, rauzy_step)
 from .spectral import (BhmVerdict, SpectralData, bhm_screen, eigen_left,
                        perron_data)
-from .denjoy import (AietApprox, GapSystem, LogSlopeVector,
-                     WanderingCertificate, aiet_from_gaps, birkhoff_profile,
-                     ergodic_probe, gap_system_build, log_slope_select,
+from .denjoy import (AietApprox, BlowupChain, GapSystem, InductionCycle,
+                     LogSlopeVector, WanderingCertificate, aiet_from_gaps,
+                     birkhoff_profile, blowup_chain, ergodic_probe,
+                     gap_system_build, induction_cycle, log_slope_select,
                      verify_wandering)
 from .search import (CycleCandidate, RauzyGraph, SearchResult, cycle_search,
                      cycle_validate, rauzy_graph_build, signed_perms_enumerate)

@@ -18,20 +18,20 @@ deterministic byte for byte for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from . import quintic
 from .errors import FlipIetError
-from .denjoy import (aiet_from_gaps, ergodic_probe, gap_system_build,
-                     log_slope_select, verify_wandering)
+from .denjoy import (aiet_from_gaps, blowup_chain, ergodic_probe,
+                     gap_system_build, induction_cycle, verify_wandering)
 from .io import (fraction_to_str, gaps_csv, induction_trace_csv, load_iet,
                  return_words_csv)
-from .rauzy import cycle_matrix, rauzy_cycle_detect, rauzy_run
-from .selfsim import associated_matrix, self_similarity_check, substitution_from
+from .rauzy import cycle_matrix, rauzy_run
+from .selfsim import self_similarity_check
 from .spectral import bhm_screen, perron_data
 from .search import cycle_search, rauzy_graph_build
 
@@ -60,9 +60,15 @@ def _load_spec(args):
 
 
 def _config_of(args):
-    keys = ("spec", "out", "n", "max_len", "gaps", "digits", "jobs", "steps",
-            "x", "inverse", "no_flips")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    """The subcommand's settings, defaults included; unset paths are left out."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "fn") and v is not None}
+
+
+def _factors_json(sd):
+    return {"char_poly": list(sd.char_poly.coeffs),
+            "factors": [{"coeffs": list(f.coeffs), "multiplicity": mult}
+                        for f, mult in sd.factors]}
 
 
 def cmd_selfsim(args):
@@ -82,26 +88,25 @@ def cmd_selfsim(args):
         if prod != quintic.MATRIX:
             mismatches.append("matrix product")
         report["matrix"] = [list(r) for r in prod]
-    cyc = rauzy_cycle_detect(E, args.max_len or 20)
-    if cyc is None:
+    ind = induction_cycle(E, args.max_len)
+    if ind is None:
         report["cycle"] = None
         mismatches.append("no induction cycle within bound")
     else:
-        report["cycle"] = {"length": len(cyc.steps),
-                           "scale": cyc.scale.decimal(args.digits)
-                           if hasattr(cyc.scale, "decimal") else float(cyc.scale)}
-        total = E.total_length
-        J = (E.origin, E.origin + total / cyc.scale)
-        m, its = associated_matrix(E, J)
+        scale = ind.cycle.scale
+        report["cycle"] = {"length": len(ind.cycle.steps),
+                           "scale": scale.decimal(args.digits)
+                           if hasattr(scale, "decimal") else float(scale)}
+        its = ind.itineraries
         _write(return_words_csv(its), args, "return_words.csv")
         if bundled:
             ref = {i: (n, w) for (i, n, w) in quintic.REFERENCE_ITINERARIES}
             for i in ref:
                 if (its.exponents[i - 1], its.words[i - 1]) != ref[i]:
                     mismatches.append(f"return word {i}")
-            if m != quintic.MATRIX:
+            if ind.matrix != quintic.MATRIX:
                 mismatches.append("associated matrix")
-        ss = self_similarity_check(E, J)
+        ss = self_similarity_check(E, ind.J)
         report["self_similar"] = bool(ss.ok)
         if not ss.ok:
             mismatches.append(f"self-similarity: {ss.reason}")
@@ -113,37 +118,29 @@ def cmd_selfsim(args):
 def cmd_wandering(args):
     E, _bundled = _load_spec(args)
     N = args.gaps
-    cyc = rauzy_cycle_detect(E, args.max_len or 20)
-    if cyc is None:
-        raise FlipIetError("input exchange is not self-similar within the bound")
-    total = E.total_length
-    J = (E.origin, E.origin + total / cyc.scale)
-    m, its = associated_matrix(E, J)
-    sigma = substitution_from(its)
-    verdict = bhm_screen(m)
-    sd = perron_data(m)
+    chain = blowup_chain(E, args.max_len)
+    sd, lsv = chain.spectral, chain.lsv
     spectral_report = {
-        "char_poly": list(sd.char_poly.coeffs),
-        "factors": [{"coeffs": list(f.coeffs), "multiplicity": mult}
-                    for f, mult in sd.factors],
+        **_factors_json(sd),
         "roots": [r.decimal(args.digits) for r, _ in sd.real_roots],
         "perron_vector": [v.decimal(args.digits) for v in sd.perron[1]],
-        "verdict": verdict.reason,
+        "verdict": chain.verdict.reason,
     }
-    if not verdict.qualifies:
+    if lsv is None:
         report = {"config": _config_of(args), "spectral": spectral_report,
                   "qualifies": False}
         _emit(report, args, "wandering_certificate.json")
         return 1
-    lsv = log_slope_select(m, verdict.theta2, sd.perron[1], sigma)
-    gs = gap_system_build(E, sigma, lsv, N)
+    gs = gap_system_build(E, chain.sigma, lsv, N)
     T = aiet_from_gaps(gs)
-    kappa_target = math.log(float(verdict.theta2)) / math.log(float(verdict.theta1))
-    cert = verify_wandering(gs, T, E, kappa_target=kappa_target)
+    cert = verify_wandering(gs, T, E, kappa_target=chain.kappa_target)
     probe = ergodic_probe(E, 5, max(args.probe_steps, 10 ** 4),
                           reference=[float(v) for v in E.lengths],
                           gap_system=gs)
     _write(gaps_csv(gs), args, "gaps.csv")
+    certificate = dataclasses.asdict(cert)
+    del certificate["tail_estimate"]          # reported once, at the top level
+    certificate.update(kappa_target=chain.kappa_target, ok=cert.ok)
     report = {
         "config": _config_of(args),
         "spectral": spectral_report,
@@ -152,25 +149,7 @@ def cmd_wandering(args):
         "sign_choice": lsv.sign_choice,
         "log_slopes": [float(v) for v in lsv.signed_float],
         "tail_estimate": gs.tail_estimate,
-        "certificate": {
-            "disjoint": cert.disjoint,
-            "max_overlap": cert.max_overlap,
-            "orbit_points_distinct": cert.orbit_points_distinct,
-            "affine_defect": cert.affine_defect,
-            "affine_ok": cert.affine_ok,
-            "semiconjugacy_defect": cert.semiconjugacy_defect,
-            "semiconjugacy_ok": cert.semiconjugacy_ok,
-            "density": cert.density,
-            "density_ok": cert.density_ok,
-            "forward_density": cert.forward_density,
-            "backward_density": cert.backward_density,
-            "two_sided_density": cert.two_sided_density,
-            "birkhoff_kappa": list(cert.birkhoff_kappa),
-            "kappa_ok": cert.kappa_ok,
-            "kappa_target": kappa_target,
-            "tolerances": cert.tolerances,
-            "ok": cert.ok,
-        },
+        "certificate": certificate,
         "ergodic_probe": {
             "steps": probe.steps,
             "max_deviation_from_lengths": probe.max_deviation,
@@ -206,7 +185,6 @@ def cmd_search(args):
              "validation": c.validation_reason}
             for c in result.qualifying
         ],
-        "runtime_seconds": round(result.runtime, 3),
     }
     _emit(report, args, "search_report.json")
     return 0
@@ -256,9 +234,7 @@ def cmd_spectral(args):
     verdict = bhm_screen(m)
     report = {
         "config": _config_of(args),
-        "char_poly": list(sd.char_poly.coeffs),
-        "factors": [{"coeffs": list(f.coeffs), "multiplicity": mult}
-                    for f, mult in sd.factors],
+        **_factors_json(sd),
         "roots": [r.decimal(args.digits) for r, _ in sd.real_roots][::-1],
         "perron_vector_decimal": [v.decimal(args.digits) for v in sd.perron[1]],
         "perron_vector_exact": [[fraction_to_str(c) for c in v.coords]
@@ -269,47 +245,55 @@ def cmd_spectral(args):
     return 0
 
 
+def positive_int(text):
+    val = int(text)
+    if val <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return val
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="flipiet",
                                  description="interval exchanges with flips: "
                                              "exact induction, spectra, blow-ups")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
+    def common(p, spec=True, digits=True):
         if spec:
             p.add_argument("--spec", help="JSON exchange spec (default: bundled)")
         p.add_argument("--out", help="directory for report files")
-        p.add_argument("--digits", type=int, default=12)
-        p.add_argument("--jobs", type=int, default=1)
+        if digits:
+            p.add_argument("--digits", type=positive_int, default=12)
 
     p = sub.add_parser("selfsim", help="reproduce the induction cycle and certificate")
     common(p)
-    p.add_argument("--max-len", type=int, default=20)
+    p.add_argument("--max-len", type=positive_int, default=20)
     p.set_defaults(fn=cmd_selfsim)
 
     p = sub.add_parser("wandering", help="blow-up pipeline and certificate")
     common(p)
-    p.add_argument("--gaps", type=int, default=5000)
-    p.add_argument("--max-len", type=int, default=20)
-    p.add_argument("--probe-steps", type=int, default=10 ** 6)
+    p.add_argument("--gaps", type=positive_int, default=5000)
+    p.add_argument("--max-len", type=positive_int, default=20)
+    p.add_argument("--probe-steps", type=positive_int, default=10 ** 6)
     p.set_defaults(fn=cmd_wandering)
 
     p = sub.add_parser("search", help="cycle census and eigenvalue screen")
-    common(p, spec=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=14)
+    common(p, spec=False, digits=False)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--max-len", type=positive_int, default=14)
     p.add_argument("--no-flips", action="store_true")
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("induct", help="induction trace")
-    common(p)
-    p.add_argument("--steps", type=int, default=14)
+    common(p, digits=False)
+    p.add_argument("--steps", type=positive_int, default=14)
     p.set_defaults(fn=cmd_induct)
 
     p = sub.add_parser("orbit", help="orbit of a point (float arithmetic)")
-    common(p)
+    common(p, digits=False)
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=positive_int, default=100)
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("eval", help="apply the exchange to a point")
@@ -326,12 +310,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    for key in ("n", "max_len", "gaps", "digits", "jobs", "steps", "probe_steps"):
-        val = getattr(args, key, None)
-        if val is not None and val <= 0:
-            ap.error(f"--{key.replace('_', '-')} must be positive")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except FlipIetError as exc:

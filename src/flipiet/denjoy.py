@@ -13,12 +13,17 @@ two-sided fixed word of the substitution does not in general satisfy this
 point is selected by a deterministic scan over occurrence addresses
 sigma^m(c) = p.c.s, validated empirically by the Birkhoff profiles.
 
-Gap bookkeeping is double precision; the log-slope vector, the location
-cylinder of p and the orbit symbols are exact.
+Gap bookkeeping is double precision.  The log-slope vector, the location
+cylinder of p and the orbit symbols are exact: p is located inside the
+cylinder of the whole window word, so its symbols are the word by
+construction.  The orbit positions are a float shadow that follows the
+word's branches; they are checked against the breakpoints only for
+float-mode exchanges, whose word is not exact.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,12 +31,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergentGaps, SignSelectionFailed, WordMismatch
+from .errors import (DivergentGaps, FlipIetError, SignSelectionFailed,
+                     WordMismatch)
 from .iet import IetSpec
 from .numfield import AlgebraicNumber, cross_embedding_dot_is_zero
-from .selfsim import (Substitution, cylinder_locate, occurrence_addresses,
-                      stationary_window)
-from .spectral import eigen_left
+from .rauzy import RauzyCycle, rauzy_cycle_detect
+from .selfsim import (ItinerarySet, Substitution, associated_matrix,
+                      cylinder_locate, occurrence_addresses, stationary_window,
+                      substitution_from)
+from .spectral import (BhmVerdict, SpectralData, bhm_screen, eigen_left,
+                       perron_data)
 
 PROBE_LENGTH = 100_000
 KAPPA_FIT_START = 100
@@ -76,18 +85,23 @@ def birkhoff_profile(word, w, N):
         raise ValueError("word shorter than requested horizon")
     incr = np.array([w[s - 1] for s in word[:N]], dtype=float)
     S = np.concatenate([[0.0], np.cumsum(incr)])
-    run = np.maximum.accumulate(-S[1:])
-    n = np.arange(1, N + 1)
-    mask = (n >= KAPPA_FIT_START) & (run > 0)
-    if mask.sum() >= 10:
-        kappa = float(np.polyfit(np.log(n[mask]), np.log(run[mask]), 1)[0])
-    else:
-        kappa = float("nan")
+    kappa = _envelope_exponent(S)
     k0 = max(KAPPA_FIT_START, int(0.3 * N))
     tail_max = float(S[k0:].max()) if len(S) > k0 else float(S.max())
     decaying = bool(tail_max <= -1.0 and S[-1] <= -2.0)
     return S, kappa, BirkhoffProfile(kappa=kappa, decaying=decaying,
                                      final_sum=float(S[-1]), tail_max=tail_max)
+
+
+def _envelope_exponent(S):
+    """Slope of the log-log fit of the running maxima of -S[1:] against
+    n = 1, 2, ..., from n = KAPPA_FIT_START on; nan with under ten points."""
+    run = np.maximum.accumulate(-S[1:])
+    n = np.arange(1, len(S))
+    mask = (n >= KAPPA_FIT_START) & (run > 0)
+    if mask.sum() < 10:
+        return float("nan")
+    return float(np.polyfit(np.log(n[mask]), np.log(run[mask]), 1)[0])
 
 
 def _word_sum(word, w):
@@ -135,6 +149,60 @@ def log_slope_select(matrix, theta2: AlgebraicNumber, alpha, sigma: Substitution
 
 
 @dataclass
+class InductionCycle:
+    """An induction cycle of E and the first return to its window J."""
+
+    cycle: RauzyCycle
+    J: tuple                          # (origin, origin + |E| / scale)
+    matrix: tuple                     # visit counts of the return words
+    itineraries: ItinerarySet
+
+
+def induction_cycle(E: IetSpec, max_len: int) -> Optional[InductionCycle]:
+    """The cycle, window and return-word matrix of E; None when no induction
+    cycle closes within max_len steps."""
+    cyc = rauzy_cycle_detect(E, max_len)
+    if cyc is None:
+        return None
+    J = (E.origin, E.origin + E.total_length / cyc.scale)
+    m, its = associated_matrix(E, J)
+    return InductionCycle(cycle=cyc, J=J, matrix=m, itineraries=its)
+
+
+@dataclass
+class BlowupChain:
+    """Everything the blow-up of E needs, up to the choice of window."""
+
+    sigma: Substitution
+    verdict: BhmVerdict
+    spectral: SpectralData
+    lsv: Optional[LogSlopeVector]     # None when the screen fails
+    kappa_target: Optional[float]     # log theta2 / log theta1, likewise
+
+
+def blowup_chain(E: IetSpec, max_len: int = 20) -> BlowupChain:
+    """Induction cycle, substitution, spectral screen, Perron data, log-slope
+    selection and decay-exponent target, in that order.
+
+    A failed screen is a result (lsv is None); an exchange with no induction
+    cycle within max_len steps raises FlipIetError.
+    """
+    ind = induction_cycle(E, max_len)
+    if ind is None:
+        raise FlipIetError("input exchange is not self-similar within the bound")
+    sigma = substitution_from(ind.itineraries)
+    verdict = bhm_screen(ind.matrix)
+    sd = perron_data(ind.matrix)
+    lsv = kappa_target = None
+    if verdict.qualifies:
+        lsv = log_slope_select(ind.matrix, verdict.theta2, sd.perron[1], sigma)
+        kappa_target = (math.log(float(verdict.theta2))
+                        / math.log(float(verdict.theta1)))
+    return BlowupChain(sigma=sigma, verdict=verdict,
+                       spectral=sd, lsv=lsv, kappa_target=kappa_target)
+
+
+@dataclass
 class GapSystem:
     """Truncated blow-up data for indices n in [-N, N]."""
 
@@ -144,7 +212,6 @@ class GapSystem:
     gap_lengths: np.ndarray           # normalized, sums to 1
     positions: np.ndarray             # left endpoints after blow-up
     total_gap: float                  # raw (unnormalized) total mass
-    p: object                         # exact blow-up point (or float)
     p_float: float
     sums: np.ndarray                  # Birkhoff sums S_n, index n+N
     word: tuple
@@ -162,19 +229,34 @@ class GapSystem:
     def indices(self):
         return np.arange(-self.half_width, self.half_width + 1)
 
-
-def _fit_envelope(S):
-    """Fit -S's running max to c * n^kappa; returns (c, kappa)."""
-    run = np.maximum.accumulate(-S[1:])
-    n = np.arange(1, len(S))
-    mask = (n >= KAPPA_FIT_START) & (run > 0)
-    if mask.sum() < 10:
-        return 0.0, float("nan")
-    slope, inter = np.polyfit(np.log(n[mask]), np.log(run[mask]), 1)
-    return float(np.exp(inter)), float(slope)
+    def interior_classes(self):
+        """Per piece i, the window indices k with symbol i whose gap and next
+        gap are both interior (1 <= k <= 2N-1): the boundary gaps n = +-N are
+        truncation artifacts."""
+        N = self.half_width
+        classes = []
+        for i in range(1, self.iet.n + 1):
+            sel = np.where(self.symbols[:-1] == i)[0]
+            classes.append(sel[(sel >= 1) & (sel <= 2 * N - 1)])
+        return classes
 
 
 TAIL_PROBE = 100_000
+FLOAT_WORD_GUARD = 1e-9
+
+
+def _float_branches(E: IetSpec):
+    """The breakpoints x_0..x_n of E rounded once to floats, and for each
+    piece i the float branch (shift, sign) with E(z) = shift + sign * z there."""
+    xs = tuple(float(v) for v in E.x)
+    branch = []
+    for i in range(1, E.n + 1):
+        slo = float(E.image_slot(i)[0])
+        if E.sp.tau[i - 1] > 0:
+            branch.append((slo - xs[i - 1], 1.0))
+        else:
+            branch.append((slo + xs[i], -1.0))
+    return xs, branch
 
 
 def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
@@ -182,9 +264,12 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     """Blow up the orbit of the stationary point of lsv.address.
 
     The point is the exact midpoint of the cylinder of the full window word
-    w_{-N..N}, so its symbols match the word by construction; the float orbit
-    is still checked against the word at every step, with exact arithmetic
-    consulted whenever a float point comes within 1e-9 of a breakpoint.
+    w_{-N..N}, so for an exact E its symbols are the word by construction.
+    The orbit positions are a float shadow: the start point rounded once and
+    moved by the float branch of each word symbol.  For a float-mode E, whose
+    cylinder is not exact, every shadow point must lie in the piece of its
+    symbol, at least FLOAT_WORD_GUARD from a breakpoint, or WordMismatch is
+    raised.
 
     The truncation tail is estimated by extending the symbolic word a further
     tail_probe indices on each side (symbols only, no orbit geometry) and
@@ -200,48 +285,18 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     p_start = (lo + hi) / two                 # = E^{-N}(p)
     ws = lsv.signed_float
 
-    exact = not E.float_mode
-    xs = tuple(float(v) for v in E.x)
-    n_pieces = E.n
-    # per-branch affine data for the float shadow
-    branch = []
-    for i in range(1, n_pieces + 1):
-        slo = float(E.image_slot(i)[0])
-        if E.sp.tau[i - 1] > 0:
-            branch.append((slo - xs[i - 1], 1.0))
-        else:
-            branch.append((slo + xs[i], -1.0))
-
+    xs, branch = _float_branches(E)
     pts = np.empty(2 * N + 1)
-    z_exact = p_start
-    z_float = float(p_start)
-    guard = 1e-9
-    for k in range(2 * N + 1):
-        expected = word[k]
-        i = bisect_left(xs, z_float)
-        if i <= 0 or i >= len(xs):
-            near = 0.0
-        else:
-            near = min(z_float - xs[i - 1], xs[i] - z_float)
-        if near < guard:
-            if not exact:
-                raise WordMismatch(k - N, i, expected)
-            i = E.piece_of(z_exact)
-        if i != expected:
-            if exact and E.piece_of(z_exact) == expected:
-                i = expected            # float noise only; exact point agrees
-            else:
-                raise WordMismatch(k - N, i, expected)
-        pts[k] = z_float
-        if k < 2 * N:
-            a, s = branch[i - 1]
-            z_float = a + s * z_float
-            if exact:
-                slo, _ = E.image_slot(i)
-                if E.sp.tau[i - 1] > 0:
-                    z_exact = slo + (z_exact - E.x[i - 1])
-                else:
-                    z_exact = slo + (E.x[i] - z_exact)
+    z = float(p_start)
+    for k, a in enumerate(word):
+        if E.float_mode:
+            i = bisect_left(xs, z)
+            if (not 0 < i < len(xs) or i != a
+                    or min(z - xs[i - 1], xs[i] - z) < FLOAT_WORD_GUARD):
+                raise WordMismatch(k - N, i, a)
+        pts[k] = z
+        shift, sgn = branch[a - 1]
+        z = shift + sgn * z
 
     incr = np.array([ws[s - 1] for s in word], dtype=float)
     S = np.concatenate([[0.0], np.cumsum(incr)])[:-1]
@@ -266,8 +321,8 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     pos = np.empty(2 * N + 1)
     pos[order] = np.concatenate([[0.0], np.cumsum(g[order])[:-1]])
 
-    cf, kf = _fit_envelope(S[N:])
-    cb, kb = _fit_envelope(S[N::-1])
+    kf = _envelope_exponent(S[N:])
+    kb = _envelope_exponent(S[N::-1])
     tail_frac = 0.0
     if N > 0:
         h = N + tail_probe
@@ -287,7 +342,7 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     return GapSystem(half_width=N, orbit_points=pts,
                      symbols=np.array(word, dtype=np.int64),
                      gap_lengths=g, positions=pos, total_gap=total,
-                     p=z_exact if exact else z_float, p_float=float(pts[N]),
+                     p_float=float(pts[N]),
                      sums=S, word=word, address=lsv.address,
                      sign_choice=lsv.sign_choice, tail_estimate=tail_frac,
                      kappa_forward=kf, kappa_backward=kb, iet=E)
@@ -322,7 +377,6 @@ class AietApprox:
 
 def aiet_from_gaps(gs: GapSystem) -> AietApprox:
     """Assemble the global affine map from the gap recursion."""
-    N = gs.half_width
     E = gs.iet
     # blown-up breakpoints: mass strictly left of each x_j
     xs = [float(v) for v in E.x]
@@ -339,9 +393,7 @@ def aiet_from_gaps(gs: GapSystem) -> AietApprox:
     mids = gs.positions + gs.gap_lengths / 2
     slopes = []
     intercepts = []
-    for i in range(1, E.n + 1):
-        sel = np.where(gs.symbols[:-1] == i)[0]
-        sel = sel[(sel >= 1) & (sel <= 2 * N - 1)]       # drop boundary gaps
+    for i, sel in enumerate(gs.interior_classes(), start=1):
         if len(sel):
             ratio = gs.gap_lengths[sel + 1] / gs.gap_lengths[sel]
             beta = tau[i - 1] * float(np.median(ratio))
@@ -364,7 +416,6 @@ class WanderingCertificate:
     affine_ok: bool
     semiconjugacy_defect: float
     semiconjugacy_ok: bool
-    midpoint_defect: float           # per-gap route, should be ~0
     density: float                   # max distance from grid to nearest gap
     density_ok: bool
     forward_density: float
@@ -417,9 +468,7 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
 
     mids = gs.positions + gs.gap_lengths / 2
     affine_defect = 0.0
-    for i in range(1, E.n + 1):
-        sel = np.where(gs.symbols[:-1] == i)[0]
-        sel = sel[(sel >= 1) & (sel <= 2 * N - 1)]
+    for i, sel in enumerate(gs.interior_classes(), start=1):
         if len(sel) < 2:
             continue
         beta = T.slopes[i - 1]
@@ -449,18 +498,6 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
         ty = min(max(T.eval(y), 0.0), 1.0 - 1e-15)
         semi_defect = max(semi_defect, abs(lhs - h(ty)))
 
-    # per-gap route: T restricted to gap n is onto gap n+1 by construction
-    mid_defect = 0.0
-    for k in pick:
-        i = int(gs.symbols[k])
-        nxt = k + 1
-        beta = T.slopes[i - 1]
-        if beta > 0:
-            img = gs.positions[nxt] + beta * (mids[k] - gs.positions[k])
-        else:
-            img = (gs.positions[nxt] + gs.gap_lengths[nxt]) + beta * (mids[k] - gs.positions[k])
-        mid_defect = max(mid_defect, float(abs(img - mids[nxt])))
-
     grid = np.linspace(0.0, 1.0, 2001)
     density = _max_distance_to_intervals(grid, lefts, rights)
     nvals = gs.indices
@@ -489,7 +526,6 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
         affine_defect=affine_defect, affine_ok=bool(affine_defect <= tol["affine"]),
         semiconjugacy_defect=semi_defect,
         semiconjugacy_ok=bool(semi_defect <= tol["semi"]),
-        midpoint_defect=mid_defect,
         density=density, density_ok=bool(density <= tol["density"]),
         forward_density=fdens, backward_density=bdens,
         two_sided_density=bool(fdens <= tol["two_sided"] and bdens <= tol["two_sided"]),
@@ -522,16 +558,8 @@ def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
     """
     if steps < 10_000:
         raise ValueError("probe needs at least 1e4 steps")
-    Ef = E.as_float()
-    xs = Ef.x
-    n = Ef.n
-    branch = []
-    for i in range(1, n + 1):
-        slo, _ = Ef.image_slot(i)
-        if Ef.sp.tau[i - 1] > 0:
-            branch.append((slo - xs[i - 1], 1.0))
-        else:
-            branch.append((slo + xs[i], -1.0))
+    xs, branch = _float_branches(E)
+    n = E.n
     if isinstance(seeds, int):
         rng = np.random.default_rng(20_24)
         lo, hi = xs[0], xs[-1]

@@ -48,9 +48,6 @@ class SignedPermutation:
         """(pi, tau) with entries = pi * tau elementwise."""
         return self.pi, self.tau
 
-    def has_flip(self):
-        return any(t < 0 for t in self.tau)
-
     def is_irreducible(self):
         """No proper prefix block {1..k} is invariant under |pi|."""
         mx = 0
@@ -149,10 +146,6 @@ class IetSpec:
         self.total_length = self.x[-1] - origin
 
     # -- geometry ---------------------------------------------------------------
-
-    @property
-    def d_vector(self):
-        return self.x
 
     def piece_of(self, p) -> int:
         """Index 1..n of the open piece containing p; AtDiscontinuity on D."""
@@ -296,19 +289,6 @@ class AietSpec:
         if self.sp.tau[i - 1] > 0:
             return self.y[j - 1] + self.slopes[i - 1] * (p - self.x[i - 1])
         return self.y[j - 1] + self.slopes[i - 1] * (self.x[i] - p)
-
-    def orbit(self, p, steps, inverse=False) -> OrbitSegment:
-        pts = [p]
-        word = []
-        cur = p
-        for k in range(steps):
-            try:
-                word.append(self.piece_of(cur))
-                cur = self.eval(cur, inverse=inverse)
-            except AtDiscontinuity:
-                return OrbitSegment(pts, word[:k], terminated_at_discontinuity=k)
-            pts.append(cur)
-        return OrbitSegment(pts, word)
 
     @classmethod
     def from_iet(cls, iet: IetSpec):

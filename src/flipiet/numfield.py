@@ -310,6 +310,9 @@ class AlgebraicNumber:
         return not self.is_zero()
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it must hash like it
+        if self.is_rational():
+            return hash(self.coords[0])
         return hash((self.field, self.coords))
 
     def __float__(self):

@@ -19,7 +19,6 @@ cycles.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -204,7 +203,6 @@ class SearchResult:
     node_count: int
     cycles_checked: int
     qualifying: list
-    runtime: float
 
 
 def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1,
@@ -213,7 +211,6 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1,
     product, and validate the survivors with exact induction."""
     if max_len > 20:
         raise ValueError("max_len capped at 20")
-    t0 = time.time()
     nodes = list(range(len(graph.nodes)))
     chunks = max(1, jobs * 4)
     starts = [nodes[i::chunks] for i in range(chunks)]
@@ -248,8 +245,7 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1,
             cycle_validate(cand)
     return SearchResult(n=graph.n, require_flips=graph.require_flips,
                         max_len=max_len, node_count=len(graph.nodes),
-                        cycles_checked=len(cycles), qualifying=qualifying,
-                        runtime=time.time() - t0)
+                        cycles_checked=len(cycles), qualifying=qualifying)
 
 
 def cycle_validate(cand: CycleCandidate) -> CycleCandidate:

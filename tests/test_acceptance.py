@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from flipiet.denjoy import (aiet_from_gaps, ergodic_probe, gap_system_build,
-                            log_slope_select, verify_wandering)
+from flipiet.denjoy import (aiet_from_gaps, blowup_chain, ergodic_probe,
+                            gap_system_build, verify_wandering)
 from flipiet.errors import AtDiscontinuity, DegenerateStep
 from flipiet.iet import IetSpec
 from flipiet.io import induction_trace_csv, return_words_csv
@@ -24,8 +24,8 @@ from flipiet.quintic import (MATRIX, REFERENCE_EIGENVALUES_3DP,
                              bundled_theta1)
 from flipiet.rauzy import cycle_matrix, rauzy_cycle_detect, rauzy_run, rauzy_step
 from flipiet.search import cycle_search, rauzy_graph_build
-from flipiet.selfsim import associated_matrix, self_similarity_check, substitution_from
-from flipiet.spectral import bhm_screen, perron_data
+from flipiet.selfsim import associated_matrix, self_similarity_check
+from flipiet.spectral import perron_data
 
 GOLDEN_TRACE = "k,p,t\n" + "\n".join(
     f"{k}," + " ".join(str(e) for e in sp) + ("," if t is None else f",{t}")
@@ -55,12 +55,9 @@ def J(E):
 
 
 @pytest.fixture(scope="module")
-def blowup(E, J):
-    m, its = associated_matrix(E, J)
-    sigma = substitution_from(its)
-    verdict = bhm_screen(m)
-    lsv = log_slope_select(m, verdict.theta2, E.lengths, sigma)
-    return sigma, verdict, lsv
+def blowup(E):
+    chain = blowup_chain(E)
+    return chain.sigma, chain.verdict, chain.lsv
 
 
 def test_criterion_1_induction_trace(E):

@@ -3,26 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from flipiet.denjoy import (aiet_from_gaps, birkhoff_profile, ergodic_probe,
-                            gap_system_build, log_slope_select,
+from flipiet.denjoy import (aiet_from_gaps, birkhoff_profile, blowup_chain,
+                            ergodic_probe, gap_system_build, log_slope_select,
                             verify_wandering)
-from flipiet.errors import DivergentGaps
-from flipiet.quintic import MATRIX, bundled_iet, bundled_theta1
-from flipiet.selfsim import associated_matrix, substitution_from
-from flipiet.spectral import bhm_screen
+from flipiet.errors import DivergentGaps, WordMismatch
+from flipiet.quintic import MATRIX, bundled_iet
 
 
 @pytest.fixture(scope="module")
 def setting():
     E = bundled_iet()
-    th1 = bundled_theta1()
-    one = E.lengths[0].field.rational(1, th1.embedding)
-    m, its = associated_matrix(E, (E.origin, one / th1))
-    sigma = substitution_from(its)
-    verdict = bhm_screen(m)
-    lsv = log_slope_select(m, verdict.theta2, E.lengths, sigma)
-    kappa_target = math.log(float(verdict.theta2)) / math.log(float(th1))
-    return E, sigma, verdict, lsv, kappa_target
+    chain = blowup_chain(E)
+    return E, chain.sigma, chain.verdict, chain.lsv, chain.kappa_target
 
 
 @pytest.fixture(scope="module")
@@ -112,10 +104,28 @@ def test_gap_system_basics(gaps):
 
 
 def test_gap_symbols_match_positions(gaps):
+    # the float shadow of the orbit stays in the piece of every window symbol
     gs = gaps
     E = bundled_iet().as_float()
-    for k in (0, 7, gs.half_width, 2 * gs.half_width - 3):
+    for k in range(2 * gs.half_width + 1):
         assert E.piece_of(float(gs.orbit_points[k])) == gs.symbols[k]
+    assert gs.p_float == gs.orbit_points[gs.half_width]
+
+
+def test_float_mode_shadow_is_checked(setting, monkeypatch):
+    # a float-mode exchange has no exact cylinder, so its orbit is checked
+    # against the word; a start point off the cylinder must be caught
+    E, sigma, _verdict, lsv, _ = setting
+    Ef = E.as_float()
+    exact = gap_system_build(E, sigma, lsv, 300)
+    shadow = gap_system_build(Ef, sigma, lsv, 300)
+    assert np.array_equal(shadow.symbols, exact.symbols)
+    assert np.abs(shadow.orbit_points - exact.orbit_points).max() < 1e-12
+    import flipiet.denjoy
+    monkeypatch.setattr(flipiet.denjoy, "cylinder_locate",
+                        lambda _E, _word: (0.0, 1.0))
+    with pytest.raises(WordMismatch):
+        gap_system_build(Ef, sigma, lsv, 300)
 
 
 def test_single_gap_window(setting):
@@ -141,7 +151,6 @@ def test_certificate_small_window(setting, gaps):
     assert cert.orbit_points_distinct
     assert cert.affine_ok and cert.semiconjugacy_ok
     assert cert.density_ok
-    assert cert.midpoint_defect < 1e-12
 
 
 def test_aiet_slopes_and_flips(setting, gaps):

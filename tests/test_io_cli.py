@@ -155,6 +155,14 @@ def test_cli_rejects_nonpositive_settings():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["wandering", "--jobs", "2"],
+                                  ["orbit", "--x", "0.1", "--digits", "3"]])
+def test_cli_rejects_options_the_subcommand_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_cli_induct_stdout(capsys):
     rc = main(["induct", "--steps", "2"])
     assert rc == 0
@@ -172,7 +180,19 @@ def test_cli_reports_are_deterministic(tmp_path):
                  "--out", str(b)]) in (0, 1)
     ja = json.loads((a / "wandering_certificate.json").read_text())
     jb = json.loads((b / "wandering_certificate.json").read_text())
+    assert ja["config"]["probe_steps"] == 10000
     ja["config"].pop("out")
     jb["config"].pop("out")
     assert json.dumps(ja, sort_keys=True) == json.dumps(jb, sort_keys=True)
     assert (a / "gaps.csv").read_bytes() == (b / "gaps.csv").read_bytes()
+
+
+def test_cli_search_report_is_deterministic(tmp_path):
+    texts = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["search", "--n", "4", "--max-len", "10",
+                     "--out", str(out)]) == 0
+        texts.append((out / "search_report.json").read_text()
+                     .replace(str(out), "OUT"))
+    assert texts[0] == texts[1]

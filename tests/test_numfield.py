@@ -43,6 +43,13 @@ def test_degree_one_field():
     assert g.as_fraction() == 3
 
 
+def test_rational_elements_hash_like_fractions(field, th1):
+    three = field.rational(3, th1.embedding)
+    assert three == 3 and len({three, 3}) == 1
+    q = Fraction(-7, 4)
+    assert hash(field.rational(q, th1.embedding)) == hash(q)
+
+
 def test_root_brackets(field, th1, th2):
     assert nf_decimal(th1, 3) == "7.829"
     assert nf_decimal(th2, 3) == "1.588"
