@@ -22,6 +22,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import quintic
@@ -122,7 +123,7 @@ def cmd_wandering(args):
     sd, lsv = chain.spectral, chain.lsv
     spectral_report = {
         **_factors_json(sd),
-        "roots": [r.decimal(args.digits) for r, _ in sd.real_roots],
+        "roots": [r.decimal(args.digits) for r, _ in sd.real_roots][::-1],
         "perron_vector": [v.decimal(args.digits) for v in sd.perron[1]],
         "verdict": chain.verdict.reason,
     }
@@ -176,6 +177,8 @@ def cmd_search(args):
         "max_len": result.max_len,
         "nodes": result.node_count,
         "cycles_checked": result.cycles_checked,
+        "screen_reasons": result.screen_reasons,
+        "absent_edges": dict(Counter(reason for *_, reason in graph.absent)),
         "qualifying": [
             {"nodes": [list(nd) for nd in c.nodes],
              "types": list(c.types),

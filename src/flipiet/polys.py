@@ -516,20 +516,55 @@ def mat_det(m) -> int:
     return d if n % 2 == 0 else -d
 
 
-def quasi_positive(m) -> bool:
-    """True when some power of the nonnegative matrix is entrywise positive.
+def row_masks(m):
+    """Zero pattern of a matrix as one bitmask per row: bit j of row i is set
+    when m[i][j] is nonzero."""
+    return tuple(sum(1 << j for j, x in enumerate(row) if x) for row in m)
 
-    Uses boolean reachability powering up to the primitivity bound
-    (n-1)^2 + 1.
+
+def rows_mul(a, b):
+    """Zero pattern of A*B from the patterns of nonnegative A and B: row i of
+    the product is the OR of B's rows t over the set bits t of A's row i."""
+    out = []
+    for r in a:
+        acc = 0
+        t = 0
+        while r:
+            if r & 1:
+                acc |= b[t]
+            r >>= 1
+            t += 1
+        out.append(acc)
+    return tuple(out)
+
+
+def rows_quasi_positive(rows) -> bool:
+    """True when some boolean power of the row-bitmask pattern is all ones.
+
+    Some power of a nonnegative matrix is positive exactly when the matrix is
+    primitive, and then every power from the primitivity bound (n-1)^2 + 1 on
+    is positive (Wielandt).  So squaring until the exponent reaches the bound
+    decides it; a pattern that squares to itself without being full never
+    fills.
     """
-    n = len(m)
+    n = len(rows)
+    full = (1 << n) - 1
+    bound = (n - 1) * (n - 1) + 1
+    p, k = rows, 1
+    while True:
+        if all(r == full for r in p):
+            return True
+        if k >= bound:
+            return False
+        q = rows_mul(p, p)
+        if q == p:
+            return False
+        p, k = q, 2 * k
+
+
+def quasi_positive(m) -> bool:
+    """True when the matrix is nonnegative and some power of it is entrywise
+    positive; decided on its zero pattern by rows_quasi_positive."""
     if any(x < 0 for row in m for x in row):
         return False
-    b = tuple(tuple(1 if x > 0 else 0 for x in row) for row in m)
-    p = b
-    for _ in range((n - 1) * (n - 1) + 1):
-        if all(all(x for x in row) for row in p):
-            return True
-        p = tuple(tuple(1 if sum(p[i][t] * b[t][j] for t in range(n)) else 0
-                        for j in range(n)) for i in range(n))
-    return all(all(x for x in row) for row in p)
+    return rows_quasi_positive(row_masks(m))

@@ -19,16 +19,18 @@ cycles.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from multiprocessing import Pool
+from multiprocessing import get_context
 from .errors import DegenerateStep, FlipIetError
 from .iet import IetSpec, SignedPermutation
-from .polys import mat_identity, mat_mul
+from .polys import (mat_identity, mat_mul, row_masks, rows_mul,
+                    rows_quasi_positive)
 from .rauzy import rauzy_cycle_detect
 from .selfsim import induce
-from .spectral import bhm_screen, perron_data
+from .spectral import SCREEN_REASONS, bhm_screen, perron_data
 
 
 def signed_perms_enumerate(n: int, require_flips: bool = True):
@@ -37,18 +39,9 @@ def signed_perms_enumerate(n: int, require_flips: bool = True):
         raise ValueError("n must be between 2 and 7")
     out = []
     for base in permutations(range(1, n + 1)):
-        mx = 0
-        red = False
-        for k, v in enumerate(base[:-1], start=1):
-            mx = max(mx, v)
-            if mx == k:
-                red = True
-                break
-        if red:
-            continue
-        for mask in range(2 ** n):
-            if require_flips and mask == 0:
-                continue
+        if any(max(base[:k]) == k for k in range(1, n)):
+            continue                    # reducible: base[:k] is {1..k}
+        for mask in range(1 if require_flips else 0, 2 ** n):
             out.append(tuple((-base[i] if (mask >> i) & 1 else base[i])
                              for i in range(n)))
     return sorted(out)
@@ -121,55 +114,82 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
 # ---------------------------------------------------------------------------
 # closed-walk enumeration
 
-def _canonical_rotation(seq):
-    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+def _is_least_rotation(seq):
+    """True when seq is primitive and smaller than each of its other
+    rotations, so that each cycle up to rotation passes exactly once.
+
+    Only a rotation starting with an element <= seq[0] can be as small as
+    seq, and a rotation equal to seq makes it a proper power.
+    """
+    head = seq[0]
+    return all(seq[k:] + seq[:k] > seq
+               for k in range(1, len(seq)) if seq[k] <= head)
 
 
-def _is_primitive(seq):
-    L = len(seq)
-    for p in range(1, L):
-        if L % p == 0 and seq == seq[p:] + seq[:p]:
-            return p == L
-    return True
+def _census_worker(args):
+    """Screen every cycle whose smallest node is one of starts; return the
+    screen-reason counts and the qualifying cycles as CycleCandidates.
 
+    From each start s the walk visits only nodes >= s and keeps a closed walk
+    when it is its own least rotation, so every cycle up to rotation is seen
+    exactly once, from its smallest node.  A branch is cut when its depth
+    plus the distance back to s (reverse BFS within nodes >= s) exceeds
+    max_len.  The product's zero pattern rides down the walk as row bitmasks;
+    only cycles whose pattern is quasi-positive get the exact product.
+    """
+    nodes, succ, mats, starts, max_len = args
+    n = len(nodes[0])
+    patterns = [[m and row_masks(m) for m in row] for row in mats]
+    pred = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for u in row:
+            if u is not None:
+                pred[u].append(v)
+    pattern_ok = {}                 # zero pattern -> rows_quasi_positive
+    reasons = Counter()
+    hits = []
+    path = []
 
-def _walk_worker(args):
-    succ, starts, max_len = args
-    found = set()
-    for start in starts:
-        stack = [(start, ())]
-        while stack:
-            v, types = stack.pop()
-            depth = len(types)
-            if depth > 0 and v == start:
-                seq = []
-                u = start
-                for t in types:
-                    seq.append((u, t))
-                    u = succ[u][t]
-                seq = tuple(seq)
-                if _is_primitive(seq):
-                    found.add(_canonical_rotation(seq))
-            if depth < max_len:
-                for t in (0, 1):
-                    u = succ[v][t]
-                    if u is not None:
-                        stack.append((u, types + (t,)))
-    return found
-
-
-def _screen_worker(args):
-    mats, cycles = args
-    out = []
-    for seq in cycles:
-        prod = mat_identity(len(mats[seq[0][0]][seq[0][1]]))
+    def screen(seq, rows):
+        if rows not in pattern_ok:
+            pattern_ok[rows] = rows_quasi_positive(rows)
+        if not pattern_ok[rows]:
+            reasons["not_quasi_positive"] += 1
+            return
+        prod = mat_identity(n)
         for (v, t) in seq:
             prod = mat_mul(prod, mats[v][t])
         verdict = bhm_screen(prod)
+        reasons[verdict.reason] += 1
         if verdict.qualifies:
-            out.append((seq, prod,
-                        verdict.theta1.decimal(12), verdict.theta2.decimal(12)))
-    return out
+            hits.append(CycleCandidate(
+                nodes=tuple(nodes[v] for (v, t) in seq),
+                types=tuple(t for (v, t) in seq), product=prod,
+                theta1=verdict.theta1.decimal(12),
+                theta2=verdict.theta2.decimal(12)))
+
+    def extend(s, dist, v, depth, rows):
+        for t in (0, 1):
+            u = succ[v][t]
+            du = dist.get(u)
+            if du is None or depth + du >= max_len:
+                continue
+            nxt = rows_mul(rows, patterns[v][t])
+            path.append((v, t))
+            if u == s and _is_least_rotation(seq := tuple(path)):
+                screen(seq, nxt)
+            extend(s, dist, u, depth + 1, nxt)
+            path.pop()
+
+    for s in starts:
+        dist = {s: 0}
+        frontier = [s]
+        for d in range(1, max_len):
+            frontier = {u for v in frontier for u in pred[v]
+                        if u > s and u not in dist}
+            dist.update(dict.fromkeys(frontier, d))
+        extend(s, dist, s, 0, tuple(1 << i for i in range(n)))
+    return reasons, hits
 
 
 @dataclass
@@ -203,86 +223,64 @@ class SearchResult:
     node_count: int
     cycles_checked: int
     qualifying: list
+    screen_reasons: dict            # bhm_screen reason -> cycle count
 
 
-def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1,
-                 validate: bool = True) -> SearchResult:
+def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult:
     """Enumerate primitive cycles up to max_len (up to rotation), screen every
-    product, and validate the survivors with exact induction."""
+    product, and validate the survivors with exact induction.  With jobs > 1
+    the start nodes are split over one pool of that many processes."""
     if max_len > 20:
         raise ValueError("max_len capped at 20")
     nodes = list(range(len(graph.nodes)))
-    chunks = max(1, jobs * 4)
-    starts = [nodes[i::chunks] for i in range(chunks)]
-    payloads = [(graph.succ, chunk, max_len) for chunk in starts if chunk]
+    chunks = jobs * 4 if jobs > 1 else 1
+    payloads = [(graph.nodes, graph.succ, graph.mats, nodes[i::chunks], max_len)
+                for i in range(chunks) if nodes[i::chunks]]
     if jobs > 1:
-        with Pool(jobs) as pool:
-            sets = pool.map(_walk_worker, payloads)
+        with get_context("spawn").Pool(jobs) as pool:
+            parts = pool.map(_census_worker, payloads)
     else:
-        sets = [_walk_worker(p) for p in payloads]
-    cycles = set()
-    for s in sets:
-        cycles |= s
-    cycles = sorted(cycles)
-
-    batches = [cycles[i::chunks] for i in range(chunks)]
-    payloads = [(graph.mats, b) for b in batches if b]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            hits = pool.map(_screen_worker, payloads)
-    else:
-        hits = [_screen_worker(p) for p in payloads]
-    qualifying = []
-    for batch in hits:
-        for seq, prod, th1, th2 in batch:
-            qualifying.append(CycleCandidate(
-                nodes=tuple(graph.nodes[v] for (v, t) in seq),
-                types=tuple(t for (v, t) in seq),
-                product=prod, theta1=th1, theta2=th2))
-    qualifying.sort(key=lambda c: (len(c.types), c.nodes, c.types))
-    if validate:
-        for cand in qualifying:
-            cycle_validate(cand)
+        parts = [_census_worker(p) for p in payloads]
+    reasons = Counter(dict.fromkeys(SCREEN_REASONS, 0))
+    for part_reasons, _hits in parts:
+        reasons.update(part_reasons)
+    qualifying = sorted((c for _reasons, hits in parts for c in hits),
+                        key=lambda c: (len(c.types), c.nodes, c.types))
+    for cand in qualifying:
+        cycle_validate(cand)
     return SearchResult(n=graph.n, require_flips=graph.require_flips,
                         max_len=max_len, node_count=len(graph.nodes),
-                        cycles_checked=len(cycles), qualifying=qualifying)
+                        cycles_checked=sum(reasons.values()),
+                        qualifying=qualifying, screen_reasons=dict(reasons))
 
 
 def cycle_validate(cand: CycleCandidate) -> CycleCandidate:
     """Rebuild the exchange with exact Perron lengths and check that the
     induction really follows the candidate cycle."""
+    cand.validation_reason = _validation_failure(cand) or "ok"
+    cand.validated = cand.validation_reason == "ok"
+    return cand
+
+
+def _validation_failure(cand: CycleCandidate):
     try:
         sd = perron_data(cand.product)
     except FlipIetError as exc:
-        cand.validated = False
-        cand.validation_reason = f"perron data failed: {exc}"
-        return cand
+        return f"perron data failed: {exc}"
     theta1, alpha = sd.perron
     E = IetSpec(alpha, SignedPermutation(cand.nodes[0]), origin=0)
     try:
         cyc = rauzy_cycle_detect(E, len(cand.types) + 2)
     except DegenerateStep as exc:
-        cand.validated = False
-        cand.validation_reason = f"degenerate step: {exc}"
-        return cand
+        return f"degenerate step: {exc}"
     if cyc is None:
-        cand.validated = False
-        cand.validation_reason = "no cycle detected within the bound"
-        return cand
+        return "no cycle detected within the bound"
     got_nodes = tuple(tuple(st.before) for st in cyc.steps)
     got_types = tuple(st.type_bit for st in cyc.steps)
     if got_nodes != cand.nodes or got_types != cand.types:
-        cand.validated = False
-        cand.validation_reason = "detected cycle differs"
-        return cand
+        return "detected cycle differs"
     if cyc.product != cand.product:
-        cand.validated = False
-        cand.validation_reason = "matrix product differs"
-        return cand
+        return "matrix product differs"
     if cyc.scale != theta1:
-        cand.validated = False
-        cand.validation_reason = "contraction is not the dominant eigenvalue"
-        return cand
-    cand.validated = True
-    cand.validation_reason = "ok"
-    return cand
+        return "contraction is not the dominant eigenvalue"
+    return None

@@ -34,13 +34,16 @@ class SpectralData:
     perron: tuple                    # (theta1, right probability eigenvector)
 
 
+SCREEN_REASONS = ("qualifies", "not_quasi_positive", "no_real_theta2_gt1",
+                  "not_conjugate")
+
+
 @dataclass
 class BhmVerdict:
     qualifies: bool
     theta1: Optional[AlgebraicNumber]
     theta2: Optional[AlgebraicNumber]
-    reason: str                      # no_real_theta2_gt1 / not_conjugate /
-                                     # not_quasi_positive / qualifies
+    reason: str                      # one of SCREEN_REASONS
 
 
 def real_eigenvalues(m):

@@ -6,7 +6,8 @@ import pytest
 from flipiet.cli import main
 from flipiet.io import (algebraic_from_json, algebraic_to_json, iet_from_json,
                         iet_to_json, induction_trace_csv, return_words_csv)
-from flipiet.quintic import bundled_iet, bundled_theta1
+from flipiet.quintic import (REFERENCE_EIGENVALUES_3DP, bundled_iet,
+                             bundled_theta1)
 from flipiet.rauzy import rauzy_run
 from flipiet.selfsim import associated_matrix
 
@@ -106,6 +107,32 @@ def test_cli_search_small(tmp_path):
     assert rep["nodes"] == 3
     assert rep["cycles_checked"] == 2          # the two self loops
     assert rep["qualifying"] == []
+
+
+def test_cli_search_reports_screen_reasons(tmp_path):
+    # the paper's census: every cycle's screen verdict and every absent edge
+    rc = main(["search", "--n", "5", "--max-len", "14", "--out", str(tmp_path)])
+    assert rc == 0
+    rep = json.loads((tmp_path / "search_report.json").read_text())
+    assert rep["screen_reasons"] == {"qualifies": 24,
+                                     "not_quasi_positive": 35832,
+                                     "no_real_theta2_gt1": 108,
+                                     "not_conjugate": 0}
+    assert sum(rep["screen_reasons"].values()) == rep["cycles_checked"]
+    assert len(rep["qualifying"]) == 24
+    assert all(c["validation"] == "ok" for c in rep["qualifying"])
+    assert rep["absent_edges"] == {"target outside node class": 768}
+
+
+def test_cli_reports_list_roots_descending(tmp_path):
+    assert main(["spectral", "--digits", "3", "--out", str(tmp_path)]) == 0
+    assert main(["wandering", "--gaps", "200", "--probe-steps", "10000",
+                 "--digits", "3", "--out", str(tmp_path)]) in (0, 1)
+    spectral = json.loads((tmp_path / "spectral_report.json").read_text())
+    wandering = json.loads(
+        (tmp_path / "wandering_certificate.json").read_text())
+    assert spectral["roots"] == list(REFERENCE_EIGENVALUES_3DP)
+    assert wandering["spectral"]["roots"] == list(REFERENCE_EIGENVALUES_3DP)
 
 
 def test_cli_wandering_small(tmp_path):

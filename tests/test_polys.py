@@ -8,7 +8,8 @@ from flipiet.errors import DegreeCapExceeded
 from flipiet.polys import (IntPolynomial, char_poly, count_roots,
                            factor_rational, is_irreducible, isolate_real_roots,
                            mat_det, mat_mul, poly_from_roots, quasi_positive,
-                           root_bound, squarefree_part, sturm_chain)
+                           root_bound, row_masks, rows_mul, squarefree_part,
+                           sturm_chain)
 
 A = ((2, 4, 6, 5, 2), (0, 2, 1, 1, 1), (0, 0, 3, 2, 0),
      (1, 2, 2, 2, 1), (1, 3, 5, 4, 2))
@@ -138,6 +139,61 @@ def test_matrix_helpers():
     assert quasi_positive(A)
     assert not quasi_positive(ident)
     assert not quasi_positive(((0, 1), (1, 0)))  # periodic, irreducible
+
+
+def _quasi_positive_reference(m):
+    """Reference: boolean-matrix powering up to the primitivity bound, one
+    factor of m at a time."""
+    n = len(m)
+    if any(x < 0 for row in m for x in row):
+        return False
+    b = tuple(tuple(1 if x > 0 else 0 for x in row) for row in m)
+    p = b
+    for _ in range((n - 1) * (n - 1) + 1):
+        if all(all(x for x in row) for row in p):
+            return True
+        p = tuple(tuple(1 if sum(p[i][t] * b[t][j] for t in range(n)) else 0
+                        for j in range(n)) for i in range(n))
+    return all(all(x for x in row) for row in p)
+
+
+def _wielandt(n):
+    """The primitive n x n pattern whose first positive power is the bound
+    (n-1)^2 + 1: the cycle 0 -> 1 -> ... -> n-1 -> 0 plus the edge n-1 -> 1."""
+    w = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        w[i][i + 1] = 1
+    w[n - 1][0] = w[n - 1][1] = 1
+    return tuple(tuple(row) for row in w)
+
+
+def test_quasi_positive_matches_boolean_powering():
+    rng = random.Random(2024)
+    cases = []
+    for n in range(2, 8):
+        for density in (0.15, 0.3, 0.5):
+            for _ in range(40):
+                cases.append(tuple(tuple(int(rng.random() < density)
+                                         for _ in range(n)) for _ in range(n)))
+                cases.append(tuple(tuple(rng.choice((0, 0, 1, 2, 7))
+                                         for _ in range(n)) for _ in range(n)))
+    cases += [_wielandt(n) for n in range(2, 8)]
+    verdicts = [quasi_positive(m) for m in cases]
+    assert verdicts == [_quasi_positive_reference(m) for m in cases]
+    assert 0 < sum(verdicts) < len(cases)      # both answers occur
+
+
+def test_quasi_positive_wielandt_and_negative_entries():
+    w = _wielandt(5)
+    p = row_masks(w)
+    for _power in range(1, 17):
+        assert not all(r == 0b11111 for r in p)
+        p = rows_mul(p, row_masks(w))
+    assert all(r == 0b11111 for r in p)        # first positive at power 17
+    assert quasi_positive(w) and _quasi_positive_reference(w)
+    neg = tuple(tuple(-1 if (i, j) == (2, 3) else 1 for j in range(5))
+                for i in range(5))
+    assert not quasi_positive(neg) and not _quasi_positive_reference(neg)
 
 
 def test_factor_at_degree_cap():

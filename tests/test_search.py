@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import flipiet.search
 from flipiet.iet import IetSpec, SignedPermutation
-from flipiet.polys import mat_det
+from flipiet.polys import mat_det, mat_identity, mat_mul, quasi_positive
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
 from flipiet.rauzy import rauzy_step
-from flipiet.search import (CycleCandidate, cycle_search, cycle_validate,
-                            rauzy_graph_build, signed_perms_enumerate)
+from flipiet.search import (CycleCandidate, _is_least_rotation, cycle_search,
+                            cycle_validate, rauzy_graph_build,
+                            signed_perms_enumerate)
+from flipiet.spectral import SCREEN_REASONS
 
 
 def test_enumerate_n2():
@@ -161,5 +166,80 @@ def test_search_results_independent_of_worker_count():
     r1 = cycle_search(g, 10, jobs=1)
     r2 = cycle_search(g, 10, jobs=3)
     assert r1.cycles_checked == r2.cycles_checked
-    key = lambda c: (c.nodes, c.types)
+    assert r1.screen_reasons == r2.screen_reasons
+    key = lambda c: (c.nodes, c.types, c.product, c.theta1, c.theta2,
+                     c.validation_reason)
     assert [key(c) for c in r1.qualifying] == [key(c) for c in r2.qualifying]
+
+
+# ---------------------------------------------------------------------------
+# reference enumeration: every closed walk from every node, deduplicated
+# through the canonical rotation, each product multiplied out
+
+def _canonical_rotation(seq):
+    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
+
+
+def _is_primitive(seq):
+    L = len(seq)
+    for p in range(1, L):
+        if L % p == 0 and seq == seq[p:] + seq[:p]:
+            return p == L
+    return True
+
+
+def _reference_cycles(g, max_len):
+    found = set()
+    for start in range(len(g.nodes)):
+        stack = [(start, ())]
+        while stack:
+            v, seq = stack.pop()
+            if seq and v == start and _is_primitive(seq):
+                found.add(_canonical_rotation(seq))
+            if len(seq) < max_len:
+                for t in (0, 1):
+                    u = g.succ[v][t]
+                    if u is not None:
+                        stack.append((u, seq + ((v, t),)))
+    return found
+
+
+def _product(g, seq):
+    prod = mat_identity(g.n)
+    for v, t in seq:
+        prod = mat_mul(prod, g.mats[v][t])
+    return prod
+
+
+def test_least_rotation_matches_canonical_and_primitive():
+    rng = random.Random(8)
+    seqs = [tuple(rng.choice("aab") for _ in range(rng.randint(1, 9)))
+            for _ in range(3000)]
+    seqs += [w * k for w in (("a",), ("a", "b"), ("a", "a", "b"))
+             for k in (1, 2, 3)]
+    for seq in seqs:
+        want = seq == _canonical_rotation(seq) and _is_primitive(seq)
+        assert _is_least_rotation(seq) == want, seq
+
+
+@pytest.mark.parametrize("n, max_len", [(4, 12), (5, 8)])
+def test_census_matches_reference_enumeration(n, max_len, monkeypatch):
+    g = rauzy_graph_build(n, True)
+    ref = sorted(_reference_cycles(g, max_len))
+    ref_qp = sorted(p for p in (_product(g, seq) for seq in ref)
+                    if quasi_positive(p))
+    screened = []
+    screen = flipiet.search.bhm_screen
+
+    def recording_screen(m):
+        screened.append(m)
+        return screen(m)
+
+    monkeypatch.setattr(flipiet.search, "bhm_screen", recording_screen)
+    r = cycle_search(g, max_len)
+    assert r.cycles_checked == len(ref)
+    assert set(r.screen_reasons) == set(SCREEN_REASONS)
+    assert sum(r.screen_reasons.values()) == len(ref)
+    assert r.screen_reasons["not_quasi_positive"] == len(ref) - len(ref_qp)
+    assert r.screen_reasons["qualifies"] == len(r.qualifying)
+    assert sorted(screened) == ref_qp and ref_qp
