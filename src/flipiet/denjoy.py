@@ -31,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DivergentGaps, FlipIetError, SignSelectionFailed,
-                     WordMismatch)
+from .errors import (AtDiscontinuity, DivergentGaps, FlipIetError,
+                     SignSelectionFailed, WordMismatch)
 from .iet import IetSpec
 from .numfield import AlgebraicNumber, cross_embedding_dot_is_zero
 from .rauzy import RauzyCycle, rauzy_cycle_detect
@@ -40,7 +40,7 @@ from .selfsim import (ItinerarySet, Substitution, associated_matrix,
                       cylinder_locate, occurrence_addresses, stationary_window,
                       substitution_from)
 from .spectral import (BhmVerdict, SpectralData, bhm_screen, eigen_left,
-                       perron_data)
+                       shared_perron_data)
 
 PROBE_LENGTH = 100_000
 KAPPA_FIT_START = 100
@@ -192,7 +192,7 @@ def blowup_chain(E: IetSpec, max_len: int = 20) -> BlowupChain:
         raise FlipIetError("input exchange is not self-similar within the bound")
     sigma = substitution_from(ind.itineraries)
     verdict = bhm_screen(ind.matrix)
-    sd = perron_data(ind.matrix)
+    sd = shared_perron_data(ind.matrix)
     lsv = kappa_target = None
     if verdict.qualifies:
         lsv = log_slope_select(ind.matrix, verdict.theta2, sd.perron[1], sigma)
@@ -416,6 +416,7 @@ class WanderingCertificate:
     affine_ok: bool
     semiconjugacy_defect: float
     semiconjugacy_ok: bool
+    semiconjugacy_skipped: int       # samples whose point hit a breakpoint
     density: float                   # max distance from grid to nearest gap
     density_ok: bool
     forward_density: float
@@ -451,7 +452,10 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
 
     Tolerances default to 10x the estimated truncation tail for the affine
     and semiconjugacy defects, 0.01 for gap density and 0.02 for the one-sided
-    densities; all used values are recorded in the certificate.
+    densities; all used values are recorded in the certificate.  A
+    semiconjugacy sample whose orbit point lies on a breakpoint of the float
+    exchange (AtDiscontinuity) is skipped and counted in
+    semiconjugacy_skipped; any other error propagates.
     """
     N = gs.half_width
     tail = gs.tail_estimate
@@ -488,12 +492,14 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
     interior = np.arange(1, 2 * N) if N >= 1 else np.empty(0, dtype=int)
     pick = rng.choice(interior, size=min(samples, len(interior)), replace=False)
     semi_defect = 0.0
+    skipped = 0
     for k in pick:
         y = gs.positions[k]                    # a boundary point of the gap set
         hy = float(gs.orbit_points[k])
         try:
             lhs = Ef.eval(hy)
-        except Exception:
+        except AtDiscontinuity:
+            skipped += 1
             continue
         ty = min(max(T.eval(y), 0.0), 1.0 - 1e-15)
         semi_defect = max(semi_defect, abs(lhs - h(ty)))
@@ -526,6 +532,7 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
         affine_defect=affine_defect, affine_ok=bool(affine_defect <= tol["affine"]),
         semiconjugacy_defect=semi_defect,
         semiconjugacy_ok=bool(semi_defect <= tol["semi"]),
+        semiconjugacy_skipped=skipped,
         density=density, density_ok=bool(density <= tol["density"]),
         forward_density=fdens, backward_density=bdens,
         two_sided_density=bool(fdens <= tol["two_sided"] and bdens <= tol["two_sided"]),

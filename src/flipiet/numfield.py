@@ -2,17 +2,26 @@
 
 Elements are coordinate vectors over the power basis 1, theta, ...,
 theta^(d-1) with Fraction coordinates.  The designated real root theta is
-pinned by a rational isolating interval (Sturm-certified); comparisons refine
-that interval until the sign of the difference is determined, so every
-comparison is exact.
+pinned by a rational isolating interval (Sturm-certified).  A sign is
+decided first by a certified float filter (filtered_sign): the coordinates
+against float shadows of the basis powers, whose errors are proven from the
+interval.  The filter answers only when the float value clears its proven
+error bound; otherwise the exact fallback (exact_sign) evaluates the
+coordinates on the interval in rational arithmetic and refines the interval
+until the sign is determined.  Either way every comparison is exact.
 
 Refining an embedding interval never changes a comparison outcome; the
 interval is shared by all values derived from one root and is narrowed in
 place (monotone, so safe to share between threads under the GIL).
+FILTER_COUNTS counts filter decisions, exact fallbacks and refinements in
+the process; because intervals narrow in place, these counts depend on what
+ran before, and they go into no report.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 from .errors import (AmbiguousRoot, DivisionByZero, FieldMismatch, NoRoot,
@@ -25,12 +34,13 @@ from .polys import (IntPolynomial, _divmod_fr, _eval, _mul, _sub, _trim,
 class RootEmbedding:
     """Rational isolating interval for one real root of an integer polynomial."""
 
-    __slots__ = ("poly", "lo", "hi")
+    __slots__ = ("poly", "lo", "hi", "_shadow")
 
     def __init__(self, poly: IntPolynomial, lo, hi):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
+        self._shadow = None
 
     def is_point(self):
         return self.lo == self.hi
@@ -45,6 +55,27 @@ class RootEmbedding:
         if self.is_point() or self.width() <= max_width:
             return
         self.lo, self.hi = refine_root_interval(self.poly, self.lo, self.hi, max_width)
+        self._shadow = None
+
+    def shadow(self):
+        """(shadows, errors): floats b_i and proven bounds e_i >= |theta^i - b_i|
+        for i = 0..d-1, valid for the current interval and cached until it
+        narrows; False when a power leaves the float range."""
+        if self._shadow is None:
+            lo, hi = self.lo, self.hi
+            try:
+                t = float((lo + hi) / 2)
+                shadows = tuple(t ** i for i in range(self.poly.degree))
+                # theta^i lies between the powers of the interval's ends (and 0
+                # when the interval straddles 0)
+                errors = tuple(
+                    _round_up(max(abs(v - Fraction(b)) for v in
+                                  (lo ** i, hi ** i) + ((0,) if lo < 0 < hi else ())))
+                    for i, b in enumerate(shadows))
+                self._shadow = (shadows, errors)
+            except OverflowError:
+                self._shadow = False
+        return self._shadow
 
     def same_root(self, other) -> bool:
         if self is other:
@@ -262,20 +293,14 @@ class AlgebraicNumber:
         return all(c == 0 for c in self.coords)
 
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
+        """Exact sign in the designated embedding: rational values directly,
+        others by the float filter on the embedding's power-basis shadow, and
+        by exact_sign when the filter cannot decide."""
         if self.is_rational():
             q = self.coords[0]
-            return 1 if q > 0 else -1
-        emb = self.embedding
-        for _ in range(20000):
-            lo, hi = _interval_eval(self.coords, emb.lo, emb.hi)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            emb.refine(emb.width() / 16)
-        raise RuntimeError("sign determination failed to converge")
+            return (q > 0) - (q < 0)
+        sh = self.embedding.shadow()
+        return (sh and filtered_sign(self.coords, *sh)) or exact_sign(self)
 
     def compare(self, other) -> int:
         o = self._lift(other)
@@ -352,6 +377,133 @@ def _format_scaled(n: int, digits: int) -> str:
     m = abs(n)
     scale = 10 ** digits
     return f"{sign}{m // scale}.{m % scale:0{digits}d}"
+
+
+def _round_up(q) -> float:
+    """Least float >= the nonnegative rational q (OverflowError beyond range)."""
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+# -- certified float filter -------------------------------------------------
+
+# signs decided by filtered_sign, exact fallbacks (exact_sign calls) and the
+# embedding refinements those fallbacks made, since the process started
+FILTER_COUNTS = {"filtered": 0, "exact": 0, "refined": 0}
+
+# constants of the error bound derived in filtered_sign
+_U = 2.0 ** -53                       # unit roundoff of IEEE double
+_NORMAL_MIN = sys.float_info.min      # least positive normal double
+_MAX_TERMS = 2 ** 16
+_SLACK = 1.0 + 2.0 ** -32
+_TINY = 2.0 ** -1000
+
+
+def _filtered_dot(coeffs, shadows, errors):
+    """(s, B): the float value s of sum_i c_i * b_i and a proven bound B on
+    its error; the derivation is in filtered_sign."""
+    n = len(coeffs)
+    if n > _MAX_TERMS:
+        return 0.0, math.inf
+    s = mag = err = 0.0
+    try:
+        for c, b, e in zip(coeffs, shadows, errors):
+            if c:
+                f = float(c)
+                if -_NORMAL_MIN < f < _NORMAL_MIN:
+                    return 0.0, math.inf
+                p = f * b
+                s += p
+                mag += abs(p)
+                err += abs(f) * e
+    except OverflowError:
+        return 0.0, math.inf
+    return s, (err + (2 * n + 2) * _U * mag + _TINY) * _SLACK
+
+
+def filtered_sign(coeffs, shadows, errors) -> int:
+    """Sign of sum_i c_i * b_i when the float filter can prove it, else 0.
+
+    coeffs are exact rationals c_i (int or Fraction); shadows and errors are
+    floats bt_i and e_i with |b_i - bt_i| <= e_i.  A nonzero answer is exact;
+    0 means undecided (an exact zero is never decided here), and the caller
+    falls back to exact arithmetic (exact_sign).
+
+    The error bound.  Let ct_i = float(c_i), correctly rounded, u = 2^-53 and
+    n = len(coeffs) <= 2^16; a nonzero ct_i outside the normal float range,
+    or any overflow, leaves the sign undecided.  With s = fl(sum ct_i bt_i)
+    by recursive summation,
+
+        sum c_i b_i - s = sum c_i (b_i - bt_i) + sum (c_i - ct_i) bt_i
+                          + (sum ct_i bt_i - s),
+
+    where |c_i| <= (1 + 2u)|ct_i|, |c_i - ct_i| <= 2u|ct_i|, and the float
+    dot product is off by at most gamma_n sum |ct_i bt_i| <= 2nu sum
+    |ct_i bt_i| (Higham, Accuracy and Stability of Numerical Algorithms,
+    (3.5)).  So |sum c_i b_i - s| <= (1 + 2u) E + (2n + 2) u M, with
+    E = sum |ct_i| e_i and M = sum |ct_i bt_i|.  Their float sums err and mag
+    are at least (1 - 2nu) times E and M, and the four roundings in computing
+    B = (err + (2n + 2) u mag + 2^-1000) (1 + 2^-32) lose at most a factor
+    (1 - u)^4; since 1 + 2^-32 > (1 + 2u) / ((1 - 2nu)(1 - u)^4) for
+    n <= 2^16, B bounds the error.  The term 2^-1000 covers the at most 3n
+    products that underflow, each off by at most 2^-1075.  Overflow makes mag,
+    hence B, infinite (rounding is monotone, so each partial |s| is at most
+    the partial mag), and then no sign is decided.  The sign of s is returned
+    only when |s| > B, so it is the sign of sum c_i b_i.
+    """
+    s, bound = _filtered_dot(coeffs, shadows, errors)
+    if abs(s) > bound:
+        FILTER_COUNTS["filtered"] += 1
+        return 1 if s > 0 else -1
+    return 0
+
+
+def exact_sign(value) -> int:
+    """Sign by exact arithmetic alone, the fallback of the float filter: a
+    rational compares directly; an irrational AlgebraicNumber is evaluated on
+    its embedding interval, which is refined until the sign is determined."""
+    FILTER_COUNTS["exact"] += 1
+    if not isinstance(value, AlgebraicNumber):
+        return (value > 0) - (value < 0)
+    if value.is_rational():
+        q = value.coords[0]
+        return (q > 0) - (q < 0)
+    emb = value.embedding
+    for _ in range(20000):
+        lo, hi = _interval_eval(value.coords, emb.lo, emb.hi)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        FILTER_COUNTS["refined"] += 1
+        emb.refine(emb.width() / 16)
+    raise RuntimeError("sign determination failed to converge")
+
+
+def float_enclosure(value):
+    """(x, e): a float x and a proven bound e >= |value - x| for an exact
+    value (int, Fraction or AlgebraicNumber), to serve as a basis element of
+    filtered_sign.  An irrational value's embedding is refined until its
+    interval image is within about 2^-60 of its magnitude, so e is a few
+    ulps of x; a value beyond the float range gets e = inf, which sends
+    every comparison that uses it to the exact fallback."""
+    if isinstance(value, AlgebraicNumber):
+        if value.is_rational():
+            lo = hi = value.coords[0]
+        else:
+            emb = value.embedding
+            while True:
+                lo, hi = _interval_eval(value.coords, emb.lo, emb.hi)
+                if hi - lo <= abs(lo + hi) * Fraction(1, 2 ** 61):
+                    break
+                emb.refine(emb.width() / 2 ** 16)
+    else:
+        lo = hi = Fraction(value)
+    try:
+        x = float((lo + hi) / 2)
+        return x, _round_up(max(hi - Fraction(x), Fraction(x) - lo))
+    except OverflowError:
+        return 0.0, math.inf
 
 
 def _interval_eval(coords, lo, hi):

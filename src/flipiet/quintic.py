@@ -14,10 +14,8 @@ suite and the CLI compare recomputed objects against them byte for byte.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .iet import IetSpec, SignedPermutation
-from .spectral import perron_data
+from .spectral import shared_perron_data
 
 MATRIX = (
     (2, 4, 6, 5, 2),
@@ -63,10 +61,9 @@ REFERENCE_EIGENVALUES_3DP = ("7.829", "1.588", "1.000", "0.358", "0.225")
 REFERENCE_LENGTHS_3DP = ("0.380", "0.091", "0.070", "0.170", "0.289")
 
 
-@cache
 def bundled_spectral():
-    """Exact spectral data of MATRIX (cached)."""
-    return perron_data(MATRIX)
+    """Exact spectral data of MATRIX (shared, see shared_perron_data)."""
+    return shared_perron_data(MATRIX)
 
 
 def bundled_iet() -> IetSpec:

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
+
 from .errors import (BoundaryHitsDiscontinuity, EmptyCylinder, NoFixedSeed,
                      ReturnTimeCapExceeded)
 from .iet import IetSpec, SignedPermutation
+from .numfield import exact_sign, filtered_sign, float_enclosure
 
 DEFAULT_RETURN_CAP = 10_000
 
@@ -324,7 +327,15 @@ def cylinder_locate(E: IetSpec, word_prefix):
     """Open interval of points whose symbols at steps 0..m-1 equal the prefix.
 
     Computed by iterated inverse images; EmptyCylinder when no point realizes
-    the prefix.
+    the prefix.  Every endpoint met on the way is origin + sum_i k_i alpha_i
+    for an integer vector k, because the breakpoints x_j and the slot ends y_j
+    are prefix sums of the lengths alpha_i.  So the walk carries only the
+    k-vectors, and compares two points by the sign of sum_i (k_i - k'_i)
+    alpha_i: for an exact E through numfield.filtered_sign, on float
+    enclosures of the lengths certified once, with numfield.exact_sign as
+    the fallback (the result is exact either way); for a float-mode E by the
+    plain float sign.  The two final endpoints are converted back to scalars
+    at the end.
     """
     word = tuple(word_prefix)
     if not word:
@@ -332,16 +343,50 @@ def cylinder_locate(E: IetSpec, word_prefix):
     for s in word:
         if not (1 <= s <= E.n):
             raise ValueError(f"symbol {s} outside 1..{E.n}")
-    lo, hi = E.x[word[-1] - 1], E.x[word[-1]]
+    n, lengths = E.n, E.lengths
+    # k-vectors of x_0..x_n and y_0..y_n
+    xk = [(0,) * n]
+    yk = [(0,) * n]
+    for j in range(1, n + 1):
+        xk.append(xk[-1][:j - 1] + (1,) + xk[-1][j:])
+        i = E.sp.pi_inv[j] - 1
+        yk.append(yk[-1][:i] + (1,) + yk[-1][i + 1:])
+
+    if E.float_mode:
+        def order(a, b):
+            v = sum(map(mul, map(sub, a, b), lengths))
+            return (v > 0) - (v < 0)
+    else:
+        shadows, errors = zip(*map(float_enclosure, lengths))
+
+        def order(a, b):
+            d = tuple(map(sub, a, b))
+            return (filtered_sign(d, shadows, errors)
+                    or exact_sign(_combine(d, lengths, 0)))
+
+    lo, hi = xk[word[-1] - 1], xk[word[-1]]
     for sym in word[-2::-1]:
-        slo, shi = E.image_slot(sym)
-        lo2 = lo if lo > slo else slo
-        hi2 = hi if hi < shi else shi
-        if not (lo2 < hi2):
+        j = E.sp.pi[sym - 1]
+        slo, shi = yk[j - 1], yk[j]
+        lo2 = lo if order(lo, slo) > 0 else slo
+        hi2 = hi if order(hi, shi) < 0 else shi
+        if order(lo2, hi2) >= 0:
             raise EmptyCylinder(f"prefix unrealizable at symbol {sym}")
-        pl, pr = E.x[sym - 1], E.x[sym]
         if E.sp.tau[sym - 1] > 0:
-            lo, hi = pl + (lo2 - slo), pl + (hi2 - slo)
+            # lo, hi = x_{sym-1} + (lo2 - slo), x_{sym-1} + (hi2 - slo)
+            base = tuple(map(sub, xk[sym - 1], slo))
+            lo, hi = tuple(map(add, base, lo2)), tuple(map(add, base, hi2))
         else:
-            lo, hi = pr - (hi2 - slo), pr - (lo2 - slo)
-    return lo, hi
+            # lo, hi = x_sym - (hi2 - slo), x_sym - (lo2 - slo)
+            base = tuple(map(add, xk[sym], slo))
+            lo, hi = tuple(map(sub, base, hi2)), tuple(map(sub, base, lo2))
+    return _combine(lo, lengths, E.origin), _combine(hi, lengths, E.origin)
+
+
+def _combine(k, values, start):
+    """start + sum_i k_i * values_i, skipping zero k_i."""
+    out = start
+    for ki, v in zip(k, values):
+        if ki:
+            out = out + (v if ki == 1 else v * ki)
+    return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import NotAnEigenvalue, NotQuasiPositive
@@ -21,8 +22,8 @@ from .polys import (IntPolynomial, char_poly, count_roots, factor_rational,
 
 __all__ = [
     "SpectralData", "BhmVerdict", "char_poly", "factor_rational",
-    "isolate_real_roots", "perron_data", "eigen_left", "bhm_screen",
-    "real_eigenvalues", "solve_eigenvector",
+    "isolate_real_roots", "perron_data", "shared_perron_data", "eigen_left",
+    "bhm_screen", "real_eigenvalues", "solve_eigenvector",
 ]
 
 
@@ -153,6 +154,16 @@ def perron_data(m) -> SpectralData:
     assert s == 1
     return SpectralData(char_poly=cp, factors=factors, real_roots=roots,
                         perron=(theta1, alpha))
+
+
+@lru_cache(maxsize=4)
+def shared_perron_data(m) -> SpectralData:
+    """perron_data(m) for a matrix given as a tuple of row tuples, kept for the
+    four most recent matrices, so that the stages of one run share one
+    computation and one set of embeddings (the bundled exchange's lengths
+    and the Perron data of its blow-up chain, for instance).  Callers share
+    the result: its embeddings only ever narrow in place."""
+    return perron_data(m)
 
 
 def eigen_left(m, theta: AlgebraicNumber):

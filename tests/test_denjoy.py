@@ -150,7 +150,54 @@ def test_certificate_small_window(setting, gaps):
     assert cert.disjoint and cert.max_overlap <= 1e-15
     assert cert.orbit_points_distinct
     assert cert.affine_ok and cert.semiconjugacy_ok
+    assert cert.semiconjugacy_skipped == 0
     assert cert.density_ok
+
+
+def test_semiconjugacy_skips_are_counted(setting, gaps):
+    # every sampled orbit point moved onto a breakpoint: each sample hits a
+    # discontinuity of the float exchange and is skipped, and counted
+    import dataclasses
+    E = setting[0]
+    on_break = dataclasses.replace(
+        gaps, orbit_points=np.full_like(gaps.orbit_points, float(E.x[2])))
+    cert = verify_wandering(on_break, aiet_from_gaps(gaps), E, samples=40)
+    assert cert.semiconjugacy_skipped == 40
+    assert cert.semiconjugacy_defect == 0.0
+
+
+def test_semiconjugacy_sampler_propagates_other_errors(setting, gaps,
+                                                       monkeypatch):
+    from flipiet.iet import IetSpec
+    E = setting[0]
+    T = aiet_from_gaps(gaps)
+
+    def broken_eval(self, p, inverse=False):
+        raise ZeroDivisionError("not a discontinuity")
+
+    monkeypatch.setattr(IetSpec, "eval", broken_eval)
+    with pytest.raises(ZeroDivisionError):
+        verify_wandering(gaps, T, E)
+
+
+def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch):
+    import flipiet.spectral
+    from flipiet.spectral import shared_perron_data
+    calls = []
+    real = flipiet.spectral.perron_data
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(flipiet.spectral, "perron_data", counted)
+    shared_perron_data.cache_clear()
+    try:
+        chain = blowup_chain(bundled_iet())
+    finally:
+        shared_perron_data.cache_clear()
+    assert chain.lsv is not None
+    assert calls == [MATRIX]
 
 
 def test_aiet_slopes_and_flips(setting, gaps):

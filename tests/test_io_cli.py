@@ -141,6 +141,7 @@ def test_cli_wandering_small(tmp_path):
     cert = rep["certificate"]
     assert cert["disjoint"] is True
     assert cert["affine_ok"] is True
+    assert cert["semiconjugacy_skipped"] == 0
     assert (tmp_path / "gaps.csv").exists()
     lines = (tmp_path / "gaps.csv").read_text().splitlines()
     assert lines[0] == "n,symbol,orbit_point,gap_length,position"

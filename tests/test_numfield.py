@@ -5,9 +5,11 @@ import pytest
 
 from flipiet.errors import (AmbiguousRoot, DivisionByZero, FieldMismatch,
                             NoRoot, ReduciblePolynomial)
-from flipiet.numfield import (cross_embedding_dot_is_zero, nf_arith,
+from flipiet.numfield import (NumberField, RootEmbedding,
+                              cross_embedding_dot_is_zero, exact_sign,
+                              filtered_sign, float_enclosure, nf_arith,
                               nf_compare, nf_decimal, nf_field_make, nf_root)
-from flipiet.polys import IntPolynomial
+from flipiet.polys import IntPolynomial, is_irreducible, isolate_real_roots
 
 QUARTIC = IntPolynomial((1, -8, 18, -10, 1))
 
@@ -174,3 +176,95 @@ def test_cross_embedding_orthogonality_tool(field, th1, th2):
     one2 = field.rational(1, th2.embedding)
     assert cross_embedding_dot_is_zero((one1, -one1), (one2, one2))
     assert not cross_embedding_dot_is_zero((one1, one1), (one2, one2))
+
+def _random_real_roots(rng, count):
+    """Generators of random irreducible quartic or quintic fields, each at a
+    real root, plus the bundled quartic at theta1 and theta2."""
+    field = nf_field_make(QUARTIC)
+    roots = [nf_root(field, (7, 8)),
+             nf_root(field, (Fraction(3, 2), Fraction(17, 10)))]
+    while len(roots) < count:
+        deg = rng.choice((4, 5))
+        poly = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(deg))
+                             + (1,))
+        if not is_irreducible(poly):
+            continue
+        brackets = isolate_real_roots(poly)
+        if not brackets:
+            continue
+        lo, hi = rng.choice(brackets)
+        roots.append(NumberField(poly, _trusted=True).generator(
+            RootEmbedding(poly, lo, hi)))
+    return roots
+
+
+def _within(value, x, e):
+    """Exact test of |value - x| <= e."""
+    return (exact_sign(value - (Fraction(x) + Fraction(e))) <= 0
+            and exact_sign(value - (Fraction(x) - Fraction(e))) >= 0)
+
+
+def test_filtered_sign_matches_exact_sign():
+    # oracle: the exact interval refinement, on seeded random elements of the
+    # bundled quartic field and of random quartic and quintic fields
+    rng = random.Random(20240)
+    decided = 0
+    for th in _random_real_roots(rng, 8):
+        fld, emb = th.field, th.embedding
+        shadows, errors = emb.shadow()
+        for i, (b, e) in enumerate(zip(shadows, errors)):
+            assert _within(th ** i, b, e)
+        for _ in range(40):
+            x = fld.element([Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+                             for _ in range(fld.degree)], emb)
+            got = filtered_sign(x.coords, *emb.shadow())
+            want = exact_sign(x)
+            assert got in (0, want)
+            decided += got != 0
+            assert x.sign() == want
+            # x - q with a rational q within 1e-17 of x: the float value is
+            # below the rounding bound, so only the exact fallback may decide
+            emb.refine(Fraction(1, 10 ** 40))
+            lo, _hi = emb.lo, emb.hi
+            v = x.coords[0] + sum(c * lo ** k for k, c in
+                                  enumerate(x.coords) if k)
+            q = Fraction(round(v * 10 ** 20), 10 ** 20)
+            near = x - q
+            assert _within(near, 0.0, 1e-17)
+            assert filtered_sign(near.coords, *emb.shadow()) == 0
+            assert near.sign() == exact_sign(near) != 0
+            # exact zeros: never decided by the filter
+            zero = x - x
+            assert filtered_sign(zero.coords, *emb.shadow()) == 0
+            assert zero.sign() == 0
+    assert decided >= 0.95 * 8 * 40
+
+
+def test_filtered_sign_on_dependent_bases_and_enclosures():
+    # a basis of certified enclosures of exact values, some of them
+    # rationally dependent, so integer combinations can vanish exactly
+    rng = random.Random(77)
+    field = nf_field_make(QUARTIC)
+    th = nf_root(field, (7, 8))
+    a, b = th / 10, th * th / 100 - 1
+    basis = (a, b, a + b, Fraction(1, 3), Fraction(2, 3), 1 - a)
+    encl = [float_enclosure(v) for v in basis]
+    for v, (x, e) in zip(basis, encl):
+        assert _within(v, x, e)
+    shadows, errors = zip(*encl)
+    for _ in range(400):
+        k = [rng.randint(-3, 3) for _ in basis]
+        value = sum((ki * v for ki, v in zip(k, basis)), Fraction(0))
+        got = filtered_sign(k, shadows, errors)
+        want = exact_sign(value)
+        assert got in (0, want)
+    # exact zeros with nonzero coefficients: a + b - (a + b), 1/3 + 1/3 - 2/3,
+    # a + (1 - a) - 3 * (1/3)
+    for k in ((1, 1, -1, 0, 0, 0), (0, 0, 0, 2, -1, 0), (1, 0, 0, -3, 0, 1)):
+        assert exact_sign(sum((ki * v for ki, v in zip(k, basis)),
+                              Fraction(0))) == 0
+        assert filtered_sign(k, shadows, errors) == 0
+    # a coefficient outside the normal float range goes to the exact path
+    assert filtered_sign((Fraction(1, 10 ** 400), 0, 0, 0, 0, 0),
+                         shadows, errors) == 0
+    assert filtered_sign((10 ** 400, 0, 0, 0, 0, 0), shadows, errors) == 0

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from flipiet import numfield
 from flipiet.errors import EmptyCylinder, NoFixedSeed
 from flipiet.iet import IetSpec
 from flipiet.quintic import (MATRIX, REFERENCE_ITINERARIES, bundled_iet,
@@ -190,8 +192,117 @@ def test_cylinder_width_shrinks(E, J):
     assert w214 < w56 / 7
 
 
+def _reference_cylinder(E, word):
+    """The scalar walk cylinder_locate replaced: iterated inverse images with
+    the exchange's own scalars and their comparisons."""
+    lo, hi = E.x[word[-1] - 1], E.x[word[-1]]
+    for sym in word[-2::-1]:
+        slo, shi = E.image_slot(sym)
+        lo2 = lo if lo > slo else slo
+        hi2 = hi if hi < shi else shi
+        if not (lo2 < hi2):
+            raise EmptyCylinder(f"prefix unrealizable at symbol {sym}")
+        pl, pr = E.x[sym - 1], E.x[sym]
+        if E.sp.tau[sym - 1] > 0:
+            lo, hi = pl + (lo2 - slo), pl + (hi2 - slo)
+        else:
+            lo, hi = pr - (hi2 - slo), pr - (lo2 - slo)
+    return lo, hi
+
+
+def _outcome(E, word, locate):
+    try:
+        return locate(E, word)
+    except EmptyCylinder as exc:
+        return ("empty", str(exc))
+
+
+def _same_endpoints(got, want):
+    return all(type(g) is type(w) and g == w
+               and getattr(g, "coords", None) == getattr(w, "coords", None)
+               for g, w in zip(got, want))
+
+
+@pytest.fixture(scope="module")
+def window_word(E, J):
+    _, its = associated_matrix(E, J)
+    past, future = stationary_window(substitution_from(its), (5, 1, 1),
+                                     300, 300)
+    return past + future
+
+
+def test_cylinder_matches_reference_walk_on_window_word(E, window_word):
+    # seeded prefixes and suffixes of the bundled N = 300 window word, and
+    # the whole word: identical exact endpoints
+    rng = random.Random(5)
+    cuts = [len(window_word)] + rng.sample(range(1, len(window_word)), 12)
+    words = ([window_word[:c] for c in cuts]
+             + [window_word[-c:] for c in cuts])
+    for word in words:
+        assert _same_endpoints(cylinder_locate(E, word),
+                               _reference_cylinder(E, word))
+
+
+def test_cylinder_matches_reference_walk_on_rational_exchanges():
+    # seeded Fraction-length exchanges, lengths drawn from a few values so
+    # that integer combinations of them often tie exactly; words are
+    # itineraries of random points (nonempty cylinders) and random symbol
+    # strings (mostly empty ones), which must fail at the same symbol
+    rng = random.Random(11)
+    values = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(2, 3))
+    empty = nonempty = 0
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        sp = tuple(p * rng.choice((1, -1)) for p in perm)
+        E2 = IetSpec(tuple(rng.choice(values) for _ in range(n)), sp,
+                     origin=Fraction(rng.randint(-3, 3), 7))
+        words = []
+        for _ in range(3):
+            x = E2.origin + E2.total_length * Fraction(rng.randint(1, 10 ** 6),
+                                                       10 ** 6 + 1)
+            words.append(tuple(E2.orbit(x, rng.randint(1, 40)).word))
+            words.append(tuple(rng.randint(1, n)
+                               for _ in range(rng.randint(1, 6))))
+        for word in filter(None, words):
+            got = _outcome(E2, word, cylinder_locate)
+            want = _outcome(E2, word, _reference_cylinder)
+            if want[0] == "empty":
+                assert got == want
+                empty += 1
+            else:
+                assert _same_endpoints(got, want)
+                nonempty += 1
+    assert empty > 50 and nonempty > 50
+
+
+def test_cylinder_float_mode_agrees_with_exact(E, window_word):
+    Ef = E.as_float()
+    rng = random.Random(6)
+    for c in [len(window_word)] + rng.sample(range(1, len(window_word)), 8):
+        for word in (window_word[:c], window_word[-c:]):
+            lo, hi = cylinder_locate(E, word)
+            flo, fhi = cylinder_locate(Ef, word)
+            assert abs(flo - float(lo)) < 1e-12
+            assert abs(fhi - float(hi)) < 1e-12
+
+
+def test_cylinder_decides_in_the_filter(E, J):
+    # the bundled N = 2000 window word: at least 99% of the length
+    # comparisons are decided by the float filter, not the exact fallback
+    _, its = associated_matrix(E, J)
+    past, future = stationary_window(substitution_from(its), (5, 1, 1),
+                                     2000, 2000)
+    before = dict(numfield.FILTER_COUNTS)
+    cylinder_locate(E, past + future)
+    counts = {k: v - before[k] for k, v in numfield.FILTER_COUNTS.items()}
+    compared = counts["filtered"] + counts["exact"]
+    assert compared >= 3 * (len(past) + len(future) - 1)
+    assert counts["filtered"] >= 0.99 * compared
+
+
 def test_induce_matches_brute_force_on_random_exchanges():
-    import random
     from flipiet.errors import FlipIetError
     rng = random.Random(41)
     done = 0
