@@ -33,15 +33,20 @@ from .io import (fraction_to_str, gaps_csv, induction_trace_csv, load_iet,
                  return_words_csv)
 from .rauzy import cycle_matrix, rauzy_run
 from .selfsim import self_similarity_check
-from .spectral import bhm_screen, perron_data
+from .spectral import perron_data, screen_real_roots
 from .search import cycle_search, rauzy_graph_build
+
+
+def _out_file(args, name):
+    """Open the file name in the --out directory (made if missing) for writing."""
+    os.makedirs(args.out, exist_ok=True)
+    return open(os.path.join(args.out, name), "w", encoding="utf-8")
 
 
 def _emit(obj, args, name):
     text = json.dumps(obj, indent=2, sort_keys=True, default=str)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+        with _out_file(args, name) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -49,8 +54,7 @@ def _emit(obj, args, name):
 
 def _write(text, args, name):
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+        with _out_file(args, name) as fh:
             fh.write(text)
 
 
@@ -138,7 +142,9 @@ def cmd_wandering(args):
     probe = ergodic_probe(E, 5, max(args.probe_steps, 10 ** 4),
                           reference=[float(v) for v in E.lengths],
                           gap_system=gs)
-    _write(gaps_csv(gs), args, "gaps.csv")
+    if args.out:
+        with _out_file(args, "gaps.csv") as fh:
+            gaps_csv(gs, fh)
     certificate = dataclasses.asdict(cert)
     del certificate["tail_estimate"]          # reported once, at the top level
     certificate.update(kappa_target=chain.kappa_target, ok=cert.ok)
@@ -234,7 +240,7 @@ def cmd_spectral(args):
     else:
         m = quintic.MATRIX
     sd = perron_data(m)
-    verdict = bhm_screen(m)
+    verdict = screen_real_roots(sd.real_roots)
     report = {
         "config": _config_of(args),
         **_factors_json(sd),

@@ -27,6 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -327,13 +328,18 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     if N > 0:
         h = N + tail_probe
         epast, efut = stationary_window(sigma, lsv.address, h, h)
-        eword = tuple(epast) + tuple(efut)
-        eincr = np.array([ws[s - 1] for s in eword], dtype=float)
-        eS = np.concatenate([[0.0], np.cumsum(eincr)])[:-1]
-        eS = eS - eS[h]
-        eg = np.exp(eS)
-        nn = np.abs(np.arange(-h, h + 1))
-        tail_raw = float(eg[nn > N].sum())
+        # partial sums S_{-h..h} of the extended word centred at n = 0 (its
+        # last increment is never summed), exponentiated in place, then the
+        # mass at |n| > N in index order: the float results of whole-array
+        # expressions, from one sequential cumsum and few full-length
+        # temporaries
+        eS = np.empty(2 * h + 1)
+        eS[0] = 0.0
+        np.cumsum(np.fromiter((ws[s - 1] for s in chain(epast, islice(efut, h))),
+                              dtype=float, count=2 * h), out=eS[1:])
+        eS -= eS[h]
+        np.exp(eS, out=eS)
+        tail_raw = float(np.concatenate((eS[:h - N], eS[h + N + 1:])).sum())
         if tail_raw > 10 * total:
             raise DivergentGaps("extension mass dwarfs the window; the sum is "
                                 "not Cauchy at this horizon")

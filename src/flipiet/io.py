@@ -118,10 +118,10 @@ def return_words_csv(itineraries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def gaps_csv(gs) -> str:
-    """Rows n,symbol,orbit_point,gap_length,position."""
-    lines = ["n,symbol,orbit_point,gap_length,position"]
+def gaps_csv(gs, fh):
+    """Write rows n,symbol,orbit_point,gap_length,position to the open text
+    file fh, one at a time, so that the dump is never held in memory."""
+    fh.write("n,symbol,orbit_point,gap_length,position\n")
     for k, n in enumerate(range(-gs.half_width, gs.half_width + 1)):
-        lines.append(f"{n},{int(gs.symbols[k])},{float(gs.orbit_points[k])!r},"
-                     f"{float(gs.gap_lengths[k])!r},{float(gs.positions[k])!r}")
-    return "\n".join(lines) + "\n"
+        fh.write(f"{n},{int(gs.symbols[k])},{float(gs.orbit_points[k])!r},"
+                 f"{float(gs.gap_lengths[k])!r},{float(gs.positions[k])!r}\n")

@@ -3,7 +3,8 @@ factorization over the rationals, and small integer-matrix helpers.
 
 Polynomials are stored with ascending coefficients.  The integer form is the
 dataclass :class:`IntPolynomial`; internal routines work on plain tuples of
-``fractions.Fraction``.
+ints or ``fractions.Fraction``, and the degree sieve on residues mod small
+primes.
 """
 
 from __future__ import annotations
@@ -130,6 +131,19 @@ def _mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return _trim(tuple(out))
+
+
+def _rem_monic(c, f):
+    """Remainder of an integer polynomial c modulo a monic integer f, as a
+    coefficient tuple of length deg f."""
+    d = len(f) - 1
+    r = list(c) + [0] * max(d - len(c), 0)
+    for k in range(len(r) - 1, d - 1, -1):
+        q = r[k]
+        if q:
+            for i in range(d + 1):
+                r[k - d + i] -= q * f[i]
+    return tuple(r[:d])
 
 
 def _eval(c, x):
@@ -261,33 +275,60 @@ def isolate_real_roots(p: IntPolynomial):
     return out
 
 
+def _sign_at(c, num, den):
+    """Sign of the polynomial c at num/den, den > 0: the sign of the
+    homogenised integer sum_i c_i num^i den^(d-i)."""
+    v = c[-1]
+    dp = 1
+    for ci in reversed(c[:-1]):
+        dp *= den
+        v = v * num + ci * dp
+    return (v > 0) - (v < 0)
+
+
 def refine_root_interval(p: IntPolynomial, lo, hi, max_width):
-    """Bisect an isolating interval until its width is at most max_width."""
-    plo = _eval(p.coeffs, lo)
-    assert plo != 0 and _eval(p.coeffs, hi) != 0
-    sl = plo > 0
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        v = _eval(p.coeffs, mid)
-        if v == 0:
-            # mid is a rational root; squeeze around it with non-root endpoints
-            width = hi - lo
-            for dd in range(5, 1000):
-                lo2, hi2 = mid - width / dd, mid + width / (dd + 1)
-                if _eval(p.coeffs, lo2) != 0 and _eval(p.coeffs, hi2) != 0:
-                    lo, hi = lo2, hi2
-                    sl = _eval(p.coeffs, lo) > 0
-                    break
-            continue
-        if (v > 0) == sl:
-            lo = mid
+    """Bisect an isolating interval until its width is at most max_width.
+
+    The endpoints are integers over one common denominator, which doubles at
+    each step, so a midpoint costs one integer evaluation (_sign_at); the
+    midpoints, hence the intervals, are those of bisection in Fractions.
+    """
+    c = p.coeffs
+    lo, hi, max_width = Fraction(lo), Fraction(hi), Fraction(max_width)
+    while True:
+        den = math.lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        sl = _sign_at(c, a, den)
+        assert sl != 0 and _sign_at(c, b, den) != 0
+        while (b - a) * max_width.denominator > max_width.numerator * den:
+            mid = a + b
+            a, b, den = 2 * a, 2 * b, 2 * den
+            s = _sign_at(c, mid, den)
+            if s == 0:
+                break
+            if s == sl:
+                a = mid
+            else:
+                b = mid
         else:
-            hi = mid
-    return lo, hi
+            return Fraction(a, den), Fraction(b, den)
+        # mid is a rational root; squeeze around it with non-root endpoints
+        mid, width = Fraction(mid, den), Fraction(b - a, den)
+        for dd in range(5, 1000):
+            lo, hi = mid - width / dd, mid + width / (dd + 1)
+            if _eval(c, lo) != 0 and _eval(c, hi) != 0:
+                break
 
 
 # ---------------------------------------------------------------------------
 # factorization over the rationals
+#
+# factor_rational takes the squarefree part; _factor_squarefree strips the
+# linear factors (rational roots), then the degree sieve (_sieve_degrees,
+# distinct-degree factorization mod small primes) either proves the rest
+# irreducible or names the degrees at which Kronecker's search (_find_factor,
+# exhaustive under the Landau-Mignotte bound) must run.
 
 def _divisors(n):
     n = abs(n)
@@ -392,11 +433,107 @@ def _find_factor(p: IntPolynomial, k: int):
     return None
 
 
+# odd primes for the degree sieve
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+                 61, 67, 71, 73, 79, 83, 89, 97)
+
+# polynomials of degree >= 4 proven irreducible by the degree sieve, those
+# handed on to the Kronecker search, and the degrees searched, since the
+# process started; no report carries these counts
+FACTOR_COUNTS = {"sieved": 0, "searched": 0, "degrees": 0}
+
+
+def _divmod_p(a, b, p):
+    """Quotient and remainder of integer polynomials over GF(p), with b
+    trimmed mod p and nonzero; both results reduced and trimmed."""
+    r = [x % p for x in a]
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1 - db, -1, -1):
+        f = r[k + db] * inv % p
+        if f:
+            q[k] = f
+            for i, bi in enumerate(b):
+                r[i + k] = (r[i + k] - f * bi) % p
+    return _trim(q), _trim(r[:db])
+
+
+def _monic_gcd_p(a, b, p):
+    """Monic gcd over GF(p) of a nonzero a and any b (trimmed mod p)."""
+    while b:
+        a, b = b, _divmod_p(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return tuple(x * inv % p for x in a)
+
+
+def _ddf_degrees(f, p):
+    """Degrees of the irreducible factors of f over GF(p), by distinct-degree
+    factorization (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 14); None when p divides the leading coefficient or f is not
+    squarefree mod p, where the degrees say nothing about factors over Z."""
+    g = _trim(x % p for x in f)
+    if len(g) != len(f):                        # p divides the leading coefficient
+        return None
+    if len(_monic_gcd_p(g, _trim(x % p for x in _deriv(g)), p)) > 1:
+        return None                             # not squarefree mod p
+    g = _monic_gcd_p(g, (), p)                  # g made monic
+    x = (0, 1)
+    h = x                                   # x^(p^i) mod g
+    degrees = []
+    i = 0
+    while len(g) - 1 >= 2 * (i + 1):
+        i += 1
+        # h^p mod g by square-and-multiply
+        acc, base, e = (1,), h, p
+        while e:
+            if e & 1:
+                acc = _divmod_p(_mul(acc, base), g, p)[1]
+            base = _divmod_p(_mul(base, base), g, p)[1]
+            e >>= 1
+        h = acc
+        d = _monic_gcd_p(g, _trim(v % p for v in _sub(h, x)), p)
+        if len(d) > 1:
+            degrees += [i] * ((len(d) - 1) // i)
+            g = _divmod_p(g, d, p)[0]
+            h = _divmod_p(h, g, p)[1]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)
+    return degrees
+
+
+def _sieve_degrees(p: IntPolynomial):
+    """The degrees k in [2, deg/2] at which p may have a factor over Z.
+
+    A degree-k factor of p stays a degree-k factor mod every prime that does
+    not divide the leading coefficient, and when p is squarefree mod that
+    prime it is a product of some of the irreducible factors there, so k is
+    a subset sum of their degrees.  Each usable prime of _SIEVE_PRIMES
+    intersects the candidates with those subset sums; none left proves p
+    irreducible (given no linear factor).
+    """
+    allowed = set(range(2, p.degree // 2 + 1))
+    for q in _SIEVE_PRIMES:
+        if not allowed:
+            break
+        degrees = _ddf_degrees(p.coeffs, q)
+        if degrees is None:
+            continue
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        allowed &= sums
+    return sorted(allowed)
+
+
 def _factor_squarefree(p: IntPolynomial):
     """Irreducible factors of a primitive squarefree polynomial.
 
-    Linear factors are stripped before each Kronecker search, and the search
-    runs degrees in ascending order, so any factor it finds is irreducible.
+    Linear factors are stripped first.  The degree sieve then either proves
+    the rest irreducible or leaves the degrees at which Kronecker's search
+    (_find_factor) must run, in ascending order.  A true factor degree always
+    survives the sieve, so the first factor found has the least degree of
+    any factor, and it is irreducible.
     """
     factors = []
     work = p.primitive()
@@ -418,7 +555,11 @@ def _factor_squarefree(p: IntPolynomial):
             factors.append(work)
             break
         hit = None
-        for k in range(2, work.degree // 2 + 1):
+        degrees = _sieve_degrees(work)
+        if work.degree >= 4:
+            FACTOR_COUNTS["searched" if degrees else "sieved"] += 1
+        for k in degrees:
+            FACTOR_COUNTS["degrees"] += 1
             hit = _find_factor(work, k)
             if hit is not None:
                 break
@@ -488,14 +629,18 @@ def mat_transpose(a):
     return tuple(zip(*a))
 
 
-def char_poly(m) -> IntPolynomial:
-    """det(tI - M) with exact integer coefficients (Faddeev-LeVerrier)."""
+def faddeev_leverrier(m):
+    """(det(tI - M), (B_0, ..., B_{n-1})): the characteristic polynomial and
+    the integer matrices with adj(tI - M) = sum_k t^(n-1-k) B_k, from one
+    Faddeev-LeVerrier loop: B_0 = I, c_k = -tr(M B_{k-1}) / k and
+    B_k = M B_{k-1} + c_k I."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
     m = tuple(tuple(int(x) for x in row) for row in m)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
+    terms = [mat_identity(n)]
     ak = m
     for k in range(1, n + 1):
         tr = sum(ak[i][i] for i in range(n))
@@ -503,10 +648,15 @@ def char_poly(m) -> IntPolynomial:
         ck = -(tr // k)
         coeffs[n - k] = ck
         if k < n:
-            shifted = tuple(tuple(ak[i][j] + (ck if i == j else 0) for j in range(n))
-                            for i in range(n))
-            ak = mat_mul(m, shifted)
-    return IntPolynomial(tuple(coeffs))
+            terms.append(tuple(tuple(ak[i][j] + (ck if i == j else 0) for j in range(n))
+                               for i in range(n)))
+            ak = mat_mul(m, terms[-1])
+    return IntPolynomial(tuple(coeffs)), tuple(terms)
+
+
+def char_poly(m) -> IntPolynomial:
+    """det(tI - M) with exact integer coefficients (Faddeev-LeVerrier)."""
+    return faddeev_leverrier(m)[0]
 
 
 def mat_det(m) -> int:

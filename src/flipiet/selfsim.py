@@ -304,21 +304,24 @@ def stationary_window(sigma: Substitution, address, back: int, fwd: int):
     if not p or not s:
         raise ValueError("address needs nonempty prefix and suffix")
 
-    def blow(word):
-        out = word
+    def blow(word, need, head):
+        # sigma^power(word), or at least its first (head) or last `need`
+        # symbols: images are nonempty, so those depend only on the first
+        # (last) `need` symbols of each level, and the cut keeps the
+        # temporaries within a few times the window's size
         for _ in range(power):
-            out = sigma(out)
-        return out
+            word = sigma(word[:need] if head else word[-need:])
+        return word
 
     future = (c,) + s
     block = s
     while len(future) < fwd + 1:
-        block = blow(block)
+        block = blow(block, fwd + 1 - len(future), True)
         future = future + block
     past = p
     block = p
     while len(past) < back:
-        block = blow(block)
+        block = blow(block, back - len(past), False)
         past = block + past
     return past[-back:] if back else (), future[: fwd + 1]
 

@@ -9,6 +9,7 @@ factor as the Perron root t1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -16,14 +17,15 @@ from typing import Optional
 
 from .errors import NotAnEigenvalue, NotQuasiPositive
 from .numfield import AlgebraicNumber, NumberField, RootEmbedding
-from .polys import (IntPolynomial, char_poly, count_roots, factor_rational,
+from .polys import (IntPolynomial, _mul, _rem_monic, char_poly,
+                    count_roots, factor_rational, faddeev_leverrier,
                     isolate_real_roots, mat_transpose, quasi_positive,
                     root_bound, sturm_chain)
 
 __all__ = [
     "SpectralData", "BhmVerdict", "char_poly", "factor_rational",
     "isolate_real_roots", "perron_data", "shared_perron_data", "eigen_left",
-    "bhm_screen", "real_eigenvalues", "solve_eigenvector",
+    "bhm_screen", "screen_real_roots", "real_eigenvalues", "solve_eigenvector",
 ]
 
 
@@ -79,63 +81,75 @@ def real_eigenvalues(m):
 
 
 def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
-    """Exact kernel vector of (m - theta I), or of the transpose when left.
+    """Exact kernel vector of (m - theta I), or of the transpose when left,
+    scaled so that its last nonzero coordinate is 1: the vector that Gaussian
+    elimination over Q(theta) returns.
 
-    Raises NotAnEigenvalue when the kernel is trivial.  The kernel is assumed
-    one-dimensional (true for roots of the characteristic polynomial that are
-    simple, in particular for Perron roots of quasi-positive matrices).
+    It is read off the adjugate adj(theta I - M) = sum_k theta^(n-1-k) B_k of
+    the Faddeev-LeVerrier loop (polys.faddeev_leverrier).  When the kernel is
+    one-dimensional (true for simple roots of the characteristic polynomial,
+    in particular for Perron roots of quasi-positive matrices) the adjugate
+    has rank one: its nonzero columns span the right kernel and its nonzero
+    rows the left one.  With theta = g(t)/D for an integer polynomial g, the
+    entries times D^(n-1) are integer combinations of g^j mod the minimal
+    polynomial, so the only field inverse is the final scaling.
+
+    Raises NotAnEigenvalue when the adjugate vanishes (a kernel of dimension
+    two or more) or when the vector fails the exact eigen identity (theta is
+    not an eigenvalue).
     """
     n = len(m)
     mm = mat_transpose(m) if left else m
-    emb = theta.embedding
-    fld = theta.field
-    one = fld.rational(1, emb)
-    rows = [[fld.rational(mm[i][j], emb) - (theta if i == j else 0)
-             for j in range(n)] for i in range(n)]
-    # Gaussian elimination over the field
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, n):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
+    _cp, terms = faddeev_leverrier(mm)
+    fld, emb = theta.field, theta.embedding
+    f = fld.minpoly.coeffs
+    den = math.lcm(*(c.denominator for c in theta.coords))
+    g = tuple(int(c * den) for c in theta.coords)
+    # gk[k] = D^k g^(n-1-k) mod f: the coordinates of D^(n-1) theta^(n-1-k)
+    gk = [None] * n
+    cur = (1,)
+    for k in range(n - 1, -1, -1):
+        gk[k] = tuple(c * den ** k for c in cur)
+        cur = _rem_monic(_mul(cur, g), f)
+    d = fld.degree
+    vec = None
+    for j in range(n):
+        col = []
         for i in range(n):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        raise NotAnEigenvalue("kernel of (M - theta I) is trivial")
-    fc = free[0]
-    vec = [fld.rational(0, emb) for _ in range(n)]
-    vec[fc] = one
-    for rr, col in enumerate(pivots):
-        vec[col] = -rows[rr][fc]
-    # verify exactly
+            acc = [0] * d
+            for b, p in zip(terms, gk):
+                c = b[i][j]
+                if c:
+                    for t, pt in enumerate(p):
+                        acc[t] += c * pt
+            col.append(acc)
+        if any(any(v) for v in col):
+            vec = col
+            break
+    if vec is None:
+        raise NotAnEigenvalue("adjugate of (theta I - M) vanishes: the kernel "
+                              "is not one-dimensional")
+    # verify exactly, on the integer vector u: D (M u)_i == g u_i mod f
     for i in range(n):
-        acc = fld.rational(0, emb)
+        lhs = [0] * d
         for j in range(n):
-            acc = acc + vec[j] * mm[i][j]
-        if acc != theta * vec[i]:
+            if mm[i][j]:
+                for t in range(d):
+                    lhs[t] += den * mm[i][j] * vec[j][t]
+        if tuple(lhs) != _rem_monic(_mul(g, vec[i]), f):
             raise NotAnEigenvalue("verification of the eigen identity failed")
-    return tuple(vec)
+    last = max(i for i in range(n) if any(vec[i]))
+    scale = fld.element(vec[last], emb).inverse()
+    return tuple(fld.element(v, emb) * scale for v in vec)
 
 
 def perron_data(m) -> SpectralData:
     """Dominant eigenvalue and its exact probability right eigenvector.
 
     Requires quasi-positivity, checked by boolean powering up to the
-    primitivity bound.  The eigenvector is solved exactly over Q(theta1),
-    normalized to sum 1, verified entrywise positive.
+    primitivity bound.  The eigenvector is solved exactly over Q(theta1) from
+    the adjugate (solve_eigenvector), normalized to sum 1 by one inverse of
+    its total, and verified entrywise positive.
     """
     if not quasi_positive(m):
         raise NotQuasiPositive("no power of the matrix is positive")
@@ -145,7 +159,8 @@ def perron_data(m) -> SpectralData:
     total = vec[0]
     for v in vec[1:]:
         total = total + v
-    alpha = tuple(v / total for v in vec)
+    inv = total.inverse()
+    alpha = tuple(v * inv for v in vec)
     for v in alpha:
         assert v.sign() > 0, "Perron eigenvector must be positive"
     s = alpha[0]
@@ -167,16 +182,12 @@ def shared_perron_data(m) -> SpectralData:
 
 
 def eigen_left(m, theta: AlgebraicNumber):
-    """Exact left eigenvector w with w^T M = theta w^T, scaled so that
-    max |w_i| = 1 in the designated embedding."""
+    """Exact left eigenvector w with w^T M = theta w^T (solve_eigenvector on
+    the transpose), scaled so that max |w_i| = 1 in the designated
+    embedding."""
     vec = solve_eigenvector(m, theta, left=True)
-    best = vec[0]
-    best_abs = abs(vec[0])
-    for v in vec[1:]:
-        av = abs(v)
-        if av > best_abs:
-            best, best_abs = v, av
-    return tuple(v / best_abs for v in vec)
+    inv = max(abs(v) for v in vec).inverse()
+    return tuple(v * inv for v in vec)
 
 
 def _count_real_roots_above_one(cp: IntPolynomial) -> int:
@@ -199,7 +210,13 @@ def bhm_screen(m) -> BhmVerdict:
     if _count_real_roots_above_one(cp) < 2:
         # at most the Perron root exceeds 1; skip factorization entirely
         return BhmVerdict(False, None, None, "no_real_theta2_gt1")
-    _cp, _factors, roots = real_eigenvalues(m)
+    return screen_real_roots(real_eigenvalues(m)[2])
+
+
+def screen_real_roots(roots) -> BhmVerdict:
+    """The screen's verdict on a quasi-positive matrix from its real
+    eigenvalues ((AlgebraicNumber, factor index), ... ascending, as
+    real_eigenvalues returns them)."""
     theta1, ix1 = roots[-1]
     candidates = [(r, ix) for (r, ix) in roots[:-1] if r > 1]
     if not candidates:

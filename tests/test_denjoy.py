@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from flipiet.denjoy import (aiet_from_gaps, birkhoff_profile, blowup_chain,
-                            ergodic_probe, gap_system_build, log_slope_select,
-                            verify_wandering)
+from flipiet.denjoy import (TAIL_PROBE, aiet_from_gaps, birkhoff_profile,
+                            blowup_chain, ergodic_probe, gap_system_build,
+                            log_slope_select, verify_wandering)
 from flipiet.errors import DivergentGaps, WordMismatch
 from flipiet.quintic import MATRIX, bundled_iet
+from flipiet.selfsim import stationary_window
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,22 @@ def test_gap_system_basics(gaps):
     ratios = gs.gap_lengths[1:] / gs.gap_lengths[:-1]
     distinct = np.unique(np.round(np.log(ratios), 9))
     assert len(distinct) <= 5
+
+
+def test_tail_estimate_matches_array_formula(setting, gaps):
+    # reference: the extension's partial sums as whole-array expressions
+    _E, sigma, _verdict, lsv, _ = setting
+    N = gaps.half_width
+    h = N + TAIL_PROBE
+    epast, efut = stationary_window(sigma, lsv.address, h, h)
+    ws = lsv.signed_float
+    eincr = np.array([ws[s - 1] for s in tuple(epast) + tuple(efut)], dtype=float)
+    eS = np.concatenate([[0.0], np.cumsum(eincr)])[:-1]
+    eS = eS - eS[h]
+    nn = np.abs(np.arange(-h, h + 1))
+    tail_raw = float(np.exp(eS)[nn > N].sum())
+    assert gaps.tail_estimate == tail_raw / gaps.total_gap
+    assert 0 < gaps.tail_estimate < 1
 
 
 def test_gap_symbols_match_positions(gaps):

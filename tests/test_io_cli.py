@@ -1,11 +1,15 @@
+import io
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import flipiet.cli
 from flipiet.cli import main
-from flipiet.io import (algebraic_from_json, algebraic_to_json, iet_from_json,
-                        iet_to_json, induction_trace_csv, return_words_csv)
+from flipiet.io import (algebraic_from_json, algebraic_to_json, gaps_csv,
+                        iet_from_json, iet_to_json, induction_trace_csv,
+                        return_words_csv)
 from flipiet.quintic import (REFERENCE_EIGENVALUES_3DP, bundled_iet,
                              bundled_theta1)
 from flipiet.rauzy import rauzy_run
@@ -146,6 +150,29 @@ def test_cli_wandering_small(tmp_path):
     lines = (tmp_path / "gaps.csv").read_text().splitlines()
     assert lines[0] == "n,symbol,orbit_point,gap_length,position"
     assert len(lines) == 802
+
+
+def test_gaps_csv_rows():
+    gs = SimpleNamespace(half_width=1, symbols=(3, 1, 2),
+                         orbit_points=(0.1, 0.25, Fraction(1, 3)),
+                         gap_lengths=(1e-3, 2e-17, 0.5),
+                         positions=(0.0, 0.125, 1.0))
+    fh = io.StringIO()
+    gaps_csv(gs, fh)
+    assert fh.getvalue() == ("n,symbol,orbit_point,gap_length,position\n"
+                             "-1,3,0.1,0.001,0.0\n"
+                             "0,1,0.25,2e-17,0.125\n"
+                             "1,2,0.3333333333333333,0.5,1.0\n")
+
+
+def test_cli_wandering_without_out_writes_no_gaps(monkeypatch, capsys):
+    def refuse(gs, fh):
+        raise AssertionError("gaps.csv rendered without --out")
+
+    monkeypatch.setattr(flipiet.cli, "gaps_csv", refuse)
+    rc = main(["wandering", "--gaps", "50", "--probe-steps", "10000"])
+    assert rc in (0, 1)
+    assert json.loads(capsys.readouterr().out)["qualifies"] is True
 
 
 def test_cli_spec_file_roundtrip(tmp_path, capsys):

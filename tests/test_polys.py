@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from flipiet import polys
 from flipiet.errors import DegreeCapExceeded
-from flipiet.polys import (IntPolynomial, char_poly, count_roots,
-                           factor_rational, is_irreducible, isolate_real_roots,
-                           mat_det, mat_mul, poly_from_roots, quasi_positive,
-                           root_bound, row_masks, rows_mul, squarefree_part,
-                           sturm_chain)
+from flipiet.polys import (IntPolynomial, _ddf_degrees, _eval, _sieve_degrees,
+                           char_poly, count_roots, factor_rational,
+                           faddeev_leverrier, is_irreducible,
+                           isolate_real_roots, mat_det, mat_mul,
+                           poly_from_roots, quasi_positive,
+                           refine_root_interval, root_bound, row_masks,
+                           rows_mul, squarefree_part, sturm_chain)
 
 A = ((2, 4, 6, 5, 2), (0, 2, 1, 1, 1), (0, 0, 3, 2, 0),
      (1, 2, 2, 2, 1), (1, 3, 5, 4, 2))
@@ -52,15 +55,20 @@ def test_factor_degree_cap():
         factor_rational(IntPolynomial((1,) + (0,) * 8 + (1,)))
 
 
-def test_factor_roundtrip_randomized():
-    rng = random.Random(7)
-    t = sympy.symbols("t")
-    for _ in range(1000):
+def _random_polys(seed, count=1000):
+    """The criterion-10 generator: degree <= 6, small coefficients."""
+    rng = random.Random(seed)
+    for _ in range(count):
         deg = rng.randint(1, 6)
         coeffs = [rng.randint(-6, 6) for _ in range(deg)] + [rng.choice([1, -1, 2, -3])]
         p = IntPolynomial(tuple(coeffs))
-        if p.degree < 1:
-            continue
+        if p.degree >= 1:
+            yield p
+
+
+def test_factor_roundtrip_randomized():
+    t = sympy.symbols("t")
+    for p in _random_polys(7):
         factors = factor_rational(p)
         prod = IntPolynomial((1,))
         for f, m in factors:
@@ -210,3 +218,125 @@ def test_factor_at_degree_cap():
     # t^8 + 2 is irreducible (Eisenstein at 2): exhaustion must certify it
     fl3 = factor_rational(IntPolynomial((2, 0, 0, 0, 0, 0, 0, 0, 1)))
     assert len(fl3) == 1 and fl3[0][0].degree == 8
+
+
+def test_sieve_leaves_few_kronecker_searches():
+    before = dict(polys.FACTOR_COUNTS)
+    for p in _random_polys(7):
+        factor_rational(p)
+    moved = {k: polys.FACTOR_COUNTS[k] - before[k] for k in before}
+    assert moved["sieved"] > 100
+    assert moved["degrees"] <= 20
+
+
+def _random_irreducible(rng, t):
+    while True:
+        deg = rng.randint(2, 4)
+        coeffs = [rng.randint(-7, 7) for _ in range(deg)] + [rng.choice([1, 2, 3, 5])]
+        expr = sum(c * t ** i for i, c in enumerate(coeffs))
+        if coeffs[0] and sympy.Poly(expr, t).is_irreducible:
+            return IntPolynomial(tuple(coeffs))
+
+
+def test_sieve_keeps_every_true_factor_degree():
+    # products of two or three irreducibles of degree 2-4 (no linear factor,
+    # leading coefficients with small prime factors): every subset sum of the
+    # factor degrees in [2, deg/2] must survive the sieve
+    t = sympy.symbols("t")
+    rng = random.Random(31)
+    products = 0
+    for _ in range(150):
+        fs = [_random_irreducible(rng, t) for _ in range(rng.choice((2, 2, 3)))]
+        p = IntPolynomial((1,))
+        for f in fs:
+            p = p * f
+        if p.degree > 8 or squarefree_part(p).degree != p.degree:
+            continue
+        products += 1
+        true = {0}
+        for f in fs:
+            true |= {s + f.degree for s in true}
+        want = {k for k in true if 2 <= k <= p.degree // 2}
+        assert want <= set(_sieve_degrees(p)), (p, fs)
+    assert products > 100
+
+
+def test_ddf_degrees_match_factorization_mod_p():
+    t = sympy.symbols("t")
+    rng = random.Random(5)
+    checked = skipped = 0
+    for _ in range(120):
+        deg = rng.randint(2, 8)
+        coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, 2, 3, 6])]
+        p = IntPolynomial(tuple(coeffs))
+        q = rng.choice((3, 5, 7, 11, 13))
+        got = _ddf_degrees(p.coeffs, q)
+        poly_q = sympy.Poly(sum(c * t ** i for i, c in enumerate(p.coeffs)), t,
+                            modulus=q)
+        if p.coeffs[-1] % q == 0 or not poly_q.is_sqf:
+            assert got is None
+            skipped += 1
+            continue
+        _lead, pairs = poly_q.factor_list()
+        assert sorted(got) == sorted(f.degree() for f, _m in pairs)
+        checked += 1
+    assert checked > 50 and skipped > 10
+
+
+def _refine_by_fraction_bisection(p, lo, hi, max_width):
+    """Reference: bisection in Fraction arithmetic, with the squeeze around a
+    midpoint that is a rational root."""
+    plo = _eval(p.coeffs, lo)
+    assert plo != 0 and _eval(p.coeffs, hi) != 0
+    sl = plo > 0
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        v = _eval(p.coeffs, mid)
+        if v == 0:
+            width = hi - lo
+            for dd in range(5, 1000):
+                lo2, hi2 = mid - width / dd, mid + width / (dd + 1)
+                if _eval(p.coeffs, lo2) != 0 and _eval(p.coeffs, hi2) != 0:
+                    lo, hi = lo2, hi2
+                    sl = _eval(p.coeffs, lo) > 0
+                    break
+            continue
+        if (v > 0) == sl:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_refine_matches_fraction_bisection():
+    rng = random.Random(13)
+    cases = [(IntPolynomial((0, -2, 0, 1)), Fraction(-1), Fraction(1)),  # root 0 at mid
+             (IntPolynomial((3, -7, 2)), Fraction(0), Fraction(1)),      # root 1/2 at mid
+             (IntPolynomial((-1, 0, 9)), Fraction(0), Fraction(2, 3))]  # root 1/3 at mid
+    for _ in range(40):
+        deg = rng.randint(2, 6)
+        p = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(deg)) + (1,))
+        cases += [(p, lo, hi) for lo, hi in isolate_real_roots(p)
+                  if _eval(p.coeffs, lo) and _eval(p.coeffs, hi)]
+    squeezed = 0
+    for p, lo, hi in cases:
+        for width in (Fraction(1, 7), Fraction(1, 10 ** 12), Fraction(1, 2 ** 90)):
+            got = refine_root_interval(p, lo, hi, width)
+            assert got == _refine_by_fraction_bisection(p, lo, hi, width)
+            assert got[1] - got[0] <= width
+        mid = (lo + hi) / 2
+        squeezed += _eval(p.coeffs, mid) == 0
+    assert squeezed == 3 and len(cases) > 60
+
+
+def test_faddeev_leverrier_adjugate():
+    cp, terms = faddeev_leverrier(A)
+    assert cp == char_poly(A)
+    # (tI - A) adj(tI - A) = det(tI - A) I, checked at integer points
+    for t in (-3, 0, 2, 5):
+        adj = [[sum(b[i][j] * t ** (4 - k) for k, b in enumerate(terms))
+                for j in range(5)] for i in range(5)]
+        shifted = [[t * (i == j) - A[i][j] for j in range(5)] for i in range(5)]
+        prod = mat_mul(shifted, adj)
+        assert prod == tuple(tuple(cp(t) * (i == j) for j in range(5))
+                             for i in range(5))

@@ -159,6 +159,43 @@ def test_stationary_window_consistency(E, J):
     assert p2[-40:] == past and f2[:41] == future
 
 
+def _stationary_window_uncut(sigma, address, back, fwd):
+    """Reference: the window from whole blocks sigma^(k*power)(s) and
+    sigma^(k*power)(p), cut only at the end."""
+    c, j, power = address
+    img = sigma.images[c]
+    for _ in range(power - 1):
+        img = sigma(img)
+    p, s = img[:j], img[j + 1:]
+
+    def blow(word):
+        for _ in range(power):
+            word = sigma(word)
+        return word
+
+    future, block = (c,) + s, s
+    while len(future) < fwd + 1:
+        block = blow(block)
+        future = future + block
+    past, block = p, p
+    while len(past) < back:
+        block = blow(block)
+        past = block + past
+    return past[-back:] if back else (), future[: fwd + 1]
+
+
+def test_stationary_window_matches_uncut_construction(E, J):
+    _, its = associated_matrix(E, J)
+    sigma = substitution_from(its)
+    addresses = occurrence_addresses(sigma, 1) + occurrence_addresses(sigma, 2)
+    assert any(m == 2 for (_c, _j, m) in addresses)
+    for address in addresses:
+        for back, fwd in ((0, 0), (1, 3), (40, 7), (300, 301), (5000, 123),
+                          (17, 20000)):
+            assert stationary_window(sigma, address, back, fwd) == \
+                _stationary_window_uncut(sigma, address, back, fwd)
+
+
 def test_cylinder_single_symbol(E):
     lo, hi = cylinder_locate(E, (1,))
     assert lo == E.x[0] and hi == E.x[1]

@@ -1,14 +1,24 @@
+import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import flipiet.spectral
+from flipiet.cli import main
 from flipiet.errors import NotAnEigenvalue, NotQuasiPositive
-from flipiet.numfield import cross_embedding_dot_is_zero
+from flipiet.numfield import (NumberField, RootEmbedding,
+                              cross_embedding_dot_is_zero)
+from flipiet.polys import (IntPolynomial, mat_identity, mat_mul, mat_transpose,
+                           quasi_positive)
 from flipiet.quintic import (MATRIX, REFERENCE_EIGENVALUES_3DP,
                              REFERENCE_LENGTHS_3DP)
+from flipiet.search import rauzy_graph_build
 from flipiet.spectral import (bhm_screen, eigen_left, perron_data,
-                              real_eigenvalues)
+                              real_eigenvalues, screen_real_roots,
+                              solve_eigenvector)
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +151,114 @@ def test_eigenvalues_against_sympy():
     mine = [float(r) for r, _ in roots]
     for a, b in zip(mine, theirs):
         assert abs(a - b) < 1e-9
+
+
+def _eigenvector_by_elimination(m, theta, left=False):
+    """Reference: kernel vector of (m - theta I), or of the transpose, by
+    Gauss-Jordan elimination over Q(theta); the free coordinate is 1."""
+    n = len(m)
+    mm = mat_transpose(m) if left else m
+    fld, emb = theta.field, theta.embedding
+    rows = [[fld.rational(mm[i][j], emb) - (theta if i == j else 0)
+             for j in range(n)] for i in range(n)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(n):
+            if i != r and not rows[i][col].is_zero():
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    assert len(free) == 1
+    vec = [fld.rational(0, emb) for _ in range(n)]
+    vec[free[0]] = fld.rational(1, emb)
+    for rr, col in enumerate(pivots):
+        vec[col] = -rows[rr][free[0]]
+    return tuple(vec)
+
+
+def _pool_matrices(count):
+    """Quasi-positive products along seeded random paths of length 14-24 in
+    the n=5 flipped Rauzy graph (path k drawn by random.Random(k))."""
+    graph = rauzy_graph_build(5)
+    out = []
+    for k in range(count):
+        rng = random.Random(k)
+        while True:
+            v = rng.randrange(len(graph.nodes))
+            prod = mat_identity(graph.n)
+            for _ in range(rng.randint(14, 24)):
+                types = [t for t in (0, 1) if graph.succ[v][t] is not None]
+                if not types:
+                    break
+                t = rng.choice(types)
+                prod = mat_mul(prod, graph.mats[v][t])
+                v = graph.succ[v][t]
+            else:
+                if quasi_positive(prod):
+                    out.append(prod)
+                    break
+    return out
+
+
+def _same_vector(a, b):
+    return [(v.field, v.coords) for v in a] == [(v.field, v.coords) for v in b]
+
+
+def test_adjugate_eigenvectors_match_elimination_on_bundled_matrix():
+    verdict = bhm_screen(MATRIX)
+    for theta in (verdict.theta1, verdict.theta2):
+        for left in (False, True):
+            got = solve_eigenvector(MATRIX, theta, left=left)
+            assert _same_vector(got, _eigenvector_by_elimination(MATRIX, theta, left))
+
+
+def test_adjugate_eigenvectors_match_elimination_on_pool_matrices():
+    reasons = Counter()
+    conjugates = 0
+    for m in _pool_matrices(60):
+        sd = perron_data(m)
+        theta1, ix1 = sd.real_roots[-1]
+        thetas = [theta1] + [r for r, ix in sd.real_roots[-2::-1] if ix == ix1][:1]
+        conjugates += len(thetas) - 1
+        for theta in thetas:
+            for left in (False, True):
+                got = solve_eigenvector(m, theta, left=left)
+                assert _same_vector(got, _eigenvector_by_elimination(m, theta, left))
+        verdict = screen_real_roots(sd.real_roots)
+        assert verdict.reason == bhm_screen(m).reason
+        reasons[verdict.reason] += 1
+    assert reasons["qualifies"] >= 10 and reasons["no_real_theta2_gt1"] >= 10
+    assert conjugates >= 50
+
+
+def test_solve_eigenvector_rejects_a_vanishing_adjugate():
+    # theta = 1 has a two-dimensional eigenspace: adj(I - M) = 0
+    m = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
+    lin = IntPolynomial((-1, 1))
+    one = NumberField(lin).generator(RootEmbedding(lin, 1, 1))
+    with pytest.raises(NotAnEigenvalue, match="vanishes"):
+        solve_eigenvector(m, one)
+    assert [v.as_fraction() for v in solve_eigenvector(m, one + 1)] == [0, 0, 1]
+
+
+def test_cli_spectral_finds_the_roots_once(monkeypatch, capsys):
+    calls = []
+    real = flipiet.spectral.real_eigenvalues
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(flipiet.spectral, "real_eigenvalues", counted)
+    assert main(["spectral"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "qualifies"
+    assert len(calls) == 1
