@@ -24,6 +24,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from . import quintic
 from .errors import FlipIetError
@@ -261,7 +262,10 @@ def positive_int(text):
     return val
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(prog="flipiet",
                                  description="interval exchanges with flips: "
                                              "exact induction, spectra, blow-ups")

@@ -16,9 +16,8 @@ sigma^m(c) = p.c.s, validated empirically by the Birkhoff profiles.
 Gap bookkeeping is double precision.  The log-slope vector, the location
 cylinder of p and the orbit symbols are exact: p is located inside the
 cylinder of the whole window word, so its symbols are the word by
-construction.  The orbit positions are a float shadow that follows the
-word's branches; they are checked against the breakpoints only for
-float-mode exchanges, whose word is not exact.
+construction.  The exchange must therefore be exact; the orbit positions
+are a float shadow that follows the word's branches.
 """
 
 from __future__ import annotations
@@ -33,15 +32,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AtDiscontinuity, DivergentGaps, FlipIetError,
-                     SignSelectionFailed, WordMismatch)
+                     SignSelectionFailed)
 from .iet import IetSpec
-from .numfield import AlgebraicNumber, cross_embedding_dot_is_zero
+from .numfield import AlgebraicNumber
 from .rauzy import RauzyCycle, rauzy_cycle_detect
 from .selfsim import (ItinerarySet, Substitution, associated_matrix,
                       cylinder_locate, occurrence_addresses, stationary_window,
                       substitution_from)
-from .spectral import (BhmVerdict, SpectralData, bhm_screen, eigen_left,
-                       shared_perron_data)
+from .spectral import (BhmVerdict, SpectralData, eigen_left,
+                       screen_real_roots, shared_perron_data)
 
 PROBE_LENGTH = 100_000
 KAPPA_FIT_START = 100
@@ -109,9 +108,14 @@ def _word_sum(word, w):
     return sum(w[s - 1] for s in word)
 
 
-def log_slope_select(matrix, theta2: AlgebraicNumber, alpha, sigma: Substitution,
+def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
                      probe_length: int = PROBE_LENGTH) -> LogSlopeVector:
     """Exact left theta2-eigenvector plus the blow-up address and sign.
+
+    The vector w is orthogonal to the Perron lengths alpha: w^T M = theta2 w^T
+    and M alpha = theta1 alpha are each verified exactly in
+    spectral.solve_eigenvector, so theta2 (w . alpha) = w^T M alpha =
+    theta1 (w . alpha), and theta2 < theta1 forces w . alpha = 0.
 
     Scans occurrence addresses sigma^m(c) = p.c.s (m = 1 then 2, symbols and
     offsets ascending, sign +1 then -1), keeping the first candidate whose
@@ -120,10 +124,6 @@ def log_slope_select(matrix, theta2: AlgebraicNumber, alpha, sigma: Substitution
     exhausted.
     """
     w = eigen_left(matrix, theta2)
-    # exact identities: w^T M = theta2 w^T holds by construction (verified in
-    # the kernel solve); orthogonality to alpha across the two embeddings:
-    if not cross_embedding_dot_is_zero(w, alpha):
-        raise SignSelectionFailed("left eigenvector is not orthogonal to the lengths")
     wf = tuple(float(v) for v in w)
     for power in (1, 2):
         for address in occurrence_addresses(sigma, power):
@@ -192,11 +192,11 @@ def blowup_chain(E: IetSpec, max_len: int = 20) -> BlowupChain:
     if ind is None:
         raise FlipIetError("input exchange is not self-similar within the bound")
     sigma = substitution_from(ind.itineraries)
-    verdict = bhm_screen(ind.matrix)
     sd = shared_perron_data(ind.matrix)
+    verdict = screen_real_roots(sd.real_roots)
     lsv = kappa_target = None
     if verdict.qualifies:
-        lsv = log_slope_select(ind.matrix, verdict.theta2, sd.perron[1], sigma)
+        lsv = log_slope_select(ind.matrix, verdict.theta2, sigma)
         kappa_target = (math.log(float(verdict.theta2))
                         / math.log(float(verdict.theta1)))
     return BlowupChain(sigma=sigma, verdict=verdict,
@@ -243,7 +243,6 @@ class GapSystem:
 
 
 TAIL_PROBE = 100_000
-FLOAT_WORD_GUARD = 1e-9
 
 
 def _float_branches(E: IetSpec):
@@ -261,19 +260,17 @@ def _float_branches(E: IetSpec):
 
 
 def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
-                     N: int, tail_probe: int = TAIL_PROBE) -> GapSystem:
+                     N: int) -> GapSystem:
     """Blow up the orbit of the stationary point of lsv.address.
 
     The point is the exact midpoint of the cylinder of the full window word
-    w_{-N..N}, so for an exact E its symbols are the word by construction.
-    The orbit positions are a float shadow: the start point rounded once and
-    moved by the float branch of each word symbol.  For a float-mode E, whose
-    cylinder is not exact, every shadow point must lie in the piece of its
-    symbol, at least FLOAT_WORD_GUARD from a breakpoint, or WordMismatch is
-    raised.
+    w_{-N..N}, so its symbols are the word by construction.  E must be exact:
+    cylinder_locate raises ValueError on a float-mode exchange.  The orbit
+    positions are a float shadow: the start point rounded once and moved by
+    the float branch of each word symbol.
 
     The truncation tail is estimated by extending the symbolic word a further
-    tail_probe indices on each side (symbols only, no orbit geometry) and
+    TAIL_PROBE indices on each side (symbols only, no orbit geometry) and
     summing the exponentiated Birkhoff sums there directly; the stretched
     exponential decay makes the remainder beyond the probe negligible.
     """
@@ -282,19 +279,13 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     past, future = stationary_window(sigma, lsv.address, N, N)
     word = tuple(past) + tuple(future)        # indices 0..2N <-> n = -N..N
     lo, hi = cylinder_locate(E, word)
-    two = Fraction(2) if not E.float_mode else 2.0
-    p_start = (lo + hi) / two                 # = E^{-N}(p)
+    p_start = (lo + hi) / Fraction(2)         # = E^{-N}(p)
     ws = lsv.signed_float
 
-    xs, branch = _float_branches(E)
+    _xs, branch = _float_branches(E)
     pts = np.empty(2 * N + 1)
     z = float(p_start)
     for k, a in enumerate(word):
-        if E.float_mode:
-            i = bisect_left(xs, z)
-            if (not 0 < i < len(xs) or i != a
-                    or min(z - xs[i - 1], xs[i] - z) < FLOAT_WORD_GUARD):
-                raise WordMismatch(k - N, i, a)
         pts[k] = z
         shift, sgn = branch[a - 1]
         z = shift + sgn * z
@@ -326,7 +317,7 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     kb = _envelope_exponent(S[N::-1])
     tail_frac = 0.0
     if N > 0:
-        h = N + tail_probe
+        h = N + TAIL_PROBE
         epast, efut = stationary_window(sigma, lsv.address, h, h)
         # partial sums S_{-h..h} of the extended word centred at n = 0 (its
         # last increment is never summed), exponentiated in place, then the
@@ -451,24 +442,22 @@ def _max_distance_to_intervals(grid, lefts, rights):
 
 
 def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
-                     tolerances: Optional[dict] = None,
                      kappa_target: Optional[float] = None,
-                     samples: int = 100, seed: int = 2024) -> WanderingCertificate:
+                     samples: int = 100) -> WanderingCertificate:
     """Certify the truncated blow-up; every field is computed, none defaulted.
 
-    Tolerances default to 10x the estimated truncation tail for the affine
-    and semiconjugacy defects, 0.01 for gap density and 0.02 for the one-sided
-    densities; all used values are recorded in the certificate.  A
-    semiconjugacy sample whose orbit point lies on a breakpoint of the float
-    exchange (AtDiscontinuity) is skipped and counted in
-    semiconjugacy_skipped; any other error propagates.
+    The tolerances are 10x the estimated truncation tail for the affine and
+    semiconjugacy defects, 0.01 for gap density, 0.02 for the one-sided
+    densities and 0.05 for the decay exponents; all are recorded in the
+    certificate.  The semiconjugacy samples are drawn with a fixed seed.  A
+    sample whose orbit point lies on a breakpoint of the float exchange
+    (AtDiscontinuity) is skipped and counted in semiconjugacy_skipped; any
+    other error propagates.
     """
     N = gs.half_width
     tail = gs.tail_estimate
     tol = {"affine": 10 * tail, "semi": 10 * tail, "density": 0.01,
            "two_sided": 0.02, "kappa": 0.05}
-    if tolerances:
-        tol.update(tolerances)
 
     order = np.argsort(gs.orbit_points)
     po = gs.positions[order]
@@ -494,7 +483,7 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
         return float(gs.orbit_points[order[k]])
 
     Ef = E.as_float()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2024)
     interior = np.arange(1, 2 * N) if N >= 1 else np.empty(0, dtype=int)
     pick = rng.choice(interior, size=min(samples, len(interior)), replace=False)
     semi_defect = 0.0
@@ -558,14 +547,13 @@ class ErgodicReport:
 
 
 def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
-                  gap_system: Optional[GapSystem] = None,
-                  top_gaps: int = 20) -> ErgodicReport:
+                  gap_system: Optional[GapSystem] = None) -> ErgodicReport:
     """Time averages of the piece indicators along float orbits.
 
     seeds may be a count (seeded rng picks start points) or an iterable of
     floats.  A discontinuity hit reseeds, up to 10 retries per orbit.  When a
     gap system is supplied, also reports the fraction of a wandering orbit's
-    time spent in the top_gaps largest gaps next to their total mass (for a
+    time spent in the 20 largest gaps next to their total mass (for a
     wandering map this fraction decays with the horizon; both numbers are
     informational).
     """
@@ -618,7 +606,7 @@ def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
     gap_frac = gap_mass = None
     if gap_system is not None:
         gs = gap_system
-        big = np.argsort(gs.gap_lengths)[-top_gaps:]
+        big = np.argsort(gs.gap_lengths)[-20:]
         gap_mass = float(gs.gap_lengths[big].sum())
         bigset = set(int(b) for b in big)
         horizon = min(2 * gs.half_width, steps, 2000)

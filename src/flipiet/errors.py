@@ -64,14 +64,6 @@ class ReturnTimeCapExceeded(FlipIetError):
     """First-return computation exceeded the iteration cap."""
 
 
-class BoundaryHitsDiscontinuity(FlipIetError):
-    """An induction boundary orbit meets a discontinuity before returning."""
-
-    def __init__(self, witness):
-        super().__init__(f"boundary orbit hits a discontinuity at {witness!r}")
-        self.witness = witness
-
-
 class EmptyCylinder(FlipIetError):
     """No point realizes the requested symbolic prefix."""
 
@@ -94,14 +86,6 @@ class NotAnEigenvalue(FlipIetError):
 
 class SignSelectionFailed(FlipIetError):
     """No blow-up address gives two-sided decaying Birkhoff sums."""
-
-
-class WordMismatch(FlipIetError):
-    """Orbit symbol disagrees with the prescribed symbolic word."""
-
-    def __init__(self, index, got, expected):
-        super().__init__(f"orbit symbol at step {index} is {got}, word says {expected}")
-        self.index = index
 
 
 class DivergentGaps(FlipIetError):

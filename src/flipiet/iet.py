@@ -1,4 +1,4 @@
-"""Interval exchange transformations with flips, and their affine cousins.
+"""Interval exchange transformations with flips.
 
 Scalars are generic: exact values (int, Fraction, AlgebraicNumber) give exact
 evaluation and comparisons for certification paths; floats give fast
@@ -9,7 +9,6 @@ silently perturbed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -225,75 +224,6 @@ class IetSpec:
 
     def __repr__(self):
         return f"IetSpec(n={self.n}, sp={self.sp.entries})"
-
-
-class AietSpec:
-    """Affine IET: same combinatorial data plus a log-slope per piece.
-
-    Float arithmetic only.  The permuted images, scaled by exp(log_slope),
-    must tile the domain; an IET is exactly the case log_slope = 0.
-    """
-
-    def __init__(self, lengths, signed_perm, log_slope, origin=0.0, tol=1e-9):
-        if not isinstance(signed_perm, SignedPermutation):
-            signed_perm = SignedPermutation(signed_perm)
-        self.n = len(signed_perm)
-        self.sp = signed_perm
-        self.lengths = tuple(float(v) for v in lengths)
-        self.log_slope = tuple(float(g) for g in log_slope)
-        if len(self.log_slope) != self.n or len(self.lengths) != self.n:
-            raise InvalidPermutation("vector sizes disagree")
-        if any(v <= 0 for v in self.lengths):
-            raise NonpositiveLength("lengths must be positive")
-        self.origin = float(origin)
-        xs = [self.origin]
-        for v in self.lengths:
-            xs.append(xs[-1] + v)
-        self.x = tuple(xs)
-        self.slopes = tuple(math.exp(g) for g in self.log_slope)
-        ys = [self.origin]
-        for j in range(1, self.n + 1):
-            i = signed_perm.pi_inv[j]
-            ys.append(ys[-1] + self.lengths[i - 1] * self.slopes[i - 1])
-        total = ys[-1] - self.origin
-        if abs(total - (self.x[-1] - self.origin)) > tol * max(1.0, abs(total)):
-            raise NonpositiveLength("scaled images do not tile the domain")
-        self.y = tuple(ys)
-
-    @property
-    def flips(self):
-        return self.sp.tau
-
-    def piece_of(self, p):
-        for i in range(1, self.n + 1):
-            if p < self.x[i]:
-                if self.x[i - 1] < p:
-                    return i
-                raise AtDiscontinuity(p, i - 1)
-        raise AtDiscontinuity(p, self.n)
-
-    def eval(self, p, inverse=False):
-        if inverse:
-            for j in range(1, self.n + 1):
-                if p < self.y[j]:
-                    if not (self.y[j - 1] < p):
-                        raise AtDiscontinuity(p, j - 1)
-                    i = self.sp.pi_inv[j]
-                    u = (p - self.y[j - 1]) / self.slopes[i - 1]
-                    if self.sp.tau[i - 1] > 0:
-                        return self.x[i - 1] + u
-                    return self.x[i] - u
-            raise AtDiscontinuity(p, self.n)
-        i = self.piece_of(p)
-        j = self.sp.pi[i - 1]
-        if self.sp.tau[i - 1] > 0:
-            return self.y[j - 1] + self.slopes[i - 1] * (p - self.x[i - 1])
-        return self.y[j - 1] + self.slopes[i - 1] * (self.x[i] - p)
-
-    @classmethod
-    def from_iet(cls, iet: IetSpec):
-        f = iet.as_float()
-        return cls(f.lengths, f.sp, (0.0,) * f.n, f.origin)
 
 
 # -- spec-level operation names ----------------------------------------------

@@ -113,7 +113,6 @@ class NumberField:
             cur = tuple(base[i] + over * rows[0][i] for i in range(d))
             rows.append(cur)
         self._reduction = tuple(rows)
-        self._chain = sturm_chain(prim) if d > 1 else None
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
@@ -152,7 +151,7 @@ class NumberField:
                 raise NoRoot(f"no root of {self.minpoly} in ({lo}, {hi})")
             return self.generator(RootEmbedding(self.minpoly, r, r))
         # avoid root endpoints: irreducible of degree >= 2 has no rational roots
-        k = count_roots(self._chain, lo, hi)
+        k = count_roots(sturm_chain(self.minpoly), lo, hi)
         if k == 0:
             raise NoRoot(f"no root of {self.minpoly} in ({lo}, {hi})")
         if k > 1:

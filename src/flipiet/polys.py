@@ -44,13 +44,6 @@ class IntPolynomial:
             v = v * x + c
         return v
 
-    def derivative(self):
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
-
-    def monic_fractions(self):
-        lead = self.coeffs[-1]
-        return tuple(Fraction(c, lead) for c in self.coeffs)
-
     def content(self):
         g = 0
         for c in self.coeffs:
@@ -107,12 +100,6 @@ def _trim(c):
     while c and c[-1] == 0:
         c = c[:-1]
     return c
-
-
-def _add(a, b):
-    n = max(len(a), len(b))
-    return _trim(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                       for i in range(n)))
 
 
 def _sub(a, b):

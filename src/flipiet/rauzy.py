@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import DegenerateStep
 from .iet import IetSpec, SignedPermutation
-from .polys import mat_det, mat_identity, mat_mul, mat_vec
+from .polys import mat_identity, mat_mul
 from .selfsim import induce
 
 
@@ -30,13 +30,6 @@ class RauzyStep:
     before_lengths: tuple
     after_lengths: tuple
     after_iet: IetSpec
-
-    def check(self):
-        n = len(self.before)
-        assert abs(mat_det(self.matrix)) == 1
-        recon = mat_vec(self.matrix, self.after_lengths)
-        for a, b in zip(recon, self.before_lengths):
-            assert a == b
 
 
 @dataclass
@@ -66,7 +59,6 @@ def rauzy_step(E: IetSpec) -> tuple:
     step = RauzyStep(type_bit=type_bit, matrix=m, before=E.sp, after=sub.sp,
                      before_lengths=E.lengths, after_lengths=sub.lengths,
                      after_iet=sub)
-    step.check()
     return sub, step
 
 

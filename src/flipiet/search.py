@@ -28,8 +28,7 @@ from .errors import DegenerateStep, FlipIetError
 from .iet import IetSpec, SignedPermutation
 from .polys import (mat_identity, mat_mul, row_masks, rows_mul,
                     rows_quasi_positive)
-from .rauzy import rauzy_cycle_detect
-from .selfsim import induce
+from .rauzy import rauzy_cycle_detect, rauzy_step
 from .spectral import SCREEN_REASONS, bhm_screen, perron_data
 
 
@@ -48,25 +47,15 @@ def signed_perms_enumerate(n: int, require_flips: bool = True):
 
 
 def _typed_edge(sp_entries, type_bit):
-    """Target signed permutation and matrix of one typed move on generic
-    lengths; None when the move is unrealizable."""
+    """Target signed permutation and matrix of one typed move, by one Rauzy
+    step on generic lengths: the loser of the type has length 1/2 and every
+    other length is at least 1, so the step has the requested type."""
     sp = SignedPermutation(sp_entries)
     n = len(sp)
-    s = sp.pi_inv[n]
-    if s == n:
-        return None, None, "last piece maps to last slot"
     lengths = [Fraction(7 + i, 7) for i in range(n)]
-    loser = n - 1 if type_bit == 1 else s - 1
-    lengths[loser] = Fraction(1, 2)
-    E = IetSpec(lengths, sp, origin=0)
-    d = E.x[-1] - min(E.lengths[n - 1], E.lengths[s - 1])
-    try:
-        ind = induce(E, (E.origin, d))
-    except FlipIetError as exc:
-        return None, None, f"induction failed: {exc}"
-    if ind.sub_iet.n != n:
-        return None, None, f"induced map has {ind.sub_iet.n} pieces"
-    return ind.sub_iet.sp.entries, ind.itineraries.counts_matrix(), None
+    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = Fraction(1, 2)
+    _sub, step = rauzy_step(IetSpec(lengths, sp, origin=0))
+    return step.after.entries, step.matrix
 
 
 @dataclass
@@ -96,10 +85,8 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
         row_s = [None, None]
         row_m = [None, None]
         for t in (0, 1):
-            target, m, reason = _typed_edge(node, t)
-            if target is None:
-                absent.append((node, t, reason))
-            elif target not in ix:
+            target, m = _typed_edge(node, t)
+            if target not in ix:
                 # target lost all flips (or reducibility); dead end for cycles
                 absent.append((node, t, "target outside node class"))
             else:

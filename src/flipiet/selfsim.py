@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 
-from .errors import (BoundaryHitsDiscontinuity, EmptyCylinder, NoFixedSeed,
-                     ReturnTimeCapExceeded)
+from .errors import EmptyCylinder, NoFixedSeed, ReturnTimeCapExceeded
 from .iet import IetSpec, SignedPermutation
 from .numfield import exact_sign, filtered_sign, float_enclosure
 
@@ -85,8 +84,8 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
     """First-return map of E on the subinterval J = (c, d).
 
     Raises ReturnTimeCapExceeded if some piece does not return within cap
-    steps, and BoundaryHitsDiscontinuity when an endpoint orbit collision
-    degenerates a piece to a point.
+    steps.  A piece is split only at points strictly inside its image, so
+    every piece keeps a positive length.
     """
     c, d = J
     if E.float_mode:
@@ -131,8 +130,6 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
         if split_at:
             bounds = [part.img_lo] + sorted(split_at) + [part.img_hi]
             for blo, bhi in zip(bounds, bounds[1:]):
-                if not (blo < bhi):
-                    raise BoundaryHitsDiscontinuity(blo)
                 nd_lo, nd_hi = pullback(blo, bhi)
                 pending.append(_Part(nd_lo, nd_hi, blo, bhi, part.word, part.steps,
                                      part.orient))
@@ -235,10 +232,8 @@ class Substitution:
 
 
 def substitution_from(its: ItinerarySet) -> Substitution:
-    """sigma(i) = I(i); the abelianization reproduces the visit-count matrix."""
-    sub = Substitution({i + 1: w for i, w in enumerate(its.words)})
-    assert sub.abelianization() == its.counts_matrix()
-    return sub
+    """sigma(i) = I(i); the abelianization is the visit-count matrix."""
+    return Substitution({i + 1: w for i, w in enumerate(its.words)})
 
 
 def fixed_word(sigma: Substitution, side: str, length: int):
@@ -334,12 +329,13 @@ def cylinder_locate(E: IetSpec, word_prefix):
     for an integer vector k, because the breakpoints x_j and the slot ends y_j
     are prefix sums of the lengths alpha_i.  So the walk carries only the
     k-vectors, and compares two points by the sign of sum_i (k_i - k'_i)
-    alpha_i: for an exact E through numfield.filtered_sign, on float
-    enclosures of the lengths certified once, with numfield.exact_sign as
-    the fallback (the result is exact either way); for a float-mode E by the
-    plain float sign.  The two final endpoints are converted back to scalars
-    at the end.
+    alpha_i, through numfield.filtered_sign on float enclosures of the
+    lengths certified once, with numfield.exact_sign as the fallback, so the
+    result is exact.  The two final endpoints are converted back to scalars
+    at the end.  A float-mode E has no exact cylinder: ValueError.
     """
+    if E.float_mode:
+        raise ValueError("cylinders are located on exact exchanges only")
     word = tuple(word_prefix)
     if not word:
         raise ValueError("empty prefix")
@@ -355,17 +351,12 @@ def cylinder_locate(E: IetSpec, word_prefix):
         i = E.sp.pi_inv[j] - 1
         yk.append(yk[-1][:i] + (1,) + yk[-1][i + 1:])
 
-    if E.float_mode:
-        def order(a, b):
-            v = sum(map(mul, map(sub, a, b), lengths))
-            return (v > 0) - (v < 0)
-    else:
-        shadows, errors = zip(*map(float_enclosure, lengths))
+    shadows, errors = zip(*map(float_enclosure, lengths))
 
-        def order(a, b):
-            d = tuple(map(sub, a, b))
-            return (filtered_sign(d, shadows, errors)
-                    or exact_sign(_combine(d, lengths, 0)))
+    def order(a, b):
+        d = tuple(map(sub, a, b))
+        return (filtered_sign(d, shadows, errors)
+                or exact_sign(_combine(d, lengths, 0)))
 
     lo, hi = xk[word[-1] - 1], xk[word[-1]]
     for sym in word[-2::-1]:

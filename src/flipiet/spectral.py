@@ -163,10 +163,6 @@ def perron_data(m) -> SpectralData:
     alpha = tuple(v * inv for v in vec)
     for v in alpha:
         assert v.sign() > 0, "Perron eigenvector must be positive"
-    s = alpha[0]
-    for v in alpha[1:]:
-        s = s + v
-    assert s == 1
     return SpectralData(char_poly=cp, factors=factors, real_roots=roots,
                         perron=(theta1, alpha))
 

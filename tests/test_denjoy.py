@@ -6,9 +6,10 @@ import pytest
 from flipiet.denjoy import (TAIL_PROBE, aiet_from_gaps, birkhoff_profile,
                             blowup_chain, ergodic_probe, gap_system_build,
                             log_slope_select, verify_wandering)
-from flipiet.errors import DivergentGaps, WordMismatch
+from flipiet.errors import DivergentGaps
 from flipiet.quintic import MATRIX, bundled_iet
-from flipiet.selfsim import stationary_window
+from flipiet.selfsim import cylinder_locate, stationary_window
+from flipiet.spectral import bhm_screen
 
 
 @pytest.fixture(scope="module")
@@ -129,19 +130,13 @@ def test_gap_symbols_match_positions(gaps):
     assert gs.p_float == gs.orbit_points[gs.half_width]
 
 
-def test_float_mode_shadow_is_checked(setting, monkeypatch):
-    # a float-mode exchange has no exact cylinder, so its orbit is checked
-    # against the word; a start point off the cylinder must be caught
+def test_blowup_rejects_float_mode_exchange(setting):
+    # a float-mode exchange has no exact cylinder, so no exact window word
     E, sigma, _verdict, lsv, _ = setting
     Ef = E.as_float()
-    exact = gap_system_build(E, sigma, lsv, 300)
-    shadow = gap_system_build(Ef, sigma, lsv, 300)
-    assert np.array_equal(shadow.symbols, exact.symbols)
-    assert np.abs(shadow.orbit_points - exact.orbit_points).max() < 1e-12
-    import flipiet.denjoy
-    monkeypatch.setattr(flipiet.denjoy, "cylinder_locate",
-                        lambda _E, _word: (0.0, 1.0))
-    with pytest.raises(WordMismatch):
+    with pytest.raises(ValueError):
+        cylinder_locate(Ef, (1, 2))
+    with pytest.raises(ValueError):
         gap_system_build(Ef, sigma, lsv, 300)
 
 
@@ -198,16 +193,25 @@ def test_semiconjugacy_sampler_propagates_other_errors(setting, gaps,
 
 
 def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch):
+    # one Perron computation and one set of real eigenvalues: the screen
+    # reads the roots that the Perron data already holds
     import flipiet.spectral
     from flipiet.spectral import shared_perron_data
     calls = []
+    eigen_calls = []
     real = flipiet.spectral.perron_data
+    real_eigen = flipiet.spectral.real_eigenvalues
 
     def counted(m):
         calls.append(m)
         return real(m)
 
+    def counted_eigen(m):
+        eigen_calls.append(m)
+        return real_eigen(m)
+
     monkeypatch.setattr(flipiet.spectral, "perron_data", counted)
+    monkeypatch.setattr(flipiet.spectral, "real_eigenvalues", counted_eigen)
     shared_perron_data.cache_clear()
     try:
         chain = blowup_chain(bundled_iet())
@@ -215,6 +219,12 @@ def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch):
         shared_perron_data.cache_clear()
     assert chain.lsv is not None
     assert calls == [MATRIX]
+    assert eigen_calls == [MATRIX]
+    monkeypatch.undo()
+    screened = bhm_screen(MATRIX)
+    assert chain.verdict.reason == screened.reason == "qualifies"
+    assert chain.verdict.theta1 == screened.theta1
+    assert chain.verdict.theta2 == screened.theta2
 
 
 def test_aiet_slopes_and_flips(setting, gaps):
@@ -273,9 +283,9 @@ def test_ergodic_probe_rejects_tiny_budget():
 def test_address_selection_stable_across_probe_lengths(setting):
     # marginal addresses whose excursions recur near zero at geometric scales
     # must not flip the scan outcome when the probe horizon changes
-    E, sigma, verdict, _lsv, _ = setting
+    _E, sigma, verdict, _lsv, _ = setting
     for pl in (10_000, 30_000, 200_000):
-        lsv = log_slope_select(MATRIX, verdict.theta2, E.lengths, sigma,
+        lsv = log_slope_select(MATRIX, verdict.theta2, sigma,
                                probe_length=pl)
         assert lsv.address == (5, 1, 1)
         assert lsv.sign_choice == -1 or lsv.signed_float[1] < 0

@@ -5,7 +5,7 @@ import pytest
 
 from flipiet.errors import (AtDiscontinuity, InvalidPermutation,
                             NonpositiveLength)
-from flipiet.iet import (AietSpec, IetSpec, SignedPermutation, iet_eval,
+from flipiet.iet import (IetSpec, SignedPermutation, iet_eval,
                          iet_itinerary, iet_make, iet_orbit, perm_decompose)
 from flipiet.quintic import bundled_iet, bundled_theta1
 
@@ -137,26 +137,6 @@ def test_midpoint_permutation_recomputation():
         E = _random_exact_iet(rng, rng.randint(2, 6))
         assert E.recompute_permutation() == E.sp
     assert bundled_iet().recompute_permutation().entries == (-5, -3, 2, 1, -4)
-
-
-def test_aiet_tiling_constraint():
-    # an IET is an AIET with zero log-slopes
-    A = AietSpec((0.5, 0.5), (2, 1), (0.0, 0.0))
-    assert abs(A.eval(0.25) - 0.75) < 1e-15
-    # slopes 2 and 1/2: lengths (1/3, 2/3) make the scaled images tile [0,1]
-    log2 = 0.6931471805599453
-    A2 = AietSpec((1 / 3, 2 / 3), (2, 1), (log2, -log2))
-    assert abs(A2.eval(1 / 6) - 2 / 3) < 1e-12
-    with pytest.raises(NonpositiveLength):
-        AietSpec((0.5, 0.5), (2, 1), (1.0, 1.0))
-
-
-def test_aiet_inverse_roundtrip():
-    log2 = 0.6931471805599453
-    A2 = AietSpec((1 / 3, 2 / 3), (2, 1), (log2, -log2))
-    for x in (0.1, 0.2, 0.4, 0.6, 0.9):
-        y = A2.eval(x)
-        assert abs(A2.eval(y, inverse=True) - x) < 1e-12
 
 
 def test_float_orbit_long_roundtrip():

@@ -192,6 +192,17 @@ def test_cli_usage_error():
     assert exc.value.code == 2
 
 
+def test_cli_parser_survives_a_usage_error(capsys):
+    # the parser is built once per process; a failed parse leaves it intact
+    assert flipiet.cli.build_parser() is flipiet.cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--x", "1/10", "--digits", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["eval", "--x", "1/10", "--digits", "6"]) == 0
+    assert capsys.readouterr().out.strip() == "0.900000"
+
+
 def test_cli_construction_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"lengths": ["1/2", "1/2"],

@@ -53,6 +53,17 @@ def test_graph_contains_reference_path():
     assert g.nodes[cur] == SIGNED_PERMUTATION
 
 
+@pytest.mark.parametrize("n, absent", [(2, 4), (3, 16), (4, 96), (5, 768)])
+def test_graph_absent_edges_have_one_reason(n, absent):
+    # an irreducible node never sends its last piece to the last slot, the
+    # loser's length 1/2 ties no other length, and a one-cut step keeps n
+    # pieces: an edge is absent only when it leaves the node class
+    for require_flips in (True, False):
+        g = rauzy_graph_build(n, require_flips)
+        assert [reason for *_, reason in g.absent] == (
+            ["target outside node class"] * absent)
+
+
 def test_edges_match_induction_on_random_lengths():
     g = rauzy_graph_build(4, True)
     rng = random.Random(31)

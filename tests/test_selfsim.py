@@ -314,17 +314,6 @@ def test_cylinder_matches_reference_walk_on_rational_exchanges():
     assert empty > 50 and nonempty > 50
 
 
-def test_cylinder_float_mode_agrees_with_exact(E, window_word):
-    Ef = E.as_float()
-    rng = random.Random(6)
-    for c in [len(window_word)] + rng.sample(range(1, len(window_word)), 8):
-        for word in (window_word[:c], window_word[-c:]):
-            lo, hi = cylinder_locate(E, word)
-            flo, fhi = cylinder_locate(Ef, word)
-            assert abs(flo - float(lo)) < 1e-12
-            assert abs(fhi - float(hi)) < 1e-12
-
-
 def test_cylinder_decides_in_the_filter(E, J):
     # the bundled N = 2000 window word: at least 99% of the length
     # comparisons are decided by the float filter, not the exact fallback

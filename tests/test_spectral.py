@@ -144,6 +144,25 @@ def test_real_eigenvalues_order():
     assert len(roots) == 5
 
 
+def test_real_eigenvalues_builds_one_sturm_chain_per_factor(monkeypatch):
+    # root isolation builds the chain of each factor; the number field of
+    # a factor builds none until root_in needs one
+    import flipiet.numfield
+    import flipiet.polys
+    calls = []
+    real = flipiet.polys.sturm_chain
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(flipiet.polys, "sturm_chain", counted)
+    monkeypatch.setattr(flipiet.numfield, "sturm_chain", counted)
+    _, factors, _ = real_eigenvalues(MATRIX)
+    assert len(factors) == 2
+    assert len(calls) == 2
+
+
 def test_eigenvalues_against_sympy():
     m = sympy.Matrix([list(r) for r in MATRIX])
     theirs = sorted(complex(sympy.N(v, 25)).real for v in m.eigenvals())
