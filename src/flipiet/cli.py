@@ -234,12 +234,23 @@ def cmd_eval(args):
     return 0
 
 
+def _read_matrix(path):
+    """The square integer matrix in the JSON file at path; anything else is a
+    usage error (exit 2)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = json.load(fh)
+    except (OSError, ValueError) as exc:
+        build_parser().error(f"--matrix {path}: {exc}")
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(r, list) and len(r) == len(rows)
+            and all(type(v) is int for v in r) for r in rows)):
+        build_parser().error(f"--matrix {path}: not a square integer matrix")
+    return tuple(map(tuple, rows))
+
+
 def cmd_spectral(args):
-    if args.matrix:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            m = tuple(tuple(int(v) for v in row) for row in json.load(fh))
-    else:
-        m = quintic.MATRIX
+    m = _read_matrix(args.matrix) if args.matrix else quintic.MATRIX
     sd = perron_data(m)
     verdict = screen_real_roots(sd.real_roots)
     report = {
@@ -292,8 +303,10 @@ def build_parser():
 
     p = sub.add_parser("search", help="cycle census and eigenvalue screen")
     common(p, spec=False, digits=False)
-    p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--max-len", type=positive_int, default=14)
+    p.add_argument("--n", type=int, choices=range(2, 8), metavar="{2..7}",
+                   required=True)
+    p.add_argument("--max-len", type=int, choices=range(1, 21),
+                   metavar="{1..20}", default=14)
     p.add_argument("--no-flips", action="store_true")
     p.add_argument("--jobs", type=positive_int, default=1)
     p.set_defaults(fn=cmd_search)

@@ -17,7 +17,9 @@ Gap bookkeeping is double precision.  The log-slope vector, the location
 cylinder of p and the orbit symbols are exact: p is located inside the
 cylinder of the whole window word, so its symbols are the word by
 construction.  The exchange must therefore be exact; the orbit positions
-are a float shadow that follows the word's branches.
+are a float shadow that follows the word through the branch table of
+E.as_float(), the one float map that the certificate and the ergodic probe
+also evaluate.
 """
 
 from __future__ import annotations
@@ -245,20 +247,6 @@ class GapSystem:
 TAIL_PROBE = 100_000
 
 
-def _float_branches(E: IetSpec):
-    """The breakpoints x_0..x_n of E rounded once to floats, and for each
-    piece i the float branch (shift, sign) with E(z) = shift + sign * z there."""
-    xs = tuple(float(v) for v in E.x)
-    branch = []
-    for i in range(1, E.n + 1):
-        slo = float(E.image_slot(i)[0])
-        if E.sp.tau[i - 1] > 0:
-            branch.append((slo - xs[i - 1], 1.0))
-        else:
-            branch.append((slo + xs[i], -1.0))
-    return xs, branch
-
-
 def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
                      N: int) -> GapSystem:
     """Blow up the orbit of the stationary point of lsv.address.
@@ -267,7 +255,7 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     w_{-N..N}, so its symbols are the word by construction.  E must be exact:
     cylinder_locate raises ValueError on a float-mode exchange.  The orbit
     positions are a float shadow: the start point rounded once and moved by
-    the float branch of each word symbol.
+    the branch of each word symbol in E.as_float().branches.
 
     The truncation tail is estimated by extending the symbolic word a further
     TAIL_PROBE indices on each side (symbols only, no orbit geometry) and
@@ -282,7 +270,7 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     p_start = (lo + hi) / Fraction(2)         # = E^{-N}(p)
     ws = lsv.signed_float
 
-    _xs, branch = _float_branches(E)
+    branch = E.as_float().branches
     pts = np.empty(2 * N + 1)
     z = float(p_start)
     for k, a in enumerate(word):
@@ -376,7 +364,7 @@ def aiet_from_gaps(gs: GapSystem) -> AietApprox:
     """Assemble the global affine map from the gap recursion."""
     E = gs.iet
     # blown-up breakpoints: mass strictly left of each x_j
-    xs = [float(v) for v in E.x]
+    xs = E.as_float().x
     order = np.argsort(gs.orbit_points)
     sorted_pts = gs.orbit_points[order]
     csum = np.concatenate([[0.0], np.cumsum(gs.gap_lengths[order])])
@@ -559,7 +547,8 @@ def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
     """
     if steps < 10_000:
         raise ValueError("probe needs at least 1e4 steps")
-    xs, branch = _float_branches(E)
+    Ef = E.as_float()
+    xs, branch = Ef.x, Ef.branches
     n = E.n
     if isinstance(seeds, int):
         rng = np.random.default_rng(20_24)

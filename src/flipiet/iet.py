@@ -9,8 +9,10 @@ silently perturbed.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import AtDiscontinuity, InvalidPermutation, NonpositiveLength
@@ -46,15 +48,6 @@ class SignedPermutation:
     def decompose(self):
         """(pi, tau) with entries = pi * tau elementwise."""
         return self.pi, self.tau
-
-    def is_irreducible(self):
-        """No proper prefix block {1..k} is invariant under |pi|."""
-        mx = 0
-        for k, v in enumerate(self.pi[:-1], start=1):
-            mx = max(mx, v)
-            if mx == k:
-                return False
-        return True
 
     def __len__(self):
         return len(self.entries)
@@ -108,7 +101,9 @@ class IetSpec:
 
     Precomputes the breakpoints x_0 < ... < x_n and the image slot layout:
     slot j has the length of piece pi_inv(j), slots tile the domain left to
-    right, and piece i is mapped onto slot pi(i), orientation tau_i.
+    right, and piece i is mapped onto slot pi(i), orientation tau_i.  The
+    branch table, branches[i-1] = (shift_i, sign_i) with E(z) = shift_i +
+    sign_i * z on piece i, is how evaluation and induction move a point.
     """
 
     def __init__(self, lengths, signed_perm, origin=0):
@@ -133,16 +128,19 @@ class IetSpec:
         self.n = n
         self.lengths = lengths
         self.sp = signed_perm
-        self.origin = origin
-        xs = [origin]
-        for v in lengths:
-            xs.append(xs[-1] + v)
-        self.x = tuple(xs)
-        ys = [origin]
-        for j in range(1, n + 1):
-            ys.append(ys[-1] + lengths[signed_perm.pi_inv[j] - 1])
-        self.y = tuple(ys)
-        self.total_length = self.x[-1] - origin
+        slots = (lengths[i - 1] for i in signed_perm.pi_inv[1:])
+        self._lay_out(tuple(accumulate(lengths, initial=origin)),
+                      tuple(accumulate(slots, initial=origin)))
+
+    def _lay_out(self, x, y):
+        """Set the breakpoints x, the slot ends y and the branch table read
+        off them, in the exchange's own arithmetic (float signs in floats)."""
+        self.x, self.y, self.origin = x, y, x[0]
+        self.total_length = x[-1] - x[0]
+        one = 1.0 if self.float_mode else 1
+        self.branches = tuple(
+            (y[j - 1] - x[i - 1], one) if t > 0 else (y[j - 1] + x[i], -one)
+            for i, (j, t) in enumerate(zip(self.sp.pi, self.sp.tau), start=1))
 
     # -- geometry ---------------------------------------------------------------
 
@@ -163,24 +161,14 @@ class IetSpec:
                 raise AtDiscontinuity(q, j - 1)
         raise AtDiscontinuity(q, self.n)
 
-    def image_slot(self, i):
-        """(lo, hi) of the image slot of piece i."""
-        j = self.sp.pi[i - 1]
-        return self.y[j - 1], self.y[j]
-
     def eval(self, p, inverse=False):
-        """Apply the exchange (or its inverse) to one point."""
+        """Apply the exchange (or its inverse) to one point, by the branch
+        table."""
         if inverse:
-            j = self.slot_of(p)
-            i = self.sp.pi_inv[j]
-            if self.sp.tau[i - 1] > 0:
-                return self.x[i - 1] + (p - self.y[j - 1])
-            return self.x[i] - (p - self.y[j - 1])
-        i = self.piece_of(p)
-        j = self.sp.pi[i - 1]
-        if self.sp.tau[i - 1] > 0:
-            return self.y[j - 1] + (p - self.x[i - 1])
-        return self.y[j - 1] + (self.x[i] - p)
+            shift, sign = self.branches[self.sp.pi_inv[self.slot_of(p)] - 1]
+            return p - shift if sign > 0 else shift - p
+        shift, sign = self.branches[self.piece_of(p) - 1]
+        return shift + p if sign > 0 else shift - p
 
     def orbit(self, p, steps, inverse=False) -> OrbitSegment:
         """Iterate, recording points and piece symbols; a discontinuity hit
@@ -204,10 +192,15 @@ class IetSpec:
         return tuple(seg.word)
 
     def as_float(self) -> "IetSpec":
+        """The float view: every length, breakpoint and slot end is the exact
+        one rounded once, and the branch table is built from those."""
         if self.float_mode:
             return self
-        return IetSpec(tuple(float(v) for v in self.lengths), self.sp,
-                       float(self.origin))
+        view = copy(self)
+        view.float_mode = True
+        view.lengths = tuple(map(float, self.lengths))
+        view._lay_out(tuple(map(float, self.x)), tuple(map(float, self.y)))
+        return view
 
     def recompute_permutation(self):
         """Re-derive the signed permutation from midpoint images and piece

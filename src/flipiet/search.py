@@ -29,7 +29,7 @@ from .iet import IetSpec, SignedPermutation
 from .polys import (mat_identity, mat_mul, row_masks, rows_mul,
                     rows_quasi_positive)
 from .rauzy import rauzy_cycle_detect, rauzy_step
-from .spectral import SCREEN_REASONS, bhm_screen, perron_data
+from .spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
 
 
 def signed_perms_enumerate(n: int, require_flips: bool = True):
@@ -115,7 +115,9 @@ def _is_least_rotation(seq):
 
 def _census_worker(args):
     """Screen every cycle whose smallest node is one of starts; return the
-    screen-reason counts and the qualifying cycles as CycleCandidates.
+    screen-reason counts and the qualifying cycles as CycleCandidates, each
+    validated (cycle_validate) right after its screen, whose Perron data the
+    validation shares.
 
     From each start s the walk visits only nodes >= s and keeps a closed walk
     when it is its own least rotation, so every cycle up to rotation is seen
@@ -149,11 +151,11 @@ def _census_worker(args):
         verdict = bhm_screen(prod)
         reasons[verdict.reason] += 1
         if verdict.qualifies:
-            hits.append(CycleCandidate(
+            hits.append(cycle_validate(CycleCandidate(
                 nodes=tuple(nodes[v] for (v, t) in seq),
                 types=tuple(t for (v, t) in seq), product=prod,
                 theta1=verdict.theta1.decimal(12),
-                theta2=verdict.theta2.decimal(12)))
+                theta2=verdict.theta2.decimal(12))))
 
     def extend(s, dist, v, depth, rows):
         for t in (0, 1):
@@ -216,7 +218,8 @@ class SearchResult:
 def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult:
     """Enumerate primitive cycles up to max_len (up to rotation), screen every
     product, and validate the survivors with exact induction.  With jobs > 1
-    the start nodes are split over one pool of that many processes."""
+    the start nodes, and so the screening and validation, are split over one
+    pool of that many processes."""
     if max_len > 20:
         raise ValueError("max_len capped at 20")
     nodes = list(range(len(graph.nodes)))
@@ -233,8 +236,6 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult
         reasons.update(part_reasons)
     qualifying = sorted((c for _reasons, hits in parts for c in hits),
                         key=lambda c: (len(c.types), c.nodes, c.types))
-    for cand in qualifying:
-        cycle_validate(cand)
     return SearchResult(n=graph.n, require_flips=graph.require_flips,
                         max_len=max_len, node_count=len(graph.nodes),
                         cycles_checked=sum(reasons.values()),
@@ -251,7 +252,7 @@ def cycle_validate(cand: CycleCandidate) -> CycleCandidate:
 
 def _validation_failure(cand: CycleCandidate):
     try:
-        sd = perron_data(cand.product)
+        sd = shared_perron_data(cand.product)
     except FlipIetError as exc:
         return f"perron data failed: {exc}"
     theta1, alpha = sd.perron

@@ -138,16 +138,14 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
         # image lies inside a single piece: apply one exchange step
         mid = (part.img_lo + part.img_hi) / (2.0 if E.float_mode else Fraction(2))
         i = E.piece_of(mid)
-        slo, shi = E.image_slot(i)
-        tau = E.sp.tau[i - 1]
-        if tau > 0:
-            nlo = slo + (part.img_lo - E.x[i - 1])
-            nhi = slo + (part.img_hi - E.x[i - 1])
+        shift, sign = E.branches[i - 1]
+        if sign > 0:
+            nlo, nhi = shift + part.img_lo, shift + part.img_hi
         else:
-            nlo = slo + (E.x[i] - part.img_hi)
-            nhi = slo + (E.x[i] - part.img_lo)
+            nlo, nhi = shift - part.img_hi, shift - part.img_lo
         pending.append(_Part(part.dom_lo, part.dom_hi, nlo, nhi,
-                             part.word + (i,), part.steps + 1, part.orient * tau))
+                             part.word + (i,), part.steps + 1,
+                             part.orient * E.sp.tau[i - 1]))
 
     done.sort(key=lambda p: p.dom_lo)
     # read off the sub-IET: lengths, and the signed permutation from image order

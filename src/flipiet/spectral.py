@@ -198,7 +198,9 @@ def bhm_screen(m) -> BhmVerdict:
     not_quasi_positive when no power is positive; no_real_theta2_gt1 when the
     dominant root is the only real eigenvalue above 1; not_conjugate when the
     candidates in (1, theta1) all live in other irreducible factors.
-    Otherwise qualifies, with theta2 the largest conjugate candidate.
+    Otherwise qualifies, with theta2 the largest conjugate candidate.  Past
+    the Sturm count the roots come from shared_perron_data(m) (m a tuple of
+    row tuples), which a validation of the same matrix then reuses.
     """
     if not quasi_positive(m):
         return BhmVerdict(False, None, None, "not_quasi_positive")
@@ -206,7 +208,7 @@ def bhm_screen(m) -> BhmVerdict:
     if _count_real_roots_above_one(cp) < 2:
         # at most the Perron root exceeds 1; skip factorization entirely
         return BhmVerdict(False, None, None, "no_real_theta2_gt1")
-    return screen_real_roots(real_eigenvalues(m)[2])
+    return screen_real_roots(shared_perron_data(m).real_roots)
 
 
 def screen_real_roots(roots) -> BhmVerdict:

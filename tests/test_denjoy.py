@@ -130,6 +130,19 @@ def test_gap_symbols_match_positions(gaps):
     assert gs.p_float == gs.orbit_points[gs.half_width]
 
 
+def test_blowup_orbit_follows_the_float_view(setting):
+    # one float map: the float view rounds each exact breakpoint and slot end
+    # once, and its eval reproduces every orbit step bit for bit
+    E, sigma, _verdict, lsv, _ = setting
+    gs = gap_system_build(E, sigma, lsv, 2000)
+    Ef = E.as_float()
+    assert Ef.x == tuple(float(v) for v in E.x)
+    assert Ef.y == tuple(float(v) for v in E.y)
+    pts = [float(z) for z in gs.orbit_points]
+    mismatches = sum(Ef.eval(a) != b for a, b in zip(pts, pts[1:]))
+    assert mismatches == 0
+
+
 def test_blowup_rejects_float_mode_exchange(setting):
     # a float-mode exchange has no exact cylinder, so no exact window word
     E, sigma, _verdict, lsv, _ = setting

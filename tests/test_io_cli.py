@@ -221,6 +221,28 @@ def test_cli_rejects_nonpositive_settings():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["search", "--n", "1"], ["search", "--n", "9"],
+                                  ["search", "--n", "5", "--max-len", "21"]])
+def test_cli_search_bounds_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[[1, 2, 3], [4, 5, 6]]", "[]", "[[1, 2], 3]",
+                                  "[[1, 1], [1, 1.5]]", "[[true, 1], [1, 1]]",
+                                  "[[1, 1], [1, 1]"])
+def test_cli_spectral_rejects_a_malformed_matrix(tmp_path, capsys, text):
+    # non-square, empty, ragged, a float entry, a bool entry, broken JSON
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectral", "--matrix", str(path)])
+    assert exc.value.code == 2
+    assert "--matrix" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["wandering", "--jobs", "2"],
                                   ["orbit", "--x", "0.1", "--digits", "3"]])
 def test_cli_rejects_options_the_subcommand_does_not_read(argv):

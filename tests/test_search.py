@@ -9,8 +9,7 @@ from flipiet.polys import mat_det, mat_identity, mat_mul, quasi_positive
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
 from flipiet.rauzy import rauzy_step
 from flipiet.search import (CycleCandidate, _is_least_rotation, cycle_search,
-                            cycle_validate, rauzy_graph_build,
-                            signed_perms_enumerate)
+                            cycle_validate, signed_perms_enumerate)
 from flipiet.spectral import SCREEN_REASONS
 
 
@@ -24,8 +23,8 @@ def test_enumerate_contains_bundled_node():
     assert SIGNED_PERMUTATION in signed_perms_enumerate(5, True)
 
 
-def test_n2_graph_closure():
-    g = rauzy_graph_build(2, True)
+def test_n2_graph_closure(rauzy_graph):
+    g = rauzy_graph(2, True)
     assert g.nodes == ((-2, -1), (-2, 1), (2, -1))
     # each typed edge lands back in the node set (here: two self loops)
     edges = [(g.nodes[i], t, g.nodes[g.succ[i][t]])
@@ -35,14 +34,14 @@ def test_n2_graph_closure():
     assert ((2, -1), 1, (2, -1)) in edges
 
 
-def test_empty_graph():
-    g = rauzy_graph_build(2, True)
+def test_empty_graph(rauzy_graph):
+    g = rauzy_graph(2, True)
     r = cycle_search(g, 0)
     assert r.cycles_checked == 0 and r.qualifying == []
 
 
-def test_graph_contains_reference_path():
-    g = rauzy_graph_build(5, True)
+def test_graph_contains_reference_path(rauzy_graph):
+    g = rauzy_graph(5, True)
     cur = g.index(SIGNED_PERMUTATION)
     for k in range(14):
         sp, t = REFERENCE_STEPS[k]
@@ -54,18 +53,18 @@ def test_graph_contains_reference_path():
 
 
 @pytest.mark.parametrize("n, absent", [(2, 4), (3, 16), (4, 96), (5, 768)])
-def test_graph_absent_edges_have_one_reason(n, absent):
+def test_graph_absent_edges_have_one_reason(n, absent, rauzy_graph):
     # an irreducible node never sends its last piece to the last slot, the
     # loser's length 1/2 ties no other length, and a one-cut step keeps n
     # pieces: an edge is absent only when it leaves the node class
     for require_flips in (True, False):
-        g = rauzy_graph_build(n, require_flips)
+        g = rauzy_graph(n, require_flips)
         assert [reason for *_, reason in g.absent] == (
             ["target outside node class"] * absent)
 
 
-def test_edges_match_induction_on_random_lengths():
-    g = rauzy_graph_build(4, True)
+def test_edges_match_induction_on_random_lengths(rauzy_graph):
+    g = rauzy_graph(4, True)
     rng = random.Random(31)
     nodes = rng.sample(range(len(g.nodes)), 12)
     for ix in nodes:
@@ -88,8 +87,8 @@ def test_edges_match_induction_on_random_lengths():
                 assert st.matrix == g.mats[ix][t]
 
 
-def test_cycle_products_unimodular():
-    g = rauzy_graph_build(4, True)
+def test_cycle_products_unimodular(rauzy_graph):
+    g = rauzy_graph(4, True)
     r = cycle_search(g, 6)
     # no qualifiers expected this small; spot-check dets via a fresh walk
     from flipiet.polys import mat_identity, mat_mul
@@ -110,10 +109,10 @@ def test_cycle_products_unimodular():
             assert abs(mat_det(prod)) == 1
 
 
-def test_validate_bogus_candidate():
+def test_validate_bogus_candidate(rauzy_graph):
     # the reference path with one type flipped somewhere is not realizable
     from flipiet.polys import mat_identity, mat_mul
-    g = rauzy_graph_build(5, True)
+    g = rauzy_graph(5, True)
     tested = 0
     for flip_at in range(14):
         nodes = []
@@ -145,8 +144,8 @@ def test_validate_bogus_candidate():
     assert tested >= 3
 
 
-def test_validate_reference_candidate():
-    g = rauzy_graph_build(5, True)
+def test_validate_reference_candidate(rauzy_graph):
+    g = rauzy_graph(5, True)
     from flipiet.polys import mat_identity, mat_mul
     nodes, types = [], []
     cur = g.index(SIGNED_PERMUTATION)
@@ -164,16 +163,16 @@ def test_validate_reference_candidate():
     assert cand.validated and cand.validation_reason == "ok"
 
 
-def test_oriented_smoke_n2():
-    g = rauzy_graph_build(2, require_flips=False)
+def test_oriented_smoke_n2(rauzy_graph):
+    g = rauzy_graph(2, require_flips=False)
     assert len(g.nodes) == 4
     r = cycle_search(g, 6)
     assert r.cycles_checked > 0
     assert r.qualifying == []        # the second root is 1/theta1 < 1
 
 
-def test_search_results_independent_of_worker_count():
-    g = rauzy_graph_build(4, True)
+def test_search_results_independent_of_worker_count(rauzy_graph):
+    g = rauzy_graph(4, True)
     r1 = cycle_search(g, 10, jobs=1)
     r2 = cycle_search(g, 10, jobs=3)
     assert r1.cycles_checked == r2.cycles_checked
@@ -234,8 +233,9 @@ def test_least_rotation_matches_canonical_and_primitive():
 
 
 @pytest.mark.parametrize("n, max_len", [(4, 12), (5, 8)])
-def test_census_matches_reference_enumeration(n, max_len, monkeypatch):
-    g = rauzy_graph_build(n, True)
+def test_census_matches_reference_enumeration(n, max_len, monkeypatch,
+                                               rauzy_graph):
+    g = rauzy_graph(n, True)
     ref = sorted(_reference_cycles(g, max_len))
     ref_qp = sorted(p for p in (_product(g, seq) for seq in ref)
                     if quasi_positive(p))

@@ -234,7 +234,8 @@ def _reference_cylinder(E, word):
     the exchange's own scalars and their comparisons."""
     lo, hi = E.x[word[-1] - 1], E.x[word[-1]]
     for sym in word[-2::-1]:
-        slo, shi = E.image_slot(sym)
+        j = E.sp.pi[sym - 1]
+        slo, shi = E.y[j - 1], E.y[j]
         lo2 = lo if lo > slo else slo
         hi2 = hi if hi < shi else shi
         if not (lo2 < hi2):

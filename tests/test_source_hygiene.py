@@ -1,6 +1,6 @@
 """Static checks on the package source: every import is used, and every
-private module-level function has a caller.  A deletion that leaves an
-import or a helper behind fails here."""
+private module-level function and private method has a caller.  A deletion
+that leaves an import or a helper behind fails here."""
 
 import ast
 from pathlib import Path
@@ -40,11 +40,20 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def _defs(body, prefix):
+    """(qualified name, bare name) of each function defined in a module body,
+    and of each method of the classes defined there."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{prefix}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from _defs(node.body, f"{prefix}.{node.name}")
+
+
 def test_every_private_function_is_referenced():
     reads = set().union(*map(_reads, MODULES.values()))
-    dead = [f"{name}.{node.name}" for name, tree in MODULES.items()
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef)
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in reads]
+    dead = [qualified for name, tree in MODULES.items()
+            for qualified, bare in _defs(tree.body, name)
+            if bare.startswith("_") and not bare.startswith("__")
+            and bare not in reads]
     assert dead == []

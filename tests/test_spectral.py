@@ -15,7 +15,6 @@ from flipiet.polys import (IntPolynomial, mat_identity, mat_mul, mat_transpose,
                            quasi_positive)
 from flipiet.quintic import (MATRIX, REFERENCE_EIGENVALUES_3DP,
                              REFERENCE_LENGTHS_3DP)
-from flipiet.search import rauzy_graph_build
 from flipiet.spectral import (bhm_screen, eigen_left, perron_data,
                               real_eigenvalues, screen_real_roots,
                               solve_eigenvector)
@@ -204,10 +203,9 @@ def _eigenvector_by_elimination(m, theta, left=False):
     return tuple(vec)
 
 
-def _pool_matrices(count):
+def _pool_matrices(graph, count):
     """Quasi-positive products along seeded random paths of length 14-24 in
-    the n=5 flipped Rauzy graph (path k drawn by random.Random(k))."""
-    graph = rauzy_graph_build(5)
+    the given graph (path k drawn by random.Random(k))."""
     out = []
     for k in range(count):
         rng = random.Random(k)
@@ -240,10 +238,11 @@ def test_adjugate_eigenvectors_match_elimination_on_bundled_matrix():
             assert _same_vector(got, _eigenvector_by_elimination(MATRIX, theta, left))
 
 
-def test_adjugate_eigenvectors_match_elimination_on_pool_matrices():
+def test_adjugate_eigenvectors_match_elimination_on_pool_matrices(
+        rauzy_graph):
     reasons = Counter()
     conjugates = 0
-    for m in _pool_matrices(60):
+    for m in _pool_matrices(rauzy_graph(5), 60):
         sd = perron_data(m)
         theta1, ix1 = sd.real_roots[-1]
         thetas = [theta1] + [r for r, ix in sd.real_roots[-2::-1] if ix == ix1][:1]
