@@ -167,19 +167,25 @@ class IetSpec:
         if inverse:
             shift, sign = self.branches[self.sp.pi_inv[self.slot_of(p)] - 1]
             return p - shift if sign > 0 else shift - p
-        shift, sign = self.branches[self.piece_of(p) - 1]
+        return self._branch(self.piece_of(p), p)
+
+    def _branch(self, i, p):
+        """E(p) for a point p of piece i."""
+        shift, sign = self.branches[i - 1]
         return shift + p if sign > 0 else shift - p
 
     def orbit(self, p, steps, inverse=False) -> OrbitSegment:
         """Iterate, recording points and piece symbols; a discontinuity hit
-        terminates the segment and is recorded, not raised."""
+        terminates the segment and is recorded, not raised.  A forward step
+        moves the point by the branch of the piece just recorded."""
         pts = [p]
         word = []
         cur = p
         for k in range(steps):
             try:
-                word.append(self.piece_of(cur))
-                cur = self.eval(cur, inverse=inverse)
+                i = self.piece_of(cur)
+                word.append(i)
+                cur = self.eval(cur, inverse=True) if inverse else self._branch(i, cur)
             except AtDiscontinuity:
                 word = word[: k]
                 return OrbitSegment(pts, word, terminated_at_discontinuity=k)

@@ -7,15 +7,17 @@ decided first by a certified float filter (filtered_sign): the coordinates
 against float shadows of the basis powers, whose errors are proven from the
 interval.  The filter answers only when the float value clears its proven
 error bound; otherwise the exact fallback (exact_sign) evaluates the
-coordinates on the interval in rational arithmetic and refines the interval
-until the sign is determined.  Either way every comparison is exact.
+coordinates on the interval and refines the interval until the sign is
+determined.  Either way every comparison is exact.  Interval evaluation
+(_interval_eval) runs on integers: the coordinates as numerators over one
+common denominator, the interval's ends over another (RootEmbedding.ends).
 
 Refining an embedding interval never changes a comparison outcome; the
 interval is shared by all values derived from one root and is narrowed in
 place (monotone, so safe to share between threads under the GIL).
-FILTER_COUNTS counts filter decisions, exact fallbacks and refinements in
-the process; because intervals narrow in place, these counts depend on what
-ran before, and they go into no report.
+FILTER_COUNTS counts filter decisions, exact fallbacks and the refinements
+of exact_sign and decimal in the process; because intervals narrow in
+place, these counts depend on what ran before, and they go into no report.
 """
 
 from __future__ import annotations
@@ -26,21 +28,21 @@ from fractions import Fraction
 
 from .errors import (AmbiguousRoot, DivisionByZero, FieldMismatch, NoRoot,
                      ReduciblePolynomial)
-from .polys import (IntPolynomial, _divmod_fr, _eval, _mul, _sub, _trim,
-                    count_roots, is_irreducible, refine_root_interval,
+from .polys import (IntPolynomial, _divmod_fr, _mul, _numerators, _sub,
+                    _trim, count_roots, is_irreducible, refine_root_interval,
                     sturm_chain)
 
 
 class RootEmbedding:
     """Rational isolating interval for one real root of an integer polynomial."""
 
-    __slots__ = ("poly", "lo", "hi", "_shadow")
+    __slots__ = ("poly", "lo", "hi", "_shadow", "_ends")
 
     def __init__(self, poly: IntPolynomial, lo, hi):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._shadow = None
+        self._shadow = self._ends = None
 
     def is_point(self):
         return self.lo == self.hi
@@ -48,14 +50,19 @@ class RootEmbedding:
     def width(self):
         return self.hi - self.lo
 
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
-
     def refine(self, max_width):
         if self.is_point() or self.width() <= max_width:
             return
         self.lo, self.hi = refine_root_interval(self.poly, self.lo, self.hi, max_width)
-        self._shadow = None
+        self._shadow = self._ends = None
+
+    def ends(self):
+        """(a, b, den): integers with lo = a/den, hi = b/den and den > 0,
+        cached until the interval narrows."""
+        if self._ends is None:
+            (a, b), den = _numerators((self.lo, self.hi))
+            self._ends = (a, b, den)
+        return self._ends
 
     def shadow(self):
         """(shadows, errors): floats b_i and proven bounds e_i >= |theta^i - b_i|
@@ -343,32 +350,33 @@ class AlgebraicNumber:
         if self.is_rational():
             return float(self.coords[0])
         self.embedding.refine(Fraction(1, 10 ** 25))
-        return float(_eval(self.coords, self.embedding.midpoint()))
+        # the value at the interval's midpoint, correctly rounded as
+        # float(Fraction) rounds it
+        nums, den0 = _numerators(self.coords)
+        a, b, den = self.embedding.ends()
+        v, _, s = _interval_eval(nums, a + b, a + b, 2 * den)
+        return v / (den0 * s)
 
     def decimal(self, digits: int) -> str:
         """Correctly rounded decimal string (ties round toward +infinity)."""
         if digits < 1:
             raise ValueError("digits must be positive")
         scale = 10 ** digits
-        if self.is_rational():
-            n = _floor_frac(self.coords[0] * scale + Fraction(1, 2))
-            return _format_scaled(n, digits)
         emb = self.embedding
+        nums, den0 = _numerators(self.coords)
         while True:
-            lo, hi = _interval_eval(self.coords, emb.lo, emb.hi)
-            nlo = _floor_frac(lo * scale + Fraction(1, 2))
-            nhi = _floor_frac(hi * scale + Fraction(1, 2))
-            if nlo == nhi:
+            lo, hi, s = _interval_eval(nums, *emb.ends())
+            s *= den0
+            # floor(v * scale + 1/2) at the bounds v = lo/s and v = hi/s
+            nlo = (2 * lo * scale + s) // (2 * s)
+            if nlo == (2 * hi * scale + s) // (2 * s):
                 return _format_scaled(nlo, digits)
+            FILTER_COUNTS["decimal"] += 1
             emb.refine(emb.width() / 16)
 
     def __repr__(self):
         self.embedding.refine(Fraction(1, 10 ** 12))
         return f"AlgebraicNumber(~{float(self):.6g})"
-
-
-def _floor_frac(q: Fraction) -> int:
-    return q.numerator // q.denominator
 
 
 def _format_scaled(n: int, digits: int) -> str:
@@ -386,9 +394,10 @@ def _round_up(q) -> float:
 
 # -- certified float filter -------------------------------------------------
 
-# signs decided by filtered_sign, exact fallbacks (exact_sign calls) and the
-# embedding refinements those fallbacks made, since the process started
-FILTER_COUNTS = {"filtered": 0, "exact": 0, "refined": 0}
+# signs decided by filtered_sign, exact fallbacks (exact_sign calls), the
+# embedding refinements those fallbacks made and those decimal made, since
+# the process started
+FILTER_COUNTS = {"filtered": 0, "exact": 0, "refined": 0, "decimal": 0}
 
 # constants of the error bound derived in filtered_sign
 _U = 2.0 ** -53                       # unit roundoff of IEEE double
@@ -468,8 +477,9 @@ def exact_sign(value) -> int:
         q = value.coords[0]
         return (q > 0) - (q < 0)
     emb = value.embedding
+    nums, _ = _numerators(value.coords)
     for _ in range(20000):
-        lo, hi = _interval_eval(value.coords, emb.lo, emb.hi)
+        lo, hi = _interval_eval(nums, *emb.ends())[:2]
         if lo > 0:
             return 1
         if hi < 0:
@@ -487,15 +497,14 @@ def float_enclosure(value):
     ulps of x; a value beyond the float range gets e = inf, which sends
     every comparison that uses it to the exact fallback."""
     if isinstance(value, AlgebraicNumber):
-        if value.is_rational():
-            lo = hi = value.coords[0]
-        else:
-            emb = value.embedding
-            while True:
-                lo, hi = _interval_eval(value.coords, emb.lo, emb.hi)
-                if hi - lo <= abs(lo + hi) * Fraction(1, 2 ** 61):
-                    break
-                emb.refine(emb.width() / 2 ** 16)
+        emb = value.embedding
+        nums, den0 = _numerators(value.coords)
+        while True:
+            lo, hi, s = _interval_eval(nums, *emb.ends())
+            if (hi - lo) * 2 ** 61 <= abs(lo + hi):
+                break
+            emb.refine(emb.width() / 2 ** 16)
+        lo, hi = Fraction(lo, den0 * s), Fraction(hi, den0 * s)
     else:
         lo = hi = Fraction(value)
     try:
@@ -505,13 +514,20 @@ def float_enclosure(value):
         return 0.0, math.inf
 
 
-def _interval_eval(coords, lo, hi):
-    """Exact interval Horner evaluation of a coordinate vector at [lo, hi]."""
-    vlo = vhi = Fraction(coords[-1])
-    for c in reversed(coords[:-1]):
-        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+def _interval_eval(nums, a, b, den):
+    """Interval Horner evaluation on integers: the coordinates are nums
+    over a common denominator D > 0, the interval [a/den, b/den], den > 0.
+    Returns (lo, hi, s), s = den^(d-1), where lo/(D s) and hi/(D s) are the
+    bounds of interval Horner in rationals: each intermediate bound has the
+    positive denominator D den^k, which leaves min and max in place."""
+    vlo = vhi = nums[-1]
+    s = 1
+    for c in reversed(nums[:-1]):
+        s *= den
+        cands = (vlo * a, vlo * b, vhi * a, vhi * b)
+        c *= s
         vlo, vhi = min(cands) + c, max(cands) + c
-    return vlo, vhi
+    return vlo, vhi, s
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,13 @@ def _rem_monic(c, f):
     return tuple(r[:d])
 
 
+def _numerators(values):
+    """(nums, den): rationals as integers over their least common
+    denominator den > 0."""
+    den = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def _eval(c, x):
     v = 0
     for ci in reversed(c):
@@ -196,23 +203,46 @@ def _fractions_to_int_poly(c) -> IntPolynomial:
 # Sturm sequences and real-root isolation
 
 def sturm_chain(p: IntPolynomial):
-    """Sturm chain of the squarefree part, as Fraction tuples."""
-    p0 = tuple(Fraction(c) for c in squarefree_part(p).coeffs)
-    chain = [p0, _deriv(p0)]
-    while chain[-1]:
-        _, r = _divmod_fr(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(tuple(-x for x in r))
+    """Sturm chain of a squarefree integer polynomial, as integer tuples.
+
+    Each member is a positive multiple of the classical chain's member (p,
+    p', then the negated remainders), so sign variations, hence root counts,
+    are the classical ones.  A polynomial with a repeated root must be made
+    squarefree first (squarefree_part).
+    """
+    chain = [p.coeffs]
+    r = _deriv(p.coeffs)
+    while r:
+        chain.append(r)
+        r = _neg_sturm_rem(chain[-2], r)
     return chain
+
+
+def _neg_sturm_rem(a, b):
+    """-rem(a, b) over Q times a positive rational, as a primitive integer
+    tuple: pseudo-division by a positive leading coefficient keeps the
+    factor positive, where IntPolynomial.primitive() would flip signs."""
+    if b[-1] < 0:
+        b = tuple(-x for x in b)        # the same remainder over Q
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    for k in range(len(r) - 1, db - 1, -1):
+        f = r[k]
+        if f:
+            r = [lead * x for x in r]
+            for i, bi in enumerate(b):
+                r[k - db + i] -= f * bi
+    r = _trim(r[:db])
+    g = math.gcd(*r) or 1
+    return tuple(-x // g for x in r)
 
 
 def _variations(chain, x):
     signs = []
     for c in chain:
-        v = _eval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+        v = _sign_at(c, x.numerator, x.denominator)
+        if v:
+            signs.append(v)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -252,7 +282,7 @@ def isolate_real_roots(p: IntPolynomial):
         mid = (lo + hi) / 2
         # endpoints of subintervals must avoid roots
         shift = hi - lo
-        while _eval(sf.coeffs, mid) == 0:
+        while not _sign_at(sf.coeffs, mid.numerator, mid.denominator):
             shift /= 16
             mid += shift / 3
         kl = count_roots(chain, lo, mid)
@@ -283,9 +313,7 @@ def refine_root_interval(p: IntPolynomial, lo, hi, max_width):
     c = p.coeffs
     lo, hi, max_width = Fraction(lo), Fraction(hi), Fraction(max_width)
     while True:
-        den = math.lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
+        (a, b), den = _numerators((lo, hi))
         sl = _sign_at(c, a, den)
         assert sl != 0 and _sign_at(c, b, den) != 0
         while (b - a) * max_width.denominator > max_width.numerator * den:

@@ -20,7 +20,7 @@ from .numfield import AlgebraicNumber, NumberField, RootEmbedding
 from .polys import (IntPolynomial, _mul, _rem_monic, char_poly,
                     count_roots, factor_rational, faddeev_leverrier,
                     isolate_real_roots, mat_transpose, quasi_positive,
-                    root_bound, sturm_chain)
+                    root_bound, squarefree_part, sturm_chain)
 
 __all__ = [
     "SpectralData", "BhmVerdict", "char_poly", "factor_rational",
@@ -187,7 +187,7 @@ def eigen_left(m, theta: AlgebraicNumber):
 
 
 def _count_real_roots_above_one(cp: IntPolynomial) -> int:
-    chain = sturm_chain(cp)
+    chain = sturm_chain(squarefree_part(cp))
     b = root_bound(cp)
     return count_roots(chain, Fraction(1), b)
 

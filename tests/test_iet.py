@@ -148,3 +148,26 @@ def test_float_orbit_long_roundtrip():
     for _ in range(1000):
         back = E.eval(back, inverse=True)
     assert abs(back - x) < 1e-10
+
+
+def test_orbit_locates_each_point_once(monkeypatch):
+    # a forward step moves by the branch of the piece it just recorded; the
+    # points and the word are those of piece_of and eval step by step
+    E = bundled_iet()
+    th1 = bundled_theta1()
+    for F, x, steps in ((E.as_float(), 0.123456789, 1000),
+                        (E, E.x[1] / th1 / 2, 30)):
+        calls = []
+        real = IetSpec.piece_of
+
+        def counted(self, p):
+            calls.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(IetSpec, "piece_of", counted)
+        seg = F.orbit(x, steps)
+        monkeypatch.undo()
+        assert len(calls) == steps
+        assert seg.terminated_at_discontinuity is None
+        assert seg.word == [F.piece_of(p) for p in seg.points[:-1]]
+        assert seg.points[1:] == [F.eval(p) for p in seg.points[:-1]]

@@ -2,14 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from flipiet import numfield
 from flipiet.errors import (AmbiguousRoot, DivisionByZero, FieldMismatch,
                             NoRoot, ReduciblePolynomial)
-from flipiet.numfield import (NumberField, RootEmbedding,
+from flipiet.numfield import (NumberField, RootEmbedding, _interval_eval,
                               cross_embedding_dot_is_zero, exact_sign,
                               filtered_sign, float_enclosure, nf_arith,
                               nf_compare, nf_decimal, nf_field_make, nf_root)
-from flipiet.polys import IntPolynomial, is_irreducible, isolate_real_roots
+from flipiet.polys import (IntPolynomial, _numerators, is_irreducible,
+                           isolate_real_roots)
+from flipiet.quintic import MATRIX
+from flipiet.spectral import perron_data
 
 QUARTIC = IntPolynomial((1, -8, 18, -10, 1))
 
@@ -268,3 +273,78 @@ def test_filtered_sign_on_dependent_bases_and_enclosures():
     assert filtered_sign((Fraction(1, 10 ** 400), 0, 0, 0, 0, 0),
                          shadows, errors) == 0
     assert filtered_sign((10 ** 400, 0, 0, 0, 0, 0), shadows, errors) == 0
+
+
+def _interval_eval_fraction(coords, lo, hi):
+    """Reference: interval Horner evaluation of a coordinate vector at
+    [lo, hi] in Fraction arithmetic."""
+    vlo = vhi = Fraction(coords[-1])
+    for c in reversed(coords[:-1]):
+        cands = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(cands) + c, max(cands) + c
+    return vlo, vhi
+
+
+def test_integer_interval_eval_matches_fraction_reference():
+    # coordinates with zero and negative entries and mixed denominators, on
+    # intervals left of, right of and straddling 0, and on point intervals
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(600):
+        coords = tuple(Fraction(rng.randint(-30, 30) * rng.randint(0, 1),
+                                rng.choice((1, 2, 3, 7, 12, 1024)))
+                       for _ in range(rng.randint(1, 6)))
+        ends = sorted(Fraction(rng.randint(-200, 200), rng.choice((1, 5, 64, 999)))
+                      for _ in range(2))
+        if rng.random() < 0.2:
+            ends[1] = ends[0]
+        lo, hi = ends
+        kinds.add("point" if lo == hi else "straddle" if lo < 0 < hi else "one side")
+        nums, den0 = _numerators(coords)
+        assert all(n == c * den0 for n, c in zip(nums, coords))
+        den = lo.denominator * hi.denominator
+        a, b = lo * den, hi * den
+        vlo, vhi, s = _interval_eval(nums, int(a), int(b), den)
+        assert (Fraction(vlo, den0 * s), Fraction(vhi, den0 * s)) \
+            == _interval_eval_fraction(coords, lo, hi)
+    assert kinds == {"point", "straddle", "one side"}
+
+
+def _rounded(value, digits):
+    """Reference decimal: value, a sympy Float far more precise than digits,
+    rounded to digits places with ties toward +infinity."""
+    n = int(sympy.floor(value * 10 ** digits + sympy.Rational(1, 2)))
+    return Fraction(n, 10 ** digits)
+
+
+def test_decimal_matches_sympy_on_the_bundled_matrix():
+    # theta1, theta2 and the Perron vector of quintic.MATRIX at 1, 12 and 50
+    # digits, against sympy's root of the characteristic polynomial and the
+    # adjugate column of (t I - M) evaluated there, both at 80 digits
+    sd = perron_data(MATRIX)
+    roots = [r for r, _ in sd.real_roots]
+    t = sympy.symbols("t")
+    m = sympy.Matrix([list(row) for row in MATRIX])
+    real = sympy.Poly(m.charpoly(t).as_expr(), t).real_roots()
+    theta1, theta2 = real[-1], real[-2]
+    col = (t * sympy.eye(5) - m).adjugate()[:, 0]
+    vec = [sympy.N(e.subs(t, theta1), 80) for e in col]
+    want = [sympy.N(theta1, 80), sympy.N(theta2, 80)] + [v / sum(vec) for v in vec]
+    mine = [roots[-1], roots[-2]] + list(sd.perron[1])
+    for digits in (1, 12, 50):
+        for a, v in zip(mine, want):
+            got = a.decimal(digits)
+            assert len(got.split(".")[1]) == digits
+            assert Fraction(got) == _rounded(v, digits)
+
+
+def test_decimal_refinements_are_counted():
+    # perron_data on fresh embeddings, then the decimals of the spectral
+    # report: the exact path's steps, pinned to the counts of the Fraction
+    # kernel, which took the same refinement schedule
+    before = dict(numfield.FILTER_COUNTS)
+    sd = perron_data(MATRIX)
+    for v in [r for r, _ in sd.real_roots] + list(sd.perron[1]):
+        v.decimal(12)
+    counts = {k: v - before[k] for k, v in numfield.FILTER_COUNTS.items()}
+    assert counts == {"filtered": 1, "exact": 4, "refined": 3, "decimal": 43}

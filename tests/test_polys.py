@@ -6,7 +6,8 @@ import sympy
 
 from flipiet import polys
 from flipiet.errors import DegreeCapExceeded
-from flipiet.polys import (IntPolynomial, _ddf_degrees, _eval, _sieve_degrees,
+from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _divmod_fr,
+                           _eval, _sieve_degrees,
                            char_poly, count_roots, factor_rational,
                            faddeev_leverrier, is_irreducible,
                            isolate_real_roots, mat_det, mat_mul,
@@ -114,6 +115,53 @@ def test_sturm_count_interval():
     chain = sturm_chain(char_poly(A))
     assert count_roots(chain, Fraction(1), root_bound(char_poly(A))) == 2
     assert count_roots(chain, Fraction(0), Fraction(1)) == 3  # 0.225, 0.358, and 1
+
+
+def _classical_sturm_chain(p):
+    """Reference: the Sturm chain p, p', -rem, ... in Fraction arithmetic."""
+    chain = [tuple(Fraction(c) for c in p.coeffs)]
+    chain.append(_deriv(chain[0]))
+    while chain[-1]:
+        _, r = _divmod_fr(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(tuple(-x for x in r))
+    return chain
+
+
+def test_count_roots_matches_sympy():
+    # random integer polynomials, a third of them with a repeated factor,
+    # counted on random rational intervals and on intervals whose ends are
+    # roots; sympy counts distinct roots in [a, b], count_roots in (a, b]
+    rng = random.Random(29)
+    t = sympy.symbols("t")
+    checked = at_root = 0
+    for trial in range(120):
+        p = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(rng.randint(2, 6)))
+                          + (rng.choice((-3, -1, 1, 2)),))
+        if trial % 3 == 0:
+            p = p * poly_from_roots([rng.randint(-3, 3)] * 2)
+        sf = squarefree_part(p)
+        chain = sturm_chain(sf)
+        # integer members, each a positive multiple of the classical member
+        ref = _classical_sturm_chain(sf)
+        assert len(chain) == len(ref)
+        for mine, theirs in zip(chain, ref):
+            assert all(isinstance(c, int) for c in mine)
+            ratio = Fraction(mine[-1]) / theirs[-1]
+            assert ratio > 0 and all(Fraction(c) == ratio * r for c, r in zip(mine, theirs))
+        theirs = sympy.Poly(list(reversed(p.coeffs)), t)
+        ends = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(4)]
+        ends += [Fraction(r) for r in range(-3, 4) if p(r) == 0]
+        for a in ends:
+            for b in ends:
+                if a < b:
+                    want = theirs.count_roots(sympy.Rational(a.numerator, a.denominator),
+                                              sympy.Rational(b.numerator, b.denominator))
+                    assert count_roots(chain, a, b) == want - (p(a) == 0)
+                    checked += 1
+                    at_root += p(a) == 0 or p(b) == 0
+    assert checked > 900 and at_root > 50
 
 
 def test_squarefree_part():
