@@ -28,9 +28,9 @@ from fractions import Fraction
 
 from .errors import (AmbiguousRoot, DivisionByZero, FieldMismatch, NoRoot,
                      ReduciblePolynomial)
-from .polys import (IntPolynomial, _divmod_fr, _mul, _numerators, _sub,
-                    _trim, count_roots, is_irreducible, refine_root_interval,
-                    sturm_chain)
+from .polys import (IntPolynomial, _divmod_fr, _mul, _numerators, _rem_monic,
+                    _sub, _trim, count_roots, is_irreducible,
+                    refine_root_interval, sturm_chain)
 
 
 class RootEmbedding:
@@ -110,16 +110,8 @@ class NumberField:
         self.degree = prim.degree
         # reduction rows: t^(d+j) expressed over the power basis, j = 0..d-2
         d = self.degree
-        rows = []
-        cur = tuple(Fraction(-c) for c in prim.coeffs[:-1])  # t^d
-        rows.append(cur)
-        for _ in range(d - 2):
-            shifted = (Fraction(0),) + cur
-            over = shifted[d] if len(shifted) > d else Fraction(0)
-            base = tuple(shifted[i] if i < len(shifted) else Fraction(0) for i in range(d))
-            cur = tuple(base[i] + over * rows[0][i] for i in range(d))
-            rows.append(cur)
-        self._reduction = tuple(rows)
+        self._reduction = tuple(_rem_monic((0,) * (d + j) + (1,), prim.coeffs)
+                                for j in range(d - 1))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs

@@ -140,13 +140,6 @@ def _numerators(values):
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-def _eval(c, x):
-    v = 0
-    for ci in reversed(c):
-        v = v * x + ci
-    return v
-
-
 def _deriv(c):
     return _trim(tuple(i * ci for i, ci in enumerate(c))[1:])
 
@@ -167,36 +160,21 @@ def _divmod_fr(a, b):
     return _trim(q), _trim(tuple(a))
 
 
-def _gcd_fr(a, b):
-    """Monic gcd over Q."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        _, r = _divmod_fr(a, b)
-        a, b = b, r
-    if not a:
-        return ()
-    lead = a[-1]
-    return tuple(Fraction(x) / lead for x in a)
-
-
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p divided by gcd(p, p'), primitive with positive leading coefficient."""
+    """p divided by gcd(p, p'), primitive with positive leading coefficient.
+
+    The gcd is the last nonzero member of the integer remainder sequence
+    that sturm_chain runs (_neg_sturm_rem), made primitive; by Gauss's
+    lemma the quotient is then integral."""
     if p.degree <= 1:
         return p.primitive()
-    g = _gcd_fr(p.coeffs, _deriv(p.coeffs))
-    if len(g) <= 1:
+    a, b = p.coeffs, _deriv(p.coeffs)
+    while b:
+        a, b = b, _neg_sturm_rem(a, b)
+    g = IntPolynomial(a).primitive()
+    if g.degree == 0:
         return p.primitive()
-    q, r = _divmod_fr(p.coeffs, g)
-    assert not r
-    return _fractions_to_int_poly(q)
-
-
-def _fractions_to_int_poly(c) -> IntPolynomial:
-    den = 1
-    for x in c:
-        den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
-    ints = tuple(int(Fraction(x) * den) for x in c)
-    return IntPolynomial(ints).primitive()
+    return _try_divide(p, g).primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +310,7 @@ def refine_root_interval(p: IntPolynomial, lo, hi, max_width):
         mid, width = Fraction(mid, den), Fraction(b - a, den)
         for dd in range(5, 1000):
             lo, hi = mid - width / dd, mid + width / (dd + 1)
-            if _eval(c, lo) != 0 and _eval(c, hi) != 0:
+            if p(lo) != 0 and p(hi) != 0:
                 break
 
 

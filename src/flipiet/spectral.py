@@ -58,10 +58,11 @@ def real_eigenvalues(m):
     for ix, (f, _mult) in enumerate(factors):
         fld = NumberField(f, _trusted=True)
         for lo, hi in isolate_real_roots(f):
-            root = fld.generator(RootEmbedding(f, lo, hi)) if f.degree > 1 \
-                else fld.rational(-Fraction(f.coeffs[0], f.coeffs[1]),
-                                  RootEmbedding(f, Fraction(-f.coeffs[0], f.coeffs[1]),
-                                                Fraction(-f.coeffs[0], f.coeffs[1])))
+            if f.degree > 1:
+                root = fld.generator(RootEmbedding(f, lo, hi))
+            else:
+                r = Fraction(-f.coeffs[0], f.coeffs[1])
+                root = fld.rational(r, RootEmbedding(f, r, r))
             found.append((root, ix))
     # disentangle isolating intervals across factors so interval order is total
     changed = True
@@ -82,8 +83,7 @@ def real_eigenvalues(m):
 
 def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
     """Exact kernel vector of (m - theta I), or of the transpose when left,
-    scaled so that its last nonzero coordinate is 1: the vector that Gaussian
-    elimination over Q(theta) returns.
+    unscaled: the callers scale it once (perron_data, eigen_left).
 
     It is read off the adjugate adj(theta I - M) = sum_k theta^(n-1-k) B_k of
     the Faddeev-LeVerrier loop (polys.faddeev_leverrier).  When the kernel is
@@ -92,7 +92,7 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
     has rank one: its nonzero columns span the right kernel and its nonzero
     rows the left one.  With theta = g(t)/D for an integer polynomial g, the
     entries times D^(n-1) are integer combinations of g^j mod the minimal
-    polynomial, so the only field inverse is the final scaling.
+    polynomial, and those integer coordinates are the vector returned.
 
     Raises NotAnEigenvalue when the adjugate vanishes (a kernel of dimension
     two or more) or when the vector fails the exact eigen identity (theta is
@@ -138,9 +138,7 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
                     lhs[t] += den * mm[i][j] * vec[j][t]
         if tuple(lhs) != _rem_monic(_mul(g, vec[i]), f):
             raise NotAnEigenvalue("verification of the eigen identity failed")
-    last = max(i for i in range(n) if any(vec[i]))
-    scale = fld.element(vec[last], emb).inverse()
-    return tuple(fld.element(v, emb) * scale for v in vec)
+    return tuple(fld.element(v, emb) for v in vec)
 
 
 def perron_data(m) -> SpectralData:
@@ -179,10 +177,12 @@ def shared_perron_data(m) -> SpectralData:
 
 def eigen_left(m, theta: AlgebraicNumber):
     """Exact left eigenvector w with w^T M = theta w^T (solve_eigenvector on
-    the transpose), scaled so that max |w_i| = 1 in the designated
-    embedding."""
+    the transpose), scaled by one inverse so that max |w_i| = 1 in the
+    designated embedding and its last nonzero coordinate is positive."""
     vec = solve_eigenvector(m, theta, left=True)
-    inv = max(abs(v) for v in vec).inverse()
+    scale = max(abs(v) for v in vec)
+    last = next(v for v in reversed(vec) if v)
+    inv = (scale if last.sign() > 0 else -scale).inverse()
     return tuple(v * inv for v in vec)
 
 

@@ -7,7 +7,7 @@ import sympy
 from flipiet import polys
 from flipiet.errors import DegreeCapExceeded
 from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _divmod_fr,
-                           _eval, _sieve_degrees,
+                           _sieve_degrees,
                            char_poly, count_roots, factor_rational,
                            faddeev_leverrier, is_irreducible,
                            isolate_real_roots, mat_det, mat_mul,
@@ -167,6 +167,30 @@ def test_count_roots_matches_sympy():
 def test_squarefree_part():
     p = poly_from_roots([2, 2, 3])
     assert squarefree_part(p).coeffs == poly_from_roots([2, 3]).coeffs
+
+
+def test_squarefree_part_matches_sympy():
+    # reference: sympy's sqf_part, made primitive with a positive leading
+    # coefficient, on products of random factors with repeats, content and
+    # either sign, and on small edge cases
+    t = sympy.symbols("t")
+    rng = random.Random(17)
+    cases = [IntPolynomial((5,)), IntPolynomial((-3, 6)), IntPolynomial((4, -2)),
+             IntPolynomial((0, 0, 0, 0, 1)), IntPolynomial((0, 0, -7)),
+             IntPolynomial((1, -4, 4)), IntPolynomial((-3, 12, -12)),
+             IntPolynomial((0, 0, 1)) * IntPolynomial((1, -4, 4))]
+    for _ in range(150):
+        p = IntPolynomial((rng.choice((-6, -2, -1, 1, 3)),))
+        for _ in range(rng.randint(1, 4)):
+            f = IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 3)))
+                              + (rng.choice((-2, -1, 1, 3)),))
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                p = p * f
+        cases.append(p)
+    for p in cases:
+        want = sympy.Poly(list(reversed(p.coeffs)), t).sqf_part()
+        want = IntPolynomial(tuple(int(c) for c in reversed(want.all_coeffs())))
+        assert squarefree_part(p) == want.primitive(), p
 
 
 def test_sympy_oracle_on_random_factors():
@@ -334,19 +358,19 @@ def test_ddf_degrees_match_factorization_mod_p():
 def _refine_by_fraction_bisection(p, lo, hi, max_width):
     """Reference: bisection in Fraction arithmetic, with the squeeze around a
     midpoint that is a rational root."""
-    plo = _eval(p.coeffs, lo)
-    assert plo != 0 and _eval(p.coeffs, hi) != 0
+    plo = p(lo)
+    assert plo != 0 and p(hi) != 0
     sl = plo > 0
     while hi - lo > max_width:
         mid = (lo + hi) / 2
-        v = _eval(p.coeffs, mid)
+        v = p(mid)
         if v == 0:
             width = hi - lo
             for dd in range(5, 1000):
                 lo2, hi2 = mid - width / dd, mid + width / (dd + 1)
-                if _eval(p.coeffs, lo2) != 0 and _eval(p.coeffs, hi2) != 0:
+                if p(lo2) != 0 and p(hi2) != 0:
                     lo, hi = lo2, hi2
-                    sl = _eval(p.coeffs, lo) > 0
+                    sl = p(lo) > 0
                     break
             continue
         if (v > 0) == sl:
@@ -365,7 +389,7 @@ def test_refine_matches_fraction_bisection():
         deg = rng.randint(2, 6)
         p = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(deg)) + (1,))
         cases += [(p, lo, hi) for lo, hi in isolate_real_roots(p)
-                  if _eval(p.coeffs, lo) and _eval(p.coeffs, hi)]
+                  if p(lo) and p(hi)]
     squeezed = 0
     for p, lo, hi in cases:
         for width in (Fraction(1, 7), Fraction(1, 10 ** 12), Fraction(1, 2 ** 90)):
@@ -373,7 +397,7 @@ def test_refine_matches_fraction_bisection():
             assert got == _refine_by_fraction_bisection(p, lo, hi, width)
             assert got[1] - got[0] <= width
         mid = (lo + hi) / 2
-        squeezed += _eval(p.coeffs, mid) == 0
+        squeezed += p(mid) == 0
     assert squeezed == 3 and len(cases) > 60
 
 

@@ -1,11 +1,15 @@
-"""Static checks on the package source: every import is used, and every
-private module-level function and private method has a caller.  A deletion
-that leaves an import or a helper behind fails here."""
+"""Static checks on the package source: every import is used, every
+private module-level function and private method has a caller, and every
+function the benchmark's tracer wraps exists.  A deletion that leaves an
+import or a helper behind, or that removes a traced function, fails here."""
 
 import ast
+import importlib
+from functools import reduce
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "flipiet"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "flipiet"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(SRC.glob("*.py"))}
 
@@ -57,3 +61,21 @@ def test_every_private_function_is_referenced():
             if bare.startswith("_") and not bare.startswith("__")
             and bare not in reads]
     assert dead == []
+
+
+def test_every_traced_function_resolves():
+    # perfbench/layers.py wraps each (module, attribute) of its WRAPPED table
+    # by name; it is read here, not imported
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"])
+    names = [(ast.literal_eval(row.elts[0]), ast.literal_eval(row.elts[1]))
+             for row in table.elts]
+    assert len(names) > 20
+    missing = []
+    for module, attr in names:
+        try:
+            reduce(getattr, attr.split("."), importlib.import_module(module))
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

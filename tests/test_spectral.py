@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import flipiet.numfield
 import flipiet.spectral
 from flipiet.cli import main
+from flipiet.denjoy import blowup_chain
 from flipiet.errors import NotAnEigenvalue, NotQuasiPositive
 from flipiet.numfield import (NumberField, RootEmbedding,
                               cross_embedding_dot_is_zero)
 from flipiet.polys import (IntPolynomial, mat_identity, mat_mul, mat_transpose,
                            quasi_positive)
 from flipiet.quintic import (MATRIX, REFERENCE_EIGENVALUES_3DP,
-                             REFERENCE_LENGTHS_3DP)
+                             REFERENCE_LENGTHS_3DP, bundled_iet)
 from flipiet.spectral import (bhm_screen, eigen_left, perron_data,
                               real_eigenvalues, screen_real_roots,
                               solve_eigenvector)
@@ -230,11 +232,18 @@ def _same_vector(a, b):
     return [(v.field, v.coords) for v in a] == [(v.field, v.coords) for v in b]
 
 
+def _last_one(vec):
+    """vec scaled so that its last nonzero coordinate is 1, as elimination
+    returns it."""
+    inv = next(v for v in reversed(vec) if v).inverse()
+    return tuple(v * inv for v in vec)
+
+
 def test_adjugate_eigenvectors_match_elimination_on_bundled_matrix():
     verdict = bhm_screen(MATRIX)
     for theta in (verdict.theta1, verdict.theta2):
         for left in (False, True):
-            got = solve_eigenvector(MATRIX, theta, left=left)
+            got = _last_one(solve_eigenvector(MATRIX, theta, left=left))
             assert _same_vector(got, _eigenvector_by_elimination(MATRIX, theta, left))
 
 
@@ -249,7 +258,7 @@ def test_adjugate_eigenvectors_match_elimination_on_pool_matrices(
         conjugates += len(thetas) - 1
         for theta in thetas:
             for left in (False, True):
-                got = solve_eigenvector(m, theta, left=left)
+                got = _last_one(solve_eigenvector(m, theta, left=left))
                 assert _same_vector(got, _eigenvector_by_elimination(m, theta, left))
         verdict = screen_real_roots(sd.real_roots)
         assert verdict.reason == bhm_screen(m).reason
@@ -280,3 +289,38 @@ def test_cli_spectral_finds_the_roots_once(monkeypatch, capsys):
     assert main(["spectral"]) == 0
     assert json.loads(capsys.readouterr().out)["verdict"] == "qualifies"
     assert len(calls) == 1
+
+
+def test_perron_data_and_eigen_left_invert_once(monkeypatch):
+    # solve_eigenvector returns the unscaled adjugate vector, and each caller
+    # scales it with a single field inverse
+    calls = []
+    real = flipiet.numfield.AlgebraicNumber.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(flipiet.numfield.AlgebraicNumber, "inverse", counted)
+    sd = perron_data(MATRIX)
+    assert len(calls) == 1
+    theta2 = screen_real_roots(sd.real_roots).theta2
+    calls.clear()
+    eigen_left(MATRIX, theta2)
+    assert len(calls) == 1
+
+
+def test_eigen_left_sign_is_pinned(rauzy_graph):
+    # the last nonzero coordinate of w is positive, on the bundled theta2 and
+    # on conjugate roots of pool matrices, which fixes the blow-up's sign
+    checked = []
+    for m in [MATRIX] + _pool_matrices(rauzy_graph(5), 20):
+        roots = perron_data(m).real_roots
+        _, ix1 = roots[-1]
+        for theta in [r for r, ix in roots[:-1] if ix == ix1][-1:]:
+            w = eigen_left(m, theta)
+            assert max(abs(v) for v in w) == 1
+            assert next(v for v in reversed(w) if v).sign() > 0
+            checked.append(m)
+    assert checked[0] == MATRIX and len(checked) >= 10
+    assert blowup_chain(bundled_iet()).lsv.sign_choice == -1
