@@ -1,10 +1,11 @@
 """Interval exchange transformations with flips.
 
 Scalars are generic: exact values (int, Fraction, AlgebraicNumber) give exact
-evaluation and comparisons for certification paths; floats give fast
-evaluation for long orbit probes.  Pieces are open intervals; the breakpoint
-set itself is excluded from the domain, and hitting it is reported, not
-silently perturbed.
+evaluation and comparisons for certification paths, and are kept as given,
+so int lengths and origins stay int; floats give fast evaluation for long
+orbit probes.  Pieces are open intervals; the breakpoint set itself is
+excluded from the domain, and hitting it is reported, not silently
+perturbed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import accumulate
 from typing import Optional
 
 from .errors import AtDiscontinuity, InvalidPermutation, NonpositiveLength
-from .numfield import AlgebraicNumber
 
 
 class SignedPermutation:
@@ -41,14 +41,6 @@ class SignedPermutation:
             inv[j] = i
         self.pi_inv = tuple(inv)
 
-    @classmethod
-    def from_pi_tau(cls, pi, tau):
-        return cls(tuple(p * t for p, t in zip(pi, tau)))
-
-    def decompose(self):
-        """(pi, tau) with entries = pi * tau elementwise."""
-        return self.pi, self.tau
-
     def __len__(self):
         return len(self.entries)
 
@@ -70,30 +62,11 @@ class SignedPermutation:
         return " ".join(str(e) for e in self.entries)
 
 
-def perm_decompose(sp) -> tuple:
-    """Split a signed permutation into (pi, tau)."""
-    if not isinstance(sp, SignedPermutation):
-        sp = SignedPermutation(sp)
-    return sp.decompose()
-
-
 @dataclass
 class OrbitSegment:
     points: list
     word: list
     terminated_at_discontinuity: Optional[int] = None
-
-
-def _is_positive(v):
-    if isinstance(v, AlgebraicNumber):
-        return v.sign() > 0
-    return v > 0
-
-
-def _as_exact(v):
-    if isinstance(v, int):
-        return Fraction(v)
-    return v
 
 
 class IetSpec:
@@ -107,8 +80,7 @@ class IetSpec:
     """
 
     def __init__(self, lengths, signed_perm, origin=0):
-        # n = 1 is allowed so first-return maps can degenerate to a single
-        # piece; the public constructor iet_make still demands n >= 2
+        # n = 1 is allowed so first-return maps can degenerate to a single piece
         if not isinstance(signed_perm, SignedPermutation):
             signed_perm = SignedPermutation(signed_perm)
         n = len(signed_perm)
@@ -119,11 +91,8 @@ class IetSpec:
         if self.float_mode:
             lengths = tuple(float(v) for v in lengths)
             origin = float(origin)
-        else:
-            lengths = tuple(_as_exact(v) for v in lengths)
-            origin = _as_exact(origin)
         for v in lengths:
-            if not _is_positive(v):
+            if not v > 0:
                 raise NonpositiveLength(f"length {v!r} is not positive")
         self.n = n
         self.lengths = lengths
@@ -224,22 +193,3 @@ class IetSpec:
     def __repr__(self):
         return f"IetSpec(n={self.n}, sp={self.sp.entries})"
 
-
-# -- spec-level operation names ----------------------------------------------
-
-def iet_make(lengths, signed_perm, origin=0) -> IetSpec:
-    if len(tuple(signed_perm)) < 2:
-        raise InvalidPermutation("need at least two pieces")
-    return IetSpec(lengths, signed_perm, origin)
-
-
-def iet_eval(E, x, inverse=False):
-    return E.eval(x, inverse=inverse)
-
-
-def iet_orbit(E, x, steps, inverse=False) -> OrbitSegment:
-    return E.orbit(x, steps, inverse=inverse)
-
-
-def iet_itinerary(E, x, steps):
-    return E.itinerary(x, steps)

@@ -481,6 +481,14 @@ def exact_sign(value) -> int:
     raise RuntimeError("sign determination failed to converge")
 
 
+def exact_quotient(a, b):
+    """a / b for exact scalars, as a Fraction when both are int, whose own
+    division would round to a float."""
+    if isinstance(a, int) and isinstance(b, int):
+        return Fraction(a, b)
+    return a / b
+
+
 def float_enclosure(value):
     """(x, e): a float x and a proven bound e >= |value - x| for an exact
     value (int, Fraction or AlgebraicNumber), to serve as a basis element of
@@ -533,27 +541,6 @@ def nf_field_make(minpoly: IntPolynomial) -> NumberField:
 def nf_root(field: NumberField, bracket) -> AlgebraicNumber:
     """The generator of the field, pinned to the unique root in the bracket."""
     return field.root_in(bracket)
-
-
-def nf_arith(a: AlgebraicNumber, b, op: str) -> AlgebraicNumber:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def nf_compare(a: AlgebraicNumber, b) -> int:
-    """-1, 0 or +1 for less / equal / greater in the designated real embedding."""
-    return a.compare(b)
-
-
-def nf_decimal(a: AlgebraicNumber, digits: int) -> str:
-    return a.decimal(digits)
 
 
 def cross_embedding_dot_is_zero(vec_a, vec_b) -> bool:

@@ -2,9 +2,10 @@
 
 Nodes are irreducible signed permutations (with at least one flip when flips
 are required); the two typed edges out of a node are computed by running one
-geometric induction step on generic exact-rational lengths realizing the
-type, so the graph carries exactly the combinatorics the induction engine
-produces, with the elementary matrix attached to each edge.
+geometric induction step on integer lengths realizing the type (a step
+keeps integer lengths integer, so it runs in exact integer arithmetic), so
+the graph carries exactly the combinatorics the induction engine produces,
+with the elementary matrix attached to each edge.
 
 Cycles are primitive closed walks, deduplicated up to rotation.  Every cycle
 product is screened for the dominant-plus-conjugate eigenvalue hypotheses;
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from multiprocessing import get_context
 from .errors import DegenerateStep, FlipIetError
@@ -48,12 +48,13 @@ def signed_perms_enumerate(n: int, require_flips: bool = True):
 
 def _typed_edge(sp_entries, type_bit):
     """Target signed permutation and matrix of one typed move, by one Rauzy
-    step on generic lengths: the loser of the type has length 1/2 and every
-    other length is at least 1, so the step has the requested type."""
+    step on generic integer lengths: the loser of the type has length 7 and
+    every other length is 2 * (7 + i) >= 14, so the step has the requested
+    type."""
     sp = SignedPermutation(sp_entries)
     n = len(sp)
-    lengths = [Fraction(7 + i, 7) for i in range(n)]
-    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = Fraction(1, 2)
+    lengths = [2 * (7 + i) for i in range(n)]
+    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = 7
     _sub, step = rauzy_step(IetSpec(lengths, sp, origin=0))
     return step.after.entries, step.matrix
 
@@ -218,12 +219,13 @@ class SearchResult:
 def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult:
     """Enumerate primitive cycles up to max_len (up to rotation), screen every
     product, and validate the survivors with exact induction.  With jobs > 1
-    the start nodes, and so the screening and validation, are split over one
-    pool of that many processes."""
+    the start nodes, and so the screening and validation, are dealt out in
+    one chunk per process of a pool of that many processes, so each worker
+    receives the graph once."""
     if max_len > 20:
         raise ValueError("max_len capped at 20")
     nodes = list(range(len(graph.nodes)))
-    chunks = jobs * 4 if jobs > 1 else 1
+    chunks = jobs
     payloads = [(graph.nodes, graph.succ, graph.mats, nodes[i::chunks], max_len)
                 for i in range(chunks) if nodes[i::chunks]]
     if jobs > 1:

@@ -16,12 +16,11 @@ identity  sum_i N_i * |piece_i| = |domain|  exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, sub
 
 from .errors import EmptyCylinder, NoFixedSeed, ReturnTimeCapExceeded
 from .iet import IetSpec, SignedPermutation
-from .numfield import exact_sign, filtered_sign, float_enclosure
+from .numfield import exact_quotient, exact_sign, filtered_sign, float_enclosure
 
 DEFAULT_RETURN_CAP = 10_000
 
@@ -56,7 +55,6 @@ class SelfSimilarity:
 
     J: tuple
     scale: object          # |domain| / |J|, exact scalar
-    map_slope: object      # L(x) = map_slope * (x - c) + a
     ok: bool = True
 
 
@@ -90,9 +88,6 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
     c, d = J
     if E.float_mode:
         c, d = float(c), float(d)
-    else:
-        c = Fraction(c) if isinstance(c, int) else c
-        d = Fraction(d) if isinstance(d, int) else d
     if not (E.x[0] <= c and d <= E.x[-1] and c < d):
         raise ValueError("J must be a nondegenerate subinterval of the domain")
 
@@ -135,9 +130,9 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
                                      part.orient))
             continue
 
-        # image lies inside a single piece: apply one exchange step
-        mid = (part.img_lo + part.img_hi) / (2.0 if E.float_mode else Fraction(2))
-        i = E.piece_of(mid)
+        # image lies inside a single piece, the first one ending at or after
+        # its right end: apply one exchange step
+        i = next(k for k in range(1, E.n + 1) if part.img_hi <= E.x[k])
         shift, sign = E.branches[i - 1]
         if sign > 0:
             nlo, nhi = shift + part.img_lo, shift + part.img_hi
@@ -183,8 +178,7 @@ def self_similarity_check(E: IetSpec, J):
         # exact proportionality, cross-multiplied to avoid division
         if sub.lengths[i] * total != E.lengths[i] * width:
             return SelfSimilarityMismatch("length ratio differs at piece", i + 1)
-    scale = total / width
-    return SelfSimilarity(J=(c, d), scale=scale, map_slope=scale)
+    return SelfSimilarity(J=(c, d), scale=exact_quotient(total, width))
 
 
 def associated_matrix(E: IetSpec, J):

@@ -5,19 +5,19 @@ import pytest
 
 from flipiet.errors import (AtDiscontinuity, InvalidPermutation,
                             NonpositiveLength)
-from flipiet.iet import (IetSpec, SignedPermutation, iet_eval,
-                         iet_itinerary, iet_make, iet_orbit, perm_decompose)
+from flipiet.iet import IetSpec, SignedPermutation
 from flipiet.quintic import bundled_iet, bundled_theta1
 
 
 def test_perm_decompose():
-    pi, tau = perm_decompose((-5, -3, 2, 1, -4))
-    assert pi == (5, 3, 2, 1, 4)
-    assert tau == (-1, -1, 1, 1, -1)
-    assert perm_decompose((1, 2, 3)) == ((1, 2, 3), (1, 1, 1))
-    assert perm_decompose((2, -1)) == ((2, 1), (1, -1))
-    sp = SignedPermutation.from_pi_tau((5, 3, 2, 1, 4), (-1, -1, 1, 1, -1))
-    assert sp.entries == (-5, -3, 2, 1, -4)
+    sp = SignedPermutation((-5, -3, 2, 1, -4))
+    assert sp.pi == (5, 3, 2, 1, 4)
+    assert sp.tau == (-1, -1, 1, 1, -1)
+    assert tuple(p * t for p, t in zip(sp.pi, sp.tau)) == sp.entries
+    sp = SignedPermutation((1, 2, 3))
+    assert (sp.pi, sp.tau) == ((1, 2, 3), (1, 1, 1))
+    sp = SignedPermutation((2, -1))
+    assert (sp.pi, sp.tau) == ((2, 1), (1, -1))
 
 
 def test_invalid_permutations():
@@ -26,23 +26,25 @@ def test_invalid_permutations():
     with pytest.raises(InvalidPermutation):
         SignedPermutation((0, 2))
     with pytest.raises(InvalidPermutation):
-        iet_make((1, 1, 1), (2, 1))
+        IetSpec((1, 1, 1), (2, 1))
     with pytest.raises(NonpositiveLength):
-        iet_make((Fraction(1), Fraction(-1)), (2, 1))
+        IetSpec((Fraction(1), Fraction(-1)), (2, 1))
+    with pytest.raises(NonpositiveLength):
+        IetSpec((1, 0), (2, 1))
 
 
 def test_rotation_by_half():
-    E = iet_make((Fraction(1, 2), Fraction(1, 2)), (2, 1))
+    E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (2, 1))
     assert E.eval(Fraction(1, 4)) == Fraction(3, 4)
-    seg = iet_orbit(E, Fraction(1, 4), 4)
+    seg = E.orbit(Fraction(1, 4), 4)
     assert seg.points == [Fraction(1, 4), Fraction(3, 4), Fraction(1, 4),
                           Fraction(3, 4), Fraction(1, 4)]
 
 
 def test_identity_iet():
-    E = iet_make((Fraction(1, 2), Fraction(1, 2)), (1, 2))
-    assert iet_eval(E, Fraction(3, 10)) == Fraction(3, 10)
-    assert iet_itinerary(E, Fraction(3, 10), 5) == (1, 1, 1, 1, 1)
+    E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (1, 2))
+    assert E.eval(Fraction(3, 10)) == Fraction(3, 10)
+    assert E.itinerary(Fraction(3, 10), 5) == (1, 1, 1, 1, 1)
 
 
 def test_bundled_eval_examples():

@@ -9,8 +9,8 @@ from flipiet.errors import (AmbiguousRoot, DivisionByZero, FieldMismatch,
                             NoRoot, ReduciblePolynomial)
 from flipiet.numfield import (NumberField, RootEmbedding, _interval_eval,
                               cross_embedding_dot_is_zero, exact_sign,
-                              filtered_sign, float_enclosure, nf_arith,
-                              nf_compare, nf_decimal, nf_field_make, nf_root)
+                              filtered_sign, float_enclosure, nf_field_make,
+                              nf_root)
 from flipiet.polys import (IntPolynomial, _numerators, is_irreducible,
                            isolate_real_roots)
 from flipiet.quintic import MATRIX
@@ -58,8 +58,8 @@ def test_rational_elements_hash_like_fractions(field, th1):
 
 
 def test_root_brackets(field, th1, th2):
-    assert nf_decimal(th1, 3) == "7.829"
-    assert nf_decimal(th2, 3) == "1.588"
+    assert th1.decimal(3) == "7.829"
+    assert th2.decimal(3) == "1.588"
     with pytest.raises(NoRoot):
         nf_root(field, (100, 101))
     with pytest.raises(AmbiguousRoot):
@@ -74,7 +74,7 @@ def test_isolating_interval_is_tight(th1):
 def test_arith_inverse(th1):
     one = th1 * th1.inverse()
     assert one.coords[0] == 1 and all(c == 0 for c in one.coords[1:])
-    assert nf_arith(th1, th1.field.rational(0, th1.embedding), "add") == th1
+    assert th1 + th1.field.rational(0, th1.embedding) == th1
 
 
 def test_power_reduction(th1):
@@ -85,15 +85,15 @@ def test_power_reduction(th1):
 
 
 def test_compare(th1, th2):
-    assert nf_compare(th1, 7) > 0
-    assert nf_compare(th1, th1) == 0
-    assert nf_compare(th2, 1) > 0 and nf_compare(th2, 2) < 0
+    assert th1.compare(7) > 0
+    assert th1.compare(th1) == 0
+    assert th2.compare(1) > 0 and th2.compare(2) < 0
     assert float(th2) < float(th1)
 
 
 def test_compare_requires_shared_embedding(th1, th2):
     with pytest.raises(FieldMismatch):
-        nf_compare(th2, th1)
+        th2.compare(th1)
 
 
 def test_division(th1):
@@ -111,10 +111,10 @@ def test_field_mismatch(th1):
 
 
 def test_decimal_rendering(field, th1):
-    assert nf_decimal(field.rational(Fraction(1, 2), th1.embedding), 3) == "0.500"
-    assert nf_decimal(field.rational(Fraction(-1, 8), th1.embedding), 2) == "-0.12"
+    assert field.rational(Fraction(1, 2), th1.embedding).decimal(3) == "0.500"
+    assert field.rational(Fraction(-1, 8), th1.embedding).decimal(2) == "-0.12"
     # 50-digit reference value computed independently with sympy RootOf
-    assert nf_decimal(th1, 50) == ("7.82939515292075092992049102724063366509"
+    assert th1.decimal(50) == ("7.82939515292075092992049102724063366509"
                                    "511384751904")
 
 
@@ -169,9 +169,9 @@ def test_quartic_root_sum_and_product(field):
 def test_refinement_never_changes_comparisons(field, th1):
     a = th1 * th1 - 7 * th1
     b = th1 + field.rational(Fraction(-1, 2), th1.embedding)
-    before = nf_compare(a, b)
+    before = a.compare(b)
     th1.embedding.refine(Fraction(1, 10 ** 30))
-    assert nf_compare(a, b) == before
+    assert a.compare(b) == before
 
 
 def test_cross_embedding_orthogonality_tool(field, th1, th2):

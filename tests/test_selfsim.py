@@ -97,6 +97,9 @@ def test_self_similarity_identity_perm():
     assert res.ok and res.scale == 1
     res2 = self_similarity_check(E2, (Fraction(0), Fraction(1, 2)))
     assert not res2.ok
+    # integer lengths and window stay exact: the scale is not a float
+    res3 = self_similarity_check(IetSpec((1, 1, 1), (1, 2, 3)), (0, 3))
+    assert res3.ok and res3.scale == 1 and not isinstance(res3.scale, float)
 
 
 def test_associated_matrix_full_domain(E):
