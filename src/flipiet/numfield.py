@@ -1,23 +1,26 @@
 """Exact arithmetic in a real algebraic number field Q(theta).
 
-Elements are coordinate vectors over the power basis 1, theta, ...,
-theta^(d-1) with Fraction coordinates.  The designated real root theta is
-pinned by a rational isolating interval (Sturm-certified).  A sign is
-decided first by a certified float filter (filtered_sign): the coordinates
-against float shadows of the basis powers, whose errors are proven from the
-interval.  The filter answers only when the float value clears its proven
-error bound; otherwise the exact fallback (exact_sign) evaluates the
-coordinates on the interval and refines the interval until the sign is
-determined.  Either way every comparison is exact.  Interval evaluation
-(_interval_eval) runs on integers: the coordinates as numerators over one
-common denominator, the interval's ends over another (RootEmbedding.ends).
+An element is a vector of integer numerators nums over one denominator
+den > 0 on the power basis 1, theta, ..., theta^(d-1), in lowest terms
+(gcd(den, *nums) == 1), so that equal elements have equal (nums, den)
+(Cohen, A Course in Computational Algebraic Number Theory, section 4.2);
+coords is a read-only Fraction view of it.  The designated real root theta
+is pinned by a Sturm-certified isolating interval, kept as integer ends
+[a/den, b/den] (RootEmbedding.interval).  A sign is decided first by a
+certified float filter (filtered_sign): the numerators against float
+shadows of the basis powers, whose errors are proven from the interval.
+The filter answers only when the float value clears its proven error bound;
+otherwise the exact fallback (exact_sign) evaluates the numerators on the
+interval (_interval_eval, on integers) and refines the interval until the
+sign is determined.  Either way every comparison is exact.
 
 Refining an embedding interval never changes a comparison outcome; the
 interval is shared by all values derived from one root and is narrowed in
-place (monotone, so safe to share between threads under the GIL).
-FILTER_COUNTS counts filter decisions, exact fallbacks and the refinements
-of exact_sign and decimal in the process; because intervals narrow in
-place, these counts depend on what ran before, and they go into no report.
+place (monotone, and replaced as one tuple, so safe to share between
+threads under the GIL).  FILTER_COUNTS counts filter decisions, exact
+fallbacks and the refinements of exact_sign and decimal in the process;
+because intervals narrow in place, these counts depend on what ran before,
+and they go into no report.
 """
 
 from __future__ import annotations
@@ -28,58 +31,68 @@ from fractions import Fraction
 
 from .errors import (AmbiguousRoot, DivisionByZero, FieldMismatch, NoRoot,
                      ReduciblePolynomial)
-from .polys import (IntPolynomial, _divmod_fr, _mul, _numerators, _rem_monic,
-                    _sub, _trim, count_roots, is_irreducible,
-                    refine_root_interval, sturm_chain)
+from .polys import (IntPolynomial, _mul, _numerators, _rem_monic, count_roots,
+                    faddeev_leverrier, is_irreducible, refine_root_interval,
+                    sturm_chain)
 
 
 class RootEmbedding:
-    """Rational isolating interval for one real root of an integer polynomial."""
+    """Isolating interval for one real root of an integer polynomial, kept
+    as interval = (a, b, den): integer ends a/den <= b/den, den > 0, in
+    lowest terms."""
 
-    __slots__ = ("poly", "lo", "hi", "_shadow", "_ends")
+    __slots__ = ("poly", "interval", "_shadow")
 
     def __init__(self, poly: IntPolynomial, lo, hi):
         self.poly = poly
-        self.lo = Fraction(lo)
-        self.hi = Fraction(hi)
-        self._shadow = self._ends = None
+        (a, b), den = _numerators((Fraction(lo), Fraction(hi)))
+        self.interval = (a, b, den)
+        self._shadow = None
+
+    @property
+    def lo(self) -> Fraction:
+        a, _, den = self.interval
+        return Fraction(a, den)
+
+    @property
+    def hi(self) -> Fraction:
+        _, b, den = self.interval
+        return Fraction(b, den)
 
     def is_point(self):
-        return self.lo == self.hi
+        a, b, _ = self.interval
+        return a == b
 
-    def width(self):
-        return self.hi - self.lo
+    def width(self) -> Fraction:
+        a, b, den = self.interval
+        return Fraction(b - a, den)
 
     def refine(self, max_width):
         if self.is_point() or self.width() <= max_width:
             return
-        self.lo, self.hi = refine_root_interval(self.poly, self.lo, self.hi, max_width)
-        self._shadow = self._ends = None
-
-    def ends(self):
-        """(a, b, den): integers with lo = a/den, hi = b/den and den > 0,
-        cached until the interval narrows."""
-        if self._ends is None:
-            (a, b), den = _numerators((self.lo, self.hi))
-            self._ends = (a, b, den)
-        return self._ends
+        self.interval = refine_root_interval(self.poly, *self.interval, max_width)
+        self._shadow = None
 
     def shadow(self):
         """(shadows, errors): floats b_i and proven bounds e_i >= |theta^i - b_i|
         for i = 0..d-1, valid for the current interval and cached until it
         narrows; False when a power leaves the float range."""
         if self._shadow is None:
-            lo, hi = self.lo, self.hi
+            a, b, den = self.interval
+            # theta^i lies between a^i/den^i and b^i/den^i (and 0 when the
+            # interval straddles 0)
+            straddle = (0,) if a < 0 < b else ()
             try:
-                t = float((lo + hi) / 2)
+                t = (a + b) / (2 * den)
                 shadows = tuple(t ** i for i in range(self.poly.degree))
-                # theta^i lies between the powers of the interval's ends (and 0
-                # when the interval straddles 0)
-                errors = tuple(
-                    _round_up(max(abs(v - Fraction(b)) for v in
-                                  (lo ** i, hi ** i) + ((0,) if lo < 0 < hi else ())))
-                    for i, b in enumerate(shadows))
-                self._shadow = (shadows, errors)
+                errors = []
+                for i, s in enumerate(shadows):
+                    p, q = s.as_integer_ratio()
+                    di = den ** i
+                    errors.append(_round_up(
+                        max(abs(v * q - p * di) for v in (a ** i, b ** i) + straddle),
+                        di * q))
+                self._shadow = (shadows, tuple(errors))
             except OverflowError:
                 self._shadow = False
         return self._shadow
@@ -87,8 +100,10 @@ class RootEmbedding:
     def same_root(self, other) -> bool:
         if self is other:
             return True
+        a, b, den = self.interval
+        oa, ob, oden = other.interval
         return (self.poly.coeffs == other.poly.coeffs
-                and not (self.hi <= other.lo or other.hi <= self.lo))
+                and not (b * oden <= oa * den or ob * den <= a * oden))
 
     def __repr__(self):
         return f"RootEmbedding({self.lo}, {self.hi})"
@@ -108,10 +123,6 @@ class NumberField:
             raise ReduciblePolynomial(f"{prim} factors over the rationals")
         self.minpoly = prim
         self.degree = prim.degree
-        # reduction rows: t^(d+j) expressed over the power basis, j = 0..d-2
-        d = self.degree
-        self._reduction = tuple(_rem_monic((0,) * (d + j) + (1,), prim.coeffs)
-                                for j in range(d - 1))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.minpoly.coeffs == other.minpoly.coeffs
@@ -125,19 +136,20 @@ class NumberField:
     # -- element constructors -------------------------------------------------
 
     def element(self, coords, embedding) -> "AlgebraicNumber":
-        coords = tuple(Fraction(c) for c in coords)
         if len(coords) != self.degree:
             raise ValueError("coordinate vector has wrong length")
-        return AlgebraicNumber(self, coords, embedding)
+        nums, den = _numerators(tuple(Fraction(c) for c in coords))
+        return AlgebraicNumber(self, nums, den, embedding)
 
     def rational(self, q, embedding) -> "AlgebraicNumber":
-        return self.element((Fraction(q),) + (Fraction(0),) * (self.degree - 1), embedding)
+        """The int or Fraction q as an element."""
+        return AlgebraicNumber(self, (q.numerator,) + (0,) * (self.degree - 1),
+                               q.denominator, embedding)
 
     def generator(self, embedding) -> "AlgebraicNumber":
         if self.degree == 1:
-            return self.rational(-Fraction(self.minpoly.coeffs[0]), embedding)
-        coords = (Fraction(0), Fraction(1)) + (Fraction(0),) * (self.degree - 2)
-        return self.element(coords, embedding)
+            return self.rational(-self.minpoly.coeffs[0], embedding)
+        return AlgebraicNumber(self, (0, 1) + (0,) * (self.degree - 2), 1, embedding)
 
     def root_in(self, bracket) -> "AlgebraicNumber":
         """The generator, embedded at the unique root inside the bracket."""
@@ -145,7 +157,7 @@ class NumberField:
         if lo >= hi:
             raise ValueError("empty bracket")
         if self.degree == 1:
-            r = -Fraction(self.minpoly.coeffs[0])
+            r = -self.minpoly.coeffs[0]
             if not (lo < r < hi):
                 raise NoRoot(f"no root of {self.minpoly} in ({lo}, {hi})")
             return self.generator(RootEmbedding(self.minpoly, r, r))
@@ -159,28 +171,27 @@ class NumberField:
         emb.refine((hi - lo) / 4)
         return self.generator(emb)
 
-    def _reduce(self, conv):
-        """Reduce a raw product (length <= 2d-1) modulo the minimal polynomial."""
-        d = self.degree
-        out = list(conv[:d]) + [Fraction(0)] * (d - len(conv[:d]))
-        for j in range(d, len(conv)):
-            cj = conv[j]
-            if cj:
-                row = self._reduction[j - d]
-                for i in range(d):
-                    out[i] += cj * row[i]
-        return tuple(out)
-
 
 class AlgebraicNumber:
-    """Element of a NumberField with a designated real embedding."""
+    """Element of a NumberField with a designated real embedding: integer
+    numerators nums over one denominator den > 0, kept in lowest terms."""
 
-    __slots__ = ("field", "coords", "embedding")
+    __slots__ = ("field", "nums", "den", "embedding")
 
-    def __init__(self, field, coords, embedding):
+    def __init__(self, field, nums, den, embedding):
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
         self.field = field
-        self.coords = coords
+        self.nums = nums
+        self.den = den
         self.embedding = embedding
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions (a read-only view)."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # -- coercion -------------------------------------------------------------
 
@@ -194,80 +205,70 @@ class AlgebraicNumber:
         return NotImplemented
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is irrational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
+        g = math.gcd(self.den, o.den)
+        u, v = o.den // g, sign * (self.den // g)
         return AlgebraicNumber(self.field,
-                               tuple(a + b for a, b in zip(self.coords, o.coords)),
-                               self.embedding)
+                               tuple(a * u + b * v for a, b in zip(self.nums, o.nums)),
+                               self.den * u, self.embedding)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return AlgebraicNumber(self.field,
-                               tuple(a - b for a, b in zip(self.coords, o.coords)),
-                               self.embedding)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, tuple(-a for a in self.coords), self.embedding)
+        return AlgebraicNumber(self.field, tuple(-a for a in self.nums), self.den,
+                               self.embedding)
 
     def __mul__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.is_rational():
-            q = o.coords[0]
-            return AlgebraicNumber(self.field, tuple(a * q for a in self.coords),
-                                   self.embedding)
-        conv = _mul(self.coords, o.coords)
-        return AlgebraicNumber(self.field, self.field._reduce(conv), self.embedding)
+        nums = _rem_monic(_mul(self.nums, o.nums), self.field.minpoly.coeffs)
+        return AlgebraicNumber(self.field, nums, self.den * o.den, self.embedding)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/x for x = nums/den.  Let A be the integer matrix of multiplication
+        by nums (column j: nums t^j mod m).  The Faddeev-LeVerrier loop gives
+        A B_(d-1) = -c_0 I (Cayley-Hamilton), so A^-1 = -B_(d-1)/c_0, and 1/x
+        is den times the first column of A^-1."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        # extended Euclid in Q[t]; m irreducible so the gcd is a constant
-        m = tuple(Fraction(c) for c in self.field.minpoly.coeffs)
-        r0, r1 = m, _trim(self.coords)
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            q, r = _divmod_fr(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _sub(s0, _mul(q, s1))
-        if len(r0) != 1:
-            raise DivisionByZero("element is not invertible")
-        inv = tuple(x / r0[0] for x in s0)
-        coords = tuple(inv[i] if i < len(inv) else Fraction(0)
-                       for i in range(self.field.degree))
-        return AlgebraicNumber(self.field, coords, self.embedding)
+        d, m = self.field.degree, self.field.minpoly.coeffs
+        cols = [_rem_monic((0,) * j + self.nums, m) for j in range(d)]
+        cp, terms = faddeev_leverrier(tuple(zip(*cols)))
+        c0 = cp.coeffs[0]
+        s = -1 if c0 > 0 else 1
+        return AlgebraicNumber(self.field,
+                               tuple(s * self.den * row[0] for row in terms[-1]),
+                               abs(c0), self.embedding)
 
     def __truediv__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.is_rational():
-            q = o.coords[0]
-            if q == 0:
-                raise DivisionByZero("division by zero")
-            return AlgebraicNumber(self.field, tuple(a / q for a in self.coords),
-                                   self.embedding)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -288,17 +289,17 @@ class AlgebraicNumber:
     # -- exact sign, order, rendering -------------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def sign(self) -> int:
         """Exact sign in the designated embedding: rational values directly,
         others by the float filter on the embedding's power-basis shadow, and
         by exact_sign when the filter cannot decide."""
         if self.is_rational():
-            q = self.coords[0]
-            return (q > 0) - (q < 0)
+            n = self.nums[0]
+            return (n > 0) - (n < 0)
         sh = self.embedding.shadow()
-        return (sh and filtered_sign(self.coords, *sh)) or exact_sign(self)
+        return (sh and filtered_sign(self.nums, *sh)) or exact_sign(self)
 
     def compare(self, other) -> int:
         o = self._lift(other)
@@ -312,7 +313,7 @@ class AlgebraicNumber:
             return False
         if o is NotImplemented:
             return NotImplemented
-        return self.coords == o.coords
+        return self.nums == o.nums and self.den == o.den
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -335,19 +336,18 @@ class AlgebraicNumber:
     def __hash__(self):
         # a rational element equals its Fraction, so it must hash like it
         if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.field, self.coords))
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.field, self.nums, self.den))
 
     def __float__(self):
         if self.is_rational():
-            return float(self.coords[0])
+            return self.nums[0] / self.den
         self.embedding.refine(Fraction(1, 10 ** 25))
         # the value at the interval's midpoint, correctly rounded as
-        # float(Fraction) rounds it
-        nums, den0 = _numerators(self.coords)
-        a, b, den = self.embedding.ends()
-        v, _, s = _interval_eval(nums, a + b, a + b, 2 * den)
-        return v / (den0 * s)
+        # int / int rounds it
+        a, b, den = self.embedding.interval
+        v, _, s = _interval_eval(self.nums, a + b, a + b, 2 * den)
+        return v / (self.den * s)
 
     def decimal(self, digits: int) -> str:
         """Correctly rounded decimal string (ties round toward +infinity)."""
@@ -355,10 +355,9 @@ class AlgebraicNumber:
             raise ValueError("digits must be positive")
         scale = 10 ** digits
         emb = self.embedding
-        nums, den0 = _numerators(self.coords)
         while True:
-            lo, hi, s = _interval_eval(nums, *emb.ends())
-            s *= den0
+            lo, hi, s = _interval_eval(self.nums, *emb.interval)
+            s *= self.den
             # floor(v * scale + 1/2) at the bounds v = lo/s and v = hi/s
             nlo = (2 * lo * scale + s) // (2 * s)
             if nlo == (2 * hi * scale + s) // (2 * s):
@@ -378,10 +377,12 @@ def _format_scaled(n: int, digits: int) -> str:
     return f"{sign}{m // scale}.{m % scale:0{digits}d}"
 
 
-def _round_up(q) -> float:
-    """Least float >= the nonnegative rational q (OverflowError beyond range)."""
-    f = float(q)
-    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+def _round_up(n, d) -> float:
+    """Least float >= n/d for integers n >= 0 and d > 0 (OverflowError
+    beyond range)."""
+    f = n / d
+    p, q = f.as_integer_ratio()
+    return f if p * d >= n * q else math.nextafter(f, math.inf)
 
 
 # -- certified float filter -------------------------------------------------
@@ -466,12 +467,10 @@ def exact_sign(value) -> int:
     if not isinstance(value, AlgebraicNumber):
         return (value > 0) - (value < 0)
     if value.is_rational():
-        q = value.coords[0]
-        return (q > 0) - (q < 0)
+        return value.sign()
     emb = value.embedding
-    nums, _ = _numerators(value.coords)
     for _ in range(20000):
-        lo, hi = _interval_eval(nums, *emb.ends())[:2]
+        lo, hi = _interval_eval(value.nums, *emb.interval)[:2]
         if lo > 0:
             return 1
         if hi < 0:
@@ -498,18 +497,20 @@ def float_enclosure(value):
     every comparison that uses it to the exact fallback."""
     if isinstance(value, AlgebraicNumber):
         emb = value.embedding
-        nums, den0 = _numerators(value.coords)
         while True:
-            lo, hi, s = _interval_eval(nums, *emb.ends())
+            lo, hi, s = _interval_eval(value.nums, *emb.interval)
             if (hi - lo) * 2 ** 61 <= abs(lo + hi):
                 break
             emb.refine(emb.width() / 2 ** 16)
-        lo, hi = Fraction(lo, den0 * s), Fraction(hi, den0 * s)
+        den = value.den * s
     else:
-        lo = hi = Fraction(value)
+        lo = hi = value.numerator
+        den = value.denominator
+    # value lies in [lo/den, hi/den]; x = p/q
     try:
-        x = float((lo + hi) / 2)
-        return x, _round_up(max(hi - Fraction(x), Fraction(x) - lo))
+        x = (lo + hi) / (2 * den)
+        p, q = x.as_integer_ratio()
+        return x, _round_up(max(hi * q - p * den, p * den - lo * q), den * q)
     except OverflowError:
         return 0.0, math.inf
 
@@ -565,7 +566,7 @@ def cross_embedding_dot_is_zero(vec_a, vec_b) -> bool:
                 if bk:
                     x[j][k] += aj * bk
     # multiply by u (row shift with reduction) and by t (column shift), subtract
-    red = fa._reduction[0] if d > 1 else None
+    red = _rem_monic((0,) * d + (1,), fa.minpoly.coeffs)    # t^d mod m
 
     def shift_rows(mat):
         out = [[Fraction(0)] * d for _ in range(d)]

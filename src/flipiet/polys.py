@@ -3,8 +3,9 @@ factorization over the rationals, and small integer-matrix helpers.
 
 Polynomials are stored with ascending coefficients.  The integer form is the
 dataclass :class:`IntPolynomial`; internal routines work on plain tuples of
-ints or ``fractions.Fraction``, and the degree sieve on residues mod small
-primes.
+ints, and the degree sieve on residues mod small primes.  Rationals enter as
+integer numerators over one denominator: root intervals as integer ends
+(refine_root_interval), field elements as nums over den (numfield).
 """
 
 from __future__ import annotations
@@ -144,22 +145,6 @@ def _deriv(c):
     return _trim(tuple(i * ci for i, ci in enumerate(c))[1:])
 
 
-def _divmod_fr(a, b):
-    """Euclidean division of Fraction-tuples, b nonzero."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(_trim(a)) >= len(b):
-        a = list(_trim(a))
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, bi in enumerate(b):
-            a[i + k] -= f * bi
-        a.pop()
-    return _trim(q), _trim(tuple(a))
-
-
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'), primitive with positive leading coefficient.
 
@@ -281,17 +266,19 @@ def _sign_at(c, num, den):
     return (v > 0) - (v < 0)
 
 
-def refine_root_interval(p: IntPolynomial, lo, hi, max_width):
-    """Bisect an isolating interval until its width is at most max_width.
+def refine_root_interval(p: IntPolynomial, a, b, den, max_width):
+    """Bisect an isolating interval [a/den, b/den] (integers, den > 0, ends
+    not roots) until its width is at most the rational max_width; returns
+    its integer ends (a, b, den) in lowest terms.
 
-    The endpoints are integers over one common denominator, which doubles at
-    each step, so a midpoint costs one integer evaluation (_sign_at); the
-    midpoints, hence the intervals, are those of bisection in Fractions.
+    The denominator doubles at each step, so a midpoint costs one integer
+    evaluation (_sign_at); the midpoints, hence the intervals, are those of
+    bisection in rationals.  A midpoint that is a root is squeezed around
+    with non-root ends, and bisection goes on from there.
     """
     c = p.coeffs
-    lo, hi, max_width = Fraction(lo), Fraction(hi), Fraction(max_width)
+    max_width = Fraction(max_width)
     while True:
-        (a, b), den = _numerators((lo, hi))
         sl = _sign_at(c, a, den)
         assert sl != 0 and _sign_at(c, b, den) != 0
         while (b - a) * max_width.denominator > max_width.numerator * den:
@@ -305,13 +292,17 @@ def refine_root_interval(p: IntPolynomial, lo, hi, max_width):
             else:
                 b = mid
         else:
-            return Fraction(a, den), Fraction(b, den)
-        # mid is a rational root; squeeze around it with non-root endpoints
-        mid, width = Fraction(mid, den), Fraction(b - a, den)
+            g = math.gcd(a, b, den)
+            return a // g, b // g, den // g
+        # mid/den is a rational root: the ends mid/den - w/dd and
+        # mid/den + w/(dd + 1), w = (b - a)/den, over den dd (dd + 1)
+        w = b - a
         for dd in range(5, 1000):
-            lo, hi = mid - width / dd, mid + width / (dd + 1)
-            if p(lo) != 0 and p(hi) != 0:
+            k = dd * (dd + 1)
+            lo, hi = mid * k - w * (dd + 1), mid * k + w * dd
+            if _sign_at(c, lo, den * k) and _sign_at(c, hi, den * k):
                 break
+        a, b, den = lo, hi, den * k
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +345,22 @@ def _rational_roots(p: IntPolynomial):
 
 
 def _try_divide(p: IntPolynomial, g: IntPolynomial):
-    q, r = _divmod_fr(p.coeffs, g.coeffs)
-    if r:
+    """p / g when g divides p in Z[t], else None: integer long division,
+    which stops at the first quotient coefficient that is not an integer."""
+    r, b = list(p.coeffs), g.coeffs
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f, rem = divmod(r[k + db], b[-1])
+        if rem:
+            return None
+        if f:
+            q[k] = f
+            for i, bi in enumerate(b):
+                r[k + i] -= f * bi
+    if any(r[:db]):
         return None
-    if any(Fraction(x).denominator != 1 for x in q):
-        return None
-    return IntPolynomial(tuple(int(x) for x in q))
+    return IntPolynomial(tuple(q))
 
 
 def _l2_norm_ceil(p: IntPolynomial):

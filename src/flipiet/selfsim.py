@@ -210,21 +210,14 @@ class Substitution:
             out.extend(self.images[s])
         return tuple(out)
 
-    def abelianization(self):
-        n = len(self.alphabet)
-        m = [[0] * n for _ in range(n)]
-        for i in self.alphabet:
-            for sym in self.images[i]:
-                m[sym - 1][i - 1] += 1
-        return tuple(tuple(row) for row in m)
-
     def __repr__(self):
         ims = ", ".join(f"{i}->{''.join(map(str, w))}" for i, w in sorted(self.images.items()))
         return f"Substitution({ims})"
 
 
 def substitution_from(its: ItinerarySet) -> Substitution:
-    """sigma(i) = I(i); the abelianization is the visit-count matrix."""
+    """sigma(i) = I(i); its abelianization is the visit-count matrix
+    its.counts_matrix()."""
     return Substitution({i + 1: w for i, w in enumerate(its.words)})
 
 

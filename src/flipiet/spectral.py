@@ -9,7 +9,6 @@ factor as the Perron root t1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -103,8 +102,7 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
     _cp, terms = faddeev_leverrier(mm)
     fld, emb = theta.field, theta.embedding
     f = fld.minpoly.coeffs
-    den = math.lcm(*(c.denominator for c in theta.coords))
-    g = tuple(int(c * den) for c in theta.coords)
+    g, den = theta.nums, theta.den
     # gk[k] = D^k g^(n-1-k) mod f: the coordinates of D^(n-1) theta^(n-1-k)
     gk = [None] * n
     cur = (1,)
@@ -138,7 +136,7 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
                     lhs[t] += den * mm[i][j] * vec[j][t]
         if tuple(lhs) != _rem_monic(_mul(g, vec[i]), f):
             raise NotAnEigenvalue("verification of the eigen identity failed")
-    return tuple(fld.element(v, emb) for v in vec)
+    return tuple(AlgebraicNumber(fld, tuple(v), 1, emb) for v in vec)
 
 
 def perron_data(m) -> SpectralData:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -201,6 +202,63 @@ def _random_real_roots(rng, count):
         roots.append(NumberField(poly, _trusted=True).generator(
             RootEmbedding(poly, lo, hi)))
     return roots
+
+
+def _reference_product(a, b, m):
+    """Reference: the product of two Fraction coordinate vectors, reduced
+    modulo the monic minimal polynomial m, in Fraction arithmetic."""
+    d = len(m) - 1
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, d - 1, -1):
+        q = prod[k]
+        for i in range(d + 1):
+            prod[k - d + i] -= q * m[i]
+    return tuple(prod[:d])
+
+
+def test_arithmetic_matches_fraction_reference():
+    # +, -, *, inverse and / on integer numerators over one denominator,
+    # against Fraction coordinates, on the fields of the filter test and a
+    # degree-1 field; every result in lowest terms with a positive
+    # denominator, which is what makes == and hash agree with the value
+    rng = random.Random(1207)
+    roots = _random_real_roots(rng, 8)
+    roots.append(nf_root(nf_field_make(IntPolynomial((-3, 1))), (2, 4)))
+    checked = set()
+    for th in roots:
+        fld, emb = th.field, th.embedding
+        m = fld.minpoly.coeffs
+        one = (Fraction(1),) + (Fraction(0),) * (fld.degree - 1)
+
+        def rand_elem():
+            return fld.element([Fraction(rng.randint(-99, 99) * rng.randint(0, 1),
+                                        rng.choice((1, 2, 3, 8, 30, 97)))
+                                for _ in range(fld.degree)], emb)
+
+        for _ in range(30):
+            a, b = rand_elem(), rand_elem()
+            ca, cb = a.coords, b.coords
+            results = [(a + b, tuple(x + y for x, y in zip(ca, cb))),
+                       (a - b, tuple(x - y for x, y in zip(ca, cb))),
+                       (a * b, _reference_product(ca, cb, m))]
+            if not b.is_zero():
+                inv = b.inverse()
+                assert _reference_product(inv.coords, cb, m) == one
+                quo = a / b
+                assert _reference_product(quo.coords, cb, m) == ca
+                results.append((inv, inv.coords))
+                results.append((quo, quo.coords))
+                checked.add(fld.degree)
+            for got, want in results + [(a, ca), (b, cb)]:
+                assert got.coords == want
+                assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+            # the same value reached another way is equal and hashes alike
+            again = (a + b) - b
+            assert again == a and hash(again) == hash(a)
+    assert checked == {1, 4, 5}
 
 
 def _within(value, x, e):

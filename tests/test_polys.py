@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import sympy
 
 from flipiet import polys
 from flipiet.errors import DegreeCapExceeded
-from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _divmod_fr,
+from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _numerators,
                            _sieve_degrees,
                            char_poly, count_roots, factor_rational,
                            faddeev_leverrier, is_irreducible,
@@ -117,12 +118,26 @@ def test_sturm_count_interval():
     assert count_roots(chain, Fraction(0), Fraction(1)) == 3  # 0.225, 0.358, and 1
 
 
+def _rem_fraction(a, b):
+    """Reference: the remainder of a by a nonzero b, in Fraction arithmetic."""
+    r = list(a)
+    while len(r) >= len(b):
+        f = Fraction(r[-1]) / b[-1]
+        k = len(r) - len(b)
+        for i, bi in enumerate(b):
+            r[k + i] -= f * bi
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
+
+
 def _classical_sturm_chain(p):
     """Reference: the Sturm chain p, p', -rem, ... in Fraction arithmetic."""
     chain = [tuple(Fraction(c) for c in p.coeffs)]
     chain.append(_deriv(chain[0]))
     while chain[-1]:
-        _, r = _divmod_fr(chain[-2], chain[-1])
+        r = _rem_fraction(chain[-2], chain[-1])
         if not r:
             break
         chain.append(tuple(-x for x in r))
@@ -393,12 +408,56 @@ def test_refine_matches_fraction_bisection():
     squeezed = 0
     for p, lo, hi in cases:
         for width in (Fraction(1, 7), Fraction(1, 10 ** 12), Fraction(1, 2 ** 90)):
-            got = refine_root_interval(p, lo, hi, width)
+            (a, b), den = _numerators((lo, hi))
+            a, b, den = refine_root_interval(p, a, b, den, width)
+            assert math.gcd(a, b, den) == 1 and den > 0
+            got = Fraction(a, den), Fraction(b, den)
             assert got == _refine_by_fraction_bisection(p, lo, hi, width)
             assert got[1] - got[0] <= width
         mid = (lo + hi) / 2
         squeezed += p(mid) == 0
     assert squeezed == 3 and len(cases) > 60
+
+
+def test_try_divide_matches_sympy():
+    # integer long division against sympy's division over Q: None unless the
+    # remainder is zero and the quotient integral; pairs with a quotient in
+    # Z[t], with a nonzero remainder, and with g dividing p over Q only
+    rng = random.Random(31)
+    t = sympy.symbols("t")
+
+    def rand_poly(deg):
+        return IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(deg))
+                             + (rng.choice((-3, -2, -1, 1, 2, 3, 5)),))
+
+    pairs = [(IntPolynomial((1, 1)), IntPolynomial((2, 2))),
+             (IntPolynomial(()), IntPolynomial((1, 2)))]
+    for _ in range(300):
+        g, q = rand_poly(rng.randint(0, 4)), rand_poly(rng.randint(0, 4))
+        kind = rng.randrange(3)
+        if kind == 0:                   # g divides p in Z[t]
+            p = g * q
+        elif kind == 1:                 # almost always a nonzero remainder
+            p = rand_poly(rng.randint(0, 8))
+        else:                           # k g divides p over Q; not over Z
+            k = rng.choice((2, 3, 4, 6))  # unless k divides q's content
+            p, g = g * q, IntPolynomial(tuple(k * c for c in g.coeffs))
+        pairs.append((p, g))
+    kinds = {"integral": 0, "remainder": 0, "over Q only": 0}
+    for p, g in pairs:
+        pq = sympy.Poly(list(reversed(p.coeffs)) or [0], t, domain="QQ")
+        gq = sympy.Poly(list(reversed(g.coeffs)), t, domain="QQ")
+        quo, rem = pq.div(gq)
+        if not rem.is_zero:
+            kind, want = "remainder", None
+        elif any(c.q != 1 for c in quo.all_coeffs()):
+            kind, want = "over Q only", None
+        else:
+            kind = "integral"
+            want = IntPolynomial(tuple(int(c) for c in reversed(quo.all_coeffs())))
+        assert polys._try_divide(p, g) == want
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 40, kinds
 
 
 def test_faddeev_leverrier_adjugate():

@@ -114,7 +114,8 @@ def test_substitution_and_abelianization(E, J):
     sigma = substitution_from(its)
     assert sigma.images[1] == (1, 5, 1, 4)
     assert sigma.images[5] == (1, 5, 2, 1, 5, 4)
-    assert sigma.abelianization() == MATRIX
+    assert tuple(sigma.images[i + 1] for i in range(len(its.words))) == its.words
+    assert its.counts_matrix() == MATRIX
 
 
 def test_fixed_words(E, J):
