@@ -534,6 +534,84 @@ class ErgodicReport:
     gap_mass: Optional[float] = None
 
 
+PROBE_HISTORY = 2 ** 15      # scalar warm-up steps whose itinerary seeds the guesses
+PROBE_BLOCK = 2 ** 14        # most steps one verified block advances
+
+
+def _scalar_steps(xs, branch, z, steps):
+    """(points, pieces, next point) of the float orbit of z over steps
+    steps, one bisect_left per step; None when a point is a breakpoint or
+    leaves the domain."""
+    n = len(xs) - 1
+    pts, pieces = [], []
+    for _ in range(steps):
+        i = bisect_left(xs, z)
+        if i <= 0 or i > n or z == xs[i]:
+            return None
+        pts.append(z)
+        pieces.append(i)
+        a, s = branch[i - 1]
+        z = a + s * z
+    return pts, pieces, z
+
+
+def _orbit_counts(Ef: IetSpec, z, steps):
+    """Visits to pieces 1..n of the float orbit of z over steps steps,
+    equal to what _scalar_steps would count over all of them; None on a
+    breakpoint hit.
+
+    After a scalar warm-up of PROBE_HISTORY steps, each block of up to
+    PROBE_BLOCK steps takes as its guess the itinerary that follows the
+    warm-up point nearest to z (nearby points share their pieces for a long
+    time), evaluates the guessed branches with one cumsum, and checks every
+    point as the scalar step does.  The verified prefix is counted; at the
+    first mismatch one scalar step moves on, or reports the hit.
+    """
+    xs, branch = Ef.x, Ef.branches
+    n = Ef.n
+    warm = _scalar_steps(xs, branch, z, min(steps, PROBE_HISTORY))
+    if warm is None:
+        return None
+    hist, pieces, z = warm
+    counts = np.bincount(pieces, minlength=n + 1)
+    pieces = np.array(pieces)
+    hist = np.array(hist)
+    order = np.argsort(hist, kind="stable")
+    sorted_hist = hist[order]
+    xa = np.array(xs)
+    shift = np.array([0.0] + [a for a, _ in branch])
+    sign = np.array([1.0] + [s for _, s in branch])
+    done = len(hist)
+    while done < steps:
+        k = int(np.searchsorted(sorted_hist, z))
+        if k == len(order) or (k > 0 and z - sorted_hist[k - 1] < sorted_hist[k] - z):
+            k -= 1
+        j = int(order[k])
+        L = min(PROBE_BLOCK, steps - done, len(pieces) - j)
+        guess = pieces[j:j + L]
+        e = np.cumprod(sign[guess])
+        u = np.empty(L + 1)
+        u[0] = z
+        np.multiply(e, shift[guess], out=u[1:])
+        np.cumsum(u, out=u)
+        zs = u[:L]
+        zs[1:] *= e[:-1]
+        ok = (np.searchsorted(xa, zs, side="left") == guess) & (zs != xa[guess])
+        p = L if ok.all() else int(ok.argmin())
+        counts += np.bincount(guess[:p], minlength=n + 1)
+        done += p
+        if p == L:
+            z = float(e[-1] * u[L])
+            continue
+        step = _scalar_steps(xs, branch, float(zs[p]), 1)
+        if step is None:
+            return None
+        _pts, (i,), z = step
+        counts[i] += 1
+        done += 1
+    return counts[1:].tolist()
+
+
 def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
                   gap_system: Optional[GapSystem] = None) -> ErgodicReport:
     """Time averages of the piece indicators along float orbits.
@@ -544,11 +622,18 @@ def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
     time spent in the 20 largest gaps next to their total mass (for a
     wandering map this fraction decays with the horizon; both numbers are
     informational).
+
+    The orbits run in verified blocks (_orbit_counts), and they are exactly
+    the step-by-step float orbits z -> a_i + s_i z (s_i = +-1): with e_k the
+    product of the first k signs, u_k = e_k z_k obeys u_{k+1} = fl(u_k +
+    e_{k+1} a_k), because round-to-nearest is odd.  So once the pieces are
+    known, one cumsum (a sequential left fold) gives every point bit for bit,
+    and each point's piece is checked as bisect_left finds it, hits included.
     """
     if steps < 10_000:
         raise ValueError("probe needs at least 1e4 steps")
     Ef = E.as_float()
-    xs, branch = Ef.x, Ef.branches
+    xs = Ef.x
     n = E.n
     if isinstance(seeds, int):
         rng = np.random.default_rng(20_24)
@@ -563,18 +648,8 @@ def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
     for z0 in seed_pts:
         attempts = 0
         while True:
-            counts = [0] * n
-            z = z0
-            hit = False
-            for _ in range(steps):
-                i = bisect_left(xs, z)
-                if i <= 0 or i > n or z == xs[i]:
-                    hit = True
-                    break
-                counts[i - 1] += 1
-                a, s = branch[i - 1]
-                z = a + s * z
-            if not hit:
+            counts = _orbit_counts(Ef, z0, steps)
+            if counts is not None:
                 averages.append(tuple(c / steps for c in counts))
                 break
             attempts += 1

@@ -63,14 +63,21 @@ class RootEmbedding:
         a, b, _ = self.interval
         return a == b
 
-    def width(self) -> Fraction:
-        a, b, den = self.interval
-        return Fraction(b - a, den)
+    def refine(self, max_width: Fraction):
+        """Bisect until the width is at most max_width."""
+        self._bisect(max_width.numerator, max_width.denominator)
 
-    def refine(self, max_width):
-        if self.is_point() or self.width() <= max_width:
+    def narrow(self, k: int):
+        """Bisect until the width is at most 2^-k times the current one."""
+        a, b, den = self.interval
+        self._bisect(b - a, den << k)
+
+    def _bisect(self, wnum, wden):
+        # the width target is wnum / wden, compared on the integer ends
+        a, b, den = self.interval
+        if a == b or (b - a) * wden <= wnum * den:
             return
-        self.interval = refine_root_interval(self.poly, *self.interval, max_width)
+        self.interval = refine_root_interval(self.poly, a, b, den, wnum, wden)
         self._shadow = None
 
     def shadow(self):
@@ -168,7 +175,7 @@ class NumberField:
         if k > 1:
             raise AmbiguousRoot(f"{k} roots of {self.minpoly} in ({lo}, {hi})")
         emb = RootEmbedding(self.minpoly, lo, hi)
-        emb.refine((hi - lo) / 4)
+        emb.narrow(2)
         return self.generator(emb)
 
 
@@ -363,7 +370,7 @@ class AlgebraicNumber:
             if nlo == (2 * hi * scale + s) // (2 * s):
                 return _format_scaled(nlo, digits)
             FILTER_COUNTS["decimal"] += 1
-            emb.refine(emb.width() / 16)
+            emb.narrow(4)
 
     def __repr__(self):
         self.embedding.refine(Fraction(1, 10 ** 12))
@@ -476,7 +483,7 @@ def exact_sign(value) -> int:
         if hi < 0:
             return -1
         FILTER_COUNTS["refined"] += 1
-        emb.refine(emb.width() / 16)
+        emb.narrow(4)
     raise RuntimeError("sign determination failed to converge")
 
 
@@ -501,7 +508,7 @@ def float_enclosure(value):
             lo, hi, s = _interval_eval(value.nums, *emb.interval)
             if (hi - lo) * 2 ** 61 <= abs(lo + hi):
                 break
-            emb.refine(emb.width() / 2 ** 16)
+            emb.narrow(16)
         den = value.den * s
     else:
         lo = hi = value.numerator

@@ -266,22 +266,22 @@ def _sign_at(c, num, den):
     return (v > 0) - (v < 0)
 
 
-def refine_root_interval(p: IntPolynomial, a, b, den, max_width):
+def refine_root_interval(p: IntPolynomial, a, b, den, wnum, wden):
     """Bisect an isolating interval [a/den, b/den] (integers, den > 0, ends
-    not roots) until its width is at most the rational max_width; returns
-    its integer ends (a, b, den) in lowest terms.
+    not roots) until its width is at most wnum/wden (positive integers);
+    returns its integer ends (a, b, den) in lowest terms.
 
     The denominator doubles at each step, so a midpoint costs one integer
-    evaluation (_sign_at); the midpoints, hence the intervals, are those of
-    bisection in rationals.  A midpoint that is a root is squeezed around
-    with non-root ends, and bisection goes on from there.
+    evaluation (_sign_at) and the width test is an integer comparison; the
+    midpoints, hence the intervals, are those of bisection in rationals.  A
+    midpoint that is a root is squeezed around with non-root ends, and
+    bisection goes on from there.
     """
     c = p.coeffs
-    max_width = Fraction(max_width)
     while True:
         sl = _sign_at(c, a, den)
         assert sl != 0 and _sign_at(c, b, den) != 0
-        while (b - a) * max_width.denominator > max_width.numerator * den:
+        while (b - a) * wden > wnum * den:
             mid = a + b
             a, b, den = 2 * a, 2 * b, 2 * den
             s = _sign_at(c, mid, den)

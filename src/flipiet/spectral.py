@@ -48,10 +48,11 @@ class BhmVerdict:
     reason: str                      # one of SCREEN_REASONS
 
 
-def real_eigenvalues(m):
+def real_eigenvalues(m, _loop=None):
     """All real eigenvalues as exact algebraic numbers, ascending, each tagged
-    with the index of its irreducible factor."""
-    cp = char_poly(m)
+    with the index of its irreducible factor.  _loop is
+    faddeev_leverrier(m) when the caller has run it already."""
+    cp = char_poly(m) if _loop is None else _loop[0]
     factors = factor_rational(cp)
     found = []
     for ix, (f, _mult) in enumerate(factors):
@@ -73,25 +74,26 @@ def real_eigenvalues(m):
                 if ea.is_point() and eb.is_point():
                     continue
                 if not (ea.hi <= eb.lo or eb.hi <= ea.lo):
-                    ea.refine(ea.width() / 8)
-                    eb.refine(eb.width() / 8)
+                    ea.narrow(3)
+                    eb.narrow(3)
                     changed = True
     found.sort(key=lambda t: t[0].embedding.lo)
     return cp, factors, tuple(found)
 
 
-def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
+def solve_eigenvector(m, theta: AlgebraicNumber, left=False, _loop=None):
     """Exact kernel vector of (m - theta I), or of the transpose when left,
     unscaled: the callers scale it once (perron_data, eigen_left).
 
     It is read off the adjugate adj(theta I - M) = sum_k theta^(n-1-k) B_k of
-    the Faddeev-LeVerrier loop (polys.faddeev_leverrier).  When the kernel is
-    one-dimensional (true for simple roots of the characteristic polynomial,
-    in particular for Perron roots of quasi-positive matrices) the adjugate
-    has rank one: its nonzero columns span the right kernel and its nonzero
-    rows the left one.  With theta = g(t)/D for an integer polynomial g, the
-    entries times D^(n-1) are integer combinations of g^j mod the minimal
-    polynomial, and those integer coordinates are the vector returned.
+    the Faddeev-LeVerrier loop (polys.faddeev_leverrier, or _loop when the
+    caller has run it on m already).  When the kernel is one-dimensional
+    (true for simple roots of the characteristic polynomial, in particular
+    for Perron roots of quasi-positive matrices) the adjugate has rank one:
+    its nonzero columns span the right kernel and its nonzero rows the left
+    one.  With theta = g(t)/D for an integer polynomial g, the entries times
+    D^(n-1) are integer combinations of g^j mod the minimal polynomial, and
+    those integer coordinates are the vector returned.
 
     Raises NotAnEigenvalue when the adjugate vanishes (a kernel of dimension
     two or more) or when the vector fails the exact eigen identity (theta is
@@ -99,7 +101,7 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
     """
     n = len(m)
     mm = mat_transpose(m) if left else m
-    _cp, terms = faddeev_leverrier(mm)
+    _cp, terms = faddeev_leverrier(m) if _loop is None else _loop
     fld, emb = theta.field, theta.embedding
     f = fld.minpoly.coeffs
     g, den = theta.nums, theta.den
@@ -116,7 +118,7 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
         for i in range(n):
             acc = [0] * d
             for b, p in zip(terms, gk):
-                c = b[i][j]
+                c = b[j][i] if left else b[i][j]
                 if c:
                     for t, pt in enumerate(p):
                         acc[t] += c * pt
@@ -149,9 +151,10 @@ def perron_data(m) -> SpectralData:
     """
     if not quasi_positive(m):
         raise NotQuasiPositive("no power of the matrix is positive")
-    cp, factors, roots = real_eigenvalues(m)
+    loop = faddeev_leverrier(m)
+    cp, factors, roots = real_eigenvalues(m, _loop=loop)
     theta1, _ix = roots[-1]
-    vec = solve_eigenvector(m, theta1, left=False)
+    vec = solve_eigenvector(m, theta1, _loop=loop)
     total = vec[0]
     for v in vec[1:]:
         total = total + v

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from flipiet import denjoy
 from flipiet.denjoy import (TAIL_PROBE, aiet_from_gaps, birkhoff_profile,
                             blowup_chain, ergodic_probe, gap_system_build,
                             log_slope_select, verify_wandering)
 from flipiet.errors import DivergentGaps
+from flipiet.iet import IetSpec
 from flipiet.quintic import MATRIX, bundled_iet
 from flipiet.selfsim import cylinder_locate, stationary_window
 from flipiet.spectral import bhm_screen
@@ -219,9 +221,9 @@ def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch):
         calls.append(m)
         return real(m)
 
-    def counted_eigen(m):
+    def counted_eigen(m, **kw):
         eigen_calls.append(m)
-        return real_eigen(m)
+        return real_eigen(m, **kw)
 
     monkeypatch.setattr(flipiet.spectral, "perron_data", counted)
     monkeypatch.setattr(flipiet.spectral, "real_eigenvalues", counted_eigen)
@@ -302,3 +304,211 @@ def test_address_selection_stable_across_probe_lengths(setting):
                                probe_length=pl)
         assert lsv.address == (5, 1, 1)
         assert lsv.sign_choice == -1 or lsv.signed_float[1] < 0
+
+
+def _scalar_probe(E, seeds, steps, reference=None):
+    """The step-by-step probe loop that ergodic_probe's block kernel
+    replaced, kept verbatim as the reference: (per_seed, spread,
+    max_deviation, retries)."""
+    from bisect import bisect_left
+    Ef = E.as_float()
+    xs, branch = Ef.x, Ef.branches
+    n = E.n
+    if isinstance(seeds, int):
+        rng = np.random.default_rng(20_24)
+        lo, hi = xs[0], xs[-1]
+        span = hi - lo
+        seed_pts = [lo + span * (0.02 + 0.96 * rng.random()) for _ in range(seeds)]
+    else:
+        seed_pts = [float(s) for s in seeds]
+
+    retries = 0
+    averages = []
+    for z0 in seed_pts:
+        attempts = 0
+        while True:
+            counts = [0] * n
+            z = z0
+            hit = False
+            for _ in range(steps):
+                i = bisect_left(xs, z)
+                if i <= 0 or i > n or z == xs[i]:
+                    hit = True
+                    break
+                counts[i - 1] += 1
+                a, s = branch[i - 1]
+                z = a + s * z
+            if not hit:
+                averages.append(tuple(c / steps for c in counts))
+                break
+            attempts += 1
+            retries += 1
+            if attempts > 10:
+                raise RuntimeError("orbit kept hitting discontinuities")
+            z0 = xs[0] + (xs[-1] - xs[0]) * ((z0 * 7919.77 + attempts) % 1.0)
+
+    spread = 0.0
+    for j in range(n):
+        col = [av[j] for av in averages]
+        spread = max(spread, max(col) - min(col))
+    max_dev = None
+    if reference is not None:
+        ref = [float(v) for v in reference]
+        max_dev = max(abs(av[j] - ref[j]) for av in averages for j in range(n))
+    return tuple(averages), spread, max_dev, retries
+
+
+def _kernel_probe(E, seeds, steps, reference=None):
+    rep = ergodic_probe(E, seeds, steps, reference=reference)
+    return rep.per_seed, rep.spread, rep.max_deviation, rep.retries
+
+
+def _outcome(probe, *args):
+    """The probe's fields, or "RuntimeError" when an orbit kept hitting
+    breakpoints."""
+    try:
+        return probe(*args)
+    except RuntimeError:
+        return "RuntimeError"
+
+
+def test_probe_kernel_matches_scalar_reference(monkeypatch):
+    # the bundled exchange as the wandering report probes it
+    E = bundled_iet()
+    ref = [float(v) for v in E.lengths]
+    got = _outcome(_kernel_probe, E, 5, 10 ** 6, ref)
+    assert got == _outcome(_scalar_probe, E, 5, 10 ** 6, ref)
+    assert [round(c * 10 ** 6) for c in got[0][0]] == [379768, 90805, 70445,
+                                                        170020, 288962]
+
+    # an exactly periodic orbit, run past the warm-up
+    E = IetSpec((0.5, 0.5), (2, 1))
+    steps = 3 * denjoy.PROBE_HISTORY + 6
+    got = _outcome(_kernel_probe, E, [0.25], steps, [0.5, 0.5])
+    assert got == _outcome(_scalar_probe, E, [0.25], steps, [0.5, 0.5])
+    assert got[0] == ((0.5, 0.5),)
+
+    # 1,000 random flipped float exchanges, with a short warm-up and short
+    # blocks so that blocks, mismatches and hits inside blocks are frequent.
+    # A third have dyadic lengths, origin and seeds: their orbits stay on a
+    # lattice that holds the breakpoints, so they hit them and reseed.
+    monkeypatch.setattr(denjoy, "PROBE_HISTORY", 2 ** 10)
+    monkeypatch.setattr(denjoy, "PROBE_BLOCK", 2 ** 9)
+    scalar_steps = denjoy._scalar_steps
+    block_hits = []
+
+    def counted(xs, branch, z, steps):
+        out = scalar_steps(xs, branch, z, steps)
+        if steps == 1 and out is None:
+            block_hits.append(z)
+        return out
+
+    monkeypatch.setattr(denjoy, "_scalar_steps", counted)
+    rng = np.random.default_rng(13)
+    retried = 0
+    for trial in range(1000):
+        n = int(rng.integers(2, 8))
+        perm = [int(v) + 1 for v in rng.permutation(n)]
+        signs = rng.choice((-1, 1), size=n)
+        signs[rng.integers(n)] = -1
+        if trial % 3 == 0:
+            den = 2 ** int(rng.integers(3, 13))
+            ints = rng.integers(1, den, size=n)
+            if trial % 2 == 0:
+                # only the last piece flips, in place, and it holds no
+                # lattice point: on the lattice this is an exchange without
+                # flips, whose orbits run long before they meet a breakpoint
+                perm = [int(v) + 1 for v in rng.permutation(n - 1)] + [n]
+                signs = [1] * (n - 1) + [-1]
+                den = 2 ** int(rng.integers(11, 15))
+                ints = rng.integers(1, den, size=n)
+                ints[-1] = 1
+            lengths = tuple(int(v) / den for v in ints)
+            origin = int(rng.integers(-2, 3)) / den
+            seeds = [origin + int(k) / den
+                     for k in rng.integers(0, int(ints.sum()), size=2)]
+        else:
+            lengths = tuple(float(v) for v in rng.uniform(0.05, 1.0, size=n))
+            origin = float(rng.uniform(-1, 1))
+            seeds = 1
+        E = IetSpec(lengths, tuple(int(s) * p for s, p in zip(signs, perm)),
+                    origin)
+        want = _outcome(_scalar_probe, E, seeds, 10 ** 4, lengths)
+        assert _outcome(_kernel_probe, E, seeds, 10 ** 4, lengths) == want, trial
+        retried += want == "RuntimeError" or want[3] > 0
+    assert retried >= 100
+    assert len(block_hits) >= 20
+
+
+def test_probe_blocks_reproduce_the_float_orbit(monkeypatch):
+    # the points of a block are the step-by-step floats bit for bit: every
+    # point at which a block stops and a scalar step takes over lies on the
+    # scalar orbit (equal counts alone would not show an ulp of drift)
+    scalar_steps = denjoy._scalar_steps
+    handed_over = []
+
+    def recorded(xs, branch, z, steps):
+        if steps == 1:
+            handed_over.append(z)
+        return scalar_steps(xs, branch, z, steps)
+
+    monkeypatch.setattr(denjoy, "_scalar_steps", recorded)
+
+    def check(E, z0, steps):
+        handed_over.clear()
+        counts = denjoy._orbit_counts(E, z0, steps)
+        ref = scalar_steps(E.x, E.branches, z0, steps)
+        if ref is None:
+            assert counts is None
+            return 0
+        pts, pieces, _ = ref
+        assert counts == np.bincount(pieces, minlength=E.n + 1)[1:].tolist()
+        assert set(handed_over) <= set(pts)
+        return len(handed_over)
+
+    checked = check(bundled_iet().as_float(), 0.3, 2 * 10 ** 5)
+    monkeypatch.setattr(denjoy, "PROBE_HISTORY", 2 ** 10)
+    monkeypatch.setattr(denjoy, "PROBE_BLOCK", 2 ** 9)
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(3, 8))
+        sp = tuple(int(s) * (int(p) + 1) for s, p in
+                   zip(rng.choice((-1, 1), size=n), rng.permutation(n)))
+        E = IetSpec(tuple(rng.uniform(0.05, 1.0, size=n)), sp)
+        checked += check(E, float(rng.uniform(0.1, 0.9)) * E.x[-1], 2 * 10 ** 4)
+    assert checked >= 50
+
+
+def test_probe_kernel_premises_hold_in_floats():
+    # the kernel needs np.cumsum to be the sequential left fold and float
+    # rounding to be odd: -(a + b) == (-a) + (-b)
+    rng = np.random.default_rng(5)
+    tiny = 2.0 ** -53
+    cases = [[1.0] + [tiny] * 8, [tiny] * 8 + [1.0], [1.0, tiny, -1.0, tiny] * 4,
+             [0.1, 0.2, 0.3, -0.6, 1e16, 1.0, -1e16, 3.0]]
+    for _ in range(200):
+        v = rng.uniform(-1, 1, size=64) * 2.0 ** rng.integers(-60, 60, size=64)
+        cases.append(list(v))
+    for vals in cases:
+        fold, acc = [], 0.0
+        for k, v in enumerate(vals):
+            acc = v if k == 0 else acc + v
+            fold.append(acc)
+        assert np.cumsum(np.array(vals)).tolist() == fold
+        for a, b in zip(vals, vals[1:]):
+            assert -(a + b) == (-a) + (-b)
+
+
+def test_probe_working_set_is_fixed():
+    # the warm-up history and one block, about 3 MB, at any number of steps;
+    # the points of a 10^6-step orbit alone would take 8 MB
+    import tracemalloc
+    E = bundled_iet()
+    ergodic_probe(E, 1, 10 ** 4)         # one-time float views and imports
+    peaks = []
+    for steps in (10 ** 6, 10 ** 5):
+        tracemalloc.start()
+        ergodic_probe(E, 1, steps)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert max(peaks) < 4 * 2 ** 20

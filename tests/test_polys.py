@@ -7,6 +7,7 @@ import sympy
 
 from flipiet import polys
 from flipiet.errors import DegreeCapExceeded
+from flipiet.numfield import RootEmbedding
 from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _numerators,
                            _sieve_degrees,
                            char_poly, count_roots, factor_rational,
@@ -409,11 +410,19 @@ def test_refine_matches_fraction_bisection():
     for p, lo, hi in cases:
         for width in (Fraction(1, 7), Fraction(1, 10 ** 12), Fraction(1, 2 ** 90)):
             (a, b), den = _numerators((lo, hi))
-            a, b, den = refine_root_interval(p, a, b, den, width)
+            a, b, den = refine_root_interval(p, a, b, den, width.numerator,
+                                             width.denominator)
             assert math.gcd(a, b, den) == 1 and den > 0
             got = Fraction(a, den), Fraction(b, den)
             assert got == _refine_by_fraction_bisection(p, lo, hi, width)
             assert got[1] - got[0] <= width
+        # RootEmbedding.narrow(k): down to 2^-k of the current width
+        emb = RootEmbedding(p, lo, hi)
+        for k in (2, 3, 4, 16, 4):
+            want = _refine_by_fraction_bisection(p, emb.lo, emb.hi,
+                                                 (emb.hi - emb.lo) / 2 ** k)
+            emb.narrow(k)
+            assert (emb.lo, emb.hi) == want
         mid = (lo + hi) / 2
         squeezed += p(mid) == 0
     assert squeezed == 3 and len(cases) > 60

@@ -281,9 +281,9 @@ def test_cli_spectral_finds_the_roots_once(monkeypatch, capsys):
     calls = []
     real = flipiet.spectral.real_eigenvalues
 
-    def counted(m):
+    def counted(m, **kw):
         calls.append(m)
-        return real(m)
+        return real(m, **kw)
 
     monkeypatch.setattr(flipiet.spectral, "real_eigenvalues", counted)
     assert main(["spectral"]) == 0
@@ -324,3 +324,21 @@ def test_eigen_left_sign_is_pinned(rauzy_graph):
             checked.append(m)
     assert checked[0] == MATRIX and len(checked) >= 10
     assert blowup_chain(bundled_iet()).lsv.sign_choice == -1
+
+
+def test_perron_data_runs_one_faddeev_leverrier_loop(monkeypatch):
+    # the characteristic polynomial and the adjugate of the right vector come
+    # from the same loop
+    import flipiet.polys
+    calls = []
+    real = flipiet.polys.faddeev_leverrier
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(flipiet.polys, "faddeev_leverrier", counted)
+    monkeypatch.setattr(flipiet.spectral, "faddeev_leverrier", counted)
+    sd = perron_data(MATRIX)
+    assert calls == [MATRIX]
+    assert sd.char_poly.coeffs == (-1, 9, -26, 28, -11, 1)
