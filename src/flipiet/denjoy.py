@@ -85,14 +85,19 @@ def birkhoff_profile(word, w, N):
     """
     if len(word) < N:
         raise ValueError("word shorter than requested horizon")
-    incr = np.array([w[s - 1] for s in word[:N]], dtype=float)
-    S = np.concatenate([[0.0], np.cumsum(incr)])
-    kappa = _envelope_exponent(S)
-    k0 = max(KAPPA_FIT_START, int(0.3 * N))
+    S, prof = _decay_verdict(np.array(w, dtype=float), word[:N])
+    prof.kappa = _envelope_exponent(S)
+    return S, prof.kappa, prof
+
+
+def _decay_verdict(w, word):
+    """(S, profile): birkhoff_profile's sums of the array w along the word
+    and its verdict on them, with kappa left nan for the caller to fit."""
+    S = np.concatenate([[0.0], np.cumsum(np.take(w, np.array(word) - 1))])
+    k0 = max(KAPPA_FIT_START, int(0.3 * len(word)))
     tail_max = float(S[k0:].max()) if len(S) > k0 else float(S.max())
-    decaying = bool(tail_max <= -1.0 and S[-1] <= -2.0)
-    return S, kappa, BirkhoffProfile(kappa=kappa, decaying=decaying,
-                                     final_sum=float(S[-1]), tail_max=tail_max)
+    return S, BirkhoffProfile(math.nan, bool(tail_max <= -1.0 and S[-1] <= -2.0),
+                              float(S[-1]), tail_max)
 
 
 def _envelope_exponent(S):
@@ -106,8 +111,19 @@ def _envelope_exponent(S):
     return float(np.polyfit(np.log(n[mask]), np.log(run[mask]), 1)[0])
 
 
-def _word_sum(word, w):
-    return sum(w[s - 1] for s in word)
+def _decaying_profiles(sigma, address, ws, N):
+    """The fitted Birkhoff profiles of the stationary point of the address
+    under the weight array ws, forward and backward, when both decay; the
+    window and the sums are freed on return, before the next address."""
+    past, future = stationary_window(sigma, address, N, N)
+    Sf, fwd = _decay_verdict(ws, future[:N])
+    if fwd.decaying:
+        # backward sums: S_{-m} = -sum of w over the last m past symbols
+        Sb, bwd = _decay_verdict(-ws, past[::-1])
+        if bwd.decaying:
+            fwd.kappa, bwd.kappa = _envelope_exponent(Sf), _envelope_exponent(Sb)
+            return fwd, bwd
+    return None
 
 
 def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
@@ -135,19 +151,14 @@ def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
                 img = sigma(img)
             prefix, suffix = img[:j], img[j + 1:]
             for sign in (1, -1):
-                ws = tuple(sign * v for v in wf)
-                if not (_word_sum(prefix, ws) > 0 and _word_sum(suffix, ws) < 0):
+                ws = sign * np.array(wf)
+                if not (sum(ws[s - 1] for s in prefix) > 0
+                        and sum(ws[s - 1] for s in suffix) < 0):
                     continue
-                past, future = stationary_window(sigma, address, probe_length,
-                                                 probe_length)
-                _, _, fwd = birkhoff_profile(future, ws, probe_length)
-                _, _, bwd = birkhoff_profile(past[::-1], tuple(-v for v in ws),
-                                             probe_length)
-                # backward sums: S_{-m} = -sum of w over the last m past symbols
-                if fwd.decaying and bwd.decaying:
-                    return LogSlopeVector(w=w, w_float=wf, sign_choice=sign,
-                                          address=address, forward=fwd,
-                                          backward=bwd)
+                # at most one sign passes, so one window per address
+                profiles = _decaying_profiles(sigma, address, ws, probe_length)
+                if profiles:
+                    return LogSlopeVector(w, wf, sign, address, *profiles)
     raise SignSelectionFailed("no occurrence address gives two-sided decay")
 
 

@@ -407,28 +407,6 @@ _SLACK = 1.0 + 2.0 ** -32
 _TINY = 2.0 ** -1000
 
 
-def _filtered_dot(coeffs, shadows, errors):
-    """(s, B): the float value s of sum_i c_i * b_i and a proven bound B on
-    its error; the derivation is in filtered_sign."""
-    n = len(coeffs)
-    if n > _MAX_TERMS:
-        return 0.0, math.inf
-    s = mag = err = 0.0
-    try:
-        for c, b, e in zip(coeffs, shadows, errors):
-            if c:
-                f = float(c)
-                if -_NORMAL_MIN < f < _NORMAL_MIN:
-                    return 0.0, math.inf
-                p = f * b
-                s += p
-                mag += abs(p)
-                err += abs(f) * e
-    except OverflowError:
-        return 0.0, math.inf
-    return s, (err + (2 * n + 2) * _U * mag + _TINY) * _SLACK
-
-
 def filtered_sign(coeffs, shadows, errors) -> int:
     """Sign of sum_i c_i * b_i when the float filter can prove it, else 0.
 
@@ -459,11 +437,40 @@ def filtered_sign(coeffs, shadows, errors) -> int:
     the partial mag), and then no sign is decided.  The sign of s is returned
     only when |s| > B, so it is the sign of sum c_i b_i.
     """
-    s, bound = _filtered_dot(coeffs, shadows, errors)
-    if abs(s) > bound:
+    n = len(coeffs)
+    if n > _MAX_TERMS:
+        return 0
+    s = mag = err = 0.0
+    try:
+        for c, b, e in zip(coeffs, shadows, errors):
+            if c:
+                f = float(c)
+                if -_NORMAL_MIN < f < _NORMAL_MIN:
+                    return 0
+                p = f * b
+                s += p
+                mag += abs(p)
+                err += abs(f) * e
+    except OverflowError:
+        return 0
+    if abs(s) > (err + (2 * n + 2) * _U * mag + _TINY) * _SLACK:
         FILTER_COUNTS["filtered"] += 1
         return 1 if s > 0 else -1
     return 0
+
+
+def filtered_signs(rows, shadows, errors):
+    """filtered_sign of each row of an integer array (entries below 2^53, so
+    exact in float), on float arrays of shadows and errors.  Higham's (3.5)
+    and the bounds on err and mag hold in any summation order, numpy's too.
+    An infinite e_i gives a nan or infinite bound, which decides no sign."""
+    mags = abs(rows)
+    s = rows @ shadows
+    bound = (mags @ errors + (2 * len(shadows) + 2) * _U * (mags @ abs(shadows))
+             + _TINY) * (_SLACK if len(shadows) <= _MAX_TERMS else math.inf)
+    signs = (s > bound).astype(int) - (s < -bound)
+    FILTER_COUNTS["filtered"] += int((signs != 0).sum())
+    return signs
 
 
 def exact_sign(value) -> int:

@@ -16,13 +16,16 @@ identity  sum_i N_i * |piece_i| = |domain|  exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+
+import numpy as np
 
 from .errors import EmptyCylinder, NoFixedSeed, ReturnTimeCapExceeded
 from .iet import IetSpec, SignedPermutation
-from .numfield import exact_quotient, exact_sign, filtered_sign, float_enclosure
+from .numfield import (exact_quotient, exact_sign, filtered_sign, filtered_signs,
+                       float_enclosure)
 
 DEFAULT_RETURN_CAP = 10_000
+CYLINDER_BLOCK = 2 ** 12      # constraint rows that cylinder_locate filters at once
 
 
 @dataclass
@@ -309,56 +312,66 @@ def stationary_window(sigma: Substitution, address, back: int, fwd: int):
 def cylinder_locate(E: IetSpec, word_prefix):
     """Open interval of points whose symbols at steps 0..m-1 equal the prefix.
 
-    Computed by iterated inverse images; EmptyCylinder when no point realizes
-    the prefix.  Every endpoint met on the way is origin + sum_i k_i alpha_i
-    for an integer vector k, because the breakpoints x_j and the slot ends y_j
-    are prefix sums of the lengths alpha_i.  So the walk carries only the
-    k-vectors, and compares two points by the sign of sum_i (k_i - k'_i)
-    alpha_i, through numfield.filtered_sign on float enclosures of the
-    lengths certified once, with numfield.exact_sign as the fallback, so the
-    result is exact.  The two final endpoints are converted back to scalars
-    at the end.  A float-mode E has no exact cylinder: ValueError.
+    The first k branches compose to a bijection phi_k(z) = s_k + e_k z, so
+    the cylinder is the intersection over k of {z : x_{w_k - 1} < phi_k(z) <
+    x_{w_k}}, from the largest lower constraint to the smallest upper one
+    (else EmptyCylinder).  Each constraint is origin + sum_i k_i alpha_i with
+    integers |k_i| <= 2m + 1: e_k is a product of signs and e_k s_k a cumsum
+    of signed shifts.  In blocks of CYLINDER_BLOCK, numfield.filtered_signs
+    (its bound holds in any summation order) drops each row proven below the
+    float-best one, and filtered_sign with the exact_sign fallback settles
+    the rest.  A float-mode E raises ValueError.
     """
     if E.float_mode:
         raise ValueError("cylinders are located on exact exchanges only")
     word = tuple(word_prefix)
     if not word:
         raise ValueError("empty prefix")
-    for s in word:
-        if not (1 <= s <= E.n):
-            raise ValueError(f"symbol {s} outside 1..{E.n}")
     n, lengths = E.n, E.lengths
-    # k-vectors of x_0..x_n and y_0..y_n
-    xk = [(0,) * n]
-    yk = [(0,) * n]
-    for j in range(1, n + 1):
-        xk.append(xk[-1][:j - 1] + (1,) + xk[-1][j:])
-        i = E.sp.pi_inv[j] - 1
-        yk.append(yk[-1][:i] + (1,) + yk[-1][i + 1:])
-
-    shadows, errors = zip(*map(float_enclosure, lengths))
+    shadows, errors = map(np.array, zip(*map(float_enclosure, lengths)))
+    # k-vectors of the x_j and the branch shifts (slot pi_i follows pi_c < pi_i)
+    pi, tau = np.array(E.sp.pi), np.array(E.sp.tau)
+    xk = np.tri(n + 1, n, -1, dtype=np.int64)
+    shift = (pi < pi[:, None]) + np.where(tau[:, None] > 0, -xk[:-1], xk[1:])
 
     def order(a, b):
-        d = tuple(map(sub, a, b))
+        d = [p - q for p, q in zip(a, b)]
         return (filtered_sign(d, shadows, errors)
                 or exact_sign(_combine(d, lengths, 0)))
 
-    lo, hi = xk[word[-1] - 1], xk[word[-1]]
-    for sym in word[-2::-1]:
-        j = E.sp.pi[sym - 1]
-        slo, shi = yk[j - 1], yk[j]
-        lo2 = lo if order(lo, slo) > 0 else slo
-        hi2 = hi if order(hi, shi) < 0 else shi
-        if order(lo2, hi2) >= 0:
-            raise EmptyCylinder(f"prefix unrealizable at symbol {sym}")
-        if E.sp.tau[sym - 1] > 0:
-            # lo, hi = x_{sym-1} + (lo2 - slo), x_{sym-1} + (hi2 - slo)
-            base = tuple(map(sub, xk[sym - 1], slo))
-            lo, hi = tuple(map(add, base, lo2)), tuple(map(add, base, hi2))
-        else:
-            # lo, hi = x_sym - (hi2 - slo), x_sym - (lo2 - slo)
-            base = tuple(map(add, xk[sym], slo))
-            lo, hi = tuple(map(sub, base, hi2)), tuple(map(sub, base, lo2))
+    def largest(rows, best):
+        rows = np.vstack((rows, best))
+        lead = rows[np.argmax(rows @ shadows)]
+        keep = filtered_signs(rows - lead, shadows, errors) >= 0
+        best, *rest = sorted(set(map(tuple, rows[keep].tolist())))
+        for row in rest:
+            best = row if order(row, best) > 0 else best
+        return best
+
+    def bounds(word):
+        # every lower constraint is at least x_0, every upper one at most x_n
+        e, u, lo, hi = 1, np.zeros(n, dtype=np.int64), xk[0], -xk[n]
+        for at in range(0, len(word), CYLINDER_BLOCK):
+            i = np.array(word[at:at + CYLINDER_BLOCK]) - 1   # piece indices
+            bad = (i < 0) | (i >= n)
+            if bad.any():
+                raise ValueError(f"symbol {i[bad.argmax()] + 1} outside 1..{n}")
+            after = e * np.cumprod(tau[i])                  # e_{k+1}
+            incr = after[:, None] * shift[i]
+            uk = u + np.cumsum(incr, axis=0) - incr         # u_k = e_k s_k
+            e, u, ek = after[-1], uk[-1] + incr[-1], after * tau[i]
+            lo = largest(ek[:, None] * xk[i + (ek < 0)] - uk, lo)
+            hi = largest(uk - ek[:, None] * xk[i + (ek > 0)], hi)
+        return lo, [-v for v in hi]
+
+    lo, hi = bounds(word)
+    if order(lo, hi) >= 0:
+        # bisect for the largest k with word[k:] empty (never k = m - 1)
+        a, b = 0, len(word) - 1
+        while b - a > 1:
+            k = (a + b) // 2
+            a, b = (k, b) if order(*bounds(word[k:])) >= 0 else (a, k)
+        raise EmptyCylinder(f"prefix unrealizable at symbol {word[a]}")
     return _combine(lo, lengths, E.origin), _combine(hi, lengths, E.origin)
 
 

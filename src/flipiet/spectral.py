@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .errors import NotAnEigenvalue, NotQuasiPositive
@@ -141,20 +140,21 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False, _loop=None):
     return tuple(AlgebraicNumber(fld, tuple(v), 1, emb) for v in vec)
 
 
-def perron_data(m) -> SpectralData:
+def perron_data(m, _loop=None) -> SpectralData:
     """Dominant eigenvalue and its exact probability right eigenvector.
 
     Requires quasi-positivity, checked by boolean powering up to the
     primitivity bound.  The eigenvector is solved exactly over Q(theta1) from
     the adjugate (solve_eigenvector), normalized to sum 1 by one inverse of
-    its total, and verified entrywise positive.
+    its total, and verified entrywise positive.  _loop is faddeev_leverrier(m)
+    when the caller has run it and found m quasi-positive (bhm_screen).
     """
-    if not quasi_positive(m):
+    if _loop is None and not quasi_positive(m):
         raise NotQuasiPositive("no power of the matrix is positive")
-    loop = faddeev_leverrier(m)
-    cp, factors, roots = real_eigenvalues(m, _loop=loop)
+    _loop = _loop or faddeev_leverrier(m)
+    cp, factors, roots = real_eigenvalues(m, _loop=_loop)
     theta1, _ix = roots[-1]
-    vec = solve_eigenvector(m, theta1, _loop=loop)
+    vec = solve_eigenvector(m, theta1, _loop=_loop)
     total = vec[0]
     for v in vec[1:]:
         total = total + v
@@ -166,14 +166,22 @@ def perron_data(m) -> SpectralData:
                         perron=(theta1, alpha))
 
 
-@lru_cache(maxsize=4)
-def shared_perron_data(m) -> SpectralData:
+_PERRON_CACHE = {}      # matrix -> SpectralData, least recently used first
+
+
+def shared_perron_data(m, _loop=None) -> SpectralData:
     """perron_data(m) for a matrix given as a tuple of row tuples, kept for the
-    four most recent matrices, so that the stages of one run share one
-    computation and one set of embeddings (the bundled exchange's lengths
-    and the Perron data of its blow-up chain, for instance).  Callers share
-    the result: its embeddings only ever narrow in place."""
-    return perron_data(m)
+    four most recently used matrices, so that the stages of one run share one
+    computation and one set of embeddings (the bundled exchange's lengths and
+    the Perron data of its blow-up chain, for instance), which only narrow in
+    place.  _loop, no part of the key, goes to perron_data on a miss."""
+    sd = _PERRON_CACHE[m] = _PERRON_CACHE.pop(m, None) or perron_data(m, _loop)
+    if len(_PERRON_CACHE) > 4:
+        del _PERRON_CACHE[next(iter(_PERRON_CACHE))]
+    return sd
+
+
+shared_perron_data.cache_clear = _PERRON_CACHE.clear
 
 
 def eigen_left(m, theta: AlgebraicNumber):
@@ -201,15 +209,16 @@ def bhm_screen(m) -> BhmVerdict:
     candidates in (1, theta1) all live in other irreducible factors.
     Otherwise qualifies, with theta2 the largest conjugate candidate.  Past
     the Sturm count the roots come from shared_perron_data(m) (m a tuple of
-    row tuples), which a validation of the same matrix then reuses.
+    row tuples), which a validation of the same matrix then reuses; it gets
+    the screen's Faddeev-LeVerrier loop, so one loop serves both.
     """
     if not quasi_positive(m):
         return BhmVerdict(False, None, None, "not_quasi_positive")
-    cp = char_poly(m)
-    if _count_real_roots_above_one(cp) < 2:
+    loop = faddeev_leverrier(m)
+    if _count_real_roots_above_one(loop[0]) < 2:
         # at most the Perron root exceeds 1; skip factorization entirely
         return BhmVerdict(False, None, None, "no_real_theta2_gt1")
-    return screen_real_roots(shared_perron_data(m).real_roots)
+    return screen_real_roots(shared_perron_data(m, loop).real_roots)
 
 
 def screen_real_roots(roots) -> BhmVerdict:

@@ -217,9 +217,9 @@ def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch):
     real = flipiet.spectral.perron_data
     real_eigen = flipiet.spectral.real_eigenvalues
 
-    def counted(m):
+    def counted(m, *args):
         calls.append(m)
-        return real(m)
+        return real(m, *args)
 
     def counted_eigen(m, **kw):
         eigen_calls.append(m)
@@ -304,6 +304,63 @@ def test_address_selection_stable_across_probe_lengths(setting):
                                probe_length=pl)
         assert lsv.address == (5, 1, 1)
         assert lsv.sign_choice == -1 or lsv.signed_float[1] < 0
+
+
+def _eager_log_slope_select(matrix, theta2, sigma, probe_length):
+    """The address scan before log_slope_select skipped work, kept verbatim
+    as the reference: both full profiles, fits included, for every
+    candidate that passes the prefix and suffix test."""
+    from flipiet.errors import SignSelectionFailed
+    from flipiet.selfsim import occurrence_addresses
+    from flipiet.spectral import eigen_left
+
+    def word_sum(word, w):
+        return sum(w[s - 1] for s in word)
+
+    w = eigen_left(matrix, theta2)
+    wf = tuple(float(v) for v in w)
+    for power in (1, 2):
+        for address in occurrence_addresses(sigma, power):
+            c, j, _m = address
+            img = sigma.images[c]
+            for _ in range(power - 1):
+                img = sigma(img)
+            prefix, suffix = img[:j], img[j + 1:]
+            for sign in (1, -1):
+                ws = tuple(sign * v for v in wf)
+                if not (word_sum(prefix, ws) > 0 and word_sum(suffix, ws) < 0):
+                    continue
+                past, future = stationary_window(sigma, address, probe_length,
+                                                 probe_length)
+                _, _, fwd = birkhoff_profile(future, ws, probe_length)
+                _, _, bwd = birkhoff_profile(past[::-1], tuple(-v for v in ws),
+                                             probe_length)
+                if fwd.decaying and bwd.decaying:
+                    return denjoy.LogSlopeVector(
+                        w=w, w_float=wf, sign_choice=sign, address=address,
+                        forward=fwd, backward=bwd)
+    raise SignSelectionFailed("no occurrence address gives two-sided decay")
+
+
+def test_address_scan_matches_eager_reference(setting):
+    # 100 and 101 select another address than longer probes, with nan fits;
+    # every profile field is compared through repr, which tells floats apart
+    # and equates nans
+    from flipiet.errors import SignSelectionFailed
+    _E, sigma, verdict, lsv, _ = setting
+    for pl in (100, 101, 150, 2_000, 30_000, denjoy.PROBE_LENGTH):
+        got = (lsv if pl == denjoy.PROBE_LENGTH else
+               log_slope_select(MATRIX, verdict.theta2, sigma, probe_length=pl))
+        want = _eager_log_slope_select(MATRIX, verdict.theta2, sigma, pl)
+        assert (got.address, got.sign_choice, got.w_float) == \
+            (want.address, want.sign_choice, want.w_float)
+        assert repr((got.forward, got.backward)) == repr((want.forward,
+                                                           want.backward))
+    for pl in (10, 50):
+        with pytest.raises(SignSelectionFailed):
+            _eager_log_slope_select(MATRIX, verdict.theta2, sigma, pl)
+        with pytest.raises(SignSelectionFailed):
+            log_slope_select(MATRIX, verdict.theta2, sigma, probe_length=pl)
 
 
 def _scalar_probe(E, seeds, steps, reference=None):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from flipiet import numfield
+from flipiet import numfield, selfsim
 from flipiet.errors import EmptyCylinder, NoFixedSeed
 from flipiet.iet import IetSpec
 from flipiet.quintic import (MATRIX, REFERENCE_ITINERARIES, bundled_iet,
@@ -218,6 +218,17 @@ def test_cylinder_empty(E):
         cylinder_locate(E, (3, 3))
 
 
+def test_cylinder_rejects_bad_input(E, monkeypatch):
+    monkeypatch.setattr(selfsim, "CYLINDER_BLOCK", 7)
+    for word in ((), (1, 6), (0, 1), (1,) * 20 + (6,)):
+        with pytest.raises(ValueError):
+            cylinder_locate(E, word)
+    with pytest.raises(ValueError, match="symbol 7 outside 1..5"):
+        cylinder_locate(E, (1, 5) * 9 + (7, 0))
+    with pytest.raises(ValueError):
+        cylinder_locate(E.as_float(), (1,))
+
+
 def test_cylinder_width_shrinks(E, J):
     # widths contract by about the cycle scale per substitution level:
     # measured 6.2e-3 after two levels (56 symbols), 7.9e-4 after three
@@ -273,7 +284,7 @@ def window_word(E, J):
     return past + future
 
 
-def test_cylinder_matches_reference_walk_on_window_word(E, window_word):
+def _check_window_word(E, window_word):
     # seeded prefixes and suffixes of the bundled N = 300 window word, and
     # the whole word: identical exact endpoints
     rng = random.Random(5)
@@ -285,7 +296,7 @@ def test_cylinder_matches_reference_walk_on_window_word(E, window_word):
                                _reference_cylinder(E, word))
 
 
-def test_cylinder_matches_reference_walk_on_rational_exchanges():
+def _check_rational_exchanges():
     # seeded Fraction-length exchanges, lengths drawn from a few values so
     # that integer combinations of them often tie exactly; words are
     # itineraries of random points (nonempty cylinders) and random symbol
@@ -319,18 +330,49 @@ def test_cylinder_matches_reference_walk_on_rational_exchanges():
     assert empty > 50 and nonempty > 50
 
 
+def test_cylinder_matches_reference_walk_on_window_word(E, window_word):
+    _check_window_word(E, window_word)
+
+
+def test_cylinder_matches_reference_walk_on_rational_exchanges():
+    _check_rational_exchanges()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_cylinder_blocks_carry_sign_and_shift(E, window_word, monkeypatch,
+                                              block):
+    # blocks far shorter than the words, so that the composed sign and shift
+    # and the running extremes cross many block boundaries
+    monkeypatch.setattr(selfsim, "CYLINDER_BLOCK", block)
+    _check_window_word(E, window_word)
+    _check_rational_exchanges()
+
+
+def test_cylinder_falls_back_to_exact_signs_on_near_ties():
+    # two swapped pieces of lengths a and b: the cylinder of (1, 1) is
+    # (0, a - b) when a > b and empty otherwise, and a - b = +-2^-60 is
+    # below the float filter's resolution
+    tiny = Fraction(1, 2 ** 60)
+    for a, b in ((1 + tiny, Fraction(1)), (Fraction(1), 1 + tiny)):
+        E2 = IetSpec((a, b), (2, 1), origin=Fraction(0))
+        before = numfield.FILTER_COUNTS["exact"]
+        got = _outcome(E2, (1, 1), cylinder_locate)
+        assert numfield.FILTER_COUNTS["exact"] > before
+        want = _outcome(E2, (1, 1), _reference_cylinder)
+        assert got == want if want[0] == "empty" else _same_endpoints(got, want)
+        assert (want[0] == "empty") == (a < b)
+
+
 def test_cylinder_decides_in_the_filter(E, J):
-    # the bundled N = 2000 window word: at least 99% of the length
-    # comparisons are decided by the float filter, not the exact fallback
+    # the bundled N = 2000 window word: the float filter settles the
+    # intersection of the constraints of its 4,001 symbols with at most two
+    # exact fallbacks
     _, its = associated_matrix(E, J)
     past, future = stationary_window(substitution_from(its), (5, 1, 1),
                                      2000, 2000)
     before = dict(numfield.FILTER_COUNTS)
     cylinder_locate(E, past + future)
-    counts = {k: v - before[k] for k, v in numfield.FILTER_COUNTS.items()}
-    compared = counts["filtered"] + counts["exact"]
-    assert compared >= 3 * (len(past) + len(future) - 1)
-    assert counts["filtered"] >= 0.99 * compared
+    assert numfield.FILTER_COUNTS["exact"] - before["exact"] <= 2
 
 
 def test_induce_matches_brute_force_on_random_exchanges():

@@ -342,3 +342,59 @@ def test_perron_data_runs_one_faddeev_leverrier_loop(monkeypatch):
     sd = perron_data(MATRIX)
     assert calls == [MATRIX]
     assert sd.char_poly.coeffs == (-1, 9, -26, 28, -11, 1)
+
+
+def test_bhm_screen_runs_one_faddeev_leverrier_loop(monkeypatch):
+    # a qualifying matrix: the screen's loop, which gives the Sturm count,
+    # also gives the Perron data, and quasi-positivity is checked once
+    import flipiet.polys
+    from flipiet.spectral import shared_perron_data
+    loops, checks = [], []
+    real_loop = flipiet.polys.faddeev_leverrier
+    real_check = flipiet.polys.quasi_positive
+
+    def counted_loop(m):
+        loops.append(m)
+        return real_loop(m)
+
+    def counted_check(m):
+        checks.append(m)
+        return real_check(m)
+
+    monkeypatch.setattr(flipiet.polys, "faddeev_leverrier", counted_loop)
+    monkeypatch.setattr(flipiet.spectral, "faddeev_leverrier", counted_loop)
+    monkeypatch.setattr(flipiet.polys, "quasi_positive", counted_check)
+    monkeypatch.setattr(flipiet.spectral, "quasi_positive", counted_check)
+    shared_perron_data.cache_clear()
+    try:
+        verdict = bhm_screen(MATRIX)
+        assert shared_perron_data(MATRIX).real_roots[-1][0] is verdict.theta1
+    finally:
+        shared_perron_data.cache_clear()
+    assert verdict.reason == "qualifies"
+    assert loops == [MATRIX] and checks == [MATRIX]
+
+
+def test_shared_perron_data_keeps_the_four_most_recent_matrices(monkeypatch):
+    from flipiet.spectral import shared_perron_data
+    computed = []
+    real = flipiet.spectral.perron_data
+
+    def counted(m, *args):
+        computed.append(m)
+        return real(m, *args)
+
+    monkeypatch.setattr(flipiet.spectral, "perron_data", counted)
+    mats = [((k, 1), (1, 1)) for k in range(1, 6)]
+    shared_perron_data.cache_clear()
+    try:
+        first = shared_perron_data(mats[0])
+        for m in mats[1:4]:
+            shared_perron_data(m)
+        assert shared_perron_data(mats[0]) is first      # a hit, now the newest
+        shared_perron_data(mats[4])                      # evicts mats[1]
+        shared_perron_data(mats[0])
+        shared_perron_data(mats[1])
+    finally:
+        shared_perron_data.cache_clear()
+    assert computed == mats + [mats[1]]
