@@ -65,8 +65,6 @@ class LogSlopeVector:
     w_float: tuple               # unsigned float shadow
     sign_choice: int
     address: tuple               # (c, j, power): sigma^power(c)[j] == c
-    forward: BirkhoffProfile
-    backward: BirkhoffProfile
 
     @property
     def signed_float(self):
@@ -111,19 +109,14 @@ def _envelope_exponent(S):
     return float(np.polyfit(np.log(n[mask]), np.log(run[mask]), 1)[0])
 
 
-def _decaying_profiles(sigma, address, ws, N):
-    """The fitted Birkhoff profiles of the stationary point of the address
-    under the weight array ws, forward and backward, when both decay; the
-    window and the sums are freed on return, before the next address."""
+def _decays_both_ways(sigma, address, ws, N):
+    """True when the Birkhoff sums of the weight array ws along the
+    stationary point of the address decay forward and backward; the window
+    and the sums are freed on return, before the next address."""
     past, future = stationary_window(sigma, address, N, N)
-    Sf, fwd = _decay_verdict(ws, future[:N])
-    if fwd.decaying:
-        # backward sums: S_{-m} = -sum of w over the last m past symbols
-        Sb, bwd = _decay_verdict(-ws, past[::-1])
-        if bwd.decaying:
-            fwd.kappa, bwd.kappa = _envelope_exponent(Sf), _envelope_exponent(Sb)
-            return fwd, bwd
-    return None
+    # backward sums: S_{-m} = -sum of w over the last m past symbols
+    return (_decay_verdict(ws, future[:N])[1].decaying
+            and _decay_verdict(-ws, past[::-1])[1].decaying)
 
 
 def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
@@ -156,9 +149,8 @@ def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
                         and sum(ws[s - 1] for s in suffix) < 0):
                     continue
                 # at most one sign passes, so one window per address
-                profiles = _decaying_profiles(sigma, address, ws, probe_length)
-                if profiles:
-                    return LogSlopeVector(w, wf, sign, address, *profiles)
+                if _decays_both_ways(sigma, address, ws, probe_length):
+                    return LogSlopeVector(w, wf, sign, address)
     raise SignSelectionFailed("no occurrence address gives two-sided decay")
 
 

@@ -143,10 +143,10 @@ class IetSpec:
         shift, sign = self.branches[i - 1]
         return shift + p if sign > 0 else shift - p
 
-    def orbit(self, p, steps, inverse=False) -> OrbitSegment:
+    def orbit(self, p, steps) -> OrbitSegment:
         """Iterate, recording points and piece symbols; a discontinuity hit
-        terminates the segment and is recorded, not raised.  A forward step
-        moves the point by the branch of the piece just recorded."""
+        terminates the segment and is recorded, not raised.  Each step moves
+        the point by the branch of the piece just recorded."""
         pts = [p]
         word = []
         cur = p
@@ -154,9 +154,8 @@ class IetSpec:
             try:
                 i = self.piece_of(cur)
                 word.append(i)
-                cur = self.eval(cur, inverse=True) if inverse else self._branch(i, cur)
+                cur = self._branch(i, cur)
             except AtDiscontinuity:
-                word = word[: k]
                 return OrbitSegment(pts, word, terminated_at_discontinuity=k)
             pts.append(cur)
         return OrbitSegment(pts, word)

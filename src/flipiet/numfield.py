@@ -32,8 +32,8 @@ from fractions import Fraction
 from .errors import (AmbiguousRoot, DivisionByZero, FieldMismatch, NoRoot,
                      ReduciblePolynomial)
 from .polys import (IntPolynomial, _mul, _numerators, _rem_monic, count_roots,
-                    faddeev_leverrier, is_irreducible, refine_root_interval,
-                    sturm_chain)
+                    faddeev_leverrier, is_irreducible, mat_mul, mat_transpose,
+                    refine_root_interval, sturm_chain)
 
 
 class RootEmbedding:
@@ -565,54 +565,26 @@ def cross_embedding_dot_is_zero(vec_a, vec_b) -> bool:
     are allowed different designated roots u and t.  The test verifies
     (u - t) * sum_i a_i (x) b_i = 0 in Q[u,t]/(m(u), m(t)), which forces the
     real inner product to vanish whenever the two designated roots differ.
+    With X the integer coefficient matrix of the sum over one denominator
+    (X[j][k] on u^j t^k) and C the companion matrix of m (multiplication by
+    the root on the power basis), that is C X == X C^T.
     """
     fa = vec_a[0].field
     fb = vec_b[0].field
     if fa.minpoly.coeffs != fb.minpoly.coeffs:
         raise FieldMismatch("vectors must share a minimal polynomial")
     d = fa.degree
-    x = [[Fraction(0)] * d for _ in range(d)]
+    den = math.lcm(*(a.den * b.den for a, b in zip(vec_a, vec_b)))
+    x = [[0] * d for _ in range(d)]
     for a, b in zip(vec_a, vec_b):
-        for j, aj in enumerate(a.coords):
-            if aj == 0:
-                continue
-            for k, bk in enumerate(b.coords):
-                if bk:
-                    x[j][k] += aj * bk
-    # multiply by u (row shift with reduction) and by t (column shift), subtract
-    red = _rem_monic((0,) * d + (1,), fa.minpoly.coeffs)    # t^d mod m
-
-    def shift_rows(mat):
-        out = [[Fraction(0)] * d for _ in range(d)]
-        for j in range(d):
-            for k in range(d):
-                v = mat[j][k]
-                if not v:
-                    continue
-                if j + 1 < d:
-                    out[j + 1][k] += v
-                else:
-                    for i in range(d):
-                        out[i][k] += v * red[i]
-        return out
-
-    def shift_cols(mat):
-        out = [[Fraction(0)] * d for _ in range(d)]
-        for j in range(d):
-            for k in range(d):
-                v = mat[j][k]
-                if not v:
-                    continue
-                if k + 1 < d:
-                    out[j][k + 1] += v
-                else:
-                    for i in range(d):
-                        out[j][i] += v * red[i]
-        return out
-
+        scale = den // (a.den * b.den)
+        for j, aj in enumerate(a.nums):
+            if aj:
+                for k, bk in enumerate(b.nums):
+                    x[j][k] += scale * aj * bk
     if d == 1:
         # single embedding; the inner product itself must vanish
         return x[0][0] == 0
-    ux = shift_rows(x)
-    tx = shift_cols(x)
-    return all(ux[j][k] == tx[j][k] for j in range(d) for k in range(d))
+    f = fa.minpoly.coeffs
+    c = mat_transpose([_rem_monic((0,) * (j + 1) + (1,), f) for j in range(d)])
+    return mat_mul(c, x) == mat_mul(x, mat_transpose(c))

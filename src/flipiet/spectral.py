@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import NotAnEigenvalue, NotQuasiPositive
@@ -47,11 +48,22 @@ class BhmVerdict:
     reason: str                      # one of SCREEN_REASONS
 
 
-def real_eigenvalues(m, _loop=None):
+@lru_cache(maxsize=4)
+def _faddeev_leverrier(rows):
+    return faddeev_leverrier(rows)
+
+
+def _shared_loop(m):
+    """faddeev_leverrier(m), kept for the four most recent matrices, keyed on
+    the rows as tuples so that a list of lists serves too: the screen, the
+    Perron data and the left eigenvector of one matrix read one loop."""
+    return _faddeev_leverrier(tuple(map(tuple, m)))
+
+
+def real_eigenvalues(m):
     """All real eigenvalues as exact algebraic numbers, ascending, each tagged
-    with the index of its irreducible factor.  _loop is
-    faddeev_leverrier(m) when the caller has run it already."""
-    cp = char_poly(m) if _loop is None else _loop[0]
+    with the index of its irreducible factor."""
+    cp = _shared_loop(m)[0]
     factors = factor_rational(cp)
     found = []
     for ix, (f, _mult) in enumerate(factors):
@@ -80,13 +92,13 @@ def real_eigenvalues(m, _loop=None):
     return cp, factors, tuple(found)
 
 
-def solve_eigenvector(m, theta: AlgebraicNumber, left=False, _loop=None):
+def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
     """Exact kernel vector of (m - theta I), or of the transpose when left,
     unscaled: the callers scale it once (perron_data, eigen_left).
 
     It is read off the adjugate adj(theta I - M) = sum_k theta^(n-1-k) B_k of
-    the Faddeev-LeVerrier loop (polys.faddeev_leverrier, or _loop when the
-    caller has run it on m already).  When the kernel is one-dimensional
+    the Faddeev-LeVerrier loop (polys.faddeev_leverrier, the run that
+    real_eigenvalues reads).  When the kernel is one-dimensional
     (true for simple roots of the characteristic polynomial, in particular
     for Perron roots of quasi-positive matrices) the adjugate has rank one:
     its nonzero columns span the right kernel and its nonzero rows the left
@@ -100,7 +112,7 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False, _loop=None):
     """
     n = len(m)
     mm = mat_transpose(m) if left else m
-    _cp, terms = faddeev_leverrier(m) if _loop is None else _loop
+    _cp, terms = _shared_loop(m)
     fld, emb = theta.field, theta.embedding
     f = fld.minpoly.coeffs
     g, den = theta.nums, theta.den
@@ -140,21 +152,19 @@ def solve_eigenvector(m, theta: AlgebraicNumber, left=False, _loop=None):
     return tuple(AlgebraicNumber(fld, tuple(v), 1, emb) for v in vec)
 
 
-def perron_data(m, _loop=None) -> SpectralData:
+def perron_data(m) -> SpectralData:
     """Dominant eigenvalue and its exact probability right eigenvector.
 
     Requires quasi-positivity, checked by boolean powering up to the
     primitivity bound.  The eigenvector is solved exactly over Q(theta1) from
     the adjugate (solve_eigenvector), normalized to sum 1 by one inverse of
-    its total, and verified entrywise positive.  _loop is faddeev_leverrier(m)
-    when the caller has run it and found m quasi-positive (bhm_screen).
+    its total, and verified entrywise positive.
     """
-    if _loop is None and not quasi_positive(m):
+    if not quasi_positive(m):
         raise NotQuasiPositive("no power of the matrix is positive")
-    _loop = _loop or faddeev_leverrier(m)
-    cp, factors, roots = real_eigenvalues(m, _loop=_loop)
+    cp, factors, roots = real_eigenvalues(m)
     theta1, _ix = roots[-1]
-    vec = solve_eigenvector(m, theta1, _loop=_loop)
+    vec = solve_eigenvector(m, theta1)
     total = vec[0]
     for v in vec[1:]:
         total = total + v
@@ -166,22 +176,14 @@ def perron_data(m, _loop=None) -> SpectralData:
                         perron=(theta1, alpha))
 
 
-_PERRON_CACHE = {}      # matrix -> SpectralData, least recently used first
-
-
-def shared_perron_data(m, _loop=None) -> SpectralData:
+@lru_cache(maxsize=4)
+def shared_perron_data(m) -> SpectralData:
     """perron_data(m) for a matrix given as a tuple of row tuples, kept for the
     four most recently used matrices, so that the stages of one run share one
     computation and one set of embeddings (the bundled exchange's lengths and
     the Perron data of its blow-up chain, for instance), which only narrow in
-    place.  _loop, no part of the key, goes to perron_data on a miss."""
-    sd = _PERRON_CACHE[m] = _PERRON_CACHE.pop(m, None) or perron_data(m, _loop)
-    if len(_PERRON_CACHE) > 4:
-        del _PERRON_CACHE[next(iter(_PERRON_CACHE))]
-    return sd
-
-
-shared_perron_data.cache_clear = _PERRON_CACHE.clear
+    place."""
+    return perron_data(m)
 
 
 def eigen_left(m, theta: AlgebraicNumber):
@@ -209,16 +211,15 @@ def bhm_screen(m) -> BhmVerdict:
     candidates in (1, theta1) all live in other irreducible factors.
     Otherwise qualifies, with theta2 the largest conjugate candidate.  Past
     the Sturm count the roots come from shared_perron_data(m) (m a tuple of
-    row tuples), which a validation of the same matrix then reuses; it gets
-    the screen's Faddeev-LeVerrier loop, so one loop serves both.
+    row tuples), which a validation of the same matrix then reuses; the
+    Sturm count and the Perron data read one Faddeev-LeVerrier loop.
     """
     if not quasi_positive(m):
         return BhmVerdict(False, None, None, "not_quasi_positive")
-    loop = faddeev_leverrier(m)
-    if _count_real_roots_above_one(loop[0]) < 2:
+    if _count_real_roots_above_one(_shared_loop(m)[0]) < 2:
         # at most the Perron root exceeds 1; skip factorization entirely
         return BhmVerdict(False, None, None, "no_real_theta2_gt1")
-    return screen_real_roots(shared_perron_data(m, loop).real_roots)
+    return screen_real_roots(shared_perron_data(m).real_roots)
 
 
 def screen_real_roots(roots) -> BhmVerdict:

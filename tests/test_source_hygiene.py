@@ -1,7 +1,8 @@
 """Static checks on the package source: every import is used, every
-private module-level function and private method has a caller, and every
-function the benchmark's tracer wraps exists.  A deletion that leaves an
-import or a helper behind, or that removes a traced function, fails here."""
+private module-level function and private method has a caller, no function
+takes a private parameter but the two named below, and every function the
+benchmark's tracer wraps exists.  A deletion that leaves an import or a
+helper behind, or that removes a traced function, fails here."""
 
 import ast
 import importlib
@@ -45,21 +46,23 @@ def test_every_import_is_used():
 
 
 def _defs(body, prefix):
-    """(qualified name, bare name) of each function defined in a module body,
-    and of each method of the classes defined there."""
+    """(qualified name, node) of each function defined in a module body, of
+    each method of the classes defined there, and of the functions nested
+    in either."""
     for node in body:
-        if isinstance(node, ast.FunctionDef):
-            yield f"{prefix}.{node.name}", node.name
-        elif isinstance(node, ast.ClassDef):
-            yield from _defs(node.body, f"{prefix}.{node.name}")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qualified = f"{prefix}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                yield qualified, node
+            yield from _defs(node.body, qualified)
 
 
 def test_every_private_function_is_referenced():
     reads = set().union(*map(_reads, MODULES.values()))
     dead = [qualified for name, tree in MODULES.items()
-            for qualified, bare in _defs(tree.body, name)
-            if bare.startswith("_") and not bare.startswith("__")
-            and bare not in reads]
+            for qualified, node in _defs(tree.body, name)
+            if node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in reads]
     assert dead == []
 
 
@@ -79,3 +82,19 @@ def test_every_traced_function_resolves():
         except (ImportError, AttributeError):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_no_private_parameters():
+    # a value the code can work out from its other inputs is no parameter;
+    # the two allowed mark a trusted input and a cache the caller holds
+    allowed = {"numfield.NumberField.__init__(_trusted)",
+               "io.algebraic_from_json(_cache)"}
+    found = set()
+    for name, tree in MODULES.items():
+        for qualified, node in _defs(tree.body, name):
+            args = node.args
+            every = (args.posonlyargs + args.args + args.kwonlyargs
+                     + [a for a in (args.vararg, args.kwarg) if a])
+            found.update(f"{qualified}({a.arg})" for a in every
+                         if a.arg.startswith("_"))
+    assert found == allowed

@@ -339,14 +339,19 @@ def test_perron_data_runs_one_faddeev_leverrier_loop(monkeypatch):
 
     monkeypatch.setattr(flipiet.polys, "faddeev_leverrier", counted)
     monkeypatch.setattr(flipiet.spectral, "faddeev_leverrier", counted)
-    sd = perron_data(MATRIX)
+    flipiet.spectral._faddeev_leverrier.cache_clear()
+    try:
+        sd = perron_data(MATRIX)
+    finally:
+        flipiet.spectral._faddeev_leverrier.cache_clear()
     assert calls == [MATRIX]
     assert sd.char_poly.coeffs == (-1, 9, -26, 28, -11, 1)
 
 
 def test_bhm_screen_runs_one_faddeev_leverrier_loop(monkeypatch):
     # a qualifying matrix: the screen's loop, which gives the Sturm count,
-    # also gives the Perron data, and quasi-positivity is checked once
+    # also gives the Perron data; quasi-positivity is checked by the screen
+    # and again by perron_data
     import flipiet.polys
     from flipiet.spectral import shared_perron_data
     loops, checks = [], []
@@ -366,13 +371,52 @@ def test_bhm_screen_runs_one_faddeev_leverrier_loop(monkeypatch):
     monkeypatch.setattr(flipiet.polys, "quasi_positive", counted_check)
     monkeypatch.setattr(flipiet.spectral, "quasi_positive", counted_check)
     shared_perron_data.cache_clear()
+    flipiet.spectral._faddeev_leverrier.cache_clear()
     try:
         verdict = bhm_screen(MATRIX)
         assert shared_perron_data(MATRIX).real_roots[-1][0] is verdict.theta1
     finally:
         shared_perron_data.cache_clear()
+        flipiet.spectral._faddeev_leverrier.cache_clear()
     assert verdict.reason == "qualifies"
-    assert loops == [MATRIX] and checks == [MATRIX]
+    assert loops == [MATRIX] and checks == [MATRIX, MATRIX]
+
+
+def test_bundled_blowup_chain_runs_one_faddeev_leverrier_loop(monkeypatch):
+    # the Perron data and the left theta2-eigenvector of the blow-up read
+    # the same loop
+    import flipiet.polys
+    from flipiet.spectral import shared_perron_data
+    loops = []
+    real = flipiet.polys.faddeev_leverrier
+
+    def counted(m):
+        loops.append(m)
+        return real(m)
+
+    monkeypatch.setattr(flipiet.polys, "faddeev_leverrier", counted)
+    monkeypatch.setattr(flipiet.spectral, "faddeev_leverrier", counted)
+    shared_perron_data.cache_clear()
+    flipiet.spectral._faddeev_leverrier.cache_clear()
+    try:
+        chain = blowup_chain(bundled_iet())
+    finally:
+        shared_perron_data.cache_clear()
+        flipiet.spectral._faddeev_leverrier.cache_clear()
+    assert chain.lsv is not None
+    assert loops.count(MATRIX) == 1
+
+
+def test_spectral_functions_accept_a_list_of_lists():
+    rows = [list(row) for row in MATRIX]
+    sd = perron_data(rows)
+    assert sd.char_poly.coeffs == (-1, 9, -26, 28, -11, 1)
+    _cp, _factors, roots = real_eigenvalues(rows)
+    theta1 = roots[-1][0]
+    assert theta1 == sd.perron[0]
+    assert solve_eigenvector(rows, theta1) == solve_eigenvector(MATRIX, theta1)
+    theta2 = screen_real_roots(roots).theta2
+    assert eigen_left(rows, theta2) == eigen_left(MATRIX, theta2)
 
 
 def test_shared_perron_data_keeps_the_four_most_recent_matrices(monkeypatch):
