@@ -214,11 +214,6 @@ class AlgebraicNumber:
     def is_rational(self):
         return not any(self.nums[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is irrational")
-        return Fraction(self.nums[0], self.den)
-
     # -- ring operations -------------------------------------------------------
 
     def _add(self, other, sign):

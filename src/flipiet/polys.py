@@ -85,14 +85,6 @@ class IntPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def poly_from_roots(roots):
-    """Monic integer polynomial with the given integer roots."""
-    c = (1,)
-    for r in roots:
-        c = _mul(c, (-r, 1))
-    return IntPolynomial(c)
-
-
 # ---------------------------------------------------------------------------
 # raw tuple arithmetic (works for int or Fraction coefficients)
 
@@ -680,6 +672,17 @@ def rows_mul(a, b):
             t += 1
         out.append(acc)
     return tuple(out)
+
+
+def rows_table(b):
+    """Right multiplication by the pattern b as one lookup: entry mask is the
+    OR of b's rows t over the set bits t of mask, built low bit first, so
+    rows_mul(a, b) == tuple([table[r] for r in a])."""
+    table = [0] * (1 << len(b))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | b[low.bit_length() - 1]
+    return table
 
 
 def rows_quasi_positive(rows) -> bool:

@@ -7,10 +7,11 @@ keeps integer lengths integer, so it runs in exact integer arithmetic), so
 the graph carries exactly the combinatorics the induction engine produces,
 with the elementary matrix attached to each edge.
 
-Cycles are primitive closed walks, deduplicated up to rotation.  Every cycle
-product is screened for the dominant-plus-conjugate eigenvalue hypotheses;
-screen survivors can be validated end to end by rebuilding the exchange with
-exact Perron lengths and rerunning the induction.
+Cycles are primitive closed walks up to rotation: Lyndon words over the edge
+alphabet (v, t), enumerated by a walk cut at every prefix that is not a
+prenecklace.  Every cycle product is screened for the dominant-plus-conjugate
+eigenvalue hypotheses; screen survivors can be validated end to end by
+rebuilding the exchange with exact Perron lengths and rerunning the induction.
 
 Since a flipped exchange can induce to an orientation-preserving one but
 never back, no closed walk through an unflipped node returns to a flipped
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from multiprocessing import get_context
 from .errors import DegenerateStep, FlipIetError
 from .iet import IetSpec, SignedPermutation
-from .polys import (mat_identity, mat_mul, row_masks, rows_mul,
-                    rows_quasi_positive)
+from .polys import (mat_identity, mat_mul, row_masks, rows_quasi_positive,
+                    rows_table)
 from .rauzy import rauzy_cycle_detect, rauzy_step
 from .spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
 
@@ -102,34 +104,27 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
 # ---------------------------------------------------------------------------
 # closed-walk enumeration
 
-def _is_least_rotation(seq):
-    """True when seq is primitive and smaller than each of its other
-    rotations, so that each cycle up to rotation passes exactly once.
-
-    Only a rotation starting with an element <= seq[0] can be as small as
-    seq, and a rotation equal to seq makes it a proper power.
-    """
-    head = seq[0]
-    return all(seq[k:] + seq[:k] > seq
-               for k in range(1, len(seq)) if seq[k] <= head)
-
-
 def _census_worker(args):
     """Screen every cycle whose smallest node is one of starts; return the
     screen-reason counts and the qualifying cycles as CycleCandidates, each
     validated (cycle_validate) right after its screen, whose Perron data the
     validation shares.
 
-    From each start s the walk visits only nodes >= s and keeps a closed walk
-    when it is its own least rotation, so every cycle up to rotation is seen
-    exactly once, from its smallest node.  A branch is cut when its depth
-    plus the distance back to s (reverse BFS within nodes >= s) exceeds
-    max_len.  The product's zero pattern rides down the walk as row bitmasks;
-    only cycles whose pattern is quasi-positive get the exact product.
+    Each cycle passes once, as its rotation that is a Lyndon word over the
+    edge alphabet (v, t); it starts at the cycle's smallest node.  From each
+    start s the walk visits only nodes >= s and extends only prenecklaces,
+    the prefixes of Lyndon words, by Duval's period p: an edge below the one
+    p back cuts the branch, and a closed walk is Lyndon exactly when p is
+    its length (Duval 1983; Ruskey, Savage and Wang 1992).  A branch is also
+    cut when its depth plus the distance back to s (reverse BFS within nodes
+    >= s) exceeds max_len.  The product's zero pattern rides down the walk
+    as row bitmasks, one rows_table lookup per row; only cycles whose
+    pattern is quasi-positive get the exact product.
     """
     nodes, succ, mats, starts, max_len = args
     n = len(nodes[0])
-    patterns = [[m and row_masks(m) for m in row] for row in mats]
+    table = cache(rows_table)       # one table per distinct zero pattern
+    patterns = [[m and table(row_masks(m)) for m in row] for row in mats]
     pred = [[] for _ in succ]
     for v, row in enumerate(succ):
         for u in row:
@@ -138,14 +133,15 @@ def _census_worker(args):
     pattern_ok = {}                 # zero pattern -> rows_quasi_positive
     reasons = Counter()
     hits = []
-    path = []
+    path = [-1]                     # edge codes 2 * v + t after a sentinel
 
-    def screen(seq, rows):
+    def screen(rows):
         if rows not in pattern_ok:
             pattern_ok[rows] = rows_quasi_positive(rows)
         if not pattern_ok[rows]:
             reasons["not_quasi_positive"] += 1
             return
+        seq = [divmod(e, 2) for e in path[1:]]
         prod = mat_identity(n)
         for (v, t) in seq:
             prod = mat_mul(prod, mats[v][t])
@@ -158,17 +154,22 @@ def _census_worker(args):
                 theta1=verdict.theta1.decimal(12),
                 theta2=verdict.theta2.decimal(12))))
 
-    def extend(s, dist, v, depth, rows):
+    def extend(s, dist, v, depth, rows, p):
+        # path[1:depth] is a prenecklace of period p ending at v
+        c = path[depth - p]         # the edge one period back
         for t in (0, 1):
             u = succ[v][t]
             du = dist.get(u)
-            if du is None or depth + du >= max_len:
-                continue
-            nxt = rows_mul(rows, patterns[v][t])
-            path.append((v, t))
-            if u == s and _is_least_rotation(seq := tuple(path)):
-                screen(seq, nxt)
-            extend(s, dist, u, depth + 1, nxt)
+            e = 2 * v + t
+            if du is None or depth + du > max_len or e < c:
+                continue            # too long, or no Lyndon word's prefix
+            q = depth if e > c else p
+            tab = patterns[v][t]
+            nxt = tuple([tab[r] for r in rows])
+            path.append(e)
+            if u == s and q == depth:
+                screen(nxt)
+            extend(s, dist, u, depth + 1, nxt, q)
             path.pop()
 
     for s in starts:
@@ -178,7 +179,7 @@ def _census_worker(args):
             frontier = {u for v in frontier for u in pred[v]
                         if u > s and u not in dist}
             dist.update(dict.fromkeys(frontier, d))
-        extend(s, dist, s, 0, tuple(1 << i for i in range(n)))
+        extend(s, dist, s, 1, tuple(1 << i for i in range(n)), 1)
     return reasons, hits
 
 

@@ -13,9 +13,17 @@ from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _numerators,
                            char_poly, count_roots, factor_rational,
                            faddeev_leverrier, is_irreducible,
                            isolate_real_roots, mat_det, mat_mul,
-                           poly_from_roots, quasi_positive,
-                           refine_root_interval, root_bound, row_masks,
-                           rows_mul, squarefree_part, sturm_chain)
+                           quasi_positive, refine_root_interval, root_bound,
+                           row_masks, rows_mul, squarefree_part, sturm_chain)
+
+
+def poly_from_roots(roots):
+    """Monic integer polynomial with the given integer roots."""
+    p = IntPolynomial((1,))
+    for r in roots:
+        p = p * IntPolynomial((-r, 1))
+    return p
+
 
 A = ((2, 4, 6, 5, 2), (0, 2, 1, 1, 1), (0, 0, 3, 2, 0),
      (1, 2, 2, 2, 1), (1, 3, 5, 4, 2))

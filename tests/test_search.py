@@ -5,11 +5,12 @@ import pytest
 
 import flipiet.search
 from flipiet.iet import IetSpec, SignedPermutation
-from flipiet.polys import mat_det, mat_identity, mat_mul, quasi_positive
+from flipiet.polys import (mat_det, mat_identity, mat_mul, quasi_positive,
+                           row_masks, rows_mul, rows_table)
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
 from flipiet.rauzy import rauzy_step
-from flipiet.search import (CycleCandidate, _is_least_rotation, cycle_search,
-                            cycle_validate, signed_perms_enumerate)
+from flipiet.search import (CycleCandidate, cycle_search, cycle_validate,
+                            signed_perms_enumerate)
 from flipiet.spectral import SCREEN_REASONS
 
 
@@ -214,11 +215,51 @@ def _reference_cycles(g, max_len):
     return found
 
 
+def _is_least_rotation(seq):
+    """True when seq is primitive and smaller than each of its other
+    rotations, so that each cycle up to rotation passes exactly once.
+
+    Only a rotation starting with an element <= seq[0] can be as small as
+    seq, and a rotation equal to seq makes it a proper power.
+    """
+    head = seq[0]
+    return all(seq[k:] + seq[:k] > seq
+               for k in range(1, len(seq)) if seq[k] <= head)
+
+
 def _product(g, seq):
     prod = mat_identity(g.n)
     for v, t in seq:
         prod = mat_mul(prod, g.mats[v][t])
     return prod
+
+
+def _check_rows_table(b):
+    table = rows_table(b)
+    assert len(table) == 1 << len(b)
+    assert table == [rows_mul((mask,), b)[0] for mask in range(len(table))]
+
+
+def test_rows_table_matches_rows_mul_on_graph_patterns(rauzy_graph):
+    for n in (4, 5):
+        g = rauzy_graph(n, True)
+        patterns = {row_masks(m) for row in g.mats for m in row if m}
+        for b in patterns:
+            _check_rows_table(b)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_rows_table_matches_rows_mul_on_random_patterns(n):
+    # the identity plus 3 to 6 off-diagonal ones; every edge of the n=4, 5
+    # and 6 graphs has exactly one, so these reach wider tables than the
+    # graphs do
+    rng = random.Random(n)
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for _ in range(40):
+        b = [1 << i for i in range(n)]
+        for i, j in rng.sample(off, rng.randint(3, 6)):
+            b[i] |= 1 << j
+        _check_rows_table(tuple(b))
 
 
 def test_least_rotation_matches_canonical_and_primitive():
@@ -232,7 +273,7 @@ def test_least_rotation_matches_canonical_and_primitive():
         assert _is_least_rotation(seq) == want, seq
 
 
-@pytest.mark.parametrize("n, max_len", [(4, 12), (5, 8)])
+@pytest.mark.parametrize("n, max_len", [(4, 12), (4, 14), (5, 8)])
 def test_census_matches_reference_enumeration(n, max_len, monkeypatch,
                                                rauzy_graph):
     g = rauzy_graph(n, True)

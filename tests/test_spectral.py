@@ -22,6 +22,12 @@ from flipiet.spectral import (bhm_screen, eigen_left, perron_data,
                               solve_eigenvector)
 
 
+def as_fraction(x):
+    """The value of a rational field element."""
+    assert x.is_rational()
+    return Fraction(x.nums[0], x.den)
+
+
 @pytest.fixture(scope="module")
 def sd():
     return perron_data(MATRIX)
@@ -77,12 +83,12 @@ def test_quartic_roots_product_one(sd):
 def test_perron_trivial_cases():
     sd1 = perron_data(((2,),))
     th, vec = sd1.perron
-    assert th.as_fraction() == 2
-    assert vec[0].as_fraction() == 1
+    assert as_fraction(th) == 2
+    assert as_fraction(vec[0]) == 1
     sd2 = perron_data(((1, 1), (1, 1)))
     th2, vec2 = sd2.perron
-    assert th2.as_fraction() == 2
-    assert [v.as_fraction() for v in vec2] == [Fraction(1, 2), Fraction(1, 2)]
+    assert as_fraction(th2) == 2
+    assert [as_fraction(v) for v in vec2] == [Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_perron_rejects_non_quasipositive():
@@ -136,6 +142,30 @@ def test_bhm_screen_rejections():
     assert v.reason == "not_conjugate"
     v2 = bhm_screen(((2, 1), (1, 1)))       # golden-ratio-like: other root < 1
     assert v2.reason == "no_real_theta2_gt1"
+
+
+# one of the 14 cycle products that search --n 6 --max-len 18 screens as
+# not_conjugate, the census's first verdicts of that reason; all 14 share
+# its characteristic polynomial
+CENSUS_NOT_CONJUGATE = ((2, 1, 1, 1, 1, 1), (1, 2, 0, 0, 0, 0),
+                        (1, 0, 2, 1, 2, 1), (1, 0, 2, 2, 2, 1),
+                        (1, 0, 2, 1, 3, 1), (2, 2, 1, 1, 1, 1))
+
+
+def test_bhm_screen_not_conjugate_on_a_census_product():
+    # (t - 1)(t^2 - 3t + 1)(t^3 - 8t^2 + 6t - 1): theta1 is the cubic's
+    # root, and the only other real root above 1, phi^2, is the quadratic's
+    m = CENSUS_NOT_CONJUGATE
+    assert quasi_positive(m)
+    v = bhm_screen(m)
+    assert not v.qualifies and v.reason == "not_conjugate"
+    assert v.theta1.decimal(12) == "7.184210129198"
+    sd = perron_data(m)
+    assert sd.char_poly.coeffs == (1, -10, 36, -58, 42, -12, 1)
+    assert [(f.coeffs, k) for f, k in sd.factors] == [
+        ((-1, 1), 1), ((1, -3, 1), 1), ((-1, 6, -8, 1), 1)]
+    above_one = [(r.decimal(6), ix) for r, ix in sd.real_roots if r > 1]
+    assert above_one == [("2.618034", 1), ("7.184210", 2)]
 
 
 def test_real_eigenvalues_order():
@@ -274,7 +304,7 @@ def test_solve_eigenvector_rejects_a_vanishing_adjugate():
     one = NumberField(lin).generator(RootEmbedding(lin, 1, 1))
     with pytest.raises(NotAnEigenvalue, match="vanishes"):
         solve_eigenvector(m, one)
-    assert [v.as_fraction() for v in solve_eigenvector(m, one + 1)] == [0, 0, 1]
+    assert [as_fraction(v) for v in solve_eigenvector(m, one + 1)] == [0, 0, 1]
 
 
 def test_cli_spectral_finds_the_roots_once(monkeypatch, capsys):
