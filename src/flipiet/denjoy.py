@@ -19,7 +19,9 @@ cylinder of the whole window word, so its symbols are the word by
 construction.  The exchange must therefore be exact; the orbit positions
 are a float shadow that follows the word through the branch table of
 E.as_float(), the one float map that the certificate and the ergodic probe
-also evaluate.
+also evaluate.  The window word is one int64 array, built once per gap
+system, and the orbit is read off it by iet.branch_walk, the composed-branch
+walk that cylinder_locate and the ergodic probe also run.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
 
 from .errors import (AtDiscontinuity, DivergentGaps, FlipIetError,
                      SignSelectionFailed)
-from .iet import IetSpec
+from .iet import IetSpec, branch_walk
 from .numfield import AlgebraicNumber
 from .rauzy import RauzyCycle, rauzy_cycle_detect
 from .selfsim import (ItinerarySet, Substitution, associated_matrix,
@@ -52,8 +53,6 @@ KAPPA_FIT_START = 100
 class BirkhoffProfile:
     kappa: float
     decaying: bool
-    final_sum: float
-    tail_max: float
 
 
 @dataclass
@@ -72,8 +71,8 @@ class LogSlopeVector:
 
 
 def birkhoff_profile(word, w, N):
-    """Partial sums S_k of w along the word, an envelope decay exponent, and
-    a decay verdict.
+    """Partial sums S_k of w along the integer array word, an envelope decay
+    exponent, and a decay verdict.
 
     S_0 = 0 and S_{k+1} = S_k + w[word_k].  The exponent is the slope of a
     log-log fit of the running maxima of -S.  The verdict demands the whole
@@ -91,11 +90,10 @@ def birkhoff_profile(word, w, N):
 def _decay_verdict(w, word):
     """(S, profile): birkhoff_profile's sums of the array w along the word
     and its verdict on them, with kappa left nan for the caller to fit."""
-    S = np.concatenate([[0.0], np.cumsum(np.take(w, np.array(word) - 1))])
+    S = np.concatenate([[0.0], np.cumsum(np.take(w, word - 1))])
     k0 = max(KAPPA_FIT_START, int(0.3 * len(word)))
-    tail_max = float(S[k0:].max()) if len(S) > k0 else float(S.max())
-    return S, BirkhoffProfile(math.nan, bool(tail_max <= -1.0 and S[-1] <= -2.0),
-                              float(S[-1]), tail_max)
+    tail_max = S[k0:].max() if len(S) > k0 else S.max()
+    return S, BirkhoffProfile(math.nan, bool(tail_max <= -1.0 and S[-1] <= -2.0))
 
 
 def _envelope_exponent(S):
@@ -218,22 +216,10 @@ class GapSystem:
     gap_lengths: np.ndarray           # normalized, sums to 1
     positions: np.ndarray             # left endpoints after blow-up
     total_gap: float                  # raw (unnormalized) total mass
-    p_float: float
-    sums: np.ndarray                  # Birkhoff sums S_n, index n+N
-    word: tuple
-    address: tuple
-    sign_choice: int
     tail_estimate: float              # estimated mass fraction beyond the window
     kappa_forward: float
     kappa_backward: float
     iet: IetSpec
-
-    def index(self, n: int) -> int:
-        return n + self.half_width
-
-    @property
-    def indices(self):
-        return np.arange(-self.half_width, self.half_width + 1)
 
     def interior_classes(self):
         """Per piece i, the window indices k with symbol i whose gap and next
@@ -250,6 +236,16 @@ class GapSystem:
 TAIL_PROBE = 100_000
 
 
+def _centred_sums(incr, m):
+    """S_{-m..m}: one sequential cumsum of incr[:2m] from 0 (incr[2m] is
+    never summed), shifted so that S_0 = 0."""
+    S = np.empty(2 * m + 1)
+    S[0] = 0.0
+    np.cumsum(incr[:2 * m], out=S[1:])
+    S -= S[m]
+    return S
+
+
 def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
                      N: int) -> GapSystem:
     """Blow up the orbit of the stationary point of lsv.address.
@@ -257,45 +253,44 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     The point is the exact midpoint of the cylinder of the full window word
     w_{-N..N}, so its symbols are the word by construction.  E must be exact:
     cylinder_locate raises ValueError on a float-mode exchange.  The orbit
-    positions are a float shadow: the start point rounded once and moved by
-    the branch of each word symbol in E.as_float().branches.
+    positions are a float shadow: the start point rounded once and moved
+    along the word by iet.branch_walk on E.as_float().branches, which
+    reproduces the step-by-step float orbit bit for bit.
 
     The truncation tail is estimated by extending the symbolic word a further
     TAIL_PROBE indices on each side (symbols only, no orbit geometry) and
     summing the exponentiated Birkhoff sums there directly; the stretched
-    exponential decay makes the remainder beyond the probe negligible.
+    exponential decay makes the remainder beyond the probe negligible.  One
+    stationary window of half-width h = N + TAIL_PROBE (0 when N = 0) holds
+    both: the word w_{-N..N} is its middle.
     """
     if N < 0:
         raise ValueError("window half-width must be nonnegative")
-    past, future = stationary_window(sigma, lsv.address, N, N)
-    word = tuple(past) + tuple(future)        # indices 0..2N <-> n = -N..N
+    h = N + TAIL_PROBE if N else 0
+    window = np.concatenate(stationary_window(sigma, lsv.address, h, h))
+    word = window[h - N:h + N + 1]            # indices 0..2N <-> n = -N..N
     lo, hi = cylinder_locate(E, word)
     p_start = (lo + hi) / Fraction(2)         # = E^{-N}(p)
-    ws = lsv.signed_float
+    shift, sign = map(np.array, zip(*E.as_float().branches))
+    pts = np.multiply(*branch_walk(word[:-1] - 1, shift, sign, 1.0,
+                                   float(p_start)))      # z_k = e_k u_k
 
-    branch = E.as_float().branches
-    pts = np.empty(2 * N + 1)
-    z = float(p_start)
-    for k, a in enumerate(word):
-        pts[k] = z
-        shift, sgn = branch[a - 1]
-        z = shift + sgn * z
-
-    incr = np.array([ws[s - 1] for s in word], dtype=float)
-    S = np.concatenate([[0.0], np.cumsum(incr)])[:-1]
-    S = S - S[N]
-    g_raw = np.exp(S)
+    # the window's Birkhoff sums from n = -N, and the tail's from n = -h: two
+    # cumsums, since the tail's alone would round the window's sums otherwise
+    incr = np.concatenate(([0.0], lsv.signed_float))[window]
+    S = _centred_sums(incr[h - N:], N)
+    g = np.exp(S)
 
     if N >= 50:
         edge = max(1, N // 10)
-        nearby = g_raw[N - edge: N + edge + 1].max()
-        boundary = max(g_raw[: edge].max(), g_raw[-edge:].max())
+        nearby = g[N - edge: N + edge + 1].max()
+        boundary = max(g[: edge].max(), g[-edge:].max())
         if boundary > nearby:
             raise DivergentGaps(
                 f"boundary gap mass {boundary:.3g} exceeds central mass {nearby:.3g}")
 
-    total = float(g_raw.sum())
-    g = g_raw / total
+    total = float(g.sum())
+    g /= total
 
     order = np.argsort(pts)
     if N > 0 and np.diff(pts[order]).min() <= 0:
@@ -308,18 +303,8 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     kb = _envelope_exponent(S[N::-1])
     tail_frac = 0.0
     if N > 0:
-        h = N + TAIL_PROBE
-        epast, efut = stationary_window(sigma, lsv.address, h, h)
-        # partial sums S_{-h..h} of the extended word centred at n = 0 (its
-        # last increment is never summed), exponentiated in place, then the
-        # mass at |n| > N in index order: the float results of whole-array
-        # expressions, from one sequential cumsum and few full-length
-        # temporaries
-        eS = np.empty(2 * h + 1)
-        eS[0] = 0.0
-        np.cumsum(np.fromiter((ws[s - 1] for s in chain(epast, islice(efut, h))),
-                              dtype=float, count=2 * h), out=eS[1:])
-        eS -= eS[h]
+        # exponentiated in place, then the mass at |n| > N in index order
+        eS = _centred_sums(incr, h)
         np.exp(eS, out=eS)
         tail_raw = float(np.concatenate((eS[:h - N], eS[h + N + 1:])).sum())
         if tail_raw > 10 * total:
@@ -327,12 +312,9 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
                                 "not Cauchy at this horizon")
         tail_frac = tail_raw / total
 
-    return GapSystem(half_width=N, orbit_points=pts,
-                     symbols=np.array(word, dtype=np.int64),
+    return GapSystem(half_width=N, orbit_points=pts, symbols=word,
                      gap_lengths=g, positions=pos, total_gap=total,
-                     p_float=float(pts[N]),
-                     sums=S, word=word, address=lsv.address,
-                     sign_choice=lsv.sign_choice, tail_estimate=tail_frac,
+                     tail_estimate=tail_frac,
                      kappa_forward=kf, kappa_backward=kb, iet=E)
 
 
@@ -351,8 +333,6 @@ class AietApprox:
     slopes: tuple                    # signed: tau_i * exp(w_i)
     intercepts: tuple                # fitted per piece (None if no data)
     flips: tuple
-    truncation_tail: float
-    gaps: GapSystem
 
     def piece_of(self, y: float) -> int:
         i = bisect_left(self.breakpoints, y)
@@ -391,8 +371,7 @@ def aiet_from_gaps(gs: GapSystem) -> AietApprox:
         slopes.append(beta)
         intercepts.append(c)
     return AietApprox(breakpoints=tuple(bks), slopes=tuple(slopes),
-                      intercepts=tuple(intercepts), flips=tuple(tau),
-                      truncation_tail=gs.tail_estimate, gaps=gs)
+                      intercepts=tuple(intercepts), flips=tuple(tau))
 
 
 @dataclass
@@ -492,9 +471,7 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
 
     grid = np.linspace(0.0, 1.0, 2001)
     density = _max_distance_to_intervals(grid, lefts, rights)
-    nvals = gs.indices
-    fsel = np.where(nvals > 0)[0]
-    bsel = np.where(nvals < 0)[0]
+    fsel, bsel = np.arange(N + 1, 2 * N + 1), np.arange(N)
 
     def subset_density(sel):
         if not len(sel):
@@ -582,8 +559,7 @@ def _orbit_counts(Ef: IetSpec, z, steps):
     order = np.argsort(hist, kind="stable")
     sorted_hist = hist[order]
     xa = np.array(xs)
-    shift = np.array([0.0] + [a for a, _ in branch])
-    sign = np.array([1.0] + [s for _, s in branch])
+    shift, sign = map(np.array, zip(*branch))
     done = len(hist)
     while done < steps:
         k = int(np.searchsorted(sorted_hist, z))
@@ -592,19 +568,14 @@ def _orbit_counts(Ef: IetSpec, z, steps):
         j = int(order[k])
         L = min(PROBE_BLOCK, steps - done, len(pieces) - j)
         guess = pieces[j:j + L]
-        e = np.cumprod(sign[guess])
-        u = np.empty(L + 1)
-        u[0] = z
-        np.multiply(e, shift[guess], out=u[1:])
-        np.cumsum(u, out=u)
-        zs = u[:L]
-        zs[1:] *= e[:-1]
+        e, u = branch_walk(guess - 1, shift, sign, 1.0, z)
+        zs = e[:L] * u[:L]
         ok = (np.searchsorted(xa, zs, side="left") == guess) & (zs != xa[guess])
         p = L if ok.all() else int(ok.argmin())
         counts += np.bincount(guess[:p], minlength=n + 1)
         done += p
         if p == L:
-            z = float(e[-1] * u[L])
+            z = float(e[L] * u[L])
             continue
         step = _scalar_steps(xs, branch, float(zs[p]), 1)
         if step is None:
@@ -627,11 +598,10 @@ def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
     informational).
 
     The orbits run in verified blocks (_orbit_counts), and they are exactly
-    the step-by-step float orbits z -> a_i + s_i z (s_i = +-1): with e_k the
-    product of the first k signs, u_k = e_k z_k obeys u_{k+1} = fl(u_k +
-    e_{k+1} a_k), because round-to-nearest is odd.  So once the pieces are
-    known, one cumsum (a sequential left fold) gives every point bit for bit,
-    and each point's piece is checked as bisect_left finds it, hits included.
+    the step-by-step float orbits z -> a_i + s_i z (s_i = +-1): once the
+    pieces are known, iet.branch_walk's one cumsum gives every point bit for
+    bit, and each point's piece is checked as bisect_left finds it, hits
+    included.
     """
     if steps < 10_000:
         raise ValueError("probe needs at least 1e4 steps")

@@ -16,6 +16,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
+import numpy as np
+
 from .errors import AtDiscontinuity, InvalidPermutation, NonpositiveLength
 
 
@@ -60,6 +62,23 @@ class SignedPermutation:
 
     def __str__(self):
         return " ".join(str(e) for e in self.entries)
+
+
+def branch_walk(word, shifts, signs, e0, u0):
+    """The branches z -> shifts[a] + signs[a] z of the indices a in the
+    array word, composed: (e, u) of length len(word) + 1, with e_0 = e0,
+    u_0 = u0, e_{k+1} = e_k signs[w_k], u_{k+1} = u_k + e_{k+1} shifts[w_k].
+    After z -> s_0 + e0 z with u0 = e0 s_0, the first k steps compose to
+    z -> s_k + e_k z with u_k = e_k s_k.  shifts[a] may be a row, such as
+    an integer k-vector; then so is u_k.
+
+    u is one sequential cumsum that starts at u0.  So in floats, from e0 = 1
+    and u0 = z_0, e_k u_k is the step-by-step orbit z_{k+1} = fl(shift +
+    sign z_k) bit for bit, because round-to-nearest is odd: e_{k+1} z_{k+1}
+    = fl(u_k + e_{k+1} shift)."""
+    e = np.cumprod(np.concatenate(([e0], signs[word])))
+    steps = (e[1:] * shifts[word].T).T
+    return e, np.cumsum(np.concatenate(([u0], steps)), axis=0)
 
 
 @dataclass

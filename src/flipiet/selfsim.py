@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCylinder, NoFixedSeed, ReturnTimeCapExceeded
-from .iet import IetSpec, SignedPermutation
+from .iet import IetSpec, SignedPermutation, branch_walk
 from .numfield import (exact_quotient, exact_sign, filtered_sign, filtered_signs,
                        float_enclosure)
 
@@ -204,14 +204,28 @@ class Substitution:
     def __init__(self, images: dict):
         self.images = {int(k): tuple(int(s) for s in v) for k, v in images.items()}
         self.alphabet = tuple(sorted(self.images))
-        if any(not w for w in self.images.values()):
-            raise ValueError("substitution images must be nonempty")
+        if min(self.alphabet, default=0) < 1 or not all(self.images.values()):
+            raise ValueError("substitution symbols must be positive and their "
+                             "images nonempty")
+        # image lengths and offsets into the joined images, indexed by
+        # symbol, and one slot past the alphabet that larger symbols are
+        # clipped onto; length 0 marks a symbol outside the alphabet
+        self._lens = np.zeros(self.alphabet[-1] + 2, dtype=np.int64)
+        self._lens[list(self.alphabet)] = [len(self.images[a]) for a in self.alphabet]
+        self._starts = np.cumsum(self._lens) - self._lens
+        self._joined = np.array([s for a in self.alphabet for s in self.images[a]],
+                                dtype=np.int64)
 
     def __call__(self, word):
-        out = []
-        for s in word:
-            out.extend(self.images[s])
-        return tuple(out)
+        """The image of the 1-D integer array word, as an int64 array, by one
+        gather from the joined images."""
+        word = np.asarray(word, dtype=np.int64)
+        at = np.clip(word, 0, len(self._lens) - 1)
+        lens = self._lens[at]
+        if not lens.all():
+            raise ValueError(f"symbol {word[lens.argmin()]} outside the alphabet")
+        offsets = np.repeat(self._starts[at] - np.cumsum(lens) + lens, lens)
+        return self._joined[offsets + np.arange(len(offsets))]
 
     def __repr__(self):
         ims = ", ".join(f"{i}->{''.join(map(str, w))}" for i, w in sorted(self.images.items()))
@@ -231,29 +245,20 @@ def fixed_word(sigma: Substitution, side: str, length: int):
     with sigma(b) ending with b; two_sided: the glued pair (suffix of the
     backward ray, prefix of the forward ray) with seeds (b, a).
     """
-    if side == "forward":
-        seeds = [a for a in sigma.alphabet if sigma.images[a][0] == a]
-        if not seeds:
-            raise NoFixedSeed("no symbol starts its own image")
-        a = seeds[0]
-        word = sigma.images[a]
-        while len(word) < length:
-            word = sigma(word)
-        return word[:length], a
-    if side == "backward":
-        seeds = [b for b in sigma.alphabet if sigma.images[b][-1] == b]
-        if not seeds:
-            raise NoFixedSeed("no symbol ends its own image")
-        b = seeds[0]
-        word = sigma.images[b]
-        while len(word) < length:
-            word = sigma(word)
-        return word[-length:], b
     if side == "two_sided":
         past, b = fixed_word(sigma, "backward", length)
         future, a = fixed_word(sigma, "forward", length)
         return (past, future), (b, a)
-    raise ValueError(f"unknown side {side!r}")
+    if side not in ("forward", "backward"):
+        raise ValueError(f"unknown side {side!r}")
+    end, verb = (0, "starts") if side == "forward" else (-1, "ends")
+    seeds = [a for a in sigma.alphabet if sigma.images[a][end] == a]
+    if not seeds:
+        raise NoFixedSeed(f"no symbol {verb} its own image")
+    word = np.array(sigma.images[seeds[0]])
+    while len(word) < length:
+        word = sigma(word)
+    return (word[:length] if end == 0 else word[-length:]), seeds[0]
 
 
 def occurrence_addresses(sigma: Substitution, power: int = 1):
@@ -275,38 +280,41 @@ def stationary_window(sigma: Substitution, address, back: int, fwd: int):
 
     For sigma^m(c) = p . c . s the point's future reads c s sigma^m(s)
     sigma^2m(s) ... and its past reads ... sigma^2m(p) sigma^m(p) p.  Returns
-    (past, future) with len(past) >= back and len(future) >= fwd + 1.
+    int64 arrays (past, future) with len(past) = back and len(future) =
+    fwd + 1.
     """
     c, j, power = address
-    img = sigma.images[c]
+    img = np.array(sigma.images[c])
     for _ in range(power - 1):
         img = sigma(img)
     if img[j] != c:
         raise ValueError("address does not mark an occurrence of its symbol")
     p, s = img[:j], img[j + 1:]
-    if not p or not s:
+    if len(p) == 0 or len(s) == 0:
         raise ValueError("address needs nonempty prefix and suffix")
 
-    def blow(word, need, head):
-        # sigma^power(word), or at least its first (head) or last `need`
-        # symbols: images are nonempty, so those depend only on the first
-        # (last) `need` symbols of each level, and the cut keeps the
-        # temporaries within a few times the window's size
-        for _ in range(power):
-            word = sigma(word[:need] if head else word[-need:])
-        return word
+    def ray(blocks, need, head):
+        # blocks, then sigma^power of the last one, and so on, until they
+        # hold need symbols, joined once.  Only the first (head) or last
+        # missing symbols of each level are kept: images are nonempty, so
+        # those depend only on the first (last) missing symbols of the level
+        # before, and the cut keeps the temporaries within a few times the
+        # window's size
+        def cut(word):
+            return word[:need - have] if head else word[have - need:]
 
-    future = (c,) + s
-    block = s
-    while len(future) < fwd + 1:
-        block = blow(block, fwd + 1 - len(future), True)
-        future = future + block
-    past = p
-    block = p
-    while len(past) < back:
-        block = blow(block, back - len(past), False)
-        past = block + past
-    return past[-back:] if back else (), future[: fwd + 1]
+        have = sum(map(len, blocks))
+        while have < need:
+            block = blocks[-1]
+            for _ in range(power):
+                block = sigma(cut(block))
+            blocks.append(cut(block))
+            have += len(blocks[-1])
+        return np.concatenate(blocks if head else blocks[::-1])
+
+    future = ray([img[j:j + 1], s], fwd + 1, True)[:fwd + 1]
+    past = ray([p], back, False)
+    return past[len(past) - back:], future
 
 
 def cylinder_locate(E: IetSpec, word_prefix):
@@ -316,16 +324,16 @@ def cylinder_locate(E: IetSpec, word_prefix):
     the cylinder is the intersection over k of {z : x_{w_k - 1} < phi_k(z) <
     x_{w_k}}, from the largest lower constraint to the smallest upper one
     (else EmptyCylinder).  Each constraint is origin + sum_i k_i alpha_i with
-    integers |k_i| <= 2m + 1: e_k is a product of signs and e_k s_k a cumsum
-    of signed shifts.  In blocks of CYLINDER_BLOCK, numfield.filtered_signs
-    (its bound holds in any summation order) drops each row proven below the
-    float-best one, and filtered_sign with the exact_sign fallback settles
-    the rest.  A float-mode E raises ValueError.
+    integers |k_i| <= 2m + 1: iet.branch_walk gives e_k and e_k s_k on the
+    k-vectors of the branch shifts.  In blocks of CYLINDER_BLOCK,
+    numfield.filtered_signs (its bound holds in any summation order) drops
+    each row proven below the float-best one, and filtered_sign with the
+    exact_sign fallback settles the rest.  A float-mode E raises ValueError.
     """
     if E.float_mode:
         raise ValueError("cylinders are located on exact exchanges only")
-    word = tuple(word_prefix)
-    if not word:
+    word = np.asarray(word_prefix, dtype=np.int64)
+    if len(word) == 0:
         raise ValueError("empty prefix")
     n, lengths = E.n, E.lengths
     shadows, errors = map(np.array, zip(*map(float_enclosure, lengths)))
@@ -352,14 +360,12 @@ def cylinder_locate(E: IetSpec, word_prefix):
         # every lower constraint is at least x_0, every upper one at most x_n
         e, u, lo, hi = 1, np.zeros(n, dtype=np.int64), xk[0], -xk[n]
         for at in range(0, len(word), CYLINDER_BLOCK):
-            i = np.array(word[at:at + CYLINDER_BLOCK]) - 1   # piece indices
+            i = word[at:at + CYLINDER_BLOCK] - 1            # piece indices
             bad = (i < 0) | (i >= n)
             if bad.any():
                 raise ValueError(f"symbol {i[bad.argmax()] + 1} outside 1..{n}")
-            after = e * np.cumprod(tau[i])                  # e_{k+1}
-            incr = after[:, None] * shift[i]
-            uk = u + np.cumsum(incr, axis=0) - incr         # u_k = e_k s_k
-            e, u, ek = after[-1], uk[-1] + incr[-1], after * tau[i]
+            ek, uk = branch_walk(i, shift, tau, e, u)      # u_k = e_k s_k
+            e, u, ek, uk = ek[-1], uk[-1], ek[:-1], uk[:-1]
             lo = largest(ek[:, None] * xk[i + (ek < 0)] - uk, lo)
             hi = largest(uk - ek[:, None] * xk[i + (ek > 0)], hi)
         return lo, [-v for v in hi]

@@ -128,7 +128,40 @@ def test_gap_symbols_match_positions(gaps):
     E = bundled_iet().as_float()
     for k in range(2 * gs.half_width + 1):
         assert E.piece_of(float(gs.orbit_points[k])) == gs.symbols[k]
-    assert gs.p_float == gs.orbit_points[gs.half_width]
+
+
+def test_gap_dump_is_pinned(gaps):
+    # the N = 1500 blow-up of the bundled example, byte for byte: the
+    # gaps.csv text and the floats that the certificate reports
+    import hashlib
+    import io
+
+    from flipiet.io import gaps_csv
+    buf = io.StringIO()
+    gaps_csv(gaps, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] == \
+        "1e762ab1d7de7b55"
+    assert gaps.tail_estimate == 0.1949550527033521
+    assert gaps.kappa_forward == 0.27409198624302517
+    assert gaps.kappa_backward == 0.3116496224441399
+
+
+def test_one_window_per_gap_system(setting, monkeypatch):
+    # the window word and the tail's extension are one stationary window,
+    # of half-width N + TAIL_PROBE, or 0 when N = 0
+    E, sigma, _verdict, lsv, _ = setting
+    calls = []
+
+    def counted(sigma, address, back, fwd):
+        calls.append((back, fwd))
+        return stationary_window(sigma, address, back, fwd)
+
+    monkeypatch.setattr(denjoy, "stationary_window", counted)
+    gap_system_build(E, sigma, lsv, 300)
+    assert calls == [(300 + TAIL_PROBE, 300 + TAIL_PROBE)]
+    calls.clear()
+    gap_system_build(E, sigma, lsv, 0)
+    assert calls == [(0, 0)]
 
 
 def test_blowup_orbit_follows_the_float_view(setting):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flipiet import numfield, selfsim
@@ -122,19 +123,45 @@ def test_fixed_words(E, J):
     _, its = associated_matrix(E, J)
     sigma = substitution_from(its)
     word, seed = fixed_word(sigma, "forward", 4)
-    assert word == (1, 5, 1, 4) and seed == 1
+    assert tuple(word) == (1, 5, 1, 4) and seed == 1
     word, seed = fixed_word(sigma, "backward", 1)
-    assert word == (4,) and seed == 4
+    assert tuple(word) == (4,) and seed == 4
     (past, future), (b, a) = fixed_word(sigma, "two_sided", 6)
     assert (b, a) == (4, 1)
-    assert future[:4] == (1, 5, 1, 4)
+    assert tuple(future[:4]) == (1, 5, 1, 4)
     assert past[-1] == 4
 
 
 def test_fixed_word_small_substitution():
     sigma = Substitution({1: (1, 2), 2: (2, 1)})
     word, seed = fixed_word(sigma, "forward", 3)
-    assert word == (1, 2, 2) and seed == 1
+    assert tuple(word) == (1, 2, 2) and seed == 1
+
+
+def test_substitution_gather_matches_tuple_reference(E, J):
+    # random words, the empty one included, over the bundled substitution
+    # and a two-letter one
+    _, its = associated_matrix(E, J)
+    rng = np.random.default_rng(3)
+    for sigma in (substitution_from(its), Substitution({1: (1, 2), 2: (2, 1)})):
+        for length in (0, 1, 2, 17, 1000):
+            word = rng.integers(1, len(sigma.alphabet) + 1, size=length)
+            got = sigma(word)
+            assert got.dtype == np.int64 and got.shape == (len(got),)
+            assert tuple(got) == _substitute(sigma, word)
+    assert sigma(()).tolist() == []
+
+
+def test_substitution_rejects_symbols_outside_the_alphabet():
+    # an unchecked gather would read some image, or past the end, for each
+    sigma = Substitution({1: (1, 2), 2: (2, 1)})
+    for word, bad in (([1, 0], 0), ([2, 3], 3), ([2, -1, 1], -1)):
+        with pytest.raises(ValueError, match=f"symbol {bad} outside"):
+            sigma(np.array(word))
+    # so the alphabet is of positive symbols, each with a nonempty image
+    for images in ({}, {0: (1,), 1: (1,)}, {-1: (1,), 1: (1,)}, {1: (1,), 2: ()}):
+        with pytest.raises(ValueError, match="must be positive"):
+            Substitution(images)
 
 
 def test_fixed_word_no_seed():
@@ -160,21 +187,30 @@ def test_stationary_window_consistency(E, J):
     # the window is substitution-stationary: blowing up the inner window
     # reproduces the outer one around the origin
     p2, f2 = stationary_window(sigma, (5, 1, 1), 300, 300)
-    assert p2[-40:] == past and f2[:41] == future
+    assert tuple(p2[-40:]) == tuple(past) and tuple(f2[:41]) == tuple(future)
+
+
+def _substitute(sigma, word):
+    """The tuple substitution that Substitution's gather replaced, kept as
+    the reference: the images joined symbol by symbol."""
+    out = []
+    for s in word:
+        out.extend(sigma.images[s])
+    return tuple(out)
 
 
 def _stationary_window_uncut(sigma, address, back, fwd):
     """Reference: the window from whole blocks sigma^(k*power)(s) and
-    sigma^(k*power)(p), cut only at the end."""
+    sigma^(k*power)(p), cut only at the end, as tuples."""
     c, j, power = address
     img = sigma.images[c]
     for _ in range(power - 1):
-        img = sigma(img)
+        img = _substitute(sigma, img)
     p, s = img[:j], img[j + 1:]
 
     def blow(word):
         for _ in range(power):
-            word = sigma(word)
+            word = _substitute(sigma, word)
         return word
 
     future, block = (c,) + s, s
@@ -196,7 +232,8 @@ def test_stationary_window_matches_uncut_construction(E, J):
     for address in addresses:
         for back, fwd in ((0, 0), (1, 3), (40, 7), (300, 301), (5000, 123),
                           (17, 20000)):
-            assert stationary_window(sigma, address, back, fwd) == \
+            got = stationary_window(sigma, address, back, fwd)
+            assert tuple(map(tuple, got)) == \
                 _stationary_window_uncut(sigma, address, back, fwd)
 
 
@@ -225,6 +262,9 @@ def test_cylinder_rejects_bad_input(E, monkeypatch):
             cylinder_locate(E, word)
     with pytest.raises(ValueError, match="symbol 7 outside 1..5"):
         cylinder_locate(E, (1, 5) * 9 + (7, 0))
+    for word, bad in (((1, 5) * 9 + (0, 2), 0), ((2, 6, 1), 6)):
+        with pytest.raises(ValueError, match=f"symbol {bad} outside 1..5"):
+            cylinder_locate(E, np.array(word))
     with pytest.raises(ValueError):
         cylinder_locate(E.as_float(), (1,))
 
@@ -281,7 +321,7 @@ def window_word(E, J):
     _, its = associated_matrix(E, J)
     past, future = stationary_window(substitution_from(its), (5, 1, 1),
                                      300, 300)
-    return past + future
+    return np.concatenate((past, future))
 
 
 def _check_window_word(E, window_word):
@@ -371,7 +411,7 @@ def test_cylinder_decides_in_the_filter(E, J):
     past, future = stationary_window(substitution_from(its), (5, 1, 1),
                                      2000, 2000)
     before = dict(numfield.FILTER_COUNTS)
-    cylinder_locate(E, past + future)
+    cylinder_locate(E, np.concatenate((past, future)))
     assert numfield.FILTER_COUNTS["exact"] - before["exact"] <= 2
 
 

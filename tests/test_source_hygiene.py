@@ -1,8 +1,9 @@
 """Static checks on the package source: every import is used, every
 private module-level function and private method has a caller, no function
-takes a private parameter but the two named below, and every function the
-benchmark's tracer wraps exists.  A deletion that leaves an import or a
-helper behind, or that removes a traced function, fails here."""
+takes a private parameter but the two named below, every field of the
+blow-up's dataclasses has a reader, and every function the benchmark's
+tracer wraps exists.  A deletion that leaves an import, a helper or a field
+behind, or that removes a traced function, fails here."""
 
 import ast
 import importlib
@@ -98,3 +99,25 @@ def test_no_private_parameters():
             found.update(f"{qualified}({a.arg})" for a in every
                          if a.arg.startswith("_"))
     assert found == allowed
+
+
+def test_every_blowup_field_is_read():
+    """Every field of a dataclass in denjoy is read as an attribute somewhere
+    in the package or the tests, but in WanderingCertificate, which the CLI
+    writes out whole with dataclasses.asdict.  Fields match by name, so a
+    field whose name is read on another class, such as word or address, is
+    not caught."""
+    dumped = {"WanderingCertificate"}
+    tests = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "tests").glob("*.py"))]
+    reads = {node.attr for tree in [*MODULES.values(), *tests]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{cls.name}.{stmt.target.id}"
+              for cls in MODULES["denjoy"].body
+              if isinstance(cls, ast.ClassDef) and cls.name not in dumped
+              and any(getattr(d, "id", None) == "dataclass"
+                      for d in cls.decorator_list)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in reads]
+    assert unread == []
