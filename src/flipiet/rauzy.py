@@ -4,10 +4,13 @@ detection with exact self-similarity certification.
 A step replaces E on [a, b] by its first return to [a, b - min(l_n, l_s)],
 where l_n is the last piece length and l_s the length of the piece sent to
 the last image slot.  The step type is 0 when l_n > l_s and 1 when l_n < l_s;
-equality is a saddle connection and aborts.  Steps are computed by geometric
-first-return induction and the combinatorics (new signed permutation,
-elementary matrix) read off the induced map, so no hand-coded sign-update
-tables are involved.
+equality is a saddle connection and aborts.  The type alone fixes the new
+signed permutation and the elementary matrix (Rauzy 1979; Nogueira 1989):
+typed_move reads them off one geometric first-return induction on integer
+lengths of that type, so no hand-coded sign-update tables are involved, and
+the search graph and the step share that one move.  The new lengths are the
+old ones rearranged, with one exact subtraction: the winner's length less
+the loser's.
 """
 
 from __future__ import annotations
@@ -39,8 +42,29 @@ class RauzyCycle:
     scale: object              # contraction ratio, exact scalar
 
 
+def typed_move(sp: SignedPermutation, type_bit: int) -> tuple:
+    """(after, matrix) of the step of the given type out of sp, which
+    depend on sp and the type alone, read off one first-return induction on
+    integer lengths of that type: the loser has length 7 and every other
+    length is 2 * (7 + i) >= 14."""
+    n = len(sp)
+    lengths = [2 * (7 + i) for i in range(n)]
+    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = 7
+    E = IetSpec(lengths, sp, origin=0)
+    ind = induce(E, (0, E.x[-1] - 7))
+    if ind.sub_iet.n != n:
+        raise DegenerateStep(f"induced map has {ind.sub_iet.n} pieces")
+    return ind.sub_iet.sp, ind.itineraries.counts_matrix()
+
+
 def rauzy_step(E: IetSpec) -> tuple:
-    """One typed induction step; returns (E', RauzyStep)."""
+    """One typed induction step; returns (E', RauzyStep).
+
+    The type is one exact comparison of l_n and l_s.  The new lengths solve
+    matrix . new = old, where the matrix is a permutation matrix plus one 1:
+    a row with a single 1 in column j gives new[j] that row's length.  The
+    winner's row has two 1s, one in the loser's column, and its other column
+    gets the winner's length less the loser's."""
     n = E.n
     s = E.sp.pi_inv[n]
     if s == n:
@@ -50,13 +74,18 @@ def rauzy_step(E: IetSpec) -> tuple:
     if l_n == l_s:
         raise DegenerateStep()
     type_bit = 0 if l_n > l_s else 1
-    d = E.x[-1] - (l_n if type_bit == 1 else l_s)
-    ind = induce(E, (E.origin, d))
-    sub = ind.sub_iet
-    if sub.n != n:
-        raise DegenerateStep(f"induced map has {sub.n} pieces")
-    m = ind.itineraries.counts_matrix()
-    step = RauzyStep(type_bit=type_bit, matrix=m, before=E.sp, after=sub.sp,
+    after, m = typed_move(E.sp, type_bit)
+    lengths = [None] * n
+    for row, length in zip(m, E.lengths):
+        cols = [j for j, v in enumerate(row) if v]
+        if len(cols) == 1:
+            lengths[cols[0]] = length
+        else:
+            winner, pair = length, cols
+    j, k = pair if lengths[pair[0]] is None else pair[::-1]
+    lengths[j] = winner - lengths[k]
+    sub = IetSpec(lengths, after, origin=E.origin)
+    step = RauzyStep(type_bit=type_bit, matrix=m, before=E.sp, after=after,
                      before_lengths=E.lengths, after_lengths=sub.lengths,
                      after_iet=sub)
     return sub, step

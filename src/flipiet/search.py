@@ -1,17 +1,18 @@
 """Bounded exploration of signed-permutation induction graphs.
 
 Nodes are irreducible signed permutations (with at least one flip when flips
-are required); the two typed edges out of a node are computed by running one
-geometric induction step on integer lengths realizing the type (a step
-keeps integer lengths integer, so it runs in exact integer arithmetic), so
-the graph carries exactly the combinatorics the induction engine produces,
-with the elementary matrix attached to each edge.
+are required); the two typed edges out of a node are rauzy.typed_move, the
+move that rauzy_step itself reads off one first-return induction on integer
+lengths of the type, so the graph carries exactly the combinatorics of the
+induction engine, with the elementary matrix attached to each edge.
 
 Cycles are primitive closed walks up to rotation: Lyndon words over the edge
 alphabet (v, t), enumerated by a walk cut at every prefix that is not a
 prenecklace.  Every cycle product is screened for the dominant-plus-conjugate
 eigenvalue hypotheses; screen survivors can be validated end to end by
-rebuilding the exchange with exact Perron lengths and rerunning the induction.
+rebuilding the exchange with exact Perron lengths and stepping it along the
+cycle: each Rauzy step is one exact comparison of two lengths, which picks
+the typed move, and one exact subtraction.
 
 Since a flipped exchange can induce to an orientation-preserving one but
 never back, no closed walk through an unflipped node returns to a flipped
@@ -30,7 +31,7 @@ from .errors import DegenerateStep, FlipIetError
 from .iet import IetSpec, SignedPermutation
 from .polys import (mat_identity, mat_mul, row_masks, rows_quasi_positive,
                     rows_table)
-from .rauzy import rauzy_cycle_detect, rauzy_step
+from .rauzy import rauzy_cycle_detect, typed_move
 from .spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
 
 
@@ -46,19 +47,6 @@ def signed_perms_enumerate(n: int, require_flips: bool = True):
             out.append(tuple((-base[i] if (mask >> i) & 1 else base[i])
                              for i in range(n)))
     return sorted(out)
-
-
-def _typed_edge(sp_entries, type_bit):
-    """Target signed permutation and matrix of one typed move, by one Rauzy
-    step on generic integer lengths: the loser of the type has length 7 and
-    every other length is 2 * (7 + i) >= 14, so the step has the requested
-    type."""
-    sp = SignedPermutation(sp_entries)
-    n = len(sp)
-    lengths = [2 * (7 + i) for i in range(n)]
-    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = 7
-    _sub, step = rauzy_step(IetSpec(lengths, sp, origin=0))
-    return step.after.entries, step.matrix
 
 
 @dataclass
@@ -87,8 +75,10 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
     for node in nodes:
         row_s = [None, None]
         row_m = [None, None]
+        sp = SignedPermutation(node)
         for t in (0, 1):
-            target, m = _typed_edge(node, t)
+            after, m = typed_move(sp, t)
+            target = after.entries
             if target not in ix:
                 # target lost all flips (or reducibility); dead end for cycles
                 absent.append((node, t, "target outside node class"))
@@ -223,8 +213,10 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult
     the start nodes, and so the screening and validation, are dealt out in
     one chunk per process of a pool of that many processes, so each worker
     receives the graph once."""
-    if max_len > 20:
-        raise ValueError("max_len capped at 20")
+    if not 1 <= max_len <= 20:
+        raise ValueError("max_len must be between 1 and 20")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     nodes = list(range(len(graph.nodes)))
     chunks = jobs
     payloads = [(graph.nodes, graph.succ, graph.mats, nodes[i::chunks], max_len)

@@ -4,11 +4,34 @@ from fractions import Fraction
 import pytest
 
 from flipiet.errors import DegenerateStep
-from flipiet.iet import IetSpec
+from flipiet.iet import IetSpec, SignedPermutation
 from flipiet.polys import mat_det, mat_identity, mat_mul, mat_vec
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, bundled_iet, bundled_theta1
 from flipiet.rauzy import (cycle_matrix, rauzy_cycle_detect, rauzy_run,
-                           rauzy_step)
+                           rauzy_step, typed_move)
+from flipiet.selfsim import induce
+
+
+def induced_step(E):
+    """The Rauzy step by the general first-return induction of E on
+    [a, b - min(l_n, l_s)], with E's own lengths: the reference for
+    rauzy_step.  Returns (type_bit, after, matrix, E')."""
+    n = E.n
+    l_n, l_s = E.lengths[n - 1], E.lengths[E.sp.pi_inv[n] - 1]
+    type_bit = 0 if l_n > l_s else 1
+    ind = induce(E, (E.origin, E.x[-1] - (l_n if type_bit == 1 else l_s)))
+    return (type_bit, ind.sub_iet.sp, ind.itineraries.counts_matrix(),
+            ind.sub_iet)
+
+
+def lengths_of_type(sp, type_bit, rng):
+    """Random Fraction lengths for which the step out of sp has the given
+    type: the loser is at most 10/31, every other length at least 20/29."""
+    n = len(sp)
+    lengths = [Fraction(rng.randint(20, 40), 29) for _ in range(n)]
+    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = Fraction(
+        rng.randint(1, 10), 31)
+    return lengths
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +102,13 @@ def test_degenerate_step():
     E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (-2, 1))
     with pytest.raises(DegenerateStep):
         rauzy_step(E)
+
+
+def test_typed_move_needs_n_pieces():
+    # the last piece goes to the last slot: the induced map drops it
+    for t in (0, 1):
+        with pytest.raises(DegenerateStep, match="induced map has 2 pieces"):
+            typed_move(SignedPermutation((2, -1, 3)), t)
 
 
 def test_cycle_detect(steps):
@@ -155,3 +185,32 @@ def test_golden_mean_rotation_cycle():
     assert cyc.product == m
     assert [s.type_bit for s in cyc.steps] == [1, 0]
     assert cyc.scale == th
+
+
+@pytest.mark.parametrize("n, require_flips", [(4, True), (4, False), (5, True)])
+def test_step_matches_induction_on_every_edge(n, require_flips, rauzy_graph):
+    # every node and type of the graph, on random Fraction lengths, on
+    # irrational lengths of the bundled quintic field and on float lengths
+    # that are multiples of 2^-10 below 2^6, so add without rounding: the
+    # typed move and one subtraction give the induction's exchange,
+    # breakpoints and slot ends exactly; the geometry re-derives the
+    # permutation (Fraction lengths)
+    small = [a * Fraction(1, 100) for a in bundled_iet().lengths]
+    rng = random.Random(10 * n + require_flips)
+    for node in rauzy_graph(n, require_flips).nodes:
+        sp = SignedPermutation(node)
+        for t in (0, 1):
+            rational = lengths_of_type(sp, t, rng)
+            algebraic = [v + rng.choice(small) for v in rational]
+            dyadic = [round(v * 1024) / 1024 for v in rational]
+            origin = Fraction(rng.randint(-9, 9), 8)
+            for lengths in (algebraic, dyadic, rational):
+                E = IetSpec(lengths, sp, origin=origin)
+                E2, st = rauzy_step(E)
+                t_ref, after, m, sub = induced_step(E)
+                assert st.type_bit == t_ref == t
+                assert st.after == after and st.matrix == m
+                assert st.after_lengths == sub.lengths
+                assert E2 is st.after_iet
+                assert (E2.x, E2.y) == (sub.x, sub.y)
+            assert E2.recompute_permutation() == after

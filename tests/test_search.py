@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -8,10 +7,10 @@ from flipiet.iet import IetSpec, SignedPermutation
 from flipiet.polys import (mat_det, mat_identity, mat_mul, quasi_positive,
                            row_masks, rows_mul, rows_table)
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
-from flipiet.rauzy import rauzy_step
 from flipiet.search import (CycleCandidate, cycle_search, cycle_validate,
                             signed_perms_enumerate)
 from flipiet.spectral import SCREEN_REASONS
+from test_rauzy import induced_step, lengths_of_type
 
 
 def test_enumerate_n2():
@@ -36,9 +35,13 @@ def test_n2_graph_closure(rauzy_graph):
 
 
 def test_empty_graph(rauzy_graph):
+    # a bound that admits no cycle, or no worker, is an error, not an empty
+    # census
     g = rauzy_graph(2, True)
-    r = cycle_search(g, 0)
-    assert r.cycles_checked == 0 and r.qualifying == []
+    for max_len, jobs in ((0, 1), (-1, 1), (21, 1), (1, 0), (1, -2)):
+        with pytest.raises(ValueError):
+            cycle_search(g, max_len, jobs=jobs)
+    assert cycle_search(g, 1).cycles_checked == 2
 
 
 def test_graph_contains_reference_path(rauzy_graph):
@@ -66,26 +69,23 @@ def test_graph_absent_edges_have_one_reason(n, absent, rauzy_graph):
 
 def test_edges_match_induction_on_random_lengths(rauzy_graph):
     # the graph is built on integer lengths; every edge of it, present or
-    # absent, must agree with Rauzy steps on random rational lengths
+    # absent, must agree with the first-return induction on random rational
+    # lengths
     g = rauzy_graph(4, True)
     rng = random.Random(31)
-    n = 4
     for ix, sp in enumerate(g.nodes):
         spp = SignedPermutation(sp)
         for t in (0, 1):
             for _ in range(3):
-                # random lengths realizing the type
-                lengths = [Fraction(rng.randint(20, 40), 29) for _ in range(n)]
-                loser = n - 1 if t == 1 else spp.pi_inv[n] - 1
-                lengths[loser] = Fraction(rng.randint(1, 10), 31)
-                E2, st = rauzy_step(IetSpec(lengths, spp))
-                assert st.type_bit == t
+                E = IetSpec(lengths_of_type(spp, t, rng), spp)
+                t_ref, after, m, _sub = induced_step(E)
+                assert t_ref == t
                 if g.succ[ix][t] is None:
                     assert (sp, t, "target outside node class") in g.absent
-                    assert tuple(st.after) not in g.nodes
+                    assert tuple(after) not in g.nodes
                     continue
-                assert tuple(st.after) == g.nodes[g.succ[ix][t]]
-                assert st.matrix == g.mats[ix][t]
+                assert tuple(after) == g.nodes[g.succ[ix][t]]
+                assert m == g.mats[ix][t]
 
 
 def test_cycle_products_unimodular(rauzy_graph):

@@ -2,12 +2,11 @@
 private module-level function and private method has a caller, no function
 takes a private parameter but the two named below, every field of the
 blow-up's dataclasses has a reader, and every function the benchmark's
-tracer wraps exists.  A deletion that leaves an import, a helper or a field
-behind, or that removes a traced function, fails here."""
+tracer wraps is defined in src/.  A deletion that leaves an import, a
+helper or a field behind, or that removes or renames a traced function,
+fails here."""
 
 import ast
-import importlib
-from functools import reduce
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,19 +68,18 @@ def test_every_private_function_is_referenced():
 
 def test_every_traced_function_resolves():
     # perfbench/layers.py wraps each (module, attribute) of its WRAPPED table
-    # by name; it is read here, not imported
+    # by name; the table is read here, not imported, and each name must be a
+    # function or method defined in src/, so a rename there fails here
     tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
     table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                  and [getattr(t, "id", None) for t in node.targets] == ["WRAPPED"])
     names = [(ast.literal_eval(row.elts[0]), ast.literal_eval(row.elts[1]))
              for row in table.elts]
     assert len(names) > 20
-    missing = []
-    for module, attr in names:
-        try:
-            reduce(getattr, attr.split("."), importlib.import_module(module))
-        except (ImportError, AttributeError):
-            missing.append(f"{module}.{attr}")
+    defined = {qualified for name, module_tree in MODULES.items()
+               for qualified, _node in _defs(module_tree.body, f"flipiet.{name}")}
+    missing = [f"{module}.{attr}" for module, attr in names
+               if f"{module}.{attr}" not in defined]
     assert missing == []
 
 
