@@ -16,12 +16,13 @@ sigma^m(c) = p.c.s, validated empirically by the Birkhoff profiles.
 Gap bookkeeping is double precision.  The log-slope vector, the location
 cylinder of p and the orbit symbols are exact: p is located inside the
 cylinder of the whole window word, so its symbols are the word by
-construction.  The exchange must therefore be exact; the orbit positions
-are a float shadow that follows the word through the branch table of
-E.as_float(), the one float map that the certificate and the ergodic probe
-also evaluate.  The window word is one int64 array, built once per gap
-system, and the orbit is read off it by iet.branch_walk, the composed-branch
-walk that cylinder_locate and the ergodic probe also run.
+construction.  The exchange must therefore be exact, as every IetSpec is;
+the orbit positions are a float shadow that follows the word through the
+branch table of E.as_float(), the one float map that the certificate and
+the ergodic probe also evaluate, and the probe's step-by-step moves are
+IetSpec.orbit on that view.  The window word is one int64 array, built
+once per gap system, and the orbit is read off it by iet.branch_walk, the
+composed-branch walk that cylinder_locate and the ergodic probe also run.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
 
     The point is the exact midpoint of the cylinder of the full window word
     w_{-N..N}, so its symbols are the word by construction.  E must be exact:
-    cylinder_locate raises ValueError on a float-mode exchange.  The orbit
+    cylinder_locate raises ValueError on a float view.  The orbit
     positions are a float shadow: the start point rounded once and moved
     along the word by iet.branch_walk on E.as_float().branches, which
     reproduces the step-by-step float orbit bit for bit.
@@ -392,7 +393,6 @@ class WanderingCertificate:
     birkhoff_kappa: tuple            # (forward, backward) fitted exponents
     kappa_ok: bool
     tolerances: dict
-    tail_estimate: float
 
     @property
     def ok(self):
@@ -500,7 +500,7 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
         forward_density=fdens, backward_density=bdens,
         two_sided_density=bool(fdens <= tol["two_sided"] and bdens <= tol["two_sided"]),
         birkhoff_kappa=(kf, kb), kappa_ok=kappa_ok,
-        tolerances=tol, tail_estimate=tail)
+        tolerances=tol)
 
 
 @dataclass
@@ -510,56 +510,35 @@ class ErgodicReport:
     max_deviation: Optional[float]   # vs the reference vector, if given
     retries: int
     steps: int
-    gap_time_fraction: Optional[float] = None
-    gap_mass: Optional[float] = None
 
 
 PROBE_HISTORY = 2 ** 15      # scalar warm-up steps whose itinerary seeds the guesses
 PROBE_BLOCK = 2 ** 14        # most steps one verified block advances
 
 
-def _scalar_steps(xs, branch, z, steps):
-    """(points, pieces, next point) of the float orbit of z over steps
-    steps, one bisect_left per step; None when a point is a breakpoint or
-    leaves the domain."""
-    n = len(xs) - 1
-    pts, pieces = [], []
-    for _ in range(steps):
-        i = bisect_left(xs, z)
-        if i <= 0 or i > n or z == xs[i]:
-            return None
-        pts.append(z)
-        pieces.append(i)
-        a, s = branch[i - 1]
-        z = a + s * z
-    return pts, pieces, z
-
-
 def _orbit_counts(Ef: IetSpec, z, steps):
     """Visits to pieces 1..n of the float orbit of z over steps steps,
-    equal to what _scalar_steps would count over all of them; None on a
-    breakpoint hit.
+    equal to the word of Ef.orbit(z, steps); None on a breakpoint hit.
 
-    After a scalar warm-up of PROBE_HISTORY steps, each block of up to
+    After a warm-up of PROBE_HISTORY steps by Ef.orbit, each block of up to
     PROBE_BLOCK steps takes as its guess the itinerary that follows the
     warm-up point nearest to z (nearby points share their pieces for a long
     time), evaluates the guessed branches with one cumsum, and checks every
-    point as the scalar step does.  The verified prefix is counted; at the
-    first mismatch one scalar step moves on, or reports the hit.
+    point as Ef.orbit does.  The verified prefix is counted; at the
+    first mismatch one step of Ef.orbit moves on, or reports the hit.
     """
-    xs, branch = Ef.x, Ef.branches
     n = Ef.n
-    warm = _scalar_steps(xs, branch, z, min(steps, PROBE_HISTORY))
-    if warm is None:
+    warm = Ef.orbit(z, min(steps, PROBE_HISTORY))
+    if warm.terminated_at_discontinuity is not None:
         return None
-    hist, pieces, z = warm
-    counts = np.bincount(pieces, minlength=n + 1)
-    pieces = np.array(pieces)
-    hist = np.array(hist)
+    z = warm.points[-1]
+    counts = np.bincount(warm.word, minlength=n + 1)
+    pieces = np.array(warm.word)
+    hist = np.array(warm.points[:-1])
     order = np.argsort(hist, kind="stable")
     sorted_hist = hist[order]
-    xa = np.array(xs)
-    shift, sign = map(np.array, zip(*branch))
+    xa = np.array(Ef.x)
+    shift, sign = map(np.array, zip(*Ef.branches))
     done = len(hist)
     while done < steps:
         k = int(np.searchsorted(sorted_hist, z))
@@ -577,25 +556,21 @@ def _orbit_counts(Ef: IetSpec, z, steps):
         if p == L:
             z = float(e[L] * u[L])
             continue
-        step = _scalar_steps(xs, branch, float(zs[p]), 1)
-        if step is None:
+        step = Ef.orbit(float(zs[p]), 1)
+        if step.terminated_at_discontinuity is not None:
             return None
-        _pts, (i,), z = step
+        (i,), z = step.word, step.points[-1]
         counts[i] += 1
         done += 1
     return counts[1:].tolist()
 
 
-def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
-                  gap_system: Optional[GapSystem] = None) -> ErgodicReport:
+def ergodic_probe(E: IetSpec, seeds, steps: int,
+                  reference=None) -> ErgodicReport:
     """Time averages of the piece indicators along float orbits.
 
     seeds may be a count (seeded rng picks start points) or an iterable of
-    floats.  A discontinuity hit reseeds, up to 10 retries per orbit.  When a
-    gap system is supplied, also reports the fraction of a wandering orbit's
-    time spent in the 20 largest gaps next to their total mass (for a
-    wandering map this fraction decays with the horizon; both numbers are
-    informational).
+    floats.  A discontinuity hit reseeds, up to 10 retries per orbit.
 
     The orbits run in verified blocks (_orbit_counts), and they are exactly
     the step-by-step float orbits z -> a_i + s_i z (s_i = +-1): once the
@@ -640,18 +615,5 @@ def ergodic_probe(E: IetSpec, seeds, steps: int, reference=None,
         ref = [float(v) for v in reference]
         max_dev = max(abs(av[j] - ref[j]) for av in averages for j in range(n))
 
-    gap_frac = gap_mass = None
-    if gap_system is not None:
-        gs = gap_system
-        big = np.argsort(gs.gap_lengths)[-20:]
-        gap_mass = float(gs.gap_lengths[big].sum())
-        bigset = set(int(b) for b in big)
-        horizon = min(2 * gs.half_width, steps, 2000)
-        start = int(np.argmax(gs.gap_lengths))
-        start = min(start, 2 * gs.half_width - horizon)
-        inside = sum(1 for k in range(start, start + horizon) if k in bigset)
-        gap_frac = inside / horizon if horizon else 0.0
-
     return ErgodicReport(per_seed=tuple(averages), spread=spread,
-                         max_deviation=max_dev, retries=retries, steps=steps,
-                         gap_time_fraction=gap_frac, gap_mass=gap_mass)
+                         max_deviation=max_dev, retries=retries, steps=steps)

@@ -1,15 +1,17 @@
 """Interval exchange transformations with flips.
 
-Scalars are generic: exact values (int, Fraction, AlgebraicNumber) give exact
-evaluation and comparisons for certification paths, and are kept as given,
-so int lengths and origins stay int; floats give fast evaluation for long
-orbit probes.  Pieces are open intervals; the breakpoint set itself is
-excluded from the domain, and hitting it is reported, not silently
-perturbed.
+An exchange is exact: its lengths and origin are int, Fraction or
+AlgebraicNumber, kept as given, so evaluation and comparisons are exact and
+int lengths and origins stay int.  A float given to the constructor is a
+TypeError.  as_float() is the one way into floats: the view that long orbit
+probes and the blow-up's shadow orbit walk.  Pieces are open intervals; the
+breakpoint set itself is excluded from the domain, and hitting it is
+reported, not silently perturbed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,10 +108,10 @@ class IetSpec:
         lengths = tuple(lengths)
         if len(lengths) != n:
             raise InvalidPermutation("lengths and permutation size differ")
-        self.float_mode = any(isinstance(v, float) for v in lengths) or isinstance(origin, float)
-        if self.float_mode:
-            lengths = tuple(float(v) for v in lengths)
-            origin = float(origin)
+        if any(isinstance(v, float) for v in (*lengths, origin)):
+            raise TypeError("lengths and origin must be exact; "
+                            "as_float() gives the float view")
+        self.float_mode = False
         for v in lengths:
             if not v > 0:
                 raise NonpositiveLength(f"length {v!r} is not positive")
@@ -133,21 +135,13 @@ class IetSpec:
     # -- geometry ---------------------------------------------------------------
 
     def piece_of(self, p) -> int:
-        """Index 1..n of the open piece containing p; AtDiscontinuity on D."""
-        for i in range(1, self.n + 1):
-            if p < self.x[i]:
-                if self.x[i - 1] < p:
-                    return i
-                raise AtDiscontinuity(p, i - 1)
-        raise AtDiscontinuity(p, self.n)
+        """Index 1..n of the open piece containing p; AtDiscontinuity on D,
+        with the index of the breakpoint (0 below x_0, n above x_n)."""
+        return _open_cell(self.x, p)
 
     def slot_of(self, q) -> int:
-        for j in range(1, self.n + 1):
-            if q < self.y[j]:
-                if self.y[j - 1] < q:
-                    return j
-                raise AtDiscontinuity(q, j - 1)
-        raise AtDiscontinuity(q, self.n)
+        """Index 1..n of the open slot containing q; like piece_of."""
+        return _open_cell(self.y, q)
 
     def eval(self, p, inverse=False):
         """Apply the exchange (or its inverse) to one point, by the branch
@@ -155,34 +149,25 @@ class IetSpec:
         if inverse:
             shift, sign = self.branches[self.sp.pi_inv[self.slot_of(p)] - 1]
             return p - shift if sign > 0 else shift - p
-        return self._branch(self.piece_of(p), p)
-
-    def _branch(self, i, p):
-        """E(p) for a point p of piece i."""
-        shift, sign = self.branches[i - 1]
+        shift, sign = self.branches[self.piece_of(p) - 1]
         return shift + p if sign > 0 else shift - p
 
     def orbit(self, p, steps) -> OrbitSegment:
         """Iterate, recording points and piece symbols; a discontinuity hit
-        terminates the segment and is recorded, not raised.  Each step moves
-        the point by the branch of the piece just recorded."""
-        pts = [p]
-        word = []
-        cur = p
+        terminates the segment and is recorded, not raised.  Each step finds
+        the piece as piece_of does, by one bisect_left on x, and moves the
+        point by that piece's branch."""
+        x, n, branches = self.x, self.n, self.branches
+        pts, word = [p], []
         for k in range(steps):
-            try:
-                i = self.piece_of(cur)
-                word.append(i)
-                cur = self._branch(i, cur)
-            except AtDiscontinuity:
+            i = bisect_left(x, p)
+            if i == 0 or i > n or p == x[i]:
                 return OrbitSegment(pts, word, terminated_at_discontinuity=k)
-            pts.append(cur)
+            word.append(i)
+            shift, sign = branches[i - 1]
+            p = shift + p if sign > 0 else shift - p
+            pts.append(p)
         return OrbitSegment(pts, word)
-
-    def itinerary(self, p, steps):
-        """Symbols of the pieces visited at steps 0..steps-1."""
-        seg = self.orbit(p, steps)
-        return tuple(seg.word)
 
     def as_float(self) -> "IetSpec":
         """The float view: every length, breakpoint and slot end is the exact
@@ -211,3 +196,12 @@ class IetSpec:
     def __repr__(self):
         return f"IetSpec(n={self.n}, sp={self.sp.entries})"
 
+
+def _open_cell(ends, p):
+    """Index i of the open interval (ends[i-1], ends[i]) holding p, by one
+    bisect_left; AtDiscontinuity(p, i) when p is ends[i], and with 0 or
+    len(ends) - 1 when p lies outside."""
+    i = bisect_left(ends, p)
+    if 0 < i < len(ends) and p != ends[i]:
+        return i
+    raise AtDiscontinuity(p, min(i, len(ends) - 1))

@@ -2,7 +2,8 @@
 
 Exact scalars round-trip bit for bit: rationals as "p/q" strings, algebraic
 numbers as coordinate vectors over their field with the minimal polynomial
-and the isolating interval of the designated root.
+and the isolating interval of the designated root.  A float in a JSON spec
+is read as its exact Fraction.
 """
 
 from __future__ import annotations
@@ -46,40 +47,32 @@ def algebraic_from_json(obj, _cache=None) -> AlgebraicNumber:
     return field.element(coords, emb)
 
 
+def _scalar_to_json(v):
+    if isinstance(v, AlgebraicNumber):
+        return algebraic_to_json(v)
+    return fraction_to_str(v)
+
+
 def iet_to_json(E: IetSpec) -> dict:
-    lengths = []
-    for v in E.lengths:
-        if isinstance(v, AlgebraicNumber):
-            lengths.append(algebraic_to_json(v))
-        elif isinstance(v, float):
-            lengths.append(v)
-        else:
-            lengths.append(fraction_to_str(v))
-    origin = (float(E.origin) if E.float_mode
-              else fraction_to_str(E.origin) if not isinstance(E.origin, AlgebraicNumber)
-              else algebraic_to_json(E.origin))
-    return {"lengths": lengths, "signed_permutation": list(E.sp.entries),
-            "origin": origin}
+    return {"lengths": [_scalar_to_json(v) for v in E.lengths],
+            "signed_permutation": list(E.sp.entries),
+            "origin": _scalar_to_json(E.origin)}
 
 
 def iet_from_json(obj) -> IetSpec:
+    """The exact exchange of obj: a length or origin given as a dict is
+    algebraic, any other (a "p/q" string, an int or a float) is the exact
+    Fraction of it."""
     cache = {}
-    lengths = []
-    for v in obj["lengths"]:
+
+    def scalar(v):
         if isinstance(v, dict):
-            lengths.append(algebraic_from_json(v, cache))
-        elif isinstance(v, float):
-            lengths.append(v)
-        else:
-            lengths.append(fraction_from_str(v))
-    o = obj.get("origin", "0")
-    if isinstance(o, dict):
-        origin = algebraic_from_json(o, cache)
-    elif isinstance(o, float):
-        origin = o
-    else:
-        origin = fraction_from_str(o)
-    return IetSpec(lengths, SignedPermutation(obj["signed_permutation"]), origin)
+            return algebraic_from_json(v, cache)
+        return fraction_from_str(v)
+
+    return IetSpec([scalar(v) for v in obj["lengths"]],
+                   SignedPermutation(obj["signed_permutation"]),
+                   scalar(obj.get("origin", "0")))
 
 
 def load_iet(path) -> IetSpec:

@@ -15,6 +15,7 @@ identity  sum_i N_i * |piece_i| = |domain|  exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +87,12 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
 
     Raises ReturnTimeCapExceeded if some piece does not return within cap
     steps.  A piece is split only at points strictly inside its image, so
-    every piece keeps a positive length.
+    every piece keeps a positive length.  The comparisons must be exact, so
+    a float view (as_float()) raises ValueError before any step.
     """
-    c, d = J
     if E.float_mode:
-        c, d = float(c), float(d)
+        raise ValueError("first returns are induced on exact exchanges only")
+    c, d = J
     if not (E.x[0] <= c and d <= E.x[-1] and c < d):
         raise ValueError("J must be a nondegenerate subinterval of the domain")
 
@@ -135,7 +137,7 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
 
         # image lies inside a single piece, the first one ending at or after
         # its right end: apply one exchange step
-        i = next(k for k in range(1, E.n + 1) if part.img_hi <= E.x[k])
+        i = bisect_left(E.x, part.img_hi, 1)
         shift, sign = E.branches[i - 1]
         if sign > 0:
             nlo, nhi = shift + part.img_lo, shift + part.img_hi
@@ -328,7 +330,7 @@ def cylinder_locate(E: IetSpec, word_prefix):
     k-vectors of the branch shifts.  In blocks of CYLINDER_BLOCK,
     numfield.filtered_signs (its bound holds in any summation order) drops
     each row proven below the float-best one, and filtered_sign with the
-    exact_sign fallback settles the rest.  A float-mode E raises ValueError.
+    exact_sign fallback settles the rest.  A float view raises ValueError.
     """
     if E.float_mode:
         raise ValueError("cylinders are located on exact exchanges only")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -316,8 +317,7 @@ def test_ergodic_probe_small():
 
 
 def test_ergodic_probe_rotation_period_two():
-    from flipiet.iet import IetSpec
-    E = IetSpec((0.5, 0.5), (2, 1))
+    E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (2, 1)).as_float()
     rep = ergodic_probe(E, [0.25], 10_000, reference=[0.5, 0.5])
     assert rep.per_seed[0] == (0.5, 0.5)
 
@@ -466,7 +466,7 @@ def test_probe_kernel_matches_scalar_reference(monkeypatch):
                                                         170020, 288962]
 
     # an exactly periodic orbit, run past the warm-up
-    E = IetSpec((0.5, 0.5), (2, 1))
+    E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (2, 1)).as_float()
     steps = 3 * denjoy.PROBE_HISTORY + 6
     got = _outcome(_kernel_probe, E, [0.25], steps, [0.5, 0.5])
     assert got == _outcome(_scalar_probe, E, [0.25], steps, [0.5, 0.5])
@@ -478,16 +478,16 @@ def test_probe_kernel_matches_scalar_reference(monkeypatch):
     # lattice that holds the breakpoints, so they hit them and reseed.
     monkeypatch.setattr(denjoy, "PROBE_HISTORY", 2 ** 10)
     monkeypatch.setattr(denjoy, "PROBE_BLOCK", 2 ** 9)
-    scalar_steps = denjoy._scalar_steps
+    orbit = IetSpec.orbit
     block_hits = []
 
-    def counted(xs, branch, z, steps):
-        out = scalar_steps(xs, branch, z, steps)
-        if steps == 1 and out is None:
+    def counted(self, z, steps):
+        out = orbit(self, z, steps)
+        if steps == 1 and out.terminated_at_discontinuity is not None:
             block_hits.append(z)
         return out
 
-    monkeypatch.setattr(denjoy, "_scalar_steps", counted)
+    monkeypatch.setattr(IetSpec, "orbit", counted)
     rng = np.random.default_rng(13)
     retried = 0
     for trial in range(1000):
@@ -515,8 +515,9 @@ def test_probe_kernel_matches_scalar_reference(monkeypatch):
             lengths = tuple(float(v) for v in rng.uniform(0.05, 1.0, size=n))
             origin = float(rng.uniform(-1, 1))
             seeds = 1
-        E = IetSpec(lengths, tuple(int(s) * p for s, p in zip(signs, perm)),
-                    origin)
+        E = IetSpec(tuple(map(Fraction, lengths)),
+                    tuple(int(s) * p for s, p in zip(signs, perm)),
+                    Fraction(origin)).as_float()
         want = _outcome(_scalar_probe, E, seeds, 10 ** 4, lengths)
         assert _outcome(_kernel_probe, E, seeds, 10 ** 4, lengths) == want, trial
         retried += want == "RuntimeError" or want[3] > 0
@@ -528,26 +529,25 @@ def test_probe_blocks_reproduce_the_float_orbit(monkeypatch):
     # the points of a block are the step-by-step floats bit for bit: every
     # point at which a block stops and a scalar step takes over lies on the
     # scalar orbit (equal counts alone would not show an ulp of drift)
-    scalar_steps = denjoy._scalar_steps
+    orbit = IetSpec.orbit
     handed_over = []
 
-    def recorded(xs, branch, z, steps):
+    def recorded(self, z, steps):
         if steps == 1:
             handed_over.append(z)
-        return scalar_steps(xs, branch, z, steps)
+        return orbit(self, z, steps)
 
-    monkeypatch.setattr(denjoy, "_scalar_steps", recorded)
+    monkeypatch.setattr(IetSpec, "orbit", recorded)
 
     def check(E, z0, steps):
         handed_over.clear()
         counts = denjoy._orbit_counts(E, z0, steps)
-        ref = scalar_steps(E.x, E.branches, z0, steps)
-        if ref is None:
+        ref = orbit(E, z0, steps)
+        if ref.terminated_at_discontinuity is not None:
             assert counts is None
             return 0
-        pts, pieces, _ = ref
-        assert counts == np.bincount(pieces, minlength=E.n + 1)[1:].tolist()
-        assert set(handed_over) <= set(pts)
+        assert counts == np.bincount(ref.word, minlength=E.n + 1)[1:].tolist()
+        assert set(handed_over) <= set(ref.points[:-1])
         return len(handed_over)
 
     checked = check(bundled_iet().as_float(), 0.3, 2 * 10 ** 5)
@@ -558,7 +558,8 @@ def test_probe_blocks_reproduce_the_float_orbit(monkeypatch):
         n = int(rng.integers(3, 8))
         sp = tuple(int(s) * (int(p) + 1) for s, p in
                    zip(rng.choice((-1, 1), size=n), rng.permutation(n)))
-        E = IetSpec(tuple(rng.uniform(0.05, 1.0, size=n)), sp)
+        E = IetSpec(tuple(map(Fraction, rng.uniform(0.05, 1.0, size=n))),
+                    sp).as_float()
         checked += check(E, float(rng.uniform(0.1, 0.9)) * E.x[-1], 2 * 10 ** 4)
     assert checked >= 50
 

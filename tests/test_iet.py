@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flipiet.errors import (AtDiscontinuity, InvalidPermutation,
@@ -33,6 +34,19 @@ def test_invalid_permutations():
         IetSpec((1, 0), (2, 1))
 
 
+def test_exchanges_are_exact():
+    # a float length or origin is refused; as_float() is the one float view
+    with pytest.raises(TypeError):
+        IetSpec((0.5, 0.5), (2, 1))
+    with pytest.raises(TypeError):
+        IetSpec((Fraction(1, 2), 1), (2, 1), origin=0.0)
+    with pytest.raises(TypeError):
+        IetSpec((Fraction(1, 2), np.float64(0.5)), (2, 1))
+    E = IetSpec((Fraction(1, 2), 1), (2, 1), origin=-1)
+    assert not E.float_mode and E.as_float().float_mode
+    assert E.as_float().x == (-1.0, -0.5, 0.5)
+
+
 def test_rotation_by_half():
     E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (2, 1))
     assert E.eval(Fraction(1, 4)) == Fraction(3, 4)
@@ -44,7 +58,7 @@ def test_rotation_by_half():
 def test_identity_iet():
     E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (1, 2))
     assert E.eval(Fraction(3, 10)) == Fraction(3, 10)
-    assert E.itinerary(Fraction(3, 10), 5) == (1, 1, 1, 1, 1)
+    assert E.orbit(Fraction(3, 10), 5).word == [1, 1, 1, 1, 1]
 
 
 def test_bundled_eval_examples():
@@ -65,9 +79,9 @@ def test_bundled_itineraries_from_interior_points():
     E = bundled_iet()
     th1 = bundled_theta1()
     y = E.x[1] / th1 / 2        # inside (y0, y1)
-    assert E.itinerary(y, 4) == (1, 5, 1, 4)
+    assert E.orbit(y, 4).word == [1, 5, 1, 4]
     y2 = (E.x[1] / th1 + E.x[2] / th1) / 2   # inside (y1, y2)
-    assert E.itinerary(y2, 11) == (1, 5, 2, 1, 4, 1, 5, 2, 1, 5, 4)
+    assert E.orbit(y2, 11).word == [1, 5, 2, 1, 4, 1, 5, 2, 1, 5, 4]
 
 
 def test_eval_at_discontinuity_raises():
@@ -152,24 +166,89 @@ def test_float_orbit_long_roundtrip():
     assert abs(back - x) < 1e-10
 
 
-def test_orbit_locates_each_point_once(monkeypatch):
+def test_orbit_locates_each_point_once():
     # a forward step moves by the branch of the piece it just recorded; the
-    # points and the word are those of piece_of and eval step by step
+    # points and the word are those of piece_of and eval step by step, and
+    # a hit ends the segment where piece_of raises
     E = bundled_iet()
     th1 = bundled_theta1()
-    for F, x, steps in ((E.as_float(), 0.123456789, 1000),
-                        (E, E.x[1] / th1 / 2, 30)):
-        calls = []
-        real = IetSpec.piece_of
-
-        def counted(self, p):
-            calls.append(p)
-            return real(self, p)
-
-        monkeypatch.setattr(IetSpec, "piece_of", counted)
+    rng = random.Random(16)
+    cases = [(E.as_float(), 0.123456789, 1000), (E, E.x[1] / th1 / 2, 30),
+             (E, E.x[2], 5), (E.as_float(), E.as_float().x[3], 5)]
+    for _ in range(200):
+        F = _random_exact_iet(rng, rng.randint(2, 6))
+        F = F if rng.random() < 0.5 else F.as_float()
+        t = rng.random() if F.float_mode else Fraction(rng.randint(1, 99), 100)
+        z = F.x[0] + (F.x[-1] - F.x[0]) * t
+        cases.append((F, rng.choice(F.x[1:-1]) if rng.random() < 0.2 else z, 40))
+    ended = 0
+    for F, x, steps in cases:
         seg = F.orbit(x, steps)
-        monkeypatch.undo()
-        assert len(calls) == steps
-        assert seg.terminated_at_discontinuity is None
-        assert seg.word == [F.piece_of(p) for p in seg.points[:-1]]
+        k = seg.terminated_at_discontinuity
+        assert len(seg.word) == (steps if k is None else k)
+        assert len(seg.points) == len(seg.word) + 1
+        assert seg.word == [F.piece_of(p) for p in seg.points[:len(seg.word)]]
         assert seg.points[1:] == [F.eval(p) for p in seg.points[:-1]]
+        if k is not None:
+            ended += 1
+            with pytest.raises(AtDiscontinuity):
+                F.piece_of(seg.points[-1])
+    assert ended >= 20
+
+
+def _linear_piece_of(E, p):
+    """The linear scan that piece_of replaced, kept as the reference."""
+    for i in range(1, E.n + 1):
+        if p < E.x[i]:
+            if E.x[i - 1] < p:
+                return i
+            raise AtDiscontinuity(p, i - 1)
+    raise AtDiscontinuity(p, E.n)
+
+
+def _linear_slot_of(E, q):
+    """The linear scan that slot_of replaced, kept as the reference."""
+    for j in range(1, E.n + 1):
+        if q < E.y[j]:
+            if E.y[j - 1] < q:
+                return j
+            raise AtDiscontinuity(q, j - 1)
+    raise AtDiscontinuity(q, E.n)
+
+
+def _lookup(find, E, p):
+    """The index find gives for p, or ("hit", index) when it raises."""
+    try:
+        return find(E, p)
+    except AtDiscontinuity as exc:
+        return ("hit", exc.index)
+
+
+def test_bisect_lookup_matches_linear_scan():
+    # random Fraction, bundled-algebraic and float points, every breakpoint
+    # and slot end and points outside the domain: the same piece or slot,
+    # or the same AtDiscontinuity index
+    rng = random.Random(17)
+    E = bundled_iet()
+    small = [a * Fraction(1, 7) for a in E.lengths]
+    exchanges = [E, E.as_float()]
+    for _ in range(300):
+        F = _random_exact_iet(rng, rng.randint(1, 6))
+        exchanges += [F, F.as_float()]
+    hits = inside = 0
+    for F in exchanges:
+        lo, hi = F.x[0], F.x[-1]
+        points = [*F.x, *F.y, lo - 1, hi + 1]
+        for _ in range(10):
+            t = Fraction(rng.randint(1, 999), 1000)
+            points.append(lo + (hi - lo) * (rng.random() if F.float_mode else t))
+        if F is E:
+            points += [v + rng.choice(small) for v in E.x[:-1]]
+        for p in points:
+            for new, old in ((IetSpec.piece_of, _linear_piece_of),
+                             (IetSpec.slot_of, _linear_slot_of)):
+                got = _lookup(new, F, p)
+                assert got == _lookup(old, F, p), (F, p)
+                hits += isinstance(got, tuple)
+                inside += not isinstance(got, tuple)
+    assert hits > 5000 and inside > 5000

@@ -43,6 +43,23 @@ def test_iet_roundtrip_rational():
     assert back.lengths == E.lengths and back.origin == E.origin
 
 
+def test_iet_from_json_reads_floats_exactly():
+    # a JSON float is read as its exact Fraction, never as a float exchange,
+    # and the exact spec round-trips as p/q strings
+    obj = json.loads('{"lengths": [0.25, 0.1, 1], "origin": -0.5,'
+                     ' "signed_permutation": [-3, 1, 2]}')
+    E = iet_from_json(obj)
+    assert not E.float_mode
+    assert E.lengths == (Fraction(1, 4), Fraction(0.1), Fraction(1))
+    assert all(type(v) is Fraction for v in (*E.lengths, E.origin))
+    assert E.origin == Fraction(-1, 2)
+    text = json.dumps(iet_to_json(E))
+    back = iet_from_json(json.loads(text))
+    assert (back.lengths, back.origin, back.sp) == (E.lengths, E.origin, E.sp)
+    assert json.dumps(iet_to_json(back)) == text
+    assert iet_to_json(E)["lengths"][1] == "3602879701896397/36028797018963968"
+
+
 def test_trace_csv_format():
     steps = rauzy_run(bundled_iet(), 2)
     text = induction_trace_csv(steps)
@@ -146,6 +163,9 @@ def test_cli_wandering_small(tmp_path):
     assert cert["disjoint"] is True
     assert cert["affine_ok"] is True
     assert cert["semiconjugacy_skipped"] == 0
+    assert "tail_estimate" not in cert and 0 < rep["tail_estimate"] < 1
+    assert set(rep["ergodic_probe"]) == {"steps", "max_deviation_from_lengths",
+                                         "cross_seed_spread", "retries"}
     assert (tmp_path / "gaps.csv").exists()
     lines = (tmp_path / "gaps.csv").read_text().splitlines()
     assert lines[0] == "n,symbol,orbit_point,gap_length,position"

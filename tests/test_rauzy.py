@@ -189,12 +189,12 @@ def test_golden_mean_rotation_cycle():
 
 @pytest.mark.parametrize("n, require_flips", [(4, True), (4, False), (5, True)])
 def test_step_matches_induction_on_every_edge(n, require_flips, rauzy_graph):
-    # every node and type of the graph, on random Fraction lengths, on
-    # irrational lengths of the bundled quintic field and on float lengths
-    # that are multiples of 2^-10 below 2^6, so add without rounding: the
-    # typed move and one subtraction give the induction's exchange,
-    # breakpoints and slot ends exactly; the geometry re-derives the
-    # permutation (Fraction lengths)
+    # every node and type of the graph, on random Fraction lengths and on
+    # irrational lengths of the bundled quintic field: the typed move and
+    # one subtraction give the induction's exchange, breakpoints and slot
+    # ends exactly; the geometry re-derives the permutation (Fraction
+    # lengths).  A float view has no exact step: the new exchange's
+    # constructor refuses its lengths
     small = [a * Fraction(1, 100) for a in bundled_iet().lengths]
     rng = random.Random(10 * n + require_flips)
     for node in rauzy_graph(n, require_flips).nodes:
@@ -202,9 +202,8 @@ def test_step_matches_induction_on_every_edge(n, require_flips, rauzy_graph):
         for t in (0, 1):
             rational = lengths_of_type(sp, t, rng)
             algebraic = [v + rng.choice(small) for v in rational]
-            dyadic = [round(v * 1024) / 1024 for v in rational]
             origin = Fraction(rng.randint(-9, 9), 8)
-            for lengths in (algebraic, dyadic, rational):
+            for lengths in (algebraic, rational):
                 E = IetSpec(lengths, sp, origin=origin)
                 E2, st = rauzy_step(E)
                 t_ref, after, m, sub = induced_step(E)
@@ -214,3 +213,5 @@ def test_step_matches_induction_on_every_edge(n, require_flips, rauzy_graph):
                 assert E2 is st.after_iet
                 assert (E2.x, E2.y) == (sub.x, sub.y)
             assert E2.recompute_permutation() == after
+            with pytest.raises(TypeError, match="must be exact"):
+                rauzy_step(E.as_float())

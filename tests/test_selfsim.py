@@ -34,6 +34,32 @@ def test_induce_full_domain_is_identity_return(E):
     assert ind.sub_iet.lengths == E.lengths
 
 
+def test_float_view_is_refused_before_any_step(E, J, monkeypatch):
+    # induction compares exactly, so a float view is refused up front with
+    # ValueError, whatever the window, and no piece is pushed a step; on
+    # random float views the push used to raise a bare StopIteration
+    def no_step(*args):
+        raise AssertionError("a piece was pushed on a float view")
+
+    monkeypatch.setattr(selfsim, "bisect_left", no_step)
+    rng = random.Random(2024)
+    views = [E.as_float()]
+    for _ in range(50):
+        n = rng.randint(3, 6)
+        perm = rng.sample(range(1, n + 1), n)
+        sp = tuple(p * rng.choice((1, -1)) for p in perm)
+        views.append(IetSpec(tuple(Fraction(rng.randint(1, 99), rng.randint(1, 99))
+                                   for _ in range(n)), sp).as_float())
+    for F in views:
+        windows = [(F.x[0], F.x[0] + 0.61 * (F.x[-1] - F.x[0])), (F.x[0], F.x[-1])]
+        if F is views[0]:
+            windows.append(J)
+        for fn in (induce, associated_matrix, self_similarity_check):
+            for window in windows:
+                with pytest.raises(ValueError, match="exact exchanges only"):
+                    fn(F, window)
+
+
 def test_induce_rotation_half():
     E2 = IetSpec((Fraction(1, 2), Fraction(1, 2)), (2, 1))
     ind = induce(E2, (Fraction(0), Fraction(1, 2)))
@@ -246,7 +272,7 @@ def test_cylinder_matches_itinerary(E):
     word = (1, 5, 2, 1, 4)
     lo, hi = cylinder_locate(E, word)
     mid = (lo + hi) / Fraction(2)
-    assert E.itinerary(mid, 5) == word
+    assert tuple(E.orbit(mid, 5).word) == word
 
 
 def test_cylinder_empty(E):

@@ -1,8 +1,9 @@
 """Static checks on the package source: every import is used, every
 private module-level function and private method has a caller, no function
 takes a private parameter but the two named below, every field of the
-blow-up's dataclasses has a reader, and every function the benchmark's
-tracer wraps is defined in src/.  A deletion that leaves an import, a
+blow-up's dataclasses has a reader, every function the benchmark's
+tracer wraps is defined in src/, and only IetSpec.__init__ and as_float
+set float_mode.  A deletion that leaves an import, a
 helper or a field behind, or that removes or renames a traced function,
 fails here."""
 
@@ -119,3 +120,24 @@ def test_every_blowup_field_is_read():
               for stmt in cls.body
               if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in reads]
     assert unread == []
+
+
+
+def test_float_mode_is_set_in_two_places():
+    """float_mode is assigned in iet.py only: False in IetSpec.__init__ and
+    True in IetSpec.as_float, and never by name (setattr), so the float view
+    stays the one way into float exchanges."""
+    def stores(node):
+        return [a for a in ast.walk(node) if isinstance(a, ast.Attribute)
+                and a.attr == "float_mode" and isinstance(a.ctx, ast.Store)]
+
+    assert sum(len(stores(tree)) for tree in MODULES.values()) == 2
+    assert not [c for tree in MODULES.values() for c in ast.walk(tree)
+                if isinstance(c, ast.Constant) and c.value == "float_mode"]
+    iet = dict(_defs(MODULES["iet"].body, "iet"))
+    placed = [(name, ast.literal_eval(stmt.value))
+              for name in ("iet.IetSpec.__init__", "iet.IetSpec.as_float")
+              for stmt in ast.walk(iet[name])
+              if isinstance(stmt, ast.Assign) and stores(stmt)]
+    assert placed == [("iet.IetSpec.__init__", False),
+                      ("iet.IetSpec.as_float", True)]
