@@ -15,9 +15,8 @@ from .spectral import (BhmVerdict, SpectralData, bhm_screen, eigen_left,
                        perron_data)
 from .denjoy import (AietApprox, BlowupChain, GapSystem, InductionCycle,
                      LogSlopeVector, WanderingCertificate, aiet_from_gaps,
-                     birkhoff_profile, blowup_chain, ergodic_probe,
-                     gap_system_build, induction_cycle, log_slope_select,
-                     verify_wandering)
+                     blowup_chain, ergodic_probe, gap_system_build,
+                     induction_cycle, log_slope_select, verify_wandering)
 from .search import (CycleCandidate, RauzyGraph, SearchResult, cycle_search,
                      cycle_validate, rauzy_graph_build, signed_perms_enumerate)
 

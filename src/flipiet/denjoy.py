@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AtDiscontinuity, DivergentGaps, FlipIetError,
-                     SignSelectionFailed)
+                     ProbeHitsDiscontinuities, SignSelectionFailed)
 from .iet import IetSpec, branch_walk
 from .numfield import AlgebraicNumber
 from .rauzy import RauzyCycle, rauzy_cycle_detect
@@ -48,12 +48,6 @@ from .spectral import (BhmVerdict, SpectralData, eigen_left,
 
 PROBE_LENGTH = 100_000
 KAPPA_FIT_START = 100
-
-
-@dataclass
-class BirkhoffProfile:
-    kappa: float
-    decaying: bool
 
 
 @dataclass
@@ -71,30 +65,17 @@ class LogSlopeVector:
         return tuple(self.sign_choice * v for v in self.w_float)
 
 
-def birkhoff_profile(word, w, N):
-    """Partial sums S_k of w along the integer array word, an envelope decay
-    exponent, and a decay verdict.
-
-    S_0 = 0 and S_{k+1} = S_k + w[word_k].  The exponent is the slope of a
-    log-log fit of the running maxima of -S.  The verdict demands the whole
-    tail (last 70 percent) stay below -1 and the final sum below -2: marginal
-    sequences whose excursions recur near zero at geometrically spaced scales
-    would otherwise pass or fail depending on the probe horizon.
-    """
-    if len(word) < N:
-        raise ValueError("word shorter than requested horizon")
-    S, prof = _decay_verdict(np.array(w, dtype=float), word[:N])
-    prof.kappa = _envelope_exponent(S)
-    return S, prof.kappa, prof
-
-
 def _decay_verdict(w, word):
-    """(S, profile): birkhoff_profile's sums of the array w along the word
-    and its verdict on them, with kappa left nan for the caller to fit."""
+    """(S, decaying): the partial sums S_0 = 0, S_{k+1} = S_k + w[word_k] of
+    the array w along the integer array word, and the decay verdict on them.
+    The verdict demands the whole tail (last 70 percent) stay below -1 and
+    the final sum below -2: marginal sequences whose excursions recur near
+    zero at geometrically spaced scales would otherwise pass or fail
+    depending on the probe horizon."""
     S = np.concatenate([[0.0], np.cumsum(np.take(w, word - 1))])
     k0 = max(KAPPA_FIT_START, int(0.3 * len(word)))
     tail_max = S[k0:].max() if len(S) > k0 else S.max()
-    return S, BirkhoffProfile(math.nan, bool(tail_max <= -1.0 and S[-1] <= -2.0))
+    return S, bool(tail_max <= -1.0 and S[-1] <= -2.0)
 
 
 def _envelope_exponent(S):
@@ -114,8 +95,8 @@ def _decays_both_ways(sigma, address, ws, N):
     and the sums are freed on return, before the next address."""
     past, future = stationary_window(sigma, address, N, N)
     # backward sums: S_{-m} = -sum of w over the last m past symbols
-    return (_decay_verdict(ws, future[:N])[1].decaying
-            and _decay_verdict(-ws, past[::-1])[1].decaying)
+    return (_decay_verdict(ws, future[:N])[1]
+            and _decay_verdict(-ws, past[::-1])[1])
 
 
 def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
@@ -603,7 +584,7 @@ def ergodic_probe(E: IetSpec, seeds, steps: int,
             attempts += 1
             retries += 1
             if attempts > 10:
-                raise RuntimeError("orbit kept hitting discontinuities")
+                raise ProbeHitsDiscontinuities("orbit kept hitting discontinuities")
             z0 = xs[0] + (xs[-1] - xs[0]) * ((z0 * 7919.77 + attempts) % 1.0)
 
     spread = 0.0

@@ -31,6 +31,10 @@ class DivisionByZero(FlipIetError, ZeroDivisionError):
     """Division by the zero field element."""
 
 
+class SignNotConverged(FlipIetError, RuntimeError):
+    """Interval refinement did not decide the sign of an algebraic number."""
+
+
 # interval exchange layer
 
 class InvalidPermutation(FlipIetError):
@@ -90,3 +94,7 @@ class SignSelectionFailed(FlipIetError):
 
 class DivergentGaps(FlipIetError):
     """Gap lengths fail to decay; the blow-up sum is not summable at this horizon."""
+
+
+class ProbeHitsDiscontinuities(FlipIetError, RuntimeError):
+    """A probe orbit kept hitting discontinuities after every reseed."""

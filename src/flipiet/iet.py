@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
@@ -179,19 +178,6 @@ class IetSpec:
         view.lengths = tuple(map(float, self.lengths))
         view._lay_out(tuple(map(float, self.x)), tuple(map(float, self.y)))
         return view
-
-    def recompute_permutation(self):
-        """Re-derive the signed permutation from midpoint images and piece
-        orientation, independently of the stored one."""
-        mids = []
-        for i in range(1, self.n + 1):
-            m = (self.x[i - 1] + self.x[i]) / (2.0 if self.float_mode else Fraction(2))
-            mids.append((self.eval(m), self.sp.tau[i - 1]))
-        order = sorted(range(self.n), key=lambda k: mids[k][0])
-        rank = [0] * self.n
-        for r, k in enumerate(order, start=1):
-            rank[k] = r
-        return SignedPermutation(tuple(rank[k] * mids[k][1] for k in range(self.n)))
 
     def __repr__(self):
         return f"IetSpec(n={self.n}, sp={self.sp.entries})"

@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .errors import (AmbiguousRoot, DivisionByZero, FieldMismatch, NoRoot,
-                     ReduciblePolynomial)
+                     ReduciblePolynomial, SignNotConverged)
 from .polys import (IntPolynomial, _mul, _numerators, _rem_monic, count_roots,
                     faddeev_leverrier, is_irreducible, mat_mul, mat_transpose,
                     refine_root_interval, sturm_chain)
@@ -486,7 +486,7 @@ def exact_sign(value) -> int:
             return -1
         FILTER_COUNTS["refined"] += 1
         emb.narrow(4)
-    raise RuntimeError("sign determination failed to converge")
+    raise SignNotConverged("sign determination failed to converge")
 
 
 def exact_quotient(a, b):

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
+from operator import mul
 
 from .errors import DegreeCapExceeded
 
@@ -601,10 +602,8 @@ def mat_identity(n):
 
 
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(a[i][t] * bt[j][t] for t in range(k)) for j in range(m))
-                 for i in range(n))
+    bt = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a, v):

@@ -2,9 +2,9 @@
 
 Nodes are irreducible signed permutations (with at least one flip when flips
 are required); the two typed edges out of a node are rauzy.typed_move, the
-move that rauzy_step itself reads off one first-return induction on integer
-lengths of the type, so the graph carries exactly the combinatorics of the
-induction engine, with the elementary matrix attached to each edge.
+closed-form move that rauzy_step itself takes, so the graph carries exactly
+the combinatorics of the induction engine, with the elementary matrix
+attached to each edge.  Building it runs no induction.
 
 Cycles are primitive closed walks up to rotation: Lyndon words over the edge
 alphabet (v, t), enumerated by a walk cut at every prefix that is not a
@@ -75,10 +75,8 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
     for node in nodes:
         row_s = [None, None]
         row_m = [None, None]
-        sp = SignedPermutation(node)
         for t in (0, 1):
-            after, m = typed_move(sp, t)
-            target = after.entries
+            target, m = typed_move(node, t)
             if target not in ix:
                 # target lost all flips (or reducibility); dead end for cycles
                 absent.append((node, t, "target outside node class"))

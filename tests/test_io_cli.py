@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 import flipiet.cli
+import flipiet.denjoy
 from flipiet.cli import main
 from flipiet.io import (algebraic_from_json, algebraic_to_json, gaps_csv,
                         iet_from_json, iet_to_json, induction_trace_csv,
@@ -230,6 +231,14 @@ def test_cli_construction_error(tmp_path, capsys):
     rc = main(["wandering", "--spec", str(bad), "--gaps", "100",
                "--max-len", "6"])
     assert rc == 3
+
+
+def test_cli_probe_stuck_on_discontinuities_exits_3(monkeypatch, capsys):
+    # an orbit that keeps hitting breakpoints is a typed library error
+    monkeypatch.setattr(flipiet.denjoy, "_orbit_counts", lambda *args: None)
+    rc = main(["wandering", "--gaps", "50", "--probe-steps", "10000"])
+    assert rc == 3
+    assert "orbit kept hitting discontinuities" in capsys.readouterr().err
 
 
 def test_cli_rejects_nonpositive_settings():

@@ -245,6 +245,23 @@ def test_matrix_helpers():
     assert not quasi_positive(((0, 1), (1, 0)))  # periodic, irreducible
 
 
+def test_mat_mul_matches_triple_loop():
+    # rectangular shapes, negative and 100-bit entries, against the textbook
+    # triple loop; the product is a tuple of tuples whatever the input type
+    rng = random.Random(606)
+    for rows, inner, cols in [(1, 6, 4), (6, 1, 3), (5, 7, 3), (1, 8, 1),
+                              (1, 1, 1), (4, 9, 1), (3, 3, 3)]:
+        for bits in (3, 100):
+            def entry():
+                return rng.randint(-2 ** bits, 2 ** bits)
+            a = [[entry() for _ in range(inner)] for _ in range(rows)]
+            b = tuple(tuple(entry() for _ in range(cols)) for _ in range(inner))
+            want = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(inner))
+                               for j in range(cols)) for i in range(rows))
+            assert mat_mul(a, b) == want
+            assert type(mat_mul(a, b)[0]) is tuple
+
+
 def _quasi_positive_reference(m):
     """Reference: boolean-matrix powering up to the primitivity bound, one
     factor of m at a time."""

@@ -1,15 +1,19 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from flipiet import selfsim
 from flipiet.errors import DegenerateStep
 from flipiet.iet import IetSpec, SignedPermutation
 from flipiet.polys import mat_det, mat_identity, mat_mul, mat_vec
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, bundled_iet, bundled_theta1
 from flipiet.rauzy import (cycle_matrix, rauzy_cycle_detect, rauzy_run,
                            rauzy_step, typed_move)
+from flipiet.search import rauzy_graph_build, signed_perms_enumerate
 from flipiet.selfsim import induce
+from test_iet import recompute_permutation
 
 
 def induced_step(E):
@@ -22,6 +26,20 @@ def induced_step(E):
     ind = induce(E, (E.origin, E.x[-1] - (l_n if type_bit == 1 else l_s)))
     return (type_bit, ind.sub_iet.sp, ind.itineraries.counts_matrix(),
             ind.sub_iet)
+
+
+def induced_move(sp, type_bit):
+    """(after, matrix) of the typed move out of sp read off one
+    first-return induction on integer lengths of that type, the loser of
+    length 7 and every other length 2 * (7 + i) >= 14: the geometric
+    reference for the closed-form typed_move."""
+    n = len(sp)
+    lengths = [2 * (7 + i) for i in range(n)]
+    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = 7
+    E = IetSpec(lengths, sp, origin=0)
+    ind = induce(E, (0, E.x[-1] - 7))
+    assert ind.sub_iet.n == n
+    return ind.sub_iet.sp.entries, ind.itineraries.counts_matrix()
 
 
 def lengths_of_type(sp, type_bit, rng):
@@ -87,7 +105,7 @@ def test_lengths_shrink_and_stay_positive(steps):
 
 def test_permutations_recomputable_from_geometry(steps):
     for st in steps:
-        assert st.after_iet.recompute_permutation() == st.after
+        assert recompute_permutation(st.after_iet) == st.after
 
 
 def test_run_zero_steps():
@@ -109,6 +127,44 @@ def test_typed_move_needs_n_pieces():
     for t in (0, 1):
         with pytest.raises(DegenerateStep, match="induced map has 2 pieces"):
             typed_move(SignedPermutation((2, -1, 3)), t)
+
+
+def _every_edge_nodes():
+    for n in range(2, 6):
+        for require_flips in (True, False):
+            yield from signed_perms_enumerate(n, require_flips)
+    yield from random.Random(6).sample(signed_perms_enumerate(6, False), 3000)
+
+
+def test_typed_move_matches_induction():
+    # every edge out of every irreducible node for n = 2..5, with and without
+    # flips required, and out of 3,000 seeded n = 6 nodes: the closed form
+    # gives the geometric induction's permutation and matrix
+    count = 0
+    for node in _every_edge_nodes():
+        sp = SignedPermutation(node)
+        for t in (0, 1):
+            after, m = typed_move(node, t)
+            assert (after, m) == induced_move(sp, t)
+            assert typed_move(sp, t) == (after, m)
+            count += 1
+    assert count == 2 * (3 + 4 + 21 + 24 + 195 + 208 + 2201 + 2272 + 3000)
+
+
+def test_graph_build_runs_no_induction(monkeypatch):
+    # every module's binding of induce is counted, imported names included
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return induce(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flipiet") and getattr(module, "induce", None) is induce:
+            monkeypatch.setattr(module, "induce", counted)
+    assert selfsim.induce is counted
+    graph = rauzy_graph_build(5)
+    assert len(graph.nodes) == 2201 and calls == []
 
 
 def test_cycle_detect(steps):
@@ -212,6 +268,6 @@ def test_step_matches_induction_on_every_edge(n, require_flips, rauzy_graph):
                 assert st.after_lengths == sub.lengths
                 assert E2 is st.after_iet
                 assert (E2.x, E2.y) == (sub.x, sub.y)
-            assert E2.recompute_permutation() == after
+            assert recompute_permutation(E2) == after
             with pytest.raises(TypeError, match="must be exact"):
                 rauzy_step(E.as_float())

@@ -2,10 +2,10 @@
 private module-level function and private method has a caller, no function
 takes a private parameter but the two named below, every field of the
 blow-up's dataclasses has a reader, every function the benchmark's
-tracer wraps is defined in src/, and only IetSpec.__init__ and as_float
-set float_mode.  A deletion that leaves an import, a
-helper or a field behind, or that removes or renames a traced function,
-fails here."""
+tracer wraps is defined in src/, only IetSpec.__init__ and as_float
+set float_mode, and neither rauzy nor search imports selfsim.  A deletion
+that leaves an import, a helper or a field behind, or that removes or
+renames a traced function, fails here."""
 
 import ast
 from pathlib import Path
@@ -141,3 +141,22 @@ def test_float_mode_is_set_in_two_places():
               if isinstance(stmt, ast.Assign) and stores(stmt)]
     assert placed == [("iet.IetSpec.__init__", False),
                       ("iet.IetSpec.as_float", True)]
+
+
+def test_typed_moves_run_no_induction():
+    """The Rauzy graph and the Rauzy step take the closed-form typed move:
+    neither rauzy nor search imports selfsim or anything from it, whose
+    induce is the geometric reference the tests hold the move to."""
+    def imported(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield node.module or ""
+                yield from (f"{node.module or ''}.{alias.name}"
+                            for alias in node.names)
+
+    found = [f"{name}: {module}" for name in ("rauzy", "search")
+             for module in imported(MODULES[name])
+             if module.split(".")[-1] == "selfsim"]
+    assert found == []
