@@ -22,7 +22,8 @@ branch table of E.as_float(), the one float map that the certificate and
 the ergodic probe also evaluate, and the probe's step-by-step moves are
 IetSpec.orbit on that view.  The window word is one int64 array, built
 once per gap system, and the orbit is read off it by iet.branch_walk, the
-composed-branch walk that cylinder_locate and the ergodic probe also run.
+composed-branch walk that cylinder_locate also runs and that the ergodic
+probe reads off its one laid-out history.
 """
 
 from __future__ import annotations
@@ -493,51 +494,78 @@ class ErgodicReport:
     steps: int
 
 
-PROBE_HISTORY = 2 ** 15      # scalar warm-up steps whose itinerary seeds the guesses
+PROBE_HISTORY = 2 ** 15      # scalar steps of the one history that seeds the guesses
 PROBE_BLOCK = 2 ** 14        # most steps one verified block advances
 
 
-def _orbit_counts(Ef: IetSpec, z, steps):
+def _probe_history(Ef: IetSpec, z, steps):
+    """The guess history of a probe: one Ef.orbit of min(steps,
+    PROBE_HISTORY) steps from z, laid out once, or None when it hits a
+    breakpoint.  For the word w and points h_0 .. h_m it holds h_0 .. h_{m-1}
+    sorted (with their order), the word, E_k = sign[w_0] ... sign[w_{k-1}]
+    for k = 0 .. m (E_0 = 1), the signed shifts E_{k+1} shift[w_k], and the
+    ends of each step's piece seen in the frame E_k: E_k h_k lies strictly
+    between the k-th pair."""
+    seg = Ef.orbit(z, min(steps, PROBE_HISTORY))
+    if seg.terminated_at_discontinuity is not None:
+        return None
+    word = np.array(seg.word)
+    pts = np.array(seg.points[:-1])
+    del seg
+    order = np.argsort(pts, kind="stable")
+    xa = np.array(Ef.x)
+    shift, sign = map(np.array, zip(*Ef.branches))
+    e = np.cumprod(np.concatenate(([1.0], sign[word - 1])))
+    a, b = e[:-1] * xa[word - 1], e[:-1] * xa[word]
+    return (pts[order], order, word, e, e[1:] * shift[word - 1],
+            np.minimum(a, b), np.maximum(a, b))
+
+
+def _orbit_counts(Ef: IetSpec, z, steps, history=None):
     """Visits to pieces 1..n of the float orbit of z over steps steps,
     equal to the word of Ef.orbit(z, steps); None on a breakpoint hit.
 
-    After a warm-up of PROBE_HISTORY steps by Ef.orbit, each block of up to
-    PROBE_BLOCK steps takes as its guess the itinerary that follows the
-    warm-up point nearest to z (nearby points share their pieces for a long
-    time), evaluates the guessed branches with one cumsum, and checks every
-    point as Ef.orbit does.  The verified prefix is counted; at the
-    first mismatch one step of Ef.orbit moves on, or reports the hit.
+    history is a _probe_history, by default the one of z itself.  From
+    step 0, each block of up to PROBE_BLOCK steps takes as its guess the
+    itinerary that follows the history point h_j nearest to z (nearby points
+    share their pieces for a long time).  The block walks in the history's
+    frame: v = cumsum([E_j z, signed shifts from j]) is iet.branch_walk's
+    u times E_j, exactly, since rounding is odd, so its k-th point is
+    E_{j+k} v_k, the step-by-step float bit for bit.  Each v_k is checked
+    to lie strictly between its guessed piece's ends in that frame, which is
+    Ef.orbit's check on the point; the verified prefix is counted, and at
+    the first mismatch one step of Ef.orbit moves on, or reports the hit.
+
+    A history whose blocks average fewer than 64 steps, with PROBE_HISTORY
+    steps of credit, does not follow this orbit (it may never visit the
+    orbit's part of the domain, as in a periodic island of an exchange that
+    is not minimal); the orbit then lays out its own from where it stands.
     """
-    n = Ef.n
-    warm = Ef.orbit(z, min(steps, PROBE_HISTORY))
-    if warm.terminated_at_discontinuity is not None:
-        return None
-    z = warm.points[-1]
-    counts = np.bincount(warm.word, minlength=n + 1)
-    pieces = np.array(warm.word)
-    hist = np.array(warm.points[:-1])
-    order = np.argsort(hist, kind="stable")
-    sorted_hist = hist[order]
-    xa = np.array(Ef.x)
-    shift, sign = map(np.array, zip(*Ef.branches))
-    done = len(hist)
+    counts = np.zeros(Ef.n + 1, dtype=np.int64)
+    done = blocks = since = 0
     while done < steps:
-        k = int(np.searchsorted(sorted_hist, z))
-        if k == len(order) or (k > 0 and z - sorted_hist[k - 1] < sorted_hist[k] - z):
+        if history is None or 64 * blocks > PROBE_HISTORY + done - since:
+            history = _probe_history(Ef, z, steps - done)
+            if history is None:
+                return None
+            blocks, since = 0, done
+        blocks += 1
+        sorted_pts, order, word, e, signed, lo, hi = history
+        m = len(word)
+        k = int(np.searchsorted(sorted_pts, z))
+        if k == m or (k > 0 and z - sorted_pts[k - 1] < sorted_pts[k] - z):
             k -= 1
         j = int(order[k])
-        L = min(PROBE_BLOCK, steps - done, len(pieces) - j)
-        guess = pieces[j:j + L]
-        e, u = branch_walk(guess - 1, shift, sign, 1.0, z)
-        zs = e[:L] * u[:L]
-        ok = (np.searchsorted(xa, zs, side="left") == guess) & (zs != xa[guess])
+        L = min(PROBE_BLOCK, steps - done, m - j)
+        v = np.cumsum(np.concatenate(([e[j] * z], signed[j:j + L])))
+        ok = (lo[j:j + L] < v[:L]) & (v[:L] < hi[j:j + L])
         p = L if ok.all() else int(ok.argmin())
-        counts += np.bincount(guess[:p], minlength=n + 1)
+        counts += np.bincount(word[j:j + p], minlength=Ef.n + 1)
         done += p
+        z = float(e[j + p] * v[p])
         if p == L:
-            z = float(e[L] * u[L])
             continue
-        step = Ef.orbit(float(zs[p]), 1)
+        step = Ef.orbit(z, 1)
         if step.terminated_at_discontinuity is not None:
             return None
         (i,), z = step.word, step.points[-1]
@@ -557,7 +585,10 @@ def ergodic_probe(E: IetSpec, seeds, steps: int,
     the step-by-step float orbits z -> a_i + s_i z (s_i = +-1): once the
     pieces are known, iet.branch_walk's one cumsum gives every point bit for
     bit, and each point's piece is checked as bisect_left finds it, hits
-    included.
+    included.  Every orbit guesses from one shared history
+    (_probe_history), laid out once from the first seed; a first seed whose
+    history hits a breakpoint counts as a hit and is reseeded, and the
+    history is taken from the new seed.
     """
     if steps < 10_000:
         raise ValueError("probe needs at least 1e4 steps")
@@ -574,10 +605,14 @@ def ergodic_probe(E: IetSpec, seeds, steps: int,
 
     retries = 0
     averages = []
+    history = None
     for z0 in seed_pts:
         attempts = 0
         while True:
-            counts = _orbit_counts(Ef, z0, steps)
+            if history is None:
+                history = _probe_history(Ef, z0, steps)
+            counts = (None if history is None
+                      else _orbit_counts(Ef, z0, steps, history))
             if counts is not None:
                 averages.append(tuple(c / steps for c in counts))
                 break

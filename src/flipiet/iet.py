@@ -22,6 +22,9 @@ import numpy as np
 from .errors import AtDiscontinuity, InvalidPermutation, NonpositiveLength
 
 
+_NOT_EXACT = "lengths and origin must be exact; as_float() gives the float view"
+
+
 class SignedPermutation:
     """Permutation entries with signs: |entries| is a permutation of 1..n,
     the sign of entry i is the orientation of piece i (-1 = flipped)."""
@@ -103,23 +106,35 @@ class IetSpec:
         # n = 1 is allowed so first-return maps can degenerate to a single piece
         if not isinstance(signed_perm, SignedPermutation):
             signed_perm = SignedPermutation(signed_perm)
-        n = len(signed_perm)
         lengths = tuple(lengths)
-        if len(lengths) != n:
+        if len(lengths) != len(signed_perm):
             raise InvalidPermutation("lengths and permutation size differ")
         if any(isinstance(v, float) for v in (*lengths, origin)):
-            raise TypeError("lengths and origin must be exact; "
-                            "as_float() gives the float view")
+            raise TypeError(_NOT_EXACT)
         self.float_mode = False
         for v in lengths:
             if not v > 0:
                 raise NonpositiveLength(f"length {v!r} is not positive")
-        self.n = n
+        self._place(lengths, signed_perm, origin)
+
+    def _place(self, lengths, signed_perm, origin):
+        """Set the lengths and the signed permutation, laid out from origin."""
+        self.n = len(signed_perm)
         self.lengths = lengths
         self.sp = signed_perm
         slots = (lengths[i - 1] for i in signed_perm.pi_inv[1:])
         self._lay_out(tuple(accumulate(lengths, initial=origin)),
                       tuple(accumulate(slots, initial=origin)))
+
+    def _rearranged(self, lengths, signed_perm):
+        """The exact exchange with these lengths and this SignedPermutation
+        on this one's origin, laid out without the constructor's checks: for
+        a Rauzy step, whose lengths are positive by construction."""
+        if self.float_mode:
+            raise TypeError(_NOT_EXACT)
+        out = copy(self)
+        out._place(tuple(lengths), signed_perm, self.origin)
+        return out
 
     def _lay_out(self, x, y):
         """Set the breakpoints x, the slot ends y and the branch table read

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from .iet import IetSpec, SignedPermutation
 from .numfield import AlgebraicNumber, NumberField, RootEmbedding
 from .polys import IntPolynomial
@@ -111,10 +113,21 @@ def return_words_csv(itineraries) -> str:
     return "\n".join(lines) + "\n"
 
 
+_GAPS_CHUNK = 4096      # rows of gaps.csv converted and written at once
+
+
 def gaps_csv(gs, fh):
     """Write rows n,symbol,orbit_point,gap_length,position to the open text
-    file fh, one at a time, so that the dump is never held in memory."""
+    file fh, _GAPS_CHUNK rows at a time, so that the dump is never held in
+    memory.  Each column of a chunk is converted once, to Python ints and
+    floats, whose repr is the text."""
     fh.write("n,symbol,orbit_point,gap_length,position\n")
-    for k, n in enumerate(range(-gs.half_width, gs.half_width + 1)):
-        fh.write(f"{n},{int(gs.symbols[k])},{float(gs.orbit_points[k])!r},"
-                 f"{float(gs.gap_lengths[k])!r},{float(gs.positions[k])!r}\n")
+    h = gs.half_width
+    for a in range(0, 2 * h + 1, _GAPS_CHUNK):
+        rows = slice(a, min(a + _GAPS_CHUNK, 2 * h + 1))
+        cols = [np.asarray(col[rows], dtype=float).tolist()
+                for col in (gs.orbit_points, gs.gap_lengths, gs.positions)]
+        fh.writelines([f"{n},{sym},{p!r},{g!r},{q!r}\n" for n, sym, p, g, q in
+                       zip(range(a - h, rows.stop - h),
+                           np.asarray(gs.symbols[rows], dtype=int).tolist(),
+                           *cols)])

@@ -94,7 +94,9 @@ def rauzy_step(E: IetSpec) -> tuple:
     matrix . new = old, where the matrix is a permutation matrix plus one 1:
     a row with a single 1 in column j gives new[j] that row's length.  The
     winner's row has two 1s, one in the loser's column, and its other column
-    gets the winner's length less the loser's."""
+    gets the winner's length less the loser's.  So every new length is
+    positive by construction, and E' is laid out without checking them
+    again (IetSpec._rearranged); a float view is a TypeError."""
     n = E.n
     s = E.sp.pi_inv[n]
     if s == n:
@@ -115,7 +117,7 @@ def rauzy_step(E: IetSpec) -> tuple:
             winner, pair = length, cols
     j, k = pair if lengths[pair[0]] is None else pair[::-1]
     lengths[j] = winner - lengths[k]
-    sub = IetSpec(lengths, after, origin=E.origin)
+    sub = E._rearranged(lengths, after)
     step = RauzyStep(type_bit=type_bit, matrix=m, before=E.sp, after=after,
                      before_lengths=E.lengths, after_lengths=sub.lengths,
                      after_iet=sub)

@@ -596,15 +596,49 @@ def test_probe_kernel_premises_hold_in_floats():
 
 
 def test_probe_working_set_is_fixed():
-    # the warm-up history and one block, about 3 MB, at any number of steps;
-    # the points of a 10^6-step orbit alone would take 8 MB
+    # the one shared history (seven arrays of 2^15 entries) and one block,
+    # about 2.3 MB, at any number of steps or seeds; the points of a
+    # 10^6-step orbit alone would take 8 MB
     import tracemalloc
     E = bundled_iet()
     ergodic_probe(E, 1, 10 ** 4)         # one-time float views and imports
     peaks = []
-    for steps in (10 ** 6, 10 ** 5):
+    for seeds, steps in ((1, 10 ** 6), (1, 10 ** 5), (5, 10 ** 6)):
         tracemalloc.start()
-        ergodic_probe(E, 1, steps)
+        ergodic_probe(E, seeds, steps)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert max(peaks) < 4 * 2 ** 20
+
+
+def _long_orbits(monkeypatch):
+    """The start points of the IetSpec.orbit calls of more than one step,
+    recorded from now on."""
+    orbit = IetSpec.orbit
+    starts = []
+
+    def recorded(self, z, steps):
+        if steps > 1:
+            starts.append(z)
+        return orbit(self, z, steps)
+
+    monkeypatch.setattr(IetSpec, "orbit", recorded)
+    return starts
+
+
+def test_probe_lays_out_one_history(monkeypatch):
+    # the wandering report's probe: five seeds, one scalar history
+    starts = _long_orbits(monkeypatch)
+    ergodic_probe(bundled_iet(), 5, 10 ** 6)
+    assert len(starts) == 1
+
+
+def test_probe_orbit_off_the_history_lays_out_its_own(monkeypatch):
+    # piece 1 is fixed pointwise and piece 2 flips in place: the history of
+    # the first seed never enters piece 2, so the second seed's blocks are
+    # one step long until it takes a history of its own
+    E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (1, -2))
+    starts = _long_orbits(monkeypatch)
+    rep = ergodic_probe(E, [0.25, 0.75], 10 ** 5)
+    assert rep.per_seed == ((1.0, 0.0), (0.0, 1.0))
+    assert starts == [0.25, 0.75]
