@@ -326,6 +326,18 @@ class AietApprox:
         return self.slopes[i - 1] * y + self.intercepts[i - 1]
 
 
+def _median(a):
+    """np.median of a nonempty 1-d float array, bit for bit: the middle
+    element, or (a + b) / 2 of the two middle ones, and the NaN itself when
+    the array holds one.  np.median's own NaN check imports numpy.ma."""
+    h = len(a) // 2
+    odd = len(a) % 2
+    part = np.partition(a, [h, len(a) - 1] if odd else [h - 1, h, len(a) - 1])
+    if np.isnan(part[-1]):          # a NaN partitions past every number
+        return part[-1]
+    return part[h] if odd else (part[h - 1] + part[h]) / 2
+
+
 def aiet_from_gaps(gs: GapSystem) -> AietApprox:
     """Assemble the global affine map from the gap recursion."""
     E = gs.iet
@@ -347,8 +359,8 @@ def aiet_from_gaps(gs: GapSystem) -> AietApprox:
     for i, sel in enumerate(gs.interior_classes(), start=1):
         if len(sel):
             ratio = gs.gap_lengths[sel + 1] / gs.gap_lengths[sel]
-            beta = tau[i - 1] * float(np.median(ratio))
-            c = float(np.median(mids[sel + 1] - beta * mids[sel]))
+            beta = tau[i - 1] * float(_median(ratio))
+            c = float(_median(mids[sel + 1] - beta * mids[sel]))
         else:
             beta, c = float(tau[i - 1]), None     # degenerate: no interior data
         slopes.append(beta)

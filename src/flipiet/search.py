@@ -7,12 +7,12 @@ the combinatorics of the induction engine, with the elementary matrix
 attached to each edge.  Building it runs no induction.
 
 Cycles are primitive closed walks up to rotation: Lyndon words over the edge
-alphabet (v, t), enumerated by a walk cut at every prefix that is not a
-prenecklace.  Every cycle product is screened for the dominant-plus-conjugate
-eigenvalue hypotheses; screen survivors can be validated end to end by
-rebuilding the exchange with exact Perron lengths and stepping it along the
-cycle: each Rauzy step is one exact comparison of two lengths, which picks
-the typed move, and one exact subtraction.
+alphabet (v, t), enumerated level by level by a walk cut at every prefix that
+is not a prenecklace.  Every cycle product is screened for the
+dominant-plus-conjugate eigenvalue hypotheses; screen survivors can be
+validated end to end by rebuilding the exchange with exact Perron lengths and
+stepping it along the cycle: each Rauzy step is one exact comparison of two
+lengths, which picks the typed move, and one exact subtraction.
 
 Since a flipped exchange can induce to an orientation-preserving one but
 never back, no closed walk through an unflipped node returns to a flipped
@@ -24,9 +24,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import permutations
 from multiprocessing import get_context
+
+import numpy as np
+
 from .errors import DegenerateStep, FlipIetError
 from .iet import IetSpec, SignedPermutation
 from .polys import (mat_identity, mat_mul, row_masks, rows_quasi_positive,
@@ -92,6 +94,10 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
 # ---------------------------------------------------------------------------
 # closed-walk enumeration
 
+# starts walked side by side: one bit each of a uint64 distance mask
+WALK_BATCH = 64
+
+
 def _census_worker(args):
     """Screen every cycle whose smallest node is one of starts; return the
     screen-reason counts and the qualifying cycles as CycleCandidates, each
@@ -108,28 +114,21 @@ def _census_worker(args):
     >= s) exceeds max_len.  The product's zero pattern rides down the walk
     as row bitmasks, one rows_table lookup per row; only cycles whose
     pattern is quasi-positive get the exact product.
+
+    The walk is level-synchronous (_Walker): the starts go in batches of
+    WALK_BATCH, and each step of a batch's whole frontier is one set of
+    array operations.
     """
     nodes, succ, mats, starts, max_len = args
     n = len(nodes[0])
-    table = cache(rows_table)       # one table per distinct zero pattern
-    patterns = [[m and table(row_masks(m)) for m in row] for row in mats]
-    pred = [[] for _ in succ]
-    for v, row in enumerate(succ):
-        for u in row:
-            if u is not None:
-                pred[u].append(v)
-    pattern_ok = {}                 # zero pattern -> rows_quasi_positive
+    walker = _Walker(succ, mats, n)
+    pack = 1 << (7 * np.arange(n, dtype=np.int64))  # 7 bits a row, n <= 7
+    pattern_ok = {}                 # packed pattern -> rows_quasi_positive
     reasons = Counter()
     hits = []
-    path = [-1]                     # edge codes 2 * v + t after a sentinel
 
-    def screen(rows):
-        if rows not in pattern_ok:
-            pattern_ok[rows] = rows_quasi_positive(rows)
-        if not pattern_ok[rows]:
-            reasons["not_quasi_positive"] += 1
-            return
-        seq = [divmod(e, 2) for e in path[1:]]
+    def screen(edges):
+        seq = [divmod(e, 2) for e in edges]
         prod = mat_identity(n)
         for (v, t) in seq:
             prod = mat_mul(prod, mats[v][t])
@@ -142,33 +141,137 @@ def _census_worker(args):
                 theta1=verdict.theta1.decimal(12),
                 theta2=verdict.theta2.decimal(12))))
 
-    def extend(s, dist, v, depth, rows, p):
-        # path[1:depth] is a prenecklace of period p ending at v
-        c = path[depth - p]         # the edge one period back
-        for t in (0, 1):
-            u = succ[v][t]
-            du = dist.get(u)
-            e = 2 * v + t
-            if du is None or depth + du > max_len or e < c:
-                continue            # too long, or no Lyndon word's prefix
-            q = depth if e > c else p
-            tab = patterns[v][t]
-            nxt = tuple([tab[r] for r in rows])
-            path.append(e)
-            if u == s and q == depth:
-                screen(nxt)
-            extend(s, dist, u, depth + 1, nxt, q)
-            path.pop()
-
-    for s in starts:
-        dist = {s: 0}
-        frontier = [s]
-        for d in range(1, max_len):
-            frontier = {u for v in frontier for u in pred[v]
-                        if u > s and u not in dist}
-            dist.update(dict.fromkeys(frontier, d))
-        extend(s, dist, s, 1, tuple(1 << i for i in range(n)), 1)
+    starts = sorted(starts)
+    for k in range(0, len(starts), WALK_BATCH):
+        for rows, edges in walker.walk(starts[k:k + WALK_BATCH], max_len):
+            keys = (rows @ pack).tolist()
+            for i, key in enumerate(keys):
+                if key not in pattern_ok:
+                    pattern_ok[key] = rows_quasi_positive(
+                        tuple(rows[i].tolist()))
+            ok = [pattern_ok[key] for key in keys]
+            reasons["not_quasi_positive"] += ok.count(False)
+            for path in edges[ok].tolist():
+                screen(path)
     return reasons, hits
+
+
+class _Walker:
+    """The graph as arrays for the level-synchronous walk, and the distance
+    masks of the batch being walked.
+
+    Slot b of a batch is its b-th smallest start.  Bit b of within[u] is set
+    when a walk of at most the current radius leads from u to start b
+    through nodes > start b, or u is start b.  Entry N of within stands for
+    the target of an absent edge and stays 0.  The node tables have N or
+    N + 1 entries; nothing has N times the batch.
+    """
+
+    def __init__(self, succ, mats, n):
+        N = len(succ)
+        tables = {}                 # zero pattern -> its rows_table's index
+        ids = {}                    # matrix -> its pattern's index
+        for row in mats:
+            for m in row:
+                if m and m not in ids:
+                    ids[m] = tables.setdefault(row_masks(m), len(tables))
+        self.n = n
+        # the rows_table of every pattern, stacked flat: edge (v, t) maps a
+        # row mask r to tab[offset[v, t] | r]
+        self.tab = np.array([rows_table(b) for b in tables], np.uint8).ravel()
+        self.offset = np.fromiter((ids.get(m, 0) << n for row in mats
+                                   for m in row), np.int32, 2 * N)
+        self.offset = self.offset.reshape(N, 2)
+        self.succ = np.fromiter((N if u is None else u for row in succ
+                                 for u in row), np.int32, 2 * N).reshape(N, 2)
+        # pred[u] lists the sources of u's in-edges, padded with -1: one
+        # column per pass, each scattering the edges no pass has placed
+        edge = np.flatnonzero(self.succ.ravel() < N).astype(np.int32)
+        v, u = edge >> 1, self.succ.ravel()[edge]
+        self.pred = np.full((N, 0), -1, np.int32)
+        while len(u):
+            col = np.full((N, 1), -1, np.int32)
+            col[u, 0] = v
+            placed = col[u, 0] == v
+            self.pred = np.hstack([self.pred, col])
+            v, u = v[~placed], u[~placed]
+        self.within = np.zeros(N + 1, np.uint64)
+        self.front = np.zeros(N, np.uint64)     # scratch of _distances
+        self.stamp = np.zeros(N, np.int32)
+        # low[k] has the bits of slots 0 .. k - 1
+        self.low = np.array([(1 << k) - 1 for k in range(WALK_BATCH + 1)],
+                            np.uint64)
+
+    def _distances(self, starts, max_len):
+        """Reverse BFS from every start of the batch at once, to radius
+        max_len - 1: return its levels as (nodes, slot masks), with bit b
+        of a node's mask in the level of its distance to start b, and leave
+        within at that radius."""
+        bits = np.uint64(1) << np.arange(len(starts), dtype=np.uint64)
+        level = (starts, bits)
+        self.within[starts] = level[1]
+        levels = [level]
+        for _ in range(1, max_len):
+            w = self.pred[level[0]]
+            keep = w >= 0
+            m = np.broadcast_to(level[1][:, None], w.shape)[keep]
+            w = w[keep]
+            np.bitwise_or.at(self.front, w, m)
+            first = np.arange(len(w), dtype=np.int32)   # one per node
+            self.stamp[w] = first
+            w = w[self.stamp[w] == first]
+            m = (self.front[w] & ~self.within[w]
+                 & self.low[np.searchsorted(starts, w)])    # start b < w
+            self.front[w] = 0
+            keep = m != 0
+            if not keep.any():
+                break
+            level = (w[keep], m[keep])
+            self.within[level[0]] |= level[1]
+            levels.append(level)
+        return levels
+
+    def walk(self, starts, max_len):
+        """Walk the prenecklaces from every start of one batch (sorted, at
+        most WALK_BATCH) level by level; yield, per level, the closing
+        Lyndon walks' zero patterns (uint8 row bitmasks, one column per
+        row) and their edge codes 2 * v + t."""
+        s = v = np.array(starts, np.int32)  # each row's start and node
+        levels = self._distances(s, max_len)
+        bit = levels[0][1]                  # each row's slot, as its bit
+        p = np.ones(len(s), np.intp)        # Duval's period
+        rows = np.broadcast_to((1 << np.arange(self.n)).astype(np.uint8),
+                               (len(s), self.n))
+        path = np.full((len(s), max_len + 1), -1, np.int32)
+        try:
+            for depth in range(1, max_len + 1):
+                # within is at radius max_len - depth
+                c = path[np.arange(len(v)), depth - p]  # one period back
+                u = self.succ[v]
+                e = 2 * v[:, None] + np.arange(2, dtype=np.int32)
+                # cut: too long, or no Lyndon word's prefix
+                parent, t = np.nonzero(((self.within[u] & bit[:, None]) != 0)
+                                       & (e >= c[:, None]))
+                if max_len - depth < len(levels):
+                    nodes, masks = levels[max_len - depth]
+                    self.within[nodes] &= ~masks
+                if not len(parent):
+                    return
+                rows = self.tab[self.offset[v[parent], t][:, None]
+                                | rows[parent]]
+                e = e[parent, t]
+                v = u[parent, t]
+                s = s[parent]
+                bit = bit[parent]
+                p = np.where(e > c[parent], depth, p[parent])
+                path = path[parent]
+                path[:, depth] = e
+                closed = np.flatnonzero((v == s) & (p == depth))
+                if len(closed):
+                    yield rows[closed], path[closed, 1:depth + 1]
+        finally:
+            for nodes, _ in levels:
+                self.within[nodes] = 0
 
 
 @dataclass

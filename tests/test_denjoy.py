@@ -298,6 +298,23 @@ def test_aiet_slopes_and_flips(setting, gaps):
     assert T.breakpoints[0] == 0.0 and T.breakpoints[-1] == 1.0
 
 
+def test_median_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(23)
+    arrays = [rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8)
+              for size in list(range(1, 12)) + [100, 101, 4096, 4097]]
+    arrays += [np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3, 0.7]),
+               np.array([5.0, 5.0, 5.0]), np.array([np.inf, -np.inf, 1.0])]
+    for k in (4, 5):
+        a = rng.random(k)
+        a[1] = np.nan
+        arrays.append(a)
+    for a in arrays:
+        want = np.median(a)
+        got = denjoy._median(a.copy())
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+    assert np.isnan(denjoy._median(arrays[-1]))
+
+
 def test_engineered_duplicate_points_fail(setting, gaps):
     import dataclasses
     gs_bad = dataclasses.replace(gaps,
@@ -476,17 +493,18 @@ def test_probe_kernel_matches_scalar_reference(monkeypatch):
     assert [round(c * 10 ** 6) for c in got[0][0]] == [379768, 90805, 70445,
                                                         170020, 288962]
 
-    # an exactly periodic orbit, run past the warm-up
+    # an exactly periodic orbit, run past the shared history
     E = IetSpec((Fraction(1, 2), Fraction(1, 2)), (2, 1)).as_float()
     steps = 3 * denjoy.PROBE_HISTORY + 6
     got = _outcome(_kernel_probe, E, [0.25], steps, [0.5, 0.5])
     assert got == _outcome(_scalar_probe, E, [0.25], steps, [0.5, 0.5])
     assert got[0] == ((0.5, 0.5),)
 
-    # 1,000 random flipped float exchanges, with a short warm-up and short
-    # blocks so that blocks, mismatches and hits inside blocks are frequent.
-    # A third have dyadic lengths, origin and seeds: their orbits stay on a
-    # lattice that holds the breakpoints, so they hit them and reseed.
+    # 1,000 random flipped float exchanges, with a short shared history and
+    # short blocks so that blocks, mismatches and hits inside blocks are
+    # frequent.  A third have dyadic lengths, origin and seeds: their orbits
+    # stay on a lattice that holds the breakpoints, so they hit them and
+    # reseed.
     monkeypatch.setattr(denjoy, "PROBE_HISTORY", 2 ** 10)
     monkeypatch.setattr(denjoy, "PROBE_BLOCK", 2 ** 9)
     orbit = IetSpec.orbit

@@ -1,15 +1,20 @@
 import random
+import tracemalloc
+from collections import Counter
+from functools import cache
 
 import pytest
 
 import flipiet.search
 from flipiet.iet import IetSpec, SignedPermutation
 from flipiet.polys import (mat_det, mat_identity, mat_mul, quasi_positive,
-                           row_masks, rows_mul, rows_table)
+                           row_masks, rows_mul, rows_quasi_positive,
+                           rows_table)
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
-from flipiet.search import (CycleCandidate, cycle_search, cycle_validate,
+from flipiet.search import (WALK_BATCH, CycleCandidate, _census_worker,
+                            cycle_search, cycle_validate,
                             signed_perms_enumerate)
-from flipiet.spectral import SCREEN_REASONS
+from flipiet.spectral import SCREEN_REASONS, bhm_screen
 from test_rauzy import induced_step, lengths_of_type
 
 
@@ -181,6 +186,145 @@ def test_search_results_independent_of_worker_count(rauzy_graph):
     key = lambda c: (c.nodes, c.types, c.product, c.theta1, c.theta2,
                      c.validation_reason)
     assert [key(c) for c in r1.qualifying] == [key(c) for c in r2.qualifying]
+
+
+def test_census_on_two_workers_matches_one(rauzy_graph):
+    # n=5 at max_len 12: the starts dealt out to two spawned workers
+    g = rauzy_graph(5, True)
+    r1 = cycle_search(g, 12, jobs=1)
+    r2 = cycle_search(g, 12, jobs=2)
+    assert r1 == r2
+    assert r1.cycles_checked > 0
+
+
+# ---------------------------------------------------------------------------
+# reference walk: the census worker as one recursive call per prenecklace
+# extension, with a dict of reverse-BFS distances per start
+
+def _reference_census_worker(args):
+    nodes, succ, mats, starts, max_len = args
+    n = len(nodes[0])
+    table = cache(rows_table)
+    patterns = [[m and table(row_masks(m)) for m in row] for row in mats]
+    pred = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for u in row:
+            if u is not None:
+                pred[u].append(v)
+    pattern_ok = {}
+    reasons = Counter()
+    hits = []
+    path = [-1]                     # edge codes 2 * v + t after a sentinel
+
+    def screen(rows):
+        if rows not in pattern_ok:
+            pattern_ok[rows] = rows_quasi_positive(rows)
+        if not pattern_ok[rows]:
+            reasons["not_quasi_positive"] += 1
+            return
+        seq = [divmod(e, 2) for e in path[1:]]
+        prod = mat_identity(n)
+        for (v, t) in seq:
+            prod = mat_mul(prod, mats[v][t])
+        verdict = bhm_screen(prod)
+        reasons[verdict.reason] += 1
+        if verdict.qualifies:
+            hits.append(cycle_validate(CycleCandidate(
+                nodes=tuple(nodes[v] for (v, t) in seq),
+                types=tuple(t for (v, t) in seq), product=prod,
+                theta1=verdict.theta1.decimal(12),
+                theta2=verdict.theta2.decimal(12))))
+
+    def extend(s, dist, v, depth, rows, p):
+        # path[1:depth] is a prenecklace of period p ending at v
+        c = path[depth - p]         # the edge one period back
+        for t in (0, 1):
+            u = succ[v][t]
+            du = dist.get(u)
+            e = 2 * v + t
+            if du is None or depth + du > max_len or e < c:
+                continue            # too long, or no Lyndon word's prefix
+            q = depth if e > c else p
+            tab = patterns[v][t]
+            nxt = tuple([tab[r] for r in rows])
+            path.append(e)
+            if u == s and q == depth:
+                screen(nxt)
+            extend(s, dist, u, depth + 1, nxt, q)
+            path.pop()
+
+    for s in starts:
+        dist = {s: 0}
+        frontier = [s]
+        for d in range(1, max_len):
+            frontier = {u for v in frontier for u in pred[v]
+                        if u > s and u not in dist}
+            dist.update(dict.fromkeys(frontier, d))
+        extend(s, dist, s, 1, tuple(1 << i for i in range(n)), 1)
+    return reasons, hits
+
+
+def _candidate_key(c):
+    return (len(c.types), c.nodes, c.types, c.product, c.theta1, c.theta2,
+            c.validated, c.validation_reason)
+
+
+def _assert_worker_matches_reference(g, starts, max_len):
+    payload = (g.nodes, g.succ, g.mats, starts, max_len)
+    reasons, hits = _census_worker(payload)
+    ref_reasons, ref_hits = _reference_census_worker(payload)
+    assert reasons == ref_reasons
+    assert (sorted(map(_candidate_key, hits))
+            == sorted(map(_candidate_key, ref_hits)))
+    return reasons, hits
+
+
+@pytest.mark.parametrize("n, require_flips, max_len",
+                         [(n, f, 10) for n in (2, 3, 4, 5)
+                          for f in (True, False)]
+                         + [(5, True, 14), (6, True, 10)])
+def test_census_worker_matches_reference_walk(n, require_flips, max_len,
+                                              rauzy_graph):
+    g = rauzy_graph(n, require_flips)
+    reasons, hits = _assert_worker_matches_reference(
+        g, list(range(len(g.nodes))), max_len)
+    assert sum(reasons.values()) > 0
+    if (n, max_len) == (5, 14):
+        assert sum(reasons.values()) == 35964 and len(hits) == 24
+
+
+@pytest.mark.parametrize("pick", ["bundled node", "every third",
+                                  "batch and a half, reversed"])
+def test_census_worker_matches_reference_on_start_lists(pick, rauzy_graph):
+    # one start (whose cycles include the bundled one), the start list of
+    # the second of three workers, and a list whose length is no multiple
+    # of the batch, given in decreasing order
+    g = rauzy_graph(5, True)
+    starts = {"bundled node": [g.index(SIGNED_PERMUTATION)],
+              "every third": list(range(len(g.nodes)))[1::3],
+              "batch and a half, reversed":
+                  list(range(3 * WALK_BATCH // 2 + 5))[::-1]}[pick]
+    max_len = 14 if pick == "bundled node" else 12
+    _assert_worker_matches_reference(g, starts, max_len)
+
+
+@pytest.mark.parametrize("n, max_len, bound",
+                         [(5, 14, 2 * 2 ** 20), (6, 10, 5 * 2 ** 19)])
+def test_census_walk_working_set_is_fixed(n, max_len, bound, rauzy_graph):
+    # the graph's arrays, the distance masks and one batch's frontier: about
+    # 1.2 MB at n=5/14 and 1.7 MB at n=6/10 (29,043 nodes).  One table of a
+    # byte per start of a batch and node would add 1.9 MB at n=6, and the
+    # recursive walk's distance dicts took 6.4 MB at n=6/10.
+    g = rauzy_graph(n, True)
+    _census_worker((g.nodes, g.succ, g.mats, [0], 4))    # one-time imports
+    payload = (g.nodes, g.succ, g.mats, list(range(len(g.nodes))), max_len)
+    tracemalloc.start()
+    try:
+        _census_worker(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------
