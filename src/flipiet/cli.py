@@ -28,7 +28,7 @@ from functools import cache
 
 from . import quintic
 from .errors import FlipIetError
-from .denjoy import (aiet_from_gaps, blowup_chain, ergodic_probe,
+from .denjoy import (MIN_PROBE_STEPS, aiet_from_gaps, blowup_chain, ergodic_probe,
                      gap_system_build, induction_cycle, verify_wandering)
 from .io import (fraction_to_str, gaps_csv, induction_trace_csv, load_iet,
                  return_words_csv)
@@ -140,7 +140,7 @@ def cmd_wandering(args):
     gs = gap_system_build(E, chain.sigma, lsv, N)
     T = aiet_from_gaps(gs)
     cert = verify_wandering(gs, T, E, kappa_target=chain.kappa_target)
-    probe = ergodic_probe(E, 5, max(args.probe_steps, 10 ** 4),
+    probe = ergodic_probe(E, 5, args.probe_steps,
                           reference=[float(v) for v in E.lengths])
     if args.out:
         with _out_file(args, "gaps.csv") as fh:
@@ -268,6 +268,12 @@ def positive_int(text):
     return val
 
 
+def probe_steps(text):
+    if int(text) < MIN_PROBE_STEPS:
+        raise argparse.ArgumentTypeError(f"{text} is below {MIN_PROBE_STEPS}")
+    return int(text)
+
+
 @cache
 def build_parser():
     """The argument parser, built once per process: parse_args leaves it
@@ -280,7 +286,6 @@ def build_parser():
     def common(p, spec=True, digits=True):
         if spec:
             p.add_argument("--spec", help="JSON exchange spec (default: bundled)")
-        p.add_argument("--out", help="directory for report files")
         if digits:
             p.add_argument("--digits", type=positive_int, default=12)
 
@@ -293,7 +298,7 @@ def build_parser():
     common(p)
     p.add_argument("--gaps", type=positive_int, default=5000)
     p.add_argument("--max-len", type=positive_int, default=20)
-    p.add_argument("--probe-steps", type=positive_int, default=10 ** 6)
+    p.add_argument("--probe-steps", type=probe_steps, default=10 ** 6)
     p.set_defaults(fn=cmd_wandering)
 
     p = sub.add_parser("search", help="cycle census and eigenvalue screen")
@@ -327,6 +332,10 @@ def build_parser():
     common(p, spec=False)
     p.add_argument("--matrix", help="JSON file with an integer matrix")
     p.set_defaults(fn=cmd_spectral)
+
+    for name, p in sub.choices.items():
+        if name != "eval":          # eval prints its one value
+            p.add_argument("--out", help="directory for report files")
     return ap
 
 

@@ -49,6 +49,8 @@ from .spectral import (BhmVerdict, SpectralData, eigen_left,
 
 PROBE_LENGTH = 100_000
 KAPPA_FIT_START = 100
+SEMI_SAMPLES = 100           # semiconjugacy samples in verify_wandering
+MIN_PROBE_STEPS = 10_000     # fewest steps the ergodic probe takes
 
 
 @dataclass
@@ -100,8 +102,8 @@ def _decays_both_ways(sigma, address, ws, N):
             and _decay_verdict(-ws, past[::-1])[1])
 
 
-def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
-                     probe_length: int = PROBE_LENGTH) -> LogSlopeVector:
+def log_slope_select(matrix, theta2: AlgebraicNumber,
+                     sigma: Substitution) -> LogSlopeVector:
     """Exact left theta2-eigenvector plus the blow-up address and sign.
 
     The vector w is orthogonal to the Perron lengths alpha: w^T M = theta2 w^T
@@ -112,8 +114,8 @@ def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
     Scans occurrence addresses sigma^m(c) = p.c.s (m = 1 then 2, symbols and
     offsets ascending, sign +1 then -1), keeping the first candidate whose
     prefix sum is positive, suffix sum negative, and whose two-sided Birkhoff
-    profiles both decay.  Raises SignSelectionFailed when the scan is
-    exhausted.
+    profiles both decay over PROBE_LENGTH symbols.  Raises
+    SignSelectionFailed when the scan is exhausted.
     """
     w = eigen_left(matrix, theta2)
     wf = tuple(float(v) for v in w)
@@ -130,7 +132,7 @@ def log_slope_select(matrix, theta2: AlgebraicNumber, sigma: Substitution,
                         and sum(ws[s - 1] for s in suffix) < 0):
                     continue
                 # at most one sign passes, so one window per address
-                if _decays_both_ways(sigma, address, ws, probe_length):
+                if _decays_both_ways(sigma, address, ws, PROBE_LENGTH):
                     return LogSlopeVector(w, wf, sign, address)
     raise SignSelectionFailed("no occurrence address gives two-sided decay")
 
@@ -244,12 +246,12 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     TAIL_PROBE indices on each side (symbols only, no orbit geometry) and
     summing the exponentiated Birkhoff sums there directly; the stretched
     exponential decay makes the remainder beyond the probe negligible.  One
-    stationary window of half-width h = N + TAIL_PROBE (0 when N = 0) holds
-    both: the word w_{-N..N} is its middle.
+    stationary window of half-width h = N + TAIL_PROBE holds both: the word
+    w_{-N..N} is its middle.
     """
-    if N < 0:
-        raise ValueError("window half-width must be nonnegative")
-    h = N + TAIL_PROBE if N else 0
+    if N < 1:
+        raise ValueError("window half-width must be positive")
+    h = N + TAIL_PROBE
     window = np.concatenate(stationary_window(sigma, lsv.address, h, h))
     word = window[h - N:h + N + 1]            # indices 0..2N <-> n = -N..N
     lo, hi = cylinder_locate(E, word)
@@ -276,7 +278,7 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     g /= total
 
     order = np.argsort(pts)
-    if N > 0 and np.diff(pts[order]).min() <= 0:
+    if np.diff(pts[order]).min() <= 0:
         raise DivergentGaps("duplicate orbit points: the blow-up point was not "
                             "located precisely enough")
     pos = np.empty(2 * N + 1)
@@ -284,20 +286,17 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
 
     kf = _envelope_exponent(S[N:])
     kb = _envelope_exponent(S[N::-1])
-    tail_frac = 0.0
-    if N > 0:
-        # exponentiated in place, then the mass at |n| > N in index order
-        eS = _centred_sums(incr, h)
-        np.exp(eS, out=eS)
-        tail_raw = float(np.concatenate((eS[:h - N], eS[h + N + 1:])).sum())
-        if tail_raw > 10 * total:
-            raise DivergentGaps("extension mass dwarfs the window; the sum is "
-                                "not Cauchy at this horizon")
-        tail_frac = tail_raw / total
+    # exponentiated in place, then the mass at |n| > N in index order
+    eS = _centred_sums(incr, h)
+    np.exp(eS, out=eS)
+    tail_raw = float(np.concatenate((eS[:h - N], eS[h + N + 1:])).sum())
+    if tail_raw > 10 * total:
+        raise DivergentGaps("extension mass dwarfs the window; the sum is "
+                            "not Cauchy at this horizon")
 
     return GapSystem(half_width=N, orbit_points=pts, symbols=word,
                      gap_lengths=g, positions=pos, total_gap=total,
-                     tail_estimate=tail_frac,
+                     tail_estimate=tail_raw / total,
                      kappa_forward=kf, kappa_backward=kb, iet=E)
 
 
@@ -406,17 +405,16 @@ def _max_distance_to_intervals(grid, lefts, rights):
 
 
 def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
-                     kappa_target: Optional[float] = None,
-                     samples: int = 100) -> WanderingCertificate:
+                     kappa_target: Optional[float] = None) -> WanderingCertificate:
     """Certify the truncated blow-up; every field is computed, none defaulted.
 
     The tolerances are 10x the estimated truncation tail for the affine and
     semiconjugacy defects, 0.01 for gap density, 0.02 for the one-sided
     densities and 0.05 for the decay exponents; all are recorded in the
-    certificate.  The semiconjugacy samples are drawn with a fixed seed.  A
-    sample whose orbit point lies on a breakpoint of the float exchange
-    (AtDiscontinuity) is skipped and counted in semiconjugacy_skipped; any
-    other error propagates.
+    certificate.  The SEMI_SAMPLES semiconjugacy samples are drawn with a
+    fixed seed.  A sample whose orbit point lies on a breakpoint of the
+    float exchange (AtDiscontinuity) is skipped and counted in
+    semiconjugacy_skipped; any other error propagates.
     """
     N = gs.half_width
     tail = gs.tail_estimate
@@ -426,8 +424,8 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
     order = np.argsort(gs.orbit_points)
     po = gs.positions[order]
     go = gs.gap_lengths[order]
-    overlap = float(((po[:-1] + go[:-1]) - po[1:]).max()) if N > 0 else 0.0
-    distinct = bool(np.diff(gs.orbit_points[order]).min() > 0) if N > 0 else True
+    overlap = float(((po[:-1] + go[:-1]) - po[1:]).max())
+    distinct = bool(np.diff(gs.orbit_points[order]).min() > 0)
 
     mids = gs.positions + gs.gap_lengths / 2
     affine_defect = 0.0
@@ -448,8 +446,8 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
 
     Ef = E.as_float()
     rng = np.random.default_rng(2024)
-    interior = np.arange(1, 2 * N) if N >= 1 else np.empty(0, dtype=int)
-    pick = rng.choice(interior, size=min(samples, len(interior)), replace=False)
+    interior = np.arange(1, 2 * N)
+    pick = rng.choice(interior, size=min(SEMI_SAMPLES, len(interior)), replace=False)
     semi_defect = 0.0
     skipped = 0
     for k in pick:
@@ -468,8 +466,6 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
     fsel, bsel = np.arange(N + 1, 2 * N + 1), np.arange(N)
 
     def subset_density(sel):
-        if not len(sel):
-            return float("inf")
         o = sel[np.argsort(gs.positions[sel])]
         return _max_distance_to_intervals(grid, gs.positions[o],
                                           gs.positions[o] + gs.gap_lengths[o])
@@ -602,7 +598,7 @@ def ergodic_probe(E: IetSpec, seeds, steps: int,
     history hits a breakpoint counts as a hit and is reseeded, and the
     history is taken from the new seed.
     """
-    if steps < 10_000:
+    if steps < MIN_PROBE_STEPS:
         raise ValueError("probe needs at least 1e4 steps")
     Ef = E.as_float()
     xs = Ef.x

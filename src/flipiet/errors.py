@@ -59,10 +59,6 @@ class AtDiscontinuity(FlipIetError):
 class DegenerateStep(FlipIetError):
     """The two competing lengths are equal; the induction step is undefined."""
 
-    def __init__(self, msg="saddle connection: competing lengths are equal", index=None):
-        super().__init__(msg)
-        self.index = index
-
 
 class ReturnTimeCapExceeded(FlipIetError):
     """First-return computation exceeded the iteration cap."""

@@ -23,10 +23,6 @@ def fraction_to_str(q) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
-def fraction_from_str(s) -> Fraction:
-    return Fraction(s)
-
-
 def algebraic_to_json(a: AlgebraicNumber) -> dict:
     return {
         "minpoly": list(a.field.minpoly.coeffs),
@@ -41,11 +37,11 @@ def algebraic_from_json(obj, _cache=None) -> AlgebraicNumber:
         field, emb = _cache[key]
     else:
         field = NumberField(IntPolynomial(tuple(obj["minpoly"])))
-        lo, hi = (fraction_from_str(s) for s in obj["embedding"])
+        lo, hi = (Fraction(s) for s in obj["embedding"])
         emb = RootEmbedding(field.minpoly, lo, hi)
         if _cache is not None:
             _cache[key] = (field, emb)
-    coords = tuple(fraction_from_str(s) for s in obj["coords"])
+    coords = tuple(Fraction(s) for s in obj["coords"])
     return field.element(coords, emb)
 
 
@@ -70,7 +66,7 @@ def iet_from_json(obj) -> IetSpec:
     def scalar(v):
         if isinstance(v, dict):
             return algebraic_from_json(v, cache)
-        return fraction_from_str(v)
+        return Fraction(v)
 
     return IetSpec([scalar(v) for v in obj["lengths"]],
                    SignedPermutation(obj["signed_permutation"]),

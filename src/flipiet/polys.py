@@ -381,14 +381,7 @@ def _find_factor(p: IntPolynomial, k: int):
         assert v != 0  # rational roots were extracted first
         ds = [d for d in _divisors(v) if d <= vb]
         divisor_sets.append([s * d for d in ds for s in (1, -1)])
-    # Lagrange basis over the chosen points, with common denominator
-    denom = 1
-    for i, xi in enumerate(pts):
-        prod_ = 1
-        for j, xj in enumerate(pts):
-            if i != j:
-                prod_ *= xi - xj
-        denom = denom * abs(prod_) // math.gcd(denom, abs(prod_))
+    # Lagrange basis over the chosen points
     basis = []
     for i, xi in enumerate(pts):
         num = (1,)

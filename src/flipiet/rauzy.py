@@ -104,7 +104,7 @@ def rauzy_step(E: IetSpec) -> tuple:
     l_n = E.lengths[n - 1]
     l_s = E.lengths[s - 1]
     if l_n == l_s:
-        raise DegenerateStep()
+        raise DegenerateStep("saddle connection: competing lengths are equal")
     type_bit = 0 if l_n > l_s else 1
     after, m = typed_move(E.sp.entries, type_bit)
     after = SignedPermutation(after)
@@ -125,16 +125,11 @@ def rauzy_step(E: IetSpec) -> tuple:
 
 
 def rauzy_run(E: IetSpec, k: int):
-    """k chained steps; raises DegenerateStep (with index) on a saddle
-    connection."""
+    """k chained steps; raises DegenerateStep on a saddle connection."""
     steps = []
     cur = E
-    for i in range(k):
-        try:
-            cur, st = rauzy_step(cur)
-        except DegenerateStep as exc:
-            exc.index = i
-            raise
+    for _ in range(k):
+        cur, st = rauzy_step(cur)
         steps.append(st)
     return steps
 
@@ -155,7 +150,7 @@ def rauzy_cycle_detect(E: IetSpec, max_steps: int) -> Optional[RauzyCycle]:
     steps = []
     cur = E
     total0 = E.total_length
-    for i in range(max_steps):
+    for _ in range(max_steps):
         cur, st = rauzy_step(cur)
         steps.append(st)
         if cur.sp != E.sp:

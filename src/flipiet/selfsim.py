@@ -48,7 +48,6 @@ class ItinerarySet:
 @dataclass
 class InducedMap:
     sub_iet: IetSpec
-    return_times: tuple
     itineraries: ItinerarySet
     parts: tuple  # (lo, hi) domain subintervals of J, left to right
 
@@ -65,7 +64,6 @@ class SelfSimilarity:
 @dataclass
 class SelfSimilarityMismatch:
     reason: str
-    detail: object = None
     ok: bool = False
 
 
@@ -160,7 +158,7 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
     times = tuple(p.steps for p in done)
     its = ItinerarySet(words, times)
     parts = tuple((p.dom_lo, p.dom_hi) for p in done)
-    return InducedMap(sub, times, its, parts)
+    return InducedMap(sub, its, parts)
 
 
 def self_similarity_check(E: IetSpec, J):
@@ -173,16 +171,15 @@ def self_similarity_check(E: IetSpec, J):
     ind = induce(E, J)
     sub = ind.sub_iet
     if sub.n != E.n:
-        return SelfSimilarityMismatch("piece count differs", (sub.n, E.n))
+        return SelfSimilarityMismatch("piece count differs")
     if sub.sp != E.sp:
-        return SelfSimilarityMismatch("signed permutation differs",
-                                      (sub.sp.entries, E.sp.entries))
+        return SelfSimilarityMismatch("signed permutation differs")
     total = E.total_length
     width = d - c
     for i in range(E.n):
         # exact proportionality, cross-multiplied to avoid division
         if sub.lengths[i] * total != E.lengths[i] * width:
-            return SelfSimilarityMismatch("length ratio differs at piece", i + 1)
+            return SelfSimilarityMismatch("length ratio differs at piece")
     return SelfSimilarity(J=(c, d), scale=exact_quotient(total, width))
 
 

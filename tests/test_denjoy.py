@@ -160,7 +160,7 @@ def test_gap_dump_is_pinned(gaps):
 
 def test_one_window_per_gap_system(setting, monkeypatch):
     # the window word and the tail's extension are one stationary window,
-    # of half-width N + TAIL_PROBE, or 0 when N = 0
+    # of half-width N + TAIL_PROBE
     E, sigma, _verdict, lsv, _ = setting
     calls = []
 
@@ -171,9 +171,6 @@ def test_one_window_per_gap_system(setting, monkeypatch):
     monkeypatch.setattr(denjoy, "stationary_window", counted)
     gap_system_build(E, sigma, lsv, 300)
     assert calls == [(300 + TAIL_PROBE, 300 + TAIL_PROBE)]
-    calls.clear()
-    gap_system_build(E, sigma, lsv, 0)
-    assert calls == [(0, 0)]
 
 
 def test_blowup_orbit_follows_the_float_view(setting):
@@ -200,10 +197,10 @@ def test_blowup_rejects_float_mode_exchange(setting):
 
 
 def test_single_gap_window(setting):
+    # a window needs at least one gap on each side of the blow-up point
     E, sigma, _verdict, lsv, _ = setting
-    gs = gap_system_build(E, sigma, lsv, 0)
-    assert len(gs.gap_lengths) == 1
-    assert gs.gap_lengths[0] == 1.0
+    with pytest.raises(ValueError):
+        gap_system_build(E, sigma, lsv, 0)
 
 
 def test_wrong_sign_diverges(setting):
@@ -232,8 +229,9 @@ def test_semiconjugacy_skips_are_counted(setting, gaps):
     E = setting[0]
     on_break = dataclasses.replace(
         gaps, orbit_points=np.full_like(gaps.orbit_points, float(E.x[2])))
-    cert = verify_wandering(on_break, aiet_from_gaps(gaps), E, samples=40)
-    assert cert.semiconjugacy_skipped == 40
+    cert = verify_wandering(on_break, aiet_from_gaps(gaps), E)
+    assert denjoy.SEMI_SAMPLES == 100
+    assert cert.semiconjugacy_skipped == denjoy.SEMI_SAMPLES
     assert cert.semiconjugacy_defect == 0.0
 
 
@@ -355,13 +353,13 @@ def test_ergodic_probe_rejects_tiny_budget():
         ergodic_probe(bundled_iet(), 1, 100)
 
 
-def test_address_selection_stable_across_probe_lengths(setting):
+def test_address_selection_stable_across_probe_lengths(setting, monkeypatch):
     # marginal addresses whose excursions recur near zero at geometric scales
     # must not flip the scan outcome when the probe horizon changes
     _E, sigma, verdict, _lsv, _ = setting
     for pl in (10_000, 30_000, 200_000):
-        lsv = log_slope_select(MATRIX, verdict.theta2, sigma,
-                               probe_length=pl)
+        monkeypatch.setattr(denjoy, "PROBE_LENGTH", pl)
+        lsv = log_slope_select(MATRIX, verdict.theta2, sigma)
         assert lsv.address == (5, 1, 1)
         assert lsv.sign_choice == -1 or lsv.signed_float[1] < 0
 
@@ -401,21 +399,24 @@ def _eager_log_slope_select(matrix, theta2, sigma, probe_length):
     raise SignSelectionFailed("no occurrence address gives two-sided decay")
 
 
-def test_address_scan_matches_eager_reference(setting):
+def test_address_scan_matches_eager_reference(setting, monkeypatch):
     # 100 and 101 select another address than longer probes
     from flipiet.errors import SignSelectionFailed
     _E, sigma, verdict, lsv, _ = setting
-    for pl in (100, 101, 150, 2_000, 30_000, denjoy.PROBE_LENGTH):
-        got = (lsv if pl == denjoy.PROBE_LENGTH else
-               log_slope_select(MATRIX, verdict.theta2, sigma, probe_length=pl))
+    default = denjoy.PROBE_LENGTH
+    for pl in (100, 101, 150, 2_000, 30_000, default):
+        monkeypatch.setattr(denjoy, "PROBE_LENGTH", pl)
+        got = (lsv if pl == default else
+               log_slope_select(MATRIX, verdict.theta2, sigma))
         want = _eager_log_slope_select(MATRIX, verdict.theta2, sigma, pl)
         assert (got.address, got.sign_choice, got.w_float) == \
             (want.address, want.sign_choice, want.w_float)
     for pl in (10, 50):
+        monkeypatch.setattr(denjoy, "PROBE_LENGTH", pl)
         with pytest.raises(SignSelectionFailed):
             _eager_log_slope_select(MATRIX, verdict.theta2, sigma, pl)
         with pytest.raises(SignSelectionFailed):
-            log_slope_select(MATRIX, verdict.theta2, sigma, probe_length=pl)
+            log_slope_select(MATRIX, verdict.theta2, sigma)
 
 
 def _scalar_probe(E, seeds, steps, reference=None):

@@ -196,6 +196,26 @@ def test_cli_wandering_without_out_writes_no_gaps(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["qualifies"] is True
 
 
+def test_cli_wandering_that_does_not_qualify(tmp_path):
+    # the golden-mean rotation, signed permutation (2, 1) with lengths the
+    # Perron vector of its cycle of types (1, 0), is self-similar, but its
+    # other eigenvalue is below 1: the screen fails and nothing is blown up
+    from flipiet.iet import IetSpec
+    from flipiet.io import save_iet
+    from flipiet.polys import mat_mul
+    from flipiet.rauzy import typed_move
+    from flipiet.spectral import perron_data
+    (_, m1), (_, m0) = typed_move((2, 1), 1), typed_move((2, 1), 0)
+    spec, out = tmp_path / "golden.json", tmp_path / "out"
+    save_iet(IetSpec(perron_data(mat_mul(m1, m0)).perron[1], (2, 1)), str(spec))
+    assert main(["wandering", "--spec", str(spec), "--out", str(out)]) == 1
+    rep = json.loads((out / "wandering_certificate.json").read_text())
+    assert rep["qualifies"] is False
+    assert rep["spectral"]["verdict"] == "no_real_theta2_gt1"
+    assert "certificate" not in rep
+    assert not (out / "gaps.csv").exists()
+
+
 def test_cli_spec_file_roundtrip(tmp_path, capsys):
     from flipiet.io import save_iet
     from flipiet.iet import IetSpec
@@ -248,6 +268,10 @@ def test_cli_rejects_nonpositive_settings():
     with pytest.raises(SystemExit) as exc:
         main(["search", "--n", "0"])
     assert exc.value.code == 2
+    # and a probe below the ergodic probe's floor of 10^4 steps
+    with pytest.raises(SystemExit) as exc:
+        main(["wandering", "--probe-steps", "9999"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [["search", "--n", "1"], ["search", "--n", "9"],
@@ -257,6 +281,20 @@ def test_cli_search_bounds_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_cli_spectral_reads_a_matrix_file(tmp_path):
+    # the bundled matrix from a file gives the default report but its config
+    from flipiet.quintic import MATRIX
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(MATRIX))
+    reports = []
+    for argv in ([], ["--matrix", str(path)]):
+        out = tmp_path / str(len(reports))
+        assert main(["spectral", *argv, "--out", str(out)]) == 0
+        reports.append(json.loads((out / "spectral_report.json").read_text()))
+        reports[-1].pop("config")
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("text", ["[[1, 2, 3], [4, 5, 6]]", "[]", "[[1, 2], 3]",
@@ -273,7 +311,8 @@ def test_cli_spectral_rejects_a_malformed_matrix(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("argv", [["wandering", "--jobs", "2"],
-                                  ["orbit", "--x", "0.1", "--digits", "3"]])
+                                  ["orbit", "--x", "0.1", "--digits", "3"],
+                                  ["eval", "--x", "1/10", "--out", "d"]])
 def test_cli_rejects_options_the_subcommand_does_not_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

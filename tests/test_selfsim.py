@@ -29,7 +29,7 @@ def J(E):
 
 def test_induce_full_domain_is_identity_return(E):
     ind = induce(E, (E.x[0], E.x[-1]))
-    assert ind.return_times == (1,) * 5
+    assert ind.itineraries.exponents == (1,) * 5
     assert ind.sub_iet.sp == E.sp
     assert ind.sub_iet.lengths == E.lengths
 
@@ -63,8 +63,8 @@ def test_float_view_is_refused_before_any_step(E, J, monkeypatch):
 def test_induce_rotation_half():
     E2 = IetSpec((Fraction(1, 2), Fraction(1, 2)), (2, 1))
     ind = induce(E2, (Fraction(0), Fraction(1, 2)))
-    assert len(ind.return_times) == 1
-    assert ind.return_times == (2,)
+    assert len(ind.itineraries.exponents) == 1
+    assert ind.itineraries.exponents == (2,)
     assert ind.itineraries.words == ((1, 2),)
 
 
@@ -97,7 +97,7 @@ def test_kac_identity(E, J):
     # return times weighted by piece length fill the whole domain exactly
     ind = induce(E, J)
     acc = None
-    for t, (lo, hi) in zip(ind.return_times, ind.parts):
+    for t, (lo, hi) in zip(ind.itineraries.exponents, ind.parts):
         term = (hi - lo) * t
         acc = term if acc is None else acc + term
     assert acc == E.total_length
@@ -466,7 +466,7 @@ def test_induce_matches_brute_force_on_random_exchanges():
         except FlipIetError:
             continue
         # oracle: brute-force first return of midpoints of every induced piece
-        for (lo, hi), t, word in zip(ind.parts, ind.return_times,
+        for (lo, hi), t, word in zip(ind.parts, ind.itineraries.exponents,
                                      ind.itineraries.words):
             x = (lo + hi) / 2
             z = x

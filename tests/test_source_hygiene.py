@@ -1,11 +1,12 @@
 """Static checks on the package source: every import is used, every
 private module-level function and private method has a caller, no function
-takes a private parameter but the two named below, every field of the
-blow-up's dataclasses has a reader, every function the benchmark's
-tracer wraps is defined in src/, only IetSpec.__init__ and as_float
-set float_mode, and neither rauzy nor search imports selfsim.  A deletion
-that leaves an import, a helper or a field behind, or that removes or
-renames a traced function, fails here."""
+takes a private parameter but the two named below, every dataclass field
+has a reader, every local a function assigns is read, every option of a
+subcommand is read by its command, every function the benchmark's tracer
+wraps is defined in src/, only IetSpec.__init__ and as_float set
+float_mode, and neither rauzy nor search imports selfsim.  A deletion that
+leaves an import, a helper, a field, a local or an option behind, or that
+removes or renames a traced function, fails here."""
 
 import ast
 from pathlib import Path
@@ -100,12 +101,12 @@ def test_no_private_parameters():
     assert found == allowed
 
 
-def test_every_blowup_field_is_read():
-    """Every field of a dataclass in denjoy is read as an attribute somewhere
-    in the package or the tests, but in WanderingCertificate, which the CLI
-    writes out whole with dataclasses.asdict.  Fields match by name, so a
-    field whose name is read on another class, such as word or address, is
-    not caught."""
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass in the package is read as an attribute
+    somewhere in the package or the tests, but in WanderingCertificate,
+    which the CLI writes out whole with dataclasses.asdict.  Fields match by
+    name, so a field whose name is read on another class, such as word or
+    address, is not caught."""
     dumped = {"WanderingCertificate"}
     tests = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "tests").glob("*.py"))]
@@ -113,7 +114,7 @@ def test_every_blowup_field_is_read():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = [f"{cls.name}.{stmt.target.id}"
-              for cls in MODULES["denjoy"].body
+              for tree in MODULES.values() for cls in tree.body
               if isinstance(cls, ast.ClassDef) and cls.name not in dumped
               and any(getattr(d, "id", None) == "dataclass"
                       for d in cls.decorator_list)
@@ -121,6 +122,71 @@ def test_every_blowup_field_is_read():
               if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in reads]
     assert unread == []
 
+
+def test_every_local_is_read():
+    """Every name a function binds (by =, +=, for, with, := or a
+    comprehension) is read in it, nested functions included, other than by
+    an assignment that binds it alone: an accumulator that only feeds
+    itself fails, and so does an unused loop index.  Names that start with
+    _ are exempt; they mark a value unpacked or counted and let go."""
+    dead = []
+    for name, tree in MODULES.items():
+        for qualified, fn in _defs(tree.body, name):
+            names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+            own = set()
+            for stmt in ast.walk(fn):
+                if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                               else [stmt.target])
+                    bound = {n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)}
+                    if len(bound) == 1:     # x = f(x) feeds only x
+                        own.update(id(n) for n in ast.walk(stmt.value)
+                                   if isinstance(n, ast.Name) and n.id in bound)
+            read = {n.id for n in names
+                    if isinstance(n.ctx, ast.Load) and id(n) not in own}
+            dead += sorted({f"{qualified}: {n.id}" for n in names
+                            if isinstance(n.ctx, ast.Store)
+                            and not n.id.startswith("_") and n.id not in read})
+    assert dead == []
+
+
+def _args_read(fn):
+    """Options fn reads off args: args.dest, or getattr(args, "dest", ...)."""
+    out = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and getattr(node.value, "id", None) == "args"):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and getattr(node.args[0], "id", None) == "args"):
+            out.add(ast.literal_eval(node.args[1]))
+    return out
+
+
+def test_every_cli_option_is_read():
+    """Every option a subcommand's parser defines is read off args by the
+    subcommand's function, or by the helper that handles the option when the
+    function calls it: _load_spec for --spec, _emit or _write for --out.
+    _config_of copies every option into the report, so it is no reader: an
+    option that is parsed and then ignored fails here."""
+    from flipiet.cli import build_parser
+    handlers = {"spec": {"_load_spec"}, "out": {"_emit", "_write"}}
+    cli = {node.name: node for node in MODULES["cli"].body
+           if isinstance(node, ast.FunctionDef)}
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    unread = []
+    for name, parser in commands.choices.items():
+        fn = cli[parser.get_default("fn").__name__]
+        called = {getattr(node.func, "id", None) for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)}
+        for action in parser._actions:
+            readers = [fn] + [cli[h] for h in handlers.get(action.dest, ())
+                              if h in called]
+            if action.dest != "help" and not any(
+                    action.dest in _args_read(f) for f in readers):
+                unread.append(f"{name} {action.option_strings[0]}")
+    assert unread == []
 
 
 def test_float_mode_is_set_in_two_places():
