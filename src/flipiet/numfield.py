@@ -8,12 +8,18 @@ coords is a read-only Fraction view of it.  The designated real root theta
 is pinned by a Sturm-certified isolating interval, kept as integer ends
 [a/den, b/den] (RootEmbedding.interval).  A sign is decided first by a
 certified float filter (filtered_sign): the numerators against float
-shadows of the basis powers, whose errors are proven from the interval.
+shadows of the basis powers, whose errors are proven from the interval,
+which the shadow first narrows to about float precision (SHADOW_BITS).
 The filter answers only when the float value clears its proven error bound;
 otherwise the exact fallback (exact_sign) evaluates the numerators on the
 interval (_interval_eval, on integers) and refines the interval until the
 sign is determined.  Either way every comparison is exact.
 
+An interval narrows down its bisection tree by secant jumps
+(polys.refine_root_interval), in one call for any width, so each consumer
+asks once for the width it needs: decimal computes it from the width of
+its value's image and the digits, and exact_sign and float_enclosure,
+which cannot know it, double the narrowing on each round that falls short.
 Refining an embedding interval never changes a comparison outcome; the
 interval is shared by all values derived from one root and is narrowed in
 place (monotone, and replaced as one tuple, so safe to share between
@@ -64,15 +70,18 @@ class RootEmbedding:
         return a == b
 
     def refine(self, max_width: Fraction):
-        """Bisect until the width is at most max_width."""
-        self._bisect(max_width.numerator, max_width.denominator)
+        """Narrow until the width is at most max_width (_narrow_to)."""
+        self._narrow_to(max_width.numerator, max_width.denominator)
 
     def narrow(self, k: int):
-        """Bisect until the width is at most 2^-k times the current one."""
+        """Narrow to the first node of the interval's bisection tree whose
+        width is at most 2^-k times the current one, in one call of
+        refine_root_interval, which gets there by secant jumps: ask once
+        for the width needed, not k bits at a time."""
         a, b, den = self.interval
-        self._bisect(b - a, den << k)
+        self._narrow_to(b - a, den << k)
 
-    def _bisect(self, wnum, wden):
+    def _narrow_to(self, wnum, wden):
         # the width target is wnum / wden, compared on the integer ends
         a, b, den = self.interval
         if a == b or (b - a) * wden <= wnum * den:
@@ -83,8 +92,12 @@ class RootEmbedding:
     def shadow(self):
         """(shadows, errors): floats b_i and proven bounds e_i >= |theta^i - b_i|
         for i = 0..d-1, valid for the current interval and cached until it
-        narrows; False when a power leaves the float range."""
+        narrows; False when a power leaves the float range.  The interval is
+        first narrowed to about float precision, so that the errors are a few
+        ulps and filtered_sign settles all but nearly cancelling sums."""
         if self._shadow is None:
+            a, b, den = self.interval
+            self._narrow_to(max(-a, b), den << SHADOW_BITS)
             a, b, den = self.interval
             # theta^i lies between a^i/den^i and b^i/den^i (and 0 when the
             # interval straddles 0)
@@ -357,6 +370,7 @@ class AlgebraicNumber:
             raise ValueError("digits must be positive")
         scale = 10 ** digits
         emb = self.embedding
+        k = 0
         while True:
             lo, hi, s = _interval_eval(self.nums, *emb.interval)
             s *= self.den
@@ -365,7 +379,11 @@ class AlgebraicNumber:
             if nlo == (2 * hi * scale + s) // (2 * s):
                 return _format_scaled(nlo, digits)
             FILTER_COUNTS["decimal"] += 1
-            emb.narrow(4)
+            # the image narrows about as fast as the interval: aim it at
+            # 2^-DECIMAL_GUARD of a unit in the last digit, and at least
+            # double the narrowing of a round that fell short
+            k = max(((hi - lo) * scale // s).bit_length() + DECIMAL_GUARD, 2 * k)
+            emb.narrow(k)
 
     def __repr__(self):
         self.embedding.refine(Fraction(1, 10 ** 12))
@@ -400,6 +418,13 @@ _NORMAL_MIN = sys.float_info.min      # least positive normal double
 _MAX_TERMS = 2 ** 16
 _SLACK = 1.0 + 2.0 ** -32
 _TINY = 2.0 ** -1000
+
+# RootEmbedding.shadow narrows its interval to 2^-SHADOW_BITS of the larger
+# end's magnitude: float precision and a margin, past which the shadows'
+# errors stay a few ulps and a 12-digit decimal seldom needs more.  decimal
+# aims its image at 2^-DECIMAL_GUARD of a unit in the last digit
+SHADOW_BITS = 64
+DECIMAL_GUARD = 8
 
 
 def filtered_sign(coeffs, shadows, errors) -> int:
@@ -471,21 +496,22 @@ def filtered_signs(rows, shadows, errors):
 def exact_sign(value) -> int:
     """Sign by exact arithmetic alone, the fallback of the float filter: a
     rational compares directly; an irrational AlgebraicNumber is evaluated on
-    its embedding interval, which is refined until the sign is determined."""
+    its embedding interval, which is narrowed by 16, 32, 64, ... bits until
+    the sign is determined (SignNotConverged past 2^17 bits in all)."""
     FILTER_COUNTS["exact"] += 1
     if not isinstance(value, AlgebraicNumber):
         return (value > 0) - (value < 0)
     if value.is_rational():
         return value.sign()
     emb = value.embedding
-    for _ in range(20000):
+    for i in range(13):
         lo, hi = _interval_eval(value.nums, *emb.interval)[:2]
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         FILTER_COUNTS["refined"] += 1
-        emb.narrow(4)
+        emb.narrow(16 << i)
     raise SignNotConverged("sign determination failed to converge")
 
 
@@ -500,17 +526,20 @@ def exact_quotient(a, b):
 def float_enclosure(value):
     """(x, e): a float x and a proven bound e >= |value - x| for an exact
     value (int, Fraction or AlgebraicNumber), to serve as a basis element of
-    filtered_sign.  An irrational value's embedding is refined until its
-    interval image is within about 2^-60 of its magnitude, so e is a few
-    ulps of x; a value beyond the float range gets e = inf, which sends
-    every comparison that uses it to the exact fallback."""
+    filtered_sign.  An irrational value's embedding is narrowed by 16, 32,
+    64, ... bits until its interval image is within about 2^-60 of its
+    magnitude, so e is a few ulps of x; a value beyond the float range gets
+    e = inf, which sends every comparison that uses it to the exact
+    fallback."""
     if isinstance(value, AlgebraicNumber):
         emb = value.embedding
+        k = 16
         while True:
             lo, hi, s = _interval_eval(value.nums, *emb.interval)
             if (hi - lo) * 2 ** 61 <= abs(lo + hi):
                 break
-            emb.narrow(16)
+            emb.narrow(k)
+            k *= 2
         den = value.den * s
     else:
         lo = hi = value.numerator

@@ -174,6 +174,19 @@ def sturm_chain(p: IntPolynomial):
     return chain
 
 
+def squarefree_chain(p: IntPolynomial):
+    """(squarefree_part(p), the Sturm chain of it).  For a squarefree p both
+    come from one remainder sequence: the chain of p ends in gcd(p, p'),
+    then a constant.  Otherwise p is divided by that gcd and the quotient's
+    chain is run."""
+    sf = p.primitive()
+    chain = sturm_chain(sf)
+    if len(chain[-1]) > 1:
+        sf = _try_divide(sf, IntPolynomial(chain[-1]).primitive()).primitive()
+        chain = sturm_chain(sf)
+    return sf, chain
+
+
 def _neg_sturm_rem(a, b):
     """-rem(a, b) over Q times a positive rational, as a primitive integer
     tuple: pseudo-division by a positive leading coefficient keeps the
@@ -220,16 +233,17 @@ def isolate_real_roots(p: IntPolynomial):
     Endpoints are never roots.  Works on the squarefree part, so multiple
     roots are reported once.
     """
-    sf = squarefree_part(p)
+    sf, chain = squarefree_chain(p)
     if sf.degree <= 0:
         return []
-    chain = sturm_chain(sf)
     B = root_bound(sf)
-    total = count_roots(chain, -B, B)
     out = []
-    stack = [(-B, B, total)]
+    # each interval goes with the sign variations at its ends, whose
+    # difference counts its roots
+    stack = [(-B, B, _variations(chain, -B), _variations(chain, B))]
     while stack:
-        lo, hi, k = stack.pop()
+        lo, hi, vlo, vhi = stack.pop()
+        k = vlo - vhi
         if k == 0:
             continue
         if k == 1:
@@ -241,49 +255,98 @@ def isolate_real_roots(p: IntPolynomial):
         while not _sign_at(sf.coeffs, mid.numerator, mid.denominator):
             shift /= 16
             mid += shift / 3
-        kl = count_roots(chain, lo, mid)
-        stack.append((lo, mid, kl))
-        stack.append((mid, hi, k - kl))
+        vmid = _variations(chain, mid)
+        stack.append((lo, mid, vlo, vmid))
+        stack.append((mid, hi, vmid, vhi))
     out.sort()
     return out
 
 
-def _sign_at(c, num, den):
-    """Sign of the polynomial c at num/den, den > 0: the sign of the
-    homogenised integer sum_i c_i num^i den^(d-i)."""
+def _value_at(c, num, den):
+    """den^d c(num/den) for den > 0, d = len(c) - 1: the homogenised integer
+    sum_i c_i num^i den^(d-i), which has the sign of c at num/den."""
     v = c[-1]
     dp = 1
     for ci in reversed(c[:-1]):
         dp *= den
         v = v * num + ci * dp
+    return v
+
+
+def _sign_at(c, num, den):
+    """Sign of the polynomial c at num/den, den > 0 (_value_at)."""
+    v = _value_at(c, num, den)
     return (v > 0) - (v < 0)
 
 
 def refine_root_interval(p: IntPolynomial, a, b, den, wnum, wden):
-    """Bisect an isolating interval [a/den, b/den] (integers, den > 0, ends
-    not roots) until its width is at most wnum/wden (positive integers);
-    returns its integer ends (a, b, den) in lowest terms.
+    """Narrow an isolating interval [a/den, b/den] (integers, den > 0, ends
+    not roots) to the first level of its bisection tree whose width is at
+    most wnum/wden (positive integers); returns that node's integer ends
+    (a, b, den) in lowest terms, the interval bisection in rationals reaches.
 
-    The denominator doubles at each step, so a midpoint costs one integer
-    evaluation (_sign_at) and the width test is an integer comparison; the
-    midpoints, hence the intervals, are those of bisection in rationals.  A
-    midpoint that is a root is squeezed around with non-root ends, and
-    bisection goes on from there.
+    The ends are integers over one denominator (so the width test is an
+    integer comparison), kept with the values fa, fb of p there (_value_at).
+    While fa and fb differ in sign, a step is one of quadratic interval
+    refinement (Abbott, ACM Commun. Comput. Algebra 48, 2014): it splits the
+    interval into N = 2^s equal cells, evaluates p at the cell end nearest
+    the secant's zero, then at the next cell end on the side where the sign
+    says the root lies.  When the two signs differ, that cell is the hit: it
+    descends s levels at once and N squares.  A miss takes one bisection
+    level, read off a cell end that is the midpoint when there is one, and N
+    falls back to its square root.  N is capped so that the last jump lands
+    on the target level.  Every cell is a node of the bisection tree, and
+    the root lies in one node per level, so hits and misses reach the node
+    bisection reaches.  A midpoint that is a root is squeezed around with
+    non-root ends, and refinement goes on from there.
     """
     c = p.coeffs
+    d = len(c) - 1
     while True:
-        sl = _sign_at(c, a, den)
-        assert sl != 0 and _sign_at(c, b, den) != 0
-        while (b - a) * wden > wnum * den:
+        fa, fb = _value_at(c, a, den), _value_at(c, b, den)
+        assert fa and fb
+        w = b - a
+        # levels left: the least r with w wden <= wnum den 2^r
+        r = (-(-w * wden // (wnum * den)) - 1).bit_length()
+        s = 1
+        while r:
+            fm = None
+            if (fa < 0) != (fb < 0):
+                n = min(s, r)
+                N, dn, e = 1 << n, den << n, n * d
+                ga, gb = abs(fa), abs(fb)
+                # the grid point nearest the secant's zero, then its
+                # neighbour on the side where the root lies
+                m = (2 * N * ga + ga + gb) // (2 * (ga + gb))
+                fx = (fa << e if m == 0 else fb << e if m == N
+                      else _value_at(c, (a << n) + m * w, dn))
+                if fx:
+                    k = m + 1 if (fx < 0) == (fa < 0) else m - 1
+                    fy = (fa << e if k == 0 else fb << e if k == N
+                          else _value_at(c, (a << n) + k * w, dn))
+                    if fy and (fy < 0) != (fx < 0):
+                        a, den = (a << n) + min(m, k) * w, dn
+                        b = a + w
+                        fa, fb = (fx, fy) if m < k else (fy, fx)
+                        r -= n
+                        s = 2 * n
+                        continue
+                    if 2 * k == N:
+                        fm = fy >> e - d
+                s = max(n // 2, 1)
+                if 2 * m == N:
+                    fm = fx >> e - d
             mid = a + b
             a, b, den = 2 * a, 2 * b, 2 * den
-            s = _sign_at(c, mid, den)
-            if s == 0:
+            if fm is None:
+                fm = _value_at(c, mid, den)
+            if not fm:
                 break
-            if s == sl:
-                a = mid
+            if (fm < 0) == (fa < 0):
+                a, fa, fb = mid, fm, fb << d
             else:
-                b = mid
+                b, fa, fb = mid, fa << d, fm
+            r -= 1
         else:
             g = math.gcd(a, b, den)
             return a // g, b // g, den // g
@@ -321,19 +384,20 @@ def _divisors(n):
 
 
 def _rational_roots(p: IntPolynomial):
-    """All rational roots, with multiplicity folded out by the caller."""
-    roots = []
+    """All rational roots, each once, with multiplicity folded out by the
+    caller: the candidates num/den in lowest terms, num dividing the
+    constant and den the leading coefficient, each tested by one integer
+    evaluation (_value_at)."""
     a0 = p.coeffs[0]
     an = p.coeffs[-1]
     if a0 == 0:
-        roots.append(Fraction(0))
-        return roots
+        return [Fraction(0)]
+    roots = []
     for num in _divisors(a0):
         for den in _divisors(an):
-            for s in (1, -1):
-                r = Fraction(s * num, den)
-                if p(r) == 0 and r not in roots:
-                    roots.append(r)
+            if math.gcd(num, den) == 1:
+                roots += [Fraction(s * num, den) for s in (1, -1)
+                          if not _value_at(p.coeffs, s * num, den)]
     return roots
 
 

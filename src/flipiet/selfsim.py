@@ -25,7 +25,7 @@ from .iet import IetSpec, SignedPermutation, branch_walk
 from .numfield import (exact_quotient, exact_sign, filtered_sign, filtered_signs,
                        float_enclosure)
 
-DEFAULT_RETURN_CAP = 10_000
+DEFAULT_RETURN_CAP = 10_000   # steps a piece may take to return (induce)
 CYLINDER_BLOCK = 2 ** 12      # constraint rows that cylinder_locate filters at once
 
 
@@ -80,13 +80,14 @@ class _Part:
         self.orient = orient
 
 
-def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
+def induce(E: IetSpec, J) -> InducedMap:
     """First-return map of E on the subinterval J = (c, d).
 
-    Raises ReturnTimeCapExceeded if some piece does not return within cap
-    steps.  A piece is split only at points strictly inside its image, so
-    every piece keeps a positive length.  The comparisons must be exact, so
-    a float view (as_float()) raises ValueError before any step.
+    Raises ReturnTimeCapExceeded if some piece does not return within
+    DEFAULT_RETURN_CAP steps.  A piece is split only at points strictly
+    inside its image, so every piece keeps a positive length.  The
+    comparisons must be exact, so a float view (as_float()) raises
+    ValueError before any step.
     """
     if E.float_mode:
         raise ValueError("first returns are induced on exact exchanges only")
@@ -99,6 +100,7 @@ def induce(E: IetSpec, J, cap: int = DEFAULT_RETURN_CAP) -> InducedMap:
     for lo, hi in zip(cuts, cuts[1:]):
         pending.append(_Part(lo, hi, lo, hi, (), 0, 1))
     done = []
+    cap = DEFAULT_RETURN_CAP
     budget = cap * (E.n + 2) * 8
 
     while pending:
@@ -179,7 +181,7 @@ def self_similarity_check(E: IetSpec, J):
     for i in range(E.n):
         # exact proportionality, cross-multiplied to avoid division
         if sub.lengths[i] * total != E.lengths[i] * width:
-            return SelfSimilarityMismatch("length ratio differs at piece")
+            return SelfSimilarityMismatch(f"length ratio differs at piece {i + 1}")
     return SelfSimilarity(J=(c, d), scale=exact_quotient(total, width))
 
 

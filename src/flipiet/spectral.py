@@ -19,7 +19,7 @@ from .numfield import AlgebraicNumber, NumberField, RootEmbedding
 from .polys import (IntPolynomial, _mul, _rem_monic, char_poly,
                     count_roots, factor_rational, faddeev_leverrier,
                     isolate_real_roots, mat_transpose, quasi_positive,
-                    root_bound, squarefree_part, sturm_chain)
+                    root_bound, squarefree_chain)
 
 __all__ = [
     "SpectralData", "BhmVerdict", "char_poly", "factor_rational",
@@ -75,18 +75,21 @@ def real_eigenvalues(m):
                 r = Fraction(-f.coeffs[0], f.coeffs[1])
                 root = fld.rational(r, RootEmbedding(f, r, r))
             found.append((root, ix))
-    # disentangle isolating intervals across factors so interval order is total
+    # disentangle isolating intervals across factors so interval order is
+    # total, narrowing twice as far on each pass
+    k = 2
     changed = True
     while changed:
         changed = False
+        k *= 2
         for a in range(len(found)):
             for b in range(a + 1, len(found)):
                 ea, eb = found[a][0].embedding, found[b][0].embedding
                 if ea.is_point() and eb.is_point():
                     continue
                 if not (ea.hi <= eb.lo or eb.hi <= ea.lo):
-                    ea.narrow(3)
-                    eb.narrow(3)
+                    ea.narrow(k)
+                    eb.narrow(k)
                     changed = True
     found.sort(key=lambda t: t[0].embedding.lo)
     return cp, factors, tuple(found)
@@ -198,7 +201,7 @@ def eigen_left(m, theta: AlgebraicNumber):
 
 
 def _count_real_roots_above_one(cp: IntPolynomial) -> int:
-    chain = sturm_chain(squarefree_part(cp))
+    chain = squarefree_chain(cp)[1]
     b = root_bound(cp)
     return count_roots(chain, Fraction(1), b)
 

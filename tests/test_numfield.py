@@ -15,7 +15,7 @@ from flipiet.numfield import (NumberField, RootEmbedding, _interval_eval,
 from flipiet.polys import (IntPolynomial, _numerators, is_irreducible,
                            isolate_real_roots)
 from flipiet.quintic import MATRIX
-from flipiet.spectral import perron_data
+from flipiet.spectral import perron_data, real_eigenvalues, solve_eigenvector
 
 QUARTIC = IntPolynomial((1, -8, 18, -10, 1))
 
@@ -404,11 +404,31 @@ def test_decimal_matches_sympy_on_the_bundled_matrix():
 
 def test_decimal_refinements_are_counted():
     # perron_data on fresh embeddings, then the decimals of the spectral
-    # report: the exact path's steps, pinned to the counts of the Fraction
-    # kernel, which took the same refinement schedule
+    # report: every sign is the filter's, on shadows narrowed to about float
+    # precision, and three decimals narrow once more
     before = dict(numfield.FILTER_COUNTS)
     sd = perron_data(MATRIX)
     for v in [r for r, _ in sd.real_roots] + list(sd.perron[1]):
         v.decimal(12)
     counts = {k: v - before[k] for k, v in numfield.FILTER_COUNTS.items()}
-    assert counts == {"filtered": 1, "exact": 4, "refined": 3, "decimal": 43}
+    assert counts == {"filtered": 5, "exact": 0, "refined": 0, "decimal": 3}
+
+
+def test_decimal_narrows_once_to_the_width_it_needs(monkeypatch):
+    # decimal asks for the width its digits need, not a few bits per round:
+    # a Perron eigenvector entry or a root on its fresh isolating interval,
+    # before any sign has narrowed it, narrows at most twice
+    calls = []
+    real = numfield.refine_root_interval
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numfield, "refine_root_interval", counted)
+    for digits in (12, 50):
+        roots = [r for r, _ in real_eigenvalues(MATRIX)[2]]
+        for value in [roots[-1], roots[-2]] + list(solve_eigenvector(MATRIX, roots[-1])):
+            calls.clear()
+            value.decimal(digits)
+            assert len(calls) <= 2

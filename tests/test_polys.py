@@ -15,6 +15,7 @@ from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _numerators,
                            isolate_real_roots, mat_det, mat_mul,
                            quasi_positive, refine_root_interval, root_bound,
                            row_masks, rows_mul, squarefree_part, sturm_chain)
+from flipiet.quintic import MATRIX
 
 
 def poly_from_roots(roots):
@@ -451,6 +452,30 @@ def test_refine_matches_fraction_bisection():
         mid = (lo + hi) / 2
         squeezed += p(mid) == 0
     assert squeezed == 3 and len(cases) > 60
+
+
+def test_refine_takes_few_evaluations(monkeypatch):
+    # secant jumps: each real root of the bundled matrix, from its isolating
+    # interval down to 2^-100, in at most 40 evaluations of the polynomial
+    # (bisection takes one per bit, over 100)
+    calls = []
+    real = polys._value_at
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polys, "_value_at", counted)
+    roots = 0
+    for f, _ in factor_rational(char_poly(MATRIX)):
+        for lo, hi in isolate_real_roots(f):
+            (a, b), den = _numerators((lo, hi))
+            calls.clear()
+            a, b, den = refine_root_interval(f, a, b, den, 1, 2 ** 100)
+            assert (b - a) * 2 ** 100 <= den
+            assert len(calls) <= 40
+            roots += 1
+    assert roots == 5
 
 
 def test_try_divide_matches_sympy():

@@ -129,6 +129,16 @@ def test_self_similarity_identity_perm():
     assert res3.ok and res3.scale == 1 and not isinstance(res3.scale, float)
 
 
+def test_self_similarity_names_the_piece_whose_ratio_differs():
+    # on (1/2, 7/2) the identity exchange of lengths 1, 2, 3 induces the
+    # identity on lengths 1/2, 2, 1/2: the first piece keeps the ratio
+    # width/total = 1/2, the second does not
+    res = self_similarity_check(IetSpec((1, 2, 3), (1, 2, 3)),
+                                (Fraction(1, 2), Fraction(7, 2)))
+    assert not res.ok
+    assert res.reason == "length ratio differs at piece 2"
+
+
 def test_associated_matrix_full_domain(E):
     m, its = associated_matrix(E, (E.x[0], E.x[-1]))
     # each return word is the single symbol of its own piece
@@ -441,8 +451,9 @@ def test_cylinder_decides_in_the_filter(E, J):
     assert numfield.FILTER_COUNTS["exact"] - before["exact"] <= 2
 
 
-def test_induce_matches_brute_force_on_random_exchanges():
+def test_induce_matches_brute_force_on_random_exchanges(monkeypatch):
     from flipiet.errors import FlipIetError
+    monkeypatch.setattr(selfsim, "DEFAULT_RETURN_CAP", 3000)
     rng = random.Random(41)
     done = 0
     while done < 60:
@@ -462,7 +473,7 @@ def test_induce_matches_brute_force_on_random_exchanges():
         if d > total:
             continue
         try:
-            ind = induce(E2, (c, d), cap=3000)
+            ind = induce(E2, (c, d))
         except FlipIetError:
             continue
         # oracle: brute-force first return of midpoints of every induced piece

@@ -1,12 +1,14 @@
 """Static checks on the package source: every import is used, every
 private module-level function and private method has a caller, no function
-takes a private parameter but the two named below, every dataclass field
+takes a private parameter but the two named below, every parameter with a
+default is passed by some call in src/ or perfbench/, every dataclass field
 has a reader, every local a function assigns is read, every option of a
 subcommand is read by its command, every function the benchmark's tracer
 wraps is defined in src/, only IetSpec.__init__ and as_float set
 float_mode, and neither rauzy nor search imports selfsim.  A deletion that
-leaves an import, a helper, a field, a local or an option behind, or that
-removes or renames a traced function, fails here."""
+leaves an import, a helper, a field, a local or an option behind, a
+parameter that only tests set, or that removes or renames a traced
+function, fails here."""
 
 import ast
 from pathlib import Path
@@ -99,6 +101,47 @@ def test_no_private_parameters():
             found.update(f"{qualified}({a.arg})" for a in every
                          if a.arg.startswith("_"))
     assert found == allowed
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every parameter with a default, of a function or method in src/, is
+    passed by some call in src/ or perfbench/ (outside its tests): by
+    keyword, by position, or through * or **.  Calls match by the called
+    name, a class name standing for its __init__.  A default that only tests
+    override is a setting nobody uses; the value belongs in a constant,
+    which a test can monkeypatch."""
+    callers = [*MODULES.values()] + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")]
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(called, []).append(node)
+    unpassed = []
+    for name, tree in MODULES.items():
+        for qualified, fn in _defs(tree.body, name):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]     # a method's own object
+            first = len(positional) - len(args.defaults)
+            defaulted = [(a, i) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            called = (qualified.split(".")[-2] if fn.name == "__init__"
+                      else fn.name)
+            for arg, index in defaulted:
+                if not any(
+                        any(k.arg in (arg.arg, None) for k in call.keywords)
+                        or (index is not None and (
+                            len(call.args) > index
+                            or any(isinstance(a, ast.Starred) for a in call.args)))
+                        for call in calls.get(called, ())):
+                    unpassed.append(f"{qualified}({arg.arg})")
+    assert unpassed == []
 
 
 def test_every_dataclass_field_is_read():
