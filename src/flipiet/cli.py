@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -30,7 +31,7 @@ from . import quintic
 from .errors import FlipIetError
 from .denjoy import (MIN_PROBE_STEPS, aiet_from_gaps, blowup_chain, ergodic_probe,
                      gap_system_build, induction_cycle, verify_wandering)
-from .io import (fraction_to_str, gaps_csv, induction_trace_csv, load_iet,
+from .io import (fraction_to_str, gaps_csv, iet_from_json, induction_trace_csv,
                  return_words_csv)
 from .rauzy import cycle_matrix, rauzy_run
 from .selfsim import self_similarity_check
@@ -59,10 +60,27 @@ def _write(text, args, name):
             fh.write(text)
 
 
+def _read_json(path, option):
+    """The JSON value in the file at path; a file that cannot be opened or
+    parsed is a usage error of option (exit 2)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        build_parser().error(f"{option} {path}: {exc}")
+
+
 def _load_spec(args):
-    if getattr(args, "spec", None):
-        return load_iet(args.spec), False
-    return quintic.bundled_iet(), True
+    """The --spec exchange, or the bundled one.  A spec with a key missing
+    or a value of the wrong kind is a usage error (exit 2)."""
+    if not getattr(args, "spec", None):
+        return quintic.bundled_iet(), True
+    obj = _read_json(args.spec, "--spec")
+    try:
+        return iet_from_json(obj), False
+    except (KeyError, TypeError, ValueError) as exc:
+        build_parser().error(f"--spec {args.spec}: not an exchange spec "
+                             f"({type(exc).__name__}: {exc})")
 
 
 def _config_of(args):
@@ -219,11 +237,10 @@ def cmd_orbit(args):
 
 def cmd_eval(args):
     E, _ = _load_spec(args)
-    x = Fraction(args.x) if "/" in args.x else float(args.x)
-    if isinstance(x, float):
-        print(repr(E.as_float().eval(x, inverse=args.inverse)))
+    if isinstance(args.x, float):
+        print(repr(E.as_float().eval(args.x, inverse=args.inverse)))
     else:
-        val = E.eval(x, inverse=args.inverse)
+        val = E.eval(args.x, inverse=args.inverse)
         print(val.decimal(args.digits) if hasattr(val, "decimal")
               else fraction_to_str(val))
     return 0
@@ -232,11 +249,7 @@ def cmd_eval(args):
 def _read_matrix(path):
     """The square integer matrix in the JSON file at path; anything else is a
     usage error (exit 2)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-    except (OSError, ValueError) as exc:
-        build_parser().error(f"--matrix {path}: {exc}")
+    rows = _read_json(path, "--matrix")
     if not (isinstance(rows, list) and rows and all(
             isinstance(r, list) and len(r) == len(rows)
             and all(type(v) is int for v in r) for r in rows)):
@@ -266,6 +279,21 @@ def positive_int(text):
     if val <= 0:
         raise argparse.ArgumentTypeError(f"{text} is not positive")
     return val
+
+
+def finite_float(text):
+    val = float(text)
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"{text} is not finite")
+    return val
+
+
+def point(text):
+    """An exact p/q as its Fraction, anything else as a finite float."""
+    try:
+        return Fraction(text) if "/" in text else finite_float(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text} divides by zero") from None
 
 
 def probe_steps(text):
@@ -318,13 +346,13 @@ def build_parser():
 
     p = sub.add_parser("orbit", help="orbit of a point (float arithmetic)")
     common(p, digits=False)
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=finite_float, required=True)
     p.add_argument("--steps", type=positive_int, default=100)
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("eval", help="apply the exchange to a point")
     common(p)
-    p.add_argument("--x", required=True, help="float or exact p/q")
+    p.add_argument("--x", type=point, required=True, help="float or exact p/q")
     p.add_argument("--inverse", action="store_true")
     p.set_defaults(fn=cmd_eval)
 

@@ -73,11 +73,6 @@ def iet_from_json(obj) -> IetSpec:
                    scalar(obj.get("origin", "0")))
 
 
-def load_iet(path) -> IetSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return iet_from_json(json.load(fh))
-
-
 def save_iet(E: IetSpec, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(iet_to_json(E), fh, indent=2, sort_keys=True)

@@ -65,10 +65,6 @@ class RootEmbedding:
         _, b, den = self.interval
         return Fraction(b, den)
 
-    def is_point(self):
-        a, b, _ = self.interval
-        return a == b
-
     def refine(self, max_width: Fraction):
         """Narrow until the width is at most max_width (_narrow_to)."""
         self._narrow_to(max_width.numerator, max_width.denominator)

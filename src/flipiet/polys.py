@@ -138,23 +138,6 @@ def _deriv(c):
     return _trim(tuple(i * ci for i, ci in enumerate(c))[1:])
 
 
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p divided by gcd(p, p'), primitive with positive leading coefficient.
-
-    The gcd is the last nonzero member of the integer remainder sequence
-    that sturm_chain runs (_neg_sturm_rem), made primitive; by Gauss's
-    lemma the quotient is then integral."""
-    if p.degree <= 1:
-        return p.primitive()
-    a, b = p.coeffs, _deriv(p.coeffs)
-    while b:
-        a, b = b, _neg_sturm_rem(a, b)
-    g = IntPolynomial(a).primitive()
-    if g.degree == 0:
-        return p.primitive()
-    return _try_divide(p, g).primitive()
-
-
 # ---------------------------------------------------------------------------
 # Sturm sequences and real-root isolation
 
@@ -163,8 +146,9 @@ def sturm_chain(p: IntPolynomial):
 
     Each member is a positive multiple of the classical chain's member (p,
     p', then the negated remainders), so sign variations, hence root counts,
-    are the classical ones.  A polynomial with a repeated root must be made
-    squarefree first (squarefree_part).
+    are the classical ones.  It is the one routine that runs the remainder
+    sequence; run on any p, the chain ends in gcd(p, p'), where
+    squarefree_chain reads the squarefree part that root counts need.
     """
     chain = [p.coeffs]
     r = _deriv(p.coeffs)
@@ -175,10 +159,12 @@ def sturm_chain(p: IntPolynomial):
 
 
 def squarefree_chain(p: IntPolynomial):
-    """(squarefree_part(p), the Sturm chain of it).  For a squarefree p both
-    come from one remainder sequence: the chain of p ends in gcd(p, p'),
-    then a constant.  Otherwise p is divided by that gcd and the quotient's
-    chain is run."""
+    """(sf, chain): the squarefree part sf of p, p over gcd(p, p') made
+    primitive with positive leading coefficient, and the Sturm chain of sf.
+    The chain of p ends in gcd(p, p'): a constant when p is squarefree, so
+    one remainder sequence gives both.  Otherwise p is divided by the gcd
+    made primitive (integrally, by Gauss's lemma) and the quotient's chain
+    is run."""
     sf = p.primitive()
     chain = sturm_chain(sf)
     if len(chain[-1]) > 1:
@@ -630,7 +616,7 @@ def factor_rational(p: IntPolynomial):
     work = p.primitive()
     if work.degree == 0:
         return []
-    sf = squarefree_part(work)
+    sf = squarefree_chain(work)[0]
     irreducibles = _factor_squarefree(sf)
     out = []
     for g in irreducibles:

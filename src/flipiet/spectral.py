@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import NotAnEigenvalue, NotQuasiPositive
 from .numfield import AlgebraicNumber, NumberField, RootEmbedding
-from .polys import (IntPolynomial, _mul, _rem_monic, char_poly,
+from .polys import (IntPolynomial, _mul, _rem_monic, _sign_at, char_poly,
                     count_roots, factor_rational, faddeev_leverrier,
                     isolate_real_roots, mat_transpose, quasi_positive,
                     root_bound, squarefree_chain)
@@ -62,36 +62,24 @@ def _shared_loop(m):
 
 def real_eigenvalues(m):
     """All real eigenvalues as exact algebraic numbers, ascending, each tagged
-    with the index of its irreducible factor."""
+    with the index of its irreducible factor.
+
+    One Sturm isolation of the characteristic polynomial gives disjoint
+    intervals in ascending order whose ends are roots of no factor.  The
+    factors are coprime, so each interval isolates a root of exactly one of
+    them: the one whose sign differs at its two ends."""
     cp = _shared_loop(m)[0]
     factors = factor_rational(cp)
+    fields = [NumberField(f, _trusted=True) for f, _mult in factors]
     found = []
-    for ix, (f, _mult) in enumerate(factors):
-        fld = NumberField(f, _trusted=True)
-        for lo, hi in isolate_real_roots(f):
-            if f.degree > 1:
-                root = fld.generator(RootEmbedding(f, lo, hi))
-            else:
-                r = Fraction(-f.coeffs[0], f.coeffs[1])
-                root = fld.rational(r, RootEmbedding(f, r, r))
-            found.append((root, ix))
-    # disentangle isolating intervals across factors so interval order is
-    # total, narrowing twice as far on each pass
-    k = 2
-    changed = True
-    while changed:
-        changed = False
-        k *= 2
-        for a in range(len(found)):
-            for b in range(a + 1, len(found)):
-                ea, eb = found[a][0].embedding, found[b][0].embedding
-                if ea.is_point() and eb.is_point():
-                    continue
-                if not (ea.hi <= eb.lo or eb.hi <= ea.lo):
-                    ea.narrow(k)
-                    eb.narrow(k)
-                    changed = True
-    found.sort(key=lambda t: t[0].embedding.lo)
+    for lo, hi in isolate_real_roots(cp):
+        ix = next(i for i, (f, _mult) in enumerate(factors)
+                  if _sign_at(f.coeffs, lo.numerator, lo.denominator)
+                  != _sign_at(f.coeffs, hi.numerator, hi.denominator))
+        f = factors[ix][0]
+        if f.degree == 1:       # monic, as a factor of cp: an integer root
+            lo = hi = -f.coeffs[0]
+        found.append((fields[ix].generator(RootEmbedding(f, lo, hi)), ix))
     return cp, factors, tuple(found)
 
 

@@ -11,6 +11,7 @@ from flipiet.cli import main
 from flipiet.io import (algebraic_from_json, algebraic_to_json, gaps_csv,
                         iet_from_json, iet_to_json, induction_trace_csv,
                         return_words_csv)
+from flipiet.polys import IntPolynomial, count_roots, sturm_chain
 from flipiet.quintic import (REFERENCE_EIGENVALUES_3DP, bundled_iet,
                              bundled_theta1)
 from flipiet.rauzy import rauzy_run
@@ -225,6 +226,57 @@ def test_cli_spec_file_roundtrip(tmp_path, capsys):
     rc = main(["eval", "--spec", str(path), "--x", "1/4", "--digits", "3"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "3/4"
+
+
+def test_saved_root_intervals_isolate_and_round_trip(tmp_path, capsys):
+    # an algebraic length is written with the interval its embedding holds
+    # at the time; that interval isolates the root for the minimal
+    # polynomial, and the spec reads back to the same exchange, whose
+    # embedding narrows only inside the written interval
+    from flipiet.io import save_iet
+    E = bundled_iet()
+    path = tmp_path / "spec.json"
+    save_iet(E, str(path))
+    spec = json.loads(path.read_text())
+    back = iet_from_json(spec)
+    for v, w in zip(back.lengths, spec["lengths"]):
+        lo, hi = (Fraction(s) for s in w["embedding"])
+        chain = sturm_chain(IntPolynomial(tuple(w["minpoly"])))
+        assert lo < hi and count_roots(chain, lo, hi) == 1
+        assert list(v.field.minpoly.coeffs) == w["minpoly"]
+        assert lo <= v.embedding.lo <= v.embedding.hi <= hi
+    assert [v.coords for v in back.lengths] == [v.coords for v in E.lengths]
+    for argv in ([], ["--spec", str(path)]):
+        assert main(["eval", "--x", "1/10", *argv]) == 0
+    bundled, loaded = capsys.readouterr().out.split()
+    assert bundled == loaded
+
+
+@pytest.mark.parametrize("argv", [["eval", "--x", "foo"], ["eval", "--x", "1/0"],
+                                  ["eval", "--x", "0.3/2"], ["eval", "--x", "nan"],
+                                  ["eval", "--x", "inf"], ["orbit", "--x", "nan"],
+                                  ["orbit", "--x", "1e999"], ["orbit", "--x", "1/3"]])
+def test_cli_rejects_a_malformed_or_infinite_point(argv, capsys):
+    # not a number, a zero or non-integer denominator, NaN or infinity, and
+    # a fraction where orbit takes floats: usage errors, not tracebacks,
+    # discontinuity hits or NaN orbits
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, '{"lengths": ["1/2", "1/2"]',
+                                  '{"lengths": ["1/2", "1/2"]}', "[1, 2]"])
+def test_cli_spec_that_is_no_spec_is_a_usage_error(tmp_path, capsys, text):
+    # a missing file, broken JSON, a missing key, not an object
+    path = tmp_path / "spec.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["selfsim", "--spec", str(path)])
+    assert exc.value.code == 2
+    assert "--spec" in capsys.readouterr().err
 
 
 def test_cli_usage_error():

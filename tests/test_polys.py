@@ -14,7 +14,7 @@ from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _numerators,
                            faddeev_leverrier, is_irreducible,
                            isolate_real_roots, mat_det, mat_mul,
                            quasi_positive, refine_root_interval, root_bound,
-                           row_masks, rows_mul, squarefree_part, sturm_chain)
+                           row_masks, rows_mul, squarefree_chain, sturm_chain)
 from flipiet.quintic import MATRIX
 
 
@@ -166,8 +166,7 @@ def test_count_roots_matches_sympy():
                           + (rng.choice((-3, -1, 1, 2)),))
         if trial % 3 == 0:
             p = p * poly_from_roots([rng.randint(-3, 3)] * 2)
-        sf = squarefree_part(p)
-        chain = sturm_chain(sf)
+        sf, chain = squarefree_chain(p)
         # integer members, each a positive multiple of the classical member
         ref = _classical_sturm_chain(sf)
         assert len(chain) == len(ref)
@@ -191,7 +190,7 @@ def test_count_roots_matches_sympy():
 
 def test_squarefree_part():
     p = poly_from_roots([2, 2, 3])
-    assert squarefree_part(p).coeffs == poly_from_roots([2, 3]).coeffs
+    assert squarefree_chain(p)[0].coeffs == poly_from_roots([2, 3]).coeffs
 
 
 def test_squarefree_part_matches_sympy():
@@ -215,7 +214,7 @@ def test_squarefree_part_matches_sympy():
     for p in cases:
         want = sympy.Poly(list(reversed(p.coeffs)), t).sqf_part()
         want = IntPolynomial(tuple(int(c) for c in reversed(want.all_coeffs())))
-        assert squarefree_part(p) == want.primitive(), p
+        assert squarefree_chain(p)[0] == want.primitive(), p
 
 
 def test_sympy_oracle_on_random_factors():
@@ -364,7 +363,7 @@ def test_sieve_keeps_every_true_factor_degree():
         p = IntPolynomial((1,))
         for f in fs:
             p = p * f
-        if p.degree > 8 or squarefree_part(p).degree != p.degree:
+        if p.degree > 8 or squarefree_chain(p)[0].degree != p.degree:
             continue
         products += 1
         true = {0}

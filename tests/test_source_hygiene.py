@@ -1,5 +1,6 @@
 """Static checks on the package source: every import is used, every
-private module-level function and private method has a caller, no function
+private module-level function and private method has a caller, every
+public function and method is referenced outside its own body, no function
 takes a private parameter but the two named below, every parameter with a
 default is passed by some call in src/ or perfbench/, every dataclass field
 has a reader, every local a function assigns is read, every option of a
@@ -68,6 +69,50 @@ def test_every_private_function_is_referenced():
             if node.name.startswith("_") and not node.name.startswith("__")
             and node.name not in reads]
     assert dead == []
+
+
+def _references(tree):
+    """(name, line) of each identifier, attribute name and identifier-like
+    string constant (a name looked up by getattr or a tracer table) in a
+    module, but the entries of its __all__."""
+    exported = {id(c) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                for c in ast.walk(node.value)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in exported):
+            yield node.value, node.lineno
+
+
+def test_every_public_function_is_referenced():
+    """Every public function or method in src/ is referenced by name outside
+    its own body: in src/ (the package's exports in __init__.py do not
+    count), in perfbench/ outside its tests, or in the acceptance suite.
+    Names match on their own, so a method is referenced by any attribute of
+    its name.  The two exempt are the test reference for the fixed-word
+    claim in denjoy's docstring and the writer of exchange specs."""
+    exempt = {"selfsim.fixed_word", "io.save_iet"}
+    callers = {name: tree for name, tree in MODULES.items() if name != "__init__"}
+    callers.update({f"perfbench/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
+                    for path in sorted((ROOT / "perfbench").glob("*.py"))
+                    if not path.name.startswith("test_")})
+    callers["test_acceptance"] = ast.parse(
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    where = {}
+    for module, tree in callers.items():
+        for ref, line in _references(tree):
+            where.setdefault(ref, []).append((module, line))
+    unreferenced = {
+        qualified for name, tree in MODULES.items()
+        for qualified, fn in _defs(tree.body, name)
+        if not fn.name.startswith("_") and all(
+            module == name and fn.lineno <= line <= fn.end_lineno
+            for module, line in where.get(fn.name, ()))}
+    assert unreferenced == exempt
 
 
 def test_every_traced_function_resolves():

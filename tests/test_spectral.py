@@ -13,8 +13,9 @@ from flipiet.denjoy import blowup_chain
 from flipiet.errors import NotAnEigenvalue, NotQuasiPositive
 from flipiet.numfield import (NumberField, RootEmbedding,
                               cross_embedding_dot_is_zero)
-from flipiet.polys import (IntPolynomial, mat_identity, mat_mul, mat_transpose,
-                           quasi_positive)
+from flipiet.polys import (IntPolynomial, char_poly, count_roots,
+                           factor_rational, isolate_real_roots, mat_identity,
+                           mat_mul, mat_transpose, quasi_positive, sturm_chain)
 from flipiet.quintic import (MATRIX, REFERENCE_EIGENVALUES_3DP,
                              REFERENCE_LENGTHS_3DP, bundled_iet)
 from flipiet.spectral import (bhm_screen, eigen_left, perron_data,
@@ -175,23 +176,107 @@ def test_real_eigenvalues_order():
     assert len(roots) == 5
 
 
-def test_real_eigenvalues_builds_one_sturm_chain_per_factor(monkeypatch):
-    # root isolation builds the chain of each factor; the number field of
-    # a factor builds none until root_in needs one
-    import flipiet.numfield
+def test_real_eigenvalues_isolates_the_char_poly_once(monkeypatch):
+    # one isolation of the characteristic polynomial serves every factor:
+    # isolate_real_roots runs once and sturm_chain twice, once in the
+    # factorizer's squarefree step and once in the isolation, however many
+    # factors there are; the number field of a factor builds none until
+    # root_in needs one
     import flipiet.polys
-    calls = []
-    real = flipiet.polys.sturm_chain
+    chains, isolations = [], []
+    real_chain = flipiet.polys.sturm_chain
+    real_isolate = flipiet.spectral.isolate_real_roots
 
-    def counted(p):
-        calls.append(p)
-        return real(p)
+    def chain(p):
+        chains.append(p)
+        return real_chain(p)
 
-    monkeypatch.setattr(flipiet.polys, "sturm_chain", counted)
-    monkeypatch.setattr(flipiet.numfield, "sturm_chain", counted)
-    _, factors, _ = real_eigenvalues(MATRIX)
-    assert len(factors) == 2
-    assert len(calls) == 2
+    def isolate(p):
+        isolations.append(p)
+        return real_isolate(p)
+
+    monkeypatch.setattr(flipiet.polys, "sturm_chain", chain)
+    monkeypatch.setattr(flipiet.numfield, "sturm_chain", chain)
+    monkeypatch.setattr(flipiet.spectral, "isolate_real_roots", isolate)
+    for m, nfactors in ((MATRIX, 2), (CENSUS_NOT_CONJUGATE, 3)):
+        chains.clear()
+        isolations.clear()
+        cp, factors, _ = real_eigenvalues(m)
+        assert len(factors) == nfactors
+        assert isolations == [cp]
+        assert chains == [cp, cp]
+
+
+def _real_eigenvalues_per_factor(m):
+    """Reference for real_eigenvalues: each factor's roots isolated on its
+    own, then the intervals of different factors narrowed, twice as far on
+    each pass, until no two overlap, and the roots sorted by interval."""
+    cp = char_poly(m)
+    factors = factor_rational(cp)
+    found = []
+    for ix, (f, _mult) in enumerate(factors):
+        fld = NumberField(f, _trusted=True)
+        for lo, hi in isolate_real_roots(f):
+            if f.degree > 1:
+                root = fld.generator(RootEmbedding(f, lo, hi))
+            else:
+                r = Fraction(-f.coeffs[0], f.coeffs[1])
+                root = fld.rational(r, RootEmbedding(f, r, r))
+            found.append((root, ix))
+    k = 2
+    changed = True
+    while changed:
+        changed = False
+        k *= 2
+        for a in range(len(found)):
+            for b in range(a + 1, len(found)):
+                ea, eb = found[a][0].embedding, found[b][0].embedding
+                if ea.lo == ea.hi and eb.lo == eb.hi:
+                    continue
+                if not (ea.hi <= eb.lo or eb.hi <= ea.lo):
+                    ea.narrow(k)
+                    eb.narrow(k)
+                    changed = True
+    found.sort(key=lambda t: t[0].embedding.lo)
+    return cp, factors, tuple(found)
+
+
+def _check_tagged_roots(m):
+    """real_eigenvalues(m) against the per-factor reference: the same
+    factors, roots to 30 digits and factor tags, in ascending order, with
+    intervals that are pairwise disjoint and isolate each root for its own
+    factor."""
+    cp, factors, roots = real_eigenvalues(m)
+    spans = [(r.embedding.lo, r.embedding.hi) for r, _ix in roots]
+    # each interval ends where or before the next begins: ascending and
+    # pairwise disjoint
+    assert all(lo <= hi for lo, hi in spans)
+    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+    for (r, ix), (lo, hi) in zip(roots, spans):
+        f = factors[ix][0]
+        assert r.embedding.poly == f
+        if f.degree > 1:
+            assert count_roots(sturm_chain(f), lo, hi) == 1
+        else:
+            assert lo == hi and f(lo) == 0
+    ref_cp, ref_factors, ref = _real_eigenvalues_per_factor(m)
+    assert (cp, factors) == (ref_cp, ref_factors)
+    assert ([(r.decimal(30), ix) for r, ix in roots]
+            == [(r.decimal(30), ix) for r, ix in ref])
+    return factors
+
+
+def test_real_eigenvalues_matches_per_factor_isolation(rauzy_graph):
+    for m in (MATRIX, CENSUS_NOT_CONJUGATE):
+        _check_tagged_roots(m)
+    reducible = repeated = 0
+    for m in _pool_matrices(rauzy_graph(5), 250):
+        factors = factor_rational(char_poly(m))
+        if len(factors) == 1 and factors[0][1] == 1:
+            continue
+        reducible += 1
+        repeated += any(mult > 1 for _f, mult in _check_tagged_roots(m))
+    assert reducible >= 20 and repeated >= 1
 
 
 def test_eigenvalues_against_sympy():
