@@ -115,26 +115,12 @@ class IetSpec:
         for v in lengths:
             if not v > 0:
                 raise NonpositiveLength(f"length {v!r} is not positive")
-        self._place(lengths, signed_perm, origin)
-
-    def _place(self, lengths, signed_perm, origin):
-        """Set the lengths and the signed permutation, laid out from origin."""
         self.n = len(signed_perm)
         self.lengths = lengths
         self.sp = signed_perm
         slots = (lengths[i - 1] for i in signed_perm.pi_inv[1:])
         self._lay_out(tuple(accumulate(lengths, initial=origin)),
                       tuple(accumulate(slots, initial=origin)))
-
-    def _rearranged(self, lengths, signed_perm):
-        """The exact exchange with these lengths and this SignedPermutation
-        on this one's origin, laid out without the constructor's checks: for
-        a Rauzy step, whose lengths are positive by construction."""
-        if self.float_mode:
-            raise TypeError(_NOT_EXACT)
-        out = copy(self)
-        out._place(tuple(lengths), signed_perm, self.origin)
-        return out
 
     def _lay_out(self, x, y):
         """Set the breakpoints x, the slot ends y and the branch table read

@@ -90,11 +90,19 @@ class RootEmbedding:
         for i = 0..d-1, valid for the current interval and cached until it
         narrows; False when a power leaves the float range.  The interval is
         first narrowed to about float precision, so that the errors are a few
-        ulps and filtered_sign settles all but nearly cancelling sums."""
+        ulps and filtered_sign settles all but nearly cancelling sums.  The
+        width target is checked against the narrowed interval's own ends, and
+        narrowing repeats until it holds, so an interval read back from a
+        shadowed one narrows no further.  Off 0 the target is 2^-SHADOW_BITS
+        of the nearer end's magnitude, which only grows as the interval
+        narrows, so one narrowing meets it."""
         if self._shadow is None:
-            a, b, den = self.interval
-            self._narrow_to(max(-a, b), den << SHADOW_BITS)
-            a, b, den = self.interval
+            while True:
+                a, b, den = self.interval
+                low = a if a > 0 else -b if b < 0 else max(-a, b)
+                self._narrow_to(low, den << SHADOW_BITS)
+                if self.interval == (a, b, den):
+                    break
             # theta^i lies between a^i/den^i and b^i/den^i (and 0 when the
             # interval straddles 0)
             straddle = (0,) if a < 0 < b else ()
@@ -415,8 +423,8 @@ _MAX_TERMS = 2 ** 16
 _SLACK = 1.0 + 2.0 ** -32
 _TINY = 2.0 ** -1000
 
-# RootEmbedding.shadow narrows its interval to 2^-SHADOW_BITS of the larger
-# end's magnitude: float precision and a margin, past which the shadows'
+# RootEmbedding.shadow narrows its interval to 2^-SHADOW_BITS of its ends'
+# magnitude: float precision and a margin, past which the shadows'
 # errors stay a few ulps and a 12-digit decimal seldom needs more.  decimal
 # aims its image at 2^-DECIMAL_GUARD of a unit in the last digit
 SHADOW_BITS = 64

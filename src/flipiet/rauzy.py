@@ -9,18 +9,21 @@ signed permutation and the elementary matrix (Rauzy 1979; Nogueira 1989),
 and typed_move writes both down in closed form from the entries, so the
 search graph and the step share one move that runs no induction.  The new
 lengths are the old ones rearranged, with one exact subtraction: the
-winner's length less the loser's.
+winner's length less the loser's.  So induction runs on (entries, lengths)
+alone (length_step), and an exchange is laid out only when a step's
+after_iet is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
+from itertools import islice
+from operator import add
 from typing import Optional
 
 from .errors import DegenerateStep
 from .iet import IetSpec, SignedPermutation
-from .polys import mat_identity, mat_mul
 
 
 @dataclass
@@ -31,7 +34,12 @@ class RauzyStep:
     after: SignedPermutation
     before_lengths: tuple
     after_lengths: tuple
-    after_iet: IetSpec
+    origin: object                   # left end of both exchanges
+
+    @cached_property
+    def after_iet(self) -> IetSpec:
+        """The exchange after the step, laid out when first asked for."""
+        return IetSpec(self.after_lengths, self.after, self.origin)
 
 
 @dataclass
@@ -87,76 +95,100 @@ def _step_matrix(n, s, through):
     return tuple(tuple(int(j in row) for j in range(n)) for row in cols)
 
 
-def rauzy_step(E: IetSpec) -> tuple:
-    """One typed induction step; returns (E', RauzyStep).
+def length_step(entries, lengths) -> tuple:
+    """(type, after entries, matrix, new lengths) of the step out of the
+    signed permutation entries with these piece lengths (a tuple).
 
     The type is one exact comparison of l_n and l_s.  The new lengths solve
-    matrix . new = old, where the matrix is a permutation matrix plus one 1:
-    a row with a single 1 in column j gives new[j] that row's length.  The
-    winner's row has two 1s, one in the loser's column, and its other column
-    gets the winner's length less the loser's.  So every new length is
-    positive by construction, and E' is laid out without checking them
-    again (IetSpec._rearranged); a float view is a TypeError."""
-    n = E.n
-    s = E.sp.pi_inv[n]
+    matrix . new = old, where the matrix is a permutation matrix plus one 1,
+    so they are the old ones moved with the pieces, and the winner's length
+    less the loser's: piece n's for type 0, the kept part of s for type 1,
+    whose through part gets l_n.  Every new length is positive by
+    construction."""
+    n = len(entries)
+    s = (entries.index(n) if n in entries else entries.index(-n)) + 1
     if s == n:
         raise DegenerateStep("last piece is sent to the last slot")
-    l_n = E.lengths[n - 1]
-    l_s = E.lengths[s - 1]
+    l_n, l_s = lengths[n - 1], lengths[s - 1]
     if l_n == l_s:
         raise DegenerateStep("saddle connection: competing lengths are equal")
     type_bit = 0 if l_n > l_s else 1
-    after, m = typed_move(E.sp.entries, type_bit)
-    after = SignedPermutation(after)
-    lengths = [None] * n
-    for row, length in zip(m, E.lengths):
-        cols = [j for j, v in enumerate(row) if v]
-        if len(cols) == 1:
-            lengths[cols[0]] = length
-        else:
-            winner, pair = length, cols
-    j, k = pair if lengths[pair[0]] is None else pair[::-1]
-    lengths[j] = winner - lengths[k]
-    sub = E._rearranged(lengths, after)
-    step = RauzyStep(type_bit=type_bit, matrix=m, before=E.sp, after=after,
-                     before_lengths=E.lengths, after_lengths=sub.lengths,
-                     after_iet=sub)
-    return sub, step
+    after, m = typed_move(entries, type_bit)
+    if type_bit == 0:
+        new = lengths[:n - 1] + (l_n - l_s,)
+    else:
+        pair = (l_s - l_n, l_n) if entries[s - 1] > 0 else (l_n, l_s - l_n)
+        new = lengths[:s - 1] + pair + lengths[s:n - 1]
+    return type_bit, after, m, new
+
+
+def _steps(E: IetSpec):
+    """The induction's steps out of E, one at a time, on lengths alone."""
+    if E.float_mode:
+        raise TypeError("lengths must be exact for a Rauzy step")
+    sp, lengths = E.sp, E.lengths
+    while True:
+        type_bit, after, m, new = length_step(sp.entries, lengths)
+        after = SignedPermutation(after)
+        yield RauzyStep(type_bit=type_bit, matrix=m, before=sp, after=after,
+                        before_lengths=lengths, after_lengths=new,
+                        origin=E.origin)
+        sp, lengths = after, new
+
+
+def rauzy_step(E: IetSpec) -> tuple:
+    """One typed induction step; returns (E', RauzyStep), E' its after_iet.
+    A float view is a TypeError."""
+    step = next(_steps(E))
+    return step.after_iet, step
 
 
 def rauzy_run(E: IetSpec, k: int):
     """k chained steps; raises DegenerateStep on a saddle connection."""
-    steps = []
-    cur = E
-    for _ in range(k):
-        cur, st = rauzy_step(cur)
-        steps.append(st)
-    return steps
+    return list(islice(_steps(E), k))
+
+
+@cache
+def _column_moves(m):
+    """(i, k) for each column of a step matrix: the rows of its two 1s, or
+    of its one 1 and None."""
+    return tuple(tuple([i for i, v in enumerate(col) if v] + [None])[:2]
+                 for col in zip(*m))
+
+
+def step_product(mats):
+    """Ordered product of a nonempty sequence of matrices, all but the first
+    step matrices (a permutation matrix plus one 1), by column moves: column
+    j of prod . m is column i of prod, or the sum of columns i and k where
+    column j of m has two 1s.  polys.mat_mul is the generic product."""
+    mats = iter(mats)
+    cols = list(zip(*next(mats)))
+    for m in mats:
+        cols = [cols[i] if k is None else tuple(map(add, cols[i], cols[k]))
+                for i, k in _column_moves(m)]
+    return tuple(zip(*cols))
 
 
 def cycle_matrix(steps):
     """Ordered product of the step matrices."""
     if not steps:
         raise ValueError("empty step sequence")
-    prod = mat_identity(len(steps[0].before))
-    for st in steps:
-        prod = mat_mul(prod, st.matrix)
-    return prod
+    return step_product(st.matrix for st in steps)
 
 
 def rauzy_cycle_detect(E: IetSpec, max_steps: int) -> Optional[RauzyCycle]:
     """Detect a return to the initial combinatorics with exactly proportional
-    lengths; the cycle equality test is exact, not merely combinatorial."""
+    lengths; the cycle equality test is exact, not merely combinatorial.
+    The steps run on lengths alone: no exchange is laid out."""
     steps = []
-    cur = E
     total0 = E.total_length
-    for _ in range(max_steps):
-        cur, st = rauzy_step(cur)
+    for st in islice(_steps(E), max_steps):
         steps.append(st)
-        if cur.sp != E.sp:
+        if st.after != E.sp:
             continue
-        total = cur.total_length
-        if all(cur.lengths[j] * total0 == E.lengths[j] * total for j in range(E.n)):
+        lengths = st.after_lengths
+        total = sum(lengths)
+        if all(lengths[j] * total0 == E.lengths[j] * total for j in range(E.n)):
             scale = total0 / total
             return RauzyCycle(steps=tuple(steps), product=cycle_matrix(steps),
                               scale=scale)

@@ -24,16 +24,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
-from multiprocessing import get_context
 
 import numpy as np
 
 from .errors import DegenerateStep, FlipIetError
 from .iet import IetSpec, SignedPermutation
-from .polys import (mat_identity, mat_mul, row_masks, rows_quasi_positive,
-                    rows_table)
-from .rauzy import rauzy_cycle_detect, typed_move
+from .polys import mat_mul, row_masks, rows_quasi_positive, rows_table
+from .rauzy import rauzy_cycle_detect, step_product, typed_move
 from .spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
 
 
@@ -94,8 +93,9 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
 # ---------------------------------------------------------------------------
 # closed-walk enumeration
 
-# starts walked side by side: one bit each of a uint64 distance mask
-WALK_BATCH = 64
+# starts walked side by side: one bit each of four uint64 words of
+# distance masks per node
+WALK_BATCH = 256
 
 
 def _census_worker(args):
@@ -113,7 +113,8 @@ def _census_worker(args):
     cut when its depth plus the distance back to s (reverse BFS within nodes
     >= s) exceeds max_len.  The product's zero pattern rides down the walk
     as row bitmasks, one rows_table lookup per row; only cycles whose
-    pattern is quasi-positive get the exact product.
+    pattern is quasi-positive get the exact product, by column moves
+    (rauzy.step_product); each distinct pattern of a level is looked up once.
 
     The walk is level-synchronous (_Walker): the starts go in batches of
     WALK_BATCH, and each step of a batch's whole frontier is one set of
@@ -129,9 +130,7 @@ def _census_worker(args):
 
     def screen(edges):
         seq = [divmod(e, 2) for e in edges]
-        prod = mat_identity(n)
-        for (v, t) in seq:
-            prod = mat_mul(prod, mats[v][t])
+        prod = step_product(mats[v][t] for (v, t) in seq)
         verdict = bhm_screen(prod)
         reasons[verdict.reason] += 1
         if verdict.qualifies:
@@ -144,13 +143,15 @@ def _census_worker(args):
     starts = sorted(starts)
     for k in range(0, len(starts), WALK_BATCH):
         for rows, edges in walker.walk(starts[k:k + WALK_BATCH], max_len):
-            keys = (rows @ pack).tolist()
-            for i, key in enumerate(keys):
+            keys, first, inv = np.unique(rows @ pack, return_index=True,
+                                         return_inverse=True)
+            keys = keys.tolist()
+            for key, i in zip(keys, first.tolist()):
                 if key not in pattern_ok:
                     pattern_ok[key] = rows_quasi_positive(
                         tuple(rows[i].tolist()))
-            ok = [pattern_ok[key] for key in keys]
-            reasons["not_quasi_positive"] += ok.count(False)
+            ok = np.array([pattern_ok[key] for key in keys])[inv]
+            reasons["not_quasi_positive"] += int(np.count_nonzero(~ok))
             for path in edges[ok].tolist():
                 screen(path)
     return reasons, hits
@@ -160,11 +161,13 @@ class _Walker:
     """The graph as arrays for the level-synchronous walk, and the distance
     masks of the batch being walked.
 
-    Slot b of a batch is its b-th smallest start.  Bit b of within[u] is set
-    when a walk of at most the current radius leads from u to start b
-    through nodes > start b, or u is start b.  Entry N of within stands for
-    the target of an absent edge and stays 0.  The node tables have N or
-    N + 1 entries; nothing has N times the batch.
+    Slot b of a batch is its b-th smallest start, bit b % 64 of word
+    b // 64.  Node u's words are entries W u .. W u + W - 1 of within,
+    W = WALK_BATCH // 64, and a (node, word) pair is one flat index W u + k.
+    Bit b is set when a walk of at most the current radius leads from u to
+    start b through nodes > start b, or u is start b.  Node N stands for
+    the target of an absent edge and its words stay 0.  The node tables
+    have W (N + 1) entries or fewer; nothing has N times the batch.
     """
 
     def __init__(self, succ, mats, n):
@@ -195,34 +198,34 @@ class _Walker:
             placed = col[u, 0] == v
             self.pred = np.hstack([self.pred, col])
             v, u = v[~placed], u[~placed]
-        self.within = np.zeros(N + 1, np.uint64)
-        self.front = np.zeros(N, np.uint64)     # scratch of _distances
-        self.stamp = np.zeros(N, np.int32)
-        # low[k] has the bits of slots 0 .. k - 1
-        self.low = np.array([(1 << k) - 1 for k in range(WALK_BATCH + 1)],
-                            np.uint64)
+        self.words = WALK_BATCH // 64
+        self.within = np.zeros((N + 1) * self.words, np.uint64)
+        # low[k] has the bits 0 .. k - 1 of a word
+        self.low = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
 
     def _distances(self, starts, max_len):
         """Reverse BFS from every start of the batch at once, to radius
-        max_len - 1: return its levels as (nodes, slot masks), with bit b
-        of a node's mask in the level of its distance to start b, and leave
-        within at that radius."""
-        bits = np.uint64(1) << np.arange(len(starts), dtype=np.uint64)
-        level = (starts, bits)
-        self.within[starts] = level[1]
+        max_len - 1: return its levels as (flat indices, word masks), with
+        bit b of a node's words in the level of its distance to start b,
+        and leave within at that radius."""
+        W = self.words
+        slot = np.arange(len(starts))
+        bits = np.uint64(1) << (slot % 64).astype(np.uint64)
+        level = (W * starts + slot // 64, bits)
+        self.within[level[0]] = level[1]
         levels = [level]
         for _ in range(1, max_len):
-            w = self.pred[level[0]]
+            w = self.pred[level[0] // W]
             keep = w >= 0
             m = np.broadcast_to(level[1][:, None], w.shape)[keep]
-            w = w[keep]
-            np.bitwise_or.at(self.front, w, m)
-            first = np.arange(len(w), dtype=np.int32)   # one per node
-            self.stamp[w] = first
-            w = w[self.stamp[w] == first]
-            m = (self.front[w] & ~self.within[w]
-                 & self.low[np.searchsorted(starts, w)])    # start b < w
-            self.front[w] = 0
+            w = (W * w + (level[0] % W)[:, None])[keep]
+            order = np.argsort(w)           # OR the masks of each index
+            w, m = w[order], m[order]
+            head = np.flatnonzero(np.diff(w, prepend=-1))
+            w, m = w[head], np.bitwise_or.reduceat(m, head)
+            # start b < node: slots 64 k .. j - 1 of word k, j starts below
+            j = np.searchsorted(starts, w // W)
+            m &= ~self.within[w] & self.low[np.clip(j - 64 * (w % W), 0, 64)]
             keep = m != 0
             if not keep.any():
                 break
@@ -238,7 +241,9 @@ class _Walker:
         row) and their edge codes 2 * v + t."""
         s = v = np.array(starts, np.int32)  # each row's start and node
         levels = self._distances(s, max_len)
-        bit = levels[0][1]                  # each row's slot, as its bit
+        word = np.arange(len(s), dtype=np.int32) // 64  # each row's slot,
+        bit = levels[0][1]                  # as its word and bit
+        W = self.words
         p = np.ones(len(s), np.intp)        # Duval's period
         rows = np.broadcast_to((1 << np.arange(self.n)).astype(np.uint8),
                                (len(s), self.n))
@@ -250,8 +255,8 @@ class _Walker:
                 u = self.succ[v]
                 e = 2 * v[:, None] + np.arange(2, dtype=np.int32)
                 # cut: too long, or no Lyndon word's prefix
-                parent, t = np.nonzero(((self.within[u] & bit[:, None]) != 0)
-                                       & (e >= c[:, None]))
+                reach = self.within[W * u + word[:, None]] & bit[:, None]
+                parent, t = np.nonzero((reach != 0) & (e >= c[:, None]))
                 if max_len - depth < len(levels):
                     nodes, masks = levels[max_len - depth]
                     self.within[nodes] &= ~masks
@@ -262,6 +267,7 @@ class _Walker:
                 e = e[parent, t]
                 v = u[parent, t]
                 s = s[parent]
+                word = word[parent]
                 bit = bit[parent]
                 p = np.where(e > c[parent], depth, p[parent])
                 path = path[parent]
@@ -291,9 +297,8 @@ class CycleCandidate:
         k = self.nodes.index(node_entries)
         nodes = self.nodes[k:] + self.nodes[:k]
         types = self.types[k:] + self.types[:k]
-        prod = mat_identity(len(node_entries))
-        for entries, t in zip(nodes, types):
-            prod = mat_mul(prod, graph.mats[graph.index(entries)][t])
+        prod = step_product(graph.mats[graph.index(entries)][t]
+                            for entries, t in zip(nodes, types))
         return nodes, types, prod
 
 
@@ -323,6 +328,7 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult
     payloads = [(graph.nodes, graph.succ, graph.mats, nodes[i::chunks], max_len)
                 for i in range(chunks) if nodes[i::chunks]]
     if jobs > 1:
+        from multiprocessing import get_context     # only pools pay its import
         with get_context("spawn").Pool(jobs) as pool:
             parts = pool.map(_census_worker, payloads)
     else:
@@ -363,7 +369,9 @@ def _validation_failure(cand: CycleCandidate):
     got_types = tuple(st.type_bit for st in cyc.steps)
     if got_nodes != cand.nodes or got_types != cand.types:
         return "detected cycle differs"
-    if cyc.product != cand.product:
+    # the generic product: a route independent of the column moves that
+    # built cand.product
+    if reduce(mat_mul, (st.matrix for st in cyc.steps)) != cand.product:
         return "matrix product differs"
     if cyc.scale != theta1:
         return "contraction is not the dominant eigenvalue"

@@ -432,3 +432,18 @@ def test_decimal_narrows_once_to_the_width_it_needs(monkeypatch):
             calls.clear()
             value.decimal(digits)
             assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("coeffs", [QUARTIC.coeffs, (1, -10, 18, -8, 1),
+                                    (-1, 3, 0, 1)])
+def test_shadow_narrowing_is_a_fixed_point(coeffs):
+    # every isolating interval, among them [19/4, 19/2] for theta1, one
+    # with 0 as an end and one that straddles 0: an embedding started from
+    # a shadowed one's interval narrows no further
+    poly = IntPolynomial(coeffs)
+    for lo, hi in isolate_real_roots(poly):
+        e = RootEmbedding(poly, lo, hi)
+        e.shadow()
+        again = RootEmbedding(poly, e.lo, e.hi)
+        again.shadow()
+        assert again.interval == e.interval

@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -10,7 +11,7 @@ from flipiet.iet import IetSpec, SignedPermutation
 from flipiet.polys import mat_det, mat_identity, mat_mul, mat_vec
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, bundled_iet, bundled_theta1
 from flipiet.rauzy import (cycle_matrix, rauzy_cycle_detect, rauzy_run,
-                           rauzy_step, typed_move)
+                           rauzy_step, step_product, typed_move)
 from flipiet.search import rauzy_graph_build, signed_perms_enumerate
 from flipiet.selfsim import induce
 from test_iet import recompute_permutation
@@ -249,8 +250,7 @@ def test_step_matches_induction_on_every_edge(n, require_flips, rauzy_graph):
     # irrational lengths of the bundled quintic field: the typed move and
     # one subtraction give the induction's exchange, breakpoints and slot
     # ends exactly; the geometry re-derives the permutation (Fraction
-    # lengths).  A float view has no exact step: the new exchange's
-    # constructor refuses its lengths
+    # lengths).  A float view has no exact step
     small = [a * Fraction(1, 100) for a in bundled_iet().lengths]
     rng = random.Random(10 * n + require_flips)
     for node in rauzy_graph(n, require_flips).nodes:
@@ -271,3 +271,95 @@ def test_step_matches_induction_on_every_edge(n, require_flips, rauzy_graph):
             assert recompute_permutation(E2) == after
             with pytest.raises(TypeError, match="must be exact"):
                 rauzy_step(E.as_float())
+
+
+def detect_by_steps(E, max_steps):
+    """rauzy_cycle_detect as a chain of rauzy_step calls, each laying out
+    its exchange: the return and proportionality tests read the laid-out
+    exchange's permutation, lengths and total length, and the product is
+    the generic mat_mul.  The reference for the lengths-only detection;
+    returns (steps, product, scale) or None."""
+    steps, cur = [], E
+    for _ in range(max_steps):
+        cur, st = rauzy_step(cur)
+        steps.append(st)
+        if cur.sp == E.sp and all(
+                cur.lengths[j] * E.total_length == E.lengths[j] * cur.total_length
+                for j in range(E.n)):
+            return (steps, reduce(mat_mul, [st.matrix for st in steps]),
+                    E.total_length / cur.total_length)
+    return None
+
+
+def step_fields(st):
+    return (st.type_bit, st.before, st.after, st.matrix, st.before_lengths,
+            st.after_lengths, st.origin)
+
+
+def assert_detect_matches_steps(E, max_steps):
+    """The lengths-only detection and the rauzy_step chain agree: the same
+    steps, product and scale, or no cycle, or the same DegenerateStep."""
+    try:
+        ref = detect_by_steps(E, max_steps)
+    except DegenerateStep as exc:
+        with pytest.raises(DegenerateStep) as got:
+            rauzy_cycle_detect(E, max_steps)
+        assert str(got.value) == str(exc)
+        return None
+    cyc = rauzy_cycle_detect(E, max_steps)
+    if ref is None:
+        assert cyc is None
+        return None
+    steps, product, scale = ref
+    assert list(map(step_fields, cyc.steps)) == list(map(step_fields, steps))
+    assert cyc.product == product and cyc.scale == scale
+    return cyc
+
+
+def test_detect_matches_step_chain_on_the_bundled_exchange():
+    cyc = assert_detect_matches_steps(bundled_iet(), 20)
+    assert len(cyc.steps) == 14 and cyc.product == MATRIX
+    assert assert_detect_matches_steps(bundled_iet(), 13) is None
+
+
+@pytest.mark.parametrize("lengths, entries, message", [
+    ((Fraction(1, 2), Fraction(1, 2)), (-2, 1), "saddle connection"),
+    ((Fraction(1, 3), Fraction(2, 3)), (2, 1), "saddle connection"),
+    ((1, 2, 3), (2, -1, 3), "last piece is sent to the last slot")])
+def test_detect_raises_the_step_chains_degenerate_step(lengths, entries,
+                                                       message):
+    # the first two tie at the first and the second step
+    E = IetSpec(lengths, entries)
+    with pytest.raises(DegenerateStep, match=message):
+        rauzy_cycle_detect(E, 10)
+    assert assert_detect_matches_steps(E, 10) is None
+
+
+@pytest.mark.parametrize("n, require_flips", [(n, f) for n in (2, 3, 4, 5)
+                                              for f in (True, False)]
+                         + [(6, True)])
+def test_step_product_matches_mat_mul_on_every_edge_matrix(n, require_flips,
+                                                           rauzy_graph):
+    # prefix . m by column moves, from random integer prefixes, for every
+    # distinct edge matrix of the graph; then seeded walks of 2 to 16 edges
+    g = rauzy_graph(n, require_flips)
+    rng = random.Random(100 * n + require_flips)
+    edge_mats = sorted({m for row in g.mats for m in row if m})
+    for m in edge_mats:
+        for _ in range(3):
+            prefix = tuple(tuple(rng.randint(-50, 50) for _ in range(n))
+                           for _ in range(n))
+            assert step_product([prefix, m]) == mat_mul(prefix, m)
+        assert step_product([m]) == m
+    for _ in range(200):
+        mats = [rng.choice(edge_mats) for _ in range(rng.randint(2, 16))]
+        assert step_product(mats) == reduce(mat_mul, mats)
+
+
+def test_cycle_matrix_matches_mat_mul(steps):
+    assert cycle_matrix(steps) == reduce(mat_mul, [st.matrix for st in steps])
+    for k in range(1, len(steps)):
+        assert cycle_matrix(steps[:k]) == reduce(
+            mat_mul, [st.matrix for st in steps[:k]])
+    with pytest.raises(ValueError):
+        cycle_matrix([])

@@ -1,8 +1,9 @@
 import random
 import tracemalloc
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 
+import numpy as np
 import pytest
 
 import flipiet.search
@@ -14,8 +15,9 @@ from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
 from flipiet.search import (WALK_BATCH, CycleCandidate, _census_worker,
                             cycle_search, cycle_validate,
                             signed_perms_enumerate)
-from flipiet.spectral import SCREEN_REASONS, bhm_screen
-from test_rauzy import induced_step, lengths_of_type
+from flipiet.spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
+from test_rauzy import (assert_detect_matches_steps, induced_step,
+                        lengths_of_type)
 
 
 def test_enumerate_n2():
@@ -148,6 +150,63 @@ def test_validate_bogus_candidate(rauzy_graph):
         assert not cand.validated
         tested += 1
     assert tested >= 3
+
+
+@pytest.fixture(scope="module")
+def qualifiers_5_14(rauzy_graph):
+    """The 24 qualifying cycles of the n=5 census at max_len 14."""
+    qualifying = cycle_search(rauzy_graph(5, True), 14).qualifying
+    assert len(qualifying) == 24
+    return qualifying
+
+
+def test_detect_matches_step_chain_on_the_census_qualifiers(qualifiers_5_14):
+    # each qualifier's Perron exchange: the lengths-only detection finds
+    # the step chain's cycle, which is the qualifier itself
+    for c in qualifiers_5_14:
+        alpha = shared_perron_data(c.product).perron[1]
+        E = IetSpec(alpha, SignedPermutation(c.nodes[0]))
+        cyc = assert_detect_matches_steps(E, len(c.types) + 2)
+        assert tuple(st.type_bit for st in cyc.steps) == c.types
+        assert cyc.product == c.product
+
+
+def test_rotate_to_matches_mat_mul(qualifiers_5_14, rauzy_graph):
+    g = rauzy_graph(5, True)
+    for c in qualifiers_5_14:
+        for node in c.nodes:
+            nodes, types, prod = c.rotate_to(node, g)
+            assert nodes[0] == node
+            assert prod == reduce(mat_mul, [g.mats[g.index(v)][t]
+                                            for v, t in zip(nodes, types)])
+
+
+_REFERENCE_NODES = tuple(sp for sp, _t in REFERENCE_STEPS[:-1])
+_REFERENCE_TYPES = tuple(t for _sp, t in REFERENCE_STEPS[:-1])
+
+
+@pytest.mark.parametrize("mutation, reason", [
+    ({}, "ok"),
+    # a later type flipped: the lengths still follow the bundled cycle
+    ({"types": _REFERENCE_TYPES[:5] + (1 - _REFERENCE_TYPES[5],)
+      + _REFERENCE_TYPES[6:]}, "detected cycle differs"),
+    # five steps: the bound of seven stops short of the fourteen-step cycle
+    ({"nodes": _REFERENCE_NODES[:5], "types": _REFERENCE_TYPES[:5]},
+     "no cycle detected within the bound"),
+    # the square has the same Perron vector, so the same cycle is detected
+    ({"product": mat_mul(MATRIX, MATRIX)}, "matrix product differs"),
+    ({"product": mat_identity(5)},
+     "perron data failed: no power of the matrix is positive"),
+    # Perron lengths (1/2, 1/2): the first step ties
+    ({"nodes": ((-2, 1),), "types": (0,), "product": ((1, 1), (1, 1))},
+     "degenerate step: saddle connection: competing lengths are equal")])
+def test_validation_reasons_of_mutated_candidates(mutation, reason):
+    fields = dict(nodes=_REFERENCE_NODES, types=_REFERENCE_TYPES,
+                  product=MATRIX, theta1="", theta2="")
+    fields.update(mutation)
+    cand = cycle_validate(CycleCandidate(**fields))
+    assert cand.validation_reason == reason
+    assert cand.validated == (reason == "ok")
 
 
 def test_validate_reference_candidate(rauzy_graph):
@@ -306,6 +365,42 @@ def test_census_worker_matches_reference_on_start_lists(pick, rauzy_graph):
                   list(range(3 * WALK_BATCH // 2 + 5))[::-1]}[pick]
     max_len = 14 if pick == "bundled node" else 12
     _assert_worker_matches_reference(g, starts, max_len)
+
+
+@pytest.mark.parametrize("max_len", [4, 10])
+def test_walker_distance_levels_match_reverse_bfs(max_len, rauzy_graph):
+    # one batch of seeded starts: bit b of a node's words sits in the level
+    # of its distance to start b through nodes above it, as the reference
+    # walk's reverse BFS finds it, and in no other level
+    g = rauzy_graph(5, True)
+    walker = flipiet.search._Walker(g.succ, g.mats, 5)
+    starts = sorted(random.Random(max_len).sample(range(len(g.nodes)),
+                                                  WALK_BATCH))
+    words = WALK_BATCH // 64
+    got = {}
+    levels = walker._distances(np.array(starts, np.int32), max_len)
+    for d, (flat, masks) in enumerate(levels):
+        for f, m in zip(flat.tolist(), masks.tolist()):
+            node, k = divmod(f, words)
+            for bit in range(64):
+                if m >> bit & 1:
+                    assert (64 * k + bit, node) not in got
+                    got[64 * k + bit, node] = d
+    pred = [[] for _ in g.succ]
+    for v, row in enumerate(g.succ):
+        for u in row:
+            if u is not None:
+                pred[u].append(v)
+    want = {}
+    for b, s in enumerate(starts):
+        dist = {s: 0}
+        frontier = [s]
+        for d in range(1, max_len):
+            frontier = {u for v in frontier for u in pred[v]
+                        if u > s and u not in dist}
+            dist.update(dict.fromkeys(frontier, d))
+        want.update({(b, u): d for u, d in dist.items()})
+    assert got == want
 
 
 @pytest.mark.parametrize("n, max_len, bound",
