@@ -5,7 +5,7 @@ blow-up construction of affine exchanges with wandering intervals."""
 from .errors import *                                              # noqa: F401,F403
 from .polys import IntPolynomial, char_poly, factor_rational, isolate_real_roots
 from .numfield import AlgebraicNumber, NumberField, nf_field_make, nf_root
-from .iet import IetSpec, OrbitSegment, SignedPermutation
+from .iet import IetSpec, OrbitSegment
 from .selfsim import (InducedMap, ItinerarySet, SelfSimilarity, Substitution,
                       associated_matrix, cylinder_locate, fixed_word, induce,
                       self_similarity_check, substitution_from)

@@ -103,8 +103,8 @@ def cmd_selfsim(args):
     if bundled:
         trace = induction_trace_csv(steps)
         _write(trace, args, "induction_trace.csv")
-        got = [(tuple(st.before), st.type_bit) for st in steps]
-        got.append((tuple(steps[-1].after), None))
+        got = [(st.before, st.type_bit) for st in steps]
+        got.append((steps[-1].after, None))
         for k, (sp, t) in enumerate(quintic.REFERENCE_STEPS):
             if got[k] != (sp, t):
                 mismatches.append(f"trace row {k}")

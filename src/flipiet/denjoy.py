@@ -351,21 +351,20 @@ def aiet_from_gaps(gs: GapSystem) -> AietApprox:
         bks.append(float(csum[k]))
     bks.append(1.0)
 
-    tau = E.sp.tau
     mids = gs.positions + gs.gap_lengths / 2
     slopes = []
     intercepts = []
     for i, sel in enumerate(gs.interior_classes(), start=1):
         if len(sel):
             ratio = gs.gap_lengths[sel + 1] / gs.gap_lengths[sel]
-            beta = tau[i - 1] * float(_median(ratio))
+            beta = E.tau[i - 1] * float(_median(ratio))
             c = float(_median(mids[sel + 1] - beta * mids[sel]))
         else:
-            beta, c = float(tau[i - 1]), None     # degenerate: no interior data
+            beta, c = float(E.tau[i - 1]), None     # degenerate: no interior data
         slopes.append(beta)
         intercepts.append(c)
     return AietApprox(breakpoints=tuple(bks), slopes=tuple(slopes),
-                      intercepts=tuple(intercepts), flips=tuple(tau))
+                      intercepts=tuple(intercepts), flips=E.tau)
 
 
 @dataclass

@@ -25,49 +25,6 @@ from .errors import AtDiscontinuity, InvalidPermutation, NonpositiveLength
 _NOT_EXACT = "lengths and origin must be exact; as_float() gives the float view"
 
 
-class SignedPermutation:
-    """Permutation entries with signs: |entries| is a permutation of 1..n,
-    the sign of entry i is the orientation of piece i (-1 = flipped)."""
-
-    __slots__ = ("entries", "pi", "tau", "pi_inv")
-
-    def __init__(self, entries):
-        entries = tuple(int(e) for e in entries)
-        n = len(entries)
-        if n == 0 or any(e == 0 for e in entries):
-            raise InvalidPermutation("entries must be nonzero")
-        pi = tuple(abs(e) for e in entries)
-        if sorted(pi) != list(range(1, n + 1)):
-            raise InvalidPermutation(f"|{entries}| is not a permutation of 1..{n}")
-        self.entries = entries
-        self.pi = pi
-        self.tau = tuple(1 if e > 0 else -1 for e in entries)
-        inv = [0] * (n + 1)
-        for i, j in enumerate(pi, start=1):
-            inv[j] = i
-        self.pi_inv = tuple(inv)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        if isinstance(other, SignedPermutation):
-            return self.entries == other.entries
-        return self.entries == tuple(other)
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"SignedPermutation({self.entries})"
-
-    def __str__(self):
-        return " ".join(str(e) for e in self.entries)
-
-
 def branch_walk(word, shifts, signs, e0, u0):
     """The branches z -> shifts[a] + signs[a] z of the indices a in the
     array word, composed: (e, u) of length len(word) + 1, with e_0 = e0,
@@ -95,19 +52,29 @@ class OrbitSegment:
 class IetSpec:
     """An IET given by piece lengths, a signed permutation and a left endpoint.
 
-    Precomputes the breakpoints x_0 < ... < x_n and the image slot layout:
-    slot j has the length of piece pi_inv(j), slots tile the domain left to
-    right, and piece i is mapped onto slot pi(i), orientation tau_i.  The
-    branch table, branches[i-1] = (shift_i, sign_i) with E(z) = shift_i +
-    sign_i * z on piece i, is how evaluation and induction move a point.
+    The signed permutation sp is the tuple of its int entries: |sp| is a
+    permutation pi of 1..n, and the sign of entry i is the orientation tau_i
+    of piece i (-1 = flipped).  Precomputes pi, tau, pi_inv, the breakpoints
+    x_0 < ... < x_n and the image slot layout: slot j has the length of
+    piece pi_inv(j), slots tile the domain left to right, and piece i is
+    mapped onto slot pi(i), orientation tau_i.  The branch table,
+    branches[i-1] = (shift_i, sign_i) with E(z) = shift_i + sign_i * z on
+    piece i, is how evaluation and induction move a point.
     """
 
     def __init__(self, lengths, signed_perm, origin=0):
         # n = 1 is allowed so first-return maps can degenerate to a single piece
-        if not isinstance(signed_perm, SignedPermutation):
-            signed_perm = SignedPermutation(signed_perm)
+        sp = tuple(signed_perm)
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in sp):
+            raise TypeError(f"signed permutation entries must be int: {sp!r}")
+        n = len(sp)
+        if n == 0 or 0 in sp:
+            raise InvalidPermutation("entries must be nonzero")
+        pi = tuple(map(abs, sp))
+        if sorted(pi) != list(range(1, n + 1)):
+            raise InvalidPermutation(f"|{sp}| is not a permutation of 1..{n}")
         lengths = tuple(lengths)
-        if len(lengths) != len(signed_perm):
+        if len(lengths) != n:
             raise InvalidPermutation("lengths and permutation size differ")
         if any(isinstance(v, float) for v in (*lengths, origin)):
             raise TypeError(_NOT_EXACT)
@@ -115,10 +82,11 @@ class IetSpec:
         for v in lengths:
             if not v > 0:
                 raise NonpositiveLength(f"length {v!r} is not positive")
-        self.n = len(signed_perm)
-        self.lengths = lengths
-        self.sp = signed_perm
-        slots = (lengths[i - 1] for i in signed_perm.pi_inv[1:])
+        self.n, self.lengths, self.sp, self.pi = n, lengths, sp, pi
+        self.tau = tuple(1 if e > 0 else -1 for e in sp)
+        # pi_inv[j] = i where pi(i) = j; pi_inv[0] is 0
+        self.pi_inv = (0, *sorted(range(1, n + 1), key=lambda i: pi[i - 1]))
+        slots = (lengths[i - 1] for i in self.pi_inv[1:])
         self._lay_out(tuple(accumulate(lengths, initial=origin)),
                       tuple(accumulate(slots, initial=origin)))
 
@@ -130,7 +98,7 @@ class IetSpec:
         one = 1.0 if self.float_mode else 1
         self.branches = tuple(
             (y[j - 1] - x[i - 1], one) if t > 0 else (y[j - 1] + x[i], -one)
-            for i, (j, t) in enumerate(zip(self.sp.pi, self.sp.tau), start=1))
+            for i, (j, t) in enumerate(zip(self.pi, self.tau), start=1))
 
     # -- geometry ---------------------------------------------------------------
 
@@ -147,7 +115,7 @@ class IetSpec:
         """Apply the exchange (or its inverse) to one point, by the branch
         table."""
         if inverse:
-            shift, sign = self.branches[self.sp.pi_inv[self.slot_of(p)] - 1]
+            shift, sign = self.branches[self.pi_inv[self.slot_of(p)] - 1]
             return p - shift if sign > 0 else shift - p
         shift, sign = self.branches[self.piece_of(p) - 1]
         return shift + p if sign > 0 else shift - p
@@ -181,7 +149,7 @@ class IetSpec:
         return view
 
     def __repr__(self):
-        return f"IetSpec(n={self.n}, sp={self.sp.entries})"
+        return f"IetSpec(n={self.n}, sp={self.sp})"
 
 
 def _open_cell(ends, p):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .iet import IetSpec, SignedPermutation
+from .iet import IetSpec
 from .numfield import AlgebraicNumber, NumberField, RootEmbedding
 from .polys import IntPolynomial
 
@@ -53,23 +53,25 @@ def _scalar_to_json(v):
 
 def iet_to_json(E: IetSpec) -> dict:
     return {"lengths": [_scalar_to_json(v) for v in E.lengths],
-            "signed_permutation": list(E.sp.entries),
+            "signed_permutation": list(E.sp),
             "origin": _scalar_to_json(E.origin)}
 
 
 def iet_from_json(obj) -> IetSpec:
     """The exact exchange of obj: a length or origin given as a dict is
     algebraic, any other (a "p/q" string, an int or a float) is the exact
-    Fraction of it."""
+    Fraction of it; a bool is a TypeError, not 0 or 1."""
     cache = {}
 
     def scalar(v):
         if isinstance(v, dict):
             return algebraic_from_json(v, cache)
+        if isinstance(v, bool):
+            raise TypeError(f"{v!r} is not a length or origin")
         return Fraction(v)
 
     return IetSpec([scalar(v) for v in obj["lengths"]],
-                   SignedPermutation(obj["signed_permutation"]),
+                   obj["signed_permutation"],
                    scalar(obj.get("origin", "0")))
 
 

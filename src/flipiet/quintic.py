@@ -14,7 +14,7 @@ suite and the CLI compare recomputed objects against them byte for byte.
 
 from __future__ import annotations
 
-from .iet import IetSpec, SignedPermutation
+from .iet import IetSpec
 from .spectral import shared_perron_data
 
 MATRIX = (
@@ -70,7 +70,7 @@ def bundled_iet() -> IetSpec:
     """The exchange itself, with exact algebraic lengths."""
     sd = bundled_spectral()
     _theta1, alpha = sd.perron
-    return IetSpec(alpha, SignedPermutation(SIGNED_PERMUTATION), origin=0)
+    return IetSpec(alpha, SIGNED_PERMUTATION, origin=0)
 
 
 def bundled_theta1():

@@ -23,15 +23,15 @@ from operator import add
 from typing import Optional
 
 from .errors import DegenerateStep
-from .iet import IetSpec, SignedPermutation
+from .iet import IetSpec
 
 
 @dataclass
 class RauzyStep:
     type_bit: int
     matrix: tuple                    # old_lengths = matrix . new_lengths
-    before: SignedPermutation
-    after: SignedPermutation
+    before: tuple                    # signed permutation entries
+    after: tuple
     before_lengths: tuple
     after_lengths: tuple
     origin: object                   # left end of both exchanges
@@ -45,7 +45,6 @@ class RauzyStep:
 @dataclass
 class RauzyCycle:
     steps: tuple
-    product: tuple
     scale: object              # contraction ratio, exact scalar
 
 
@@ -60,7 +59,6 @@ def typed_move(entries, type_bit: int) -> tuple:
     with sign tau_s and a through part in slot m with sign tau_s tau_n, in
     the order (kept, through) when tau_s = +1 and (through, kept) when
     tau_s = -1.  With s = n the step would leave n - 1 pieces."""
-    entries = tuple(entries)
     n = len(entries)
     s = (entries.index(n) if n in entries else entries.index(-n)) + 1
     if s == n:
@@ -128,8 +126,7 @@ def _steps(E: IetSpec):
         raise TypeError("lengths must be exact for a Rauzy step")
     sp, lengths = E.sp, E.lengths
     while True:
-        type_bit, after, m, new = length_step(sp.entries, lengths)
-        after = SignedPermutation(after)
+        type_bit, after, m, new = length_step(sp, lengths)
         yield RauzyStep(type_bit=type_bit, matrix=m, before=sp, after=after,
                         before_lengths=lengths, after_lengths=new,
                         origin=E.origin)
@@ -189,7 +186,5 @@ def rauzy_cycle_detect(E: IetSpec, max_steps: int) -> Optional[RauzyCycle]:
         lengths = st.after_lengths
         total = sum(lengths)
         if all(lengths[j] * total0 == E.lengths[j] * total for j in range(E.n)):
-            scale = total0 / total
-            return RauzyCycle(steps=tuple(steps), product=cycle_matrix(steps),
-                              scale=scale)
+            return RauzyCycle(steps=tuple(steps), scale=total0 / total)
     return None

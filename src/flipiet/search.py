@@ -30,7 +30,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DegenerateStep, FlipIetError
-from .iet import IetSpec, SignedPermutation
+from .iet import IetSpec
 from .polys import mat_mul, row_masks, rows_quasi_positive, rows_table
 from .rauzy import rauzy_cycle_detect, step_product, typed_move
 from .spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
@@ -357,15 +357,14 @@ def _validation_failure(cand: CycleCandidate):
         sd = shared_perron_data(cand.product)
     except FlipIetError as exc:
         return f"perron data failed: {exc}"
-    theta1, alpha = sd.perron
-    E = IetSpec(alpha, SignedPermutation(cand.nodes[0]), origin=0)
+    E = IetSpec(sd.perron[1], cand.nodes[0], origin=0)
     try:
         cyc = rauzy_cycle_detect(E, len(cand.types) + 2)
     except DegenerateStep as exc:
         return f"degenerate step: {exc}"
     if cyc is None:
         return "no cycle detected within the bound"
-    got_nodes = tuple(tuple(st.before) for st in cyc.steps)
+    got_nodes = tuple(st.before for st in cyc.steps)
     got_types = tuple(st.type_bit for st in cyc.steps)
     if got_nodes != cand.nodes or got_types != cand.types:
         return "detected cycle differs"
@@ -373,6 +372,4 @@ def _validation_failure(cand: CycleCandidate):
     # built cand.product
     if reduce(mat_mul, (st.matrix for st in cyc.steps)) != cand.product:
         return "matrix product differs"
-    if cyc.scale != theta1:
-        return "contraction is not the dominant eigenvalue"
     return None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCylinder, NoFixedSeed, ReturnTimeCapExceeded
-from .iet import IetSpec, SignedPermutation, branch_walk
+from .iet import IetSpec, branch_walk
 from .numfield import (exact_quotient, exact_sign, filtered_sign, filtered_signs,
                        float_enclosure)
 
@@ -145,7 +145,7 @@ def induce(E: IetSpec, J) -> InducedMap:
             nlo, nhi = shift - part.img_hi, shift - part.img_lo
         pending.append(_Part(part.dom_lo, part.dom_hi, nlo, nhi,
                              part.word + (i,), part.steps + 1,
-                             part.orient * E.sp.tau[i - 1]))
+                             part.orient * E.tau[i - 1]))
 
     done.sort(key=lambda p: p.dom_lo)
     # read off the sub-IET: lengths, and the signed permutation from image order
@@ -154,8 +154,8 @@ def induce(E: IetSpec, J) -> InducedMap:
     rank = [0] * len(done)
     for r, k in enumerate(order, start=1):
         rank[k] = r
-    sp = SignedPermutation(tuple(rank[k] * done[k].orient for k in range(len(done))))
-    sub = IetSpec(lengths, sp, origin=c)
+    sub = IetSpec(lengths, [rank[k] * p.orient for k, p in enumerate(done)],
+                  origin=c)
     words = tuple(p.word for p in done)
     times = tuple(p.steps for p in done)
     its = ItinerarySet(words, times)
@@ -339,7 +339,7 @@ def cylinder_locate(E: IetSpec, word_prefix):
     n, lengths = E.n, E.lengths
     shadows, errors = map(np.array, zip(*map(float_enclosure, lengths)))
     # k-vectors of the x_j and the branch shifts (slot pi_i follows pi_c < pi_i)
-    pi, tau = np.array(E.sp.pi), np.array(E.sp.tau)
+    pi, tau = np.array(E.pi), np.array(E.tau)
     xk = np.tri(n + 1, n, -1, dtype=np.int64)
     shift = (pi < pi[:, None]) + np.where(tau[:, None] > 0, -xk[:-1], xk[1:])
 

@@ -6,7 +6,7 @@ import pytest
 
 from flipiet.errors import (AtDiscontinuity, InvalidPermutation,
                             NonpositiveLength)
-from flipiet.iet import IetSpec, SignedPermutation
+from flipiet.iet import IetSpec
 from flipiet.quintic import bundled_iet, bundled_theta1
 
 
@@ -17,32 +17,42 @@ def recompute_permutation(E):
     mids = []
     for i in range(1, E.n + 1):
         m = (E.x[i - 1] + E.x[i]) / Fraction(2)
-        mids.append((E.eval(m), E.sp.tau[i - 1]))
+        mids.append((E.eval(m), E.tau[i - 1]))
     order = sorted(range(E.n), key=lambda k: mids[k][0])
     rank = [0] * E.n
     for r, k in enumerate(order, start=1):
         rank[k] = r
-    return SignedPermutation(tuple(rank[k] * mids[k][1] for k in range(E.n)))
+    return tuple(rank[k] * mids[k][1] for k in range(E.n))
 
 
 def test_perm_decompose():
-    sp = SignedPermutation((-5, -3, 2, 1, -4))
-    assert sp.pi == (5, 3, 2, 1, 4)
-    assert sp.tau == (-1, -1, 1, 1, -1)
-    assert tuple(p * t for p, t in zip(sp.pi, sp.tau)) == sp.entries
-    sp = SignedPermutation((1, 2, 3))
-    assert (sp.pi, sp.tau) == ((1, 2, 3), (1, 1, 1))
-    sp = SignedPermutation((2, -1))
-    assert (sp.pi, sp.tau) == ((2, 1), (1, -1))
+    # any sequence of entries is kept as the tuple sp; pi_inv[0] pads
+    for sp, pi, tau, pi_inv in [
+            ((-5, -3, 2, 1, -4), (5, 3, 2, 1, 4), (-1, -1, 1, 1, -1),
+             (0, 4, 3, 2, 5, 1)),
+            ((1, 2, 3), (1, 2, 3), (1, 1, 1), (0, 1, 2, 3)),
+            ((2, -1), (2, 1), (1, -1), (0, 2, 1))]:
+        E = IetSpec((1,) * len(sp), list(sp))
+        assert (E.sp, E.pi, E.tau, E.pi_inv) == (sp, pi, tau, pi_inv)
+        assert tuple(p * t for p, t in zip(E.pi, E.tau)) == E.sp
+        assert all(E.pi[E.pi_inv[j] - 1] == j for j in range(1, len(sp) + 1))
 
 
 def test_invalid_permutations():
-    with pytest.raises(InvalidPermutation):
-        SignedPermutation((1, 1))
-    with pytest.raises(InvalidPermutation):
-        SignedPermutation((0, 2))
-    with pytest.raises(InvalidPermutation):
-        IetSpec((1, 1, 1), (2, 1))
+    # the entries are checked in this order, and before the lengths
+    for lengths, entries, message in [
+            ((), (), "entries must be nonzero"),
+            ((1, 1), (0, 2), "entries must be nonzero"),
+            ((1, 1), (1, 1), r"^\|\(1, 1\)\| is not a permutation of 1\.\.2$"),
+            ((1,), (0, 0), "entries must be nonzero"),
+            ((1,), (-1, 1), r"^\|\(-1, 1\)\| is not a permutation of 1\.\.2$"),
+            ((1, 1, 1), (2, 1), "^lengths and permutation size differ$")]:
+        with pytest.raises(InvalidPermutation, match=message):
+            IetSpec(lengths, entries)
+    # an entry that is not an int is not read as int(entry)
+    for entries in [(2.0, -1), (2.7, -1), ("2", "-1"), (True, -2), (2, False)]:
+        with pytest.raises(TypeError, match="entries must be int"):
+            IetSpec((1, 1), entries)
     with pytest.raises(NonpositiveLength):
         IetSpec((Fraction(1), Fraction(-1)), (2, 1))
     with pytest.raises(NonpositiveLength):
@@ -156,7 +166,7 @@ def test_flip_reverses_order():
             a = E.x[i - 1] + (E.x[i] - E.x[i - 1]) / 3
             b = E.x[i - 1] + (E.x[i] - E.x[i - 1]) * 2 / 3
             fa, fb = E.eval(a), E.eval(b)
-            if E.sp.tau[i - 1] > 0:
+            if E.tau[i - 1] > 0:
                 assert fa < fb
             else:
                 assert fa > fb
@@ -167,7 +177,7 @@ def test_midpoint_permutation_recomputation():
     for _ in range(200):
         E = _random_exact_iet(rng, rng.randint(2, 6))
         assert recompute_permutation(E) == E.sp
-    assert recompute_permutation(bundled_iet()).entries == (-5, -3, 2, 1, -4)
+    assert recompute_permutation(bundled_iet()) == (-5, -3, 2, 1, -4)
 
 
 def test_float_orbit_long_roundtrip():

@@ -305,6 +305,30 @@ def test_cli_construction_error(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("spec", [
+    {"signed_permutation": [2.7, -1]}, {"signed_permutation": ["2", "-1"]},
+    {"signed_permutation": [True, -2]}, {"lengths": [True, "1/2"]},
+    {"origin": False}])
+def test_cli_spec_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys,
+                                                          spec):
+    # a float, string or bool entry is not read as int(entry), and a bool
+    # length or origin is not read as 1 or 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"lengths": ["1/2", "1/2"],
+                                "signed_permutation": [2, -1], **spec}))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--spec", str(path), "--x", "1/10"])
+    assert exc.value.code == 2
+    assert "TypeError" in capsys.readouterr().err
+
+
+def test_cli_spec_with_a_repeated_entry_is_a_construction_error(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"lengths": ["1/2", "1/2"],
+                                "signed_permutation": [1, 1]}))
+    assert main(["eval", "--spec", str(path), "--x", "1/10"]) == 3
+
+
 def test_cli_probe_stuck_on_discontinuities_exits_3(monkeypatch, capsys):
     # an orbit that keeps hitting breakpoints is a typed library error
     monkeypatch.setattr(flipiet.denjoy, "_orbit_counts", lambda *args: None)

@@ -7,7 +7,7 @@ import pytest
 
 from flipiet import selfsim
 from flipiet.errors import DegenerateStep
-from flipiet.iet import IetSpec, SignedPermutation
+from flipiet.iet import IetSpec
 from flipiet.polys import mat_det, mat_identity, mat_mul, mat_vec
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, bundled_iet, bundled_theta1
 from flipiet.rauzy import (cycle_matrix, rauzy_cycle_detect, rauzy_run,
@@ -22,7 +22,7 @@ def induced_step(E):
     [a, b - min(l_n, l_s)], with E's own lengths: the reference for
     rauzy_step.  Returns (type_bit, after, matrix, E')."""
     n = E.n
-    l_n, l_s = E.lengths[n - 1], E.lengths[E.sp.pi_inv[n] - 1]
+    l_n, l_s = E.lengths[n - 1], E.lengths[E.pi_inv[n] - 1]
     type_bit = 0 if l_n > l_s else 1
     ind = induce(E, (E.origin, E.x[-1] - (l_n if type_bit == 1 else l_s)))
     return (type_bit, ind.sub_iet.sp, ind.itineraries.counts_matrix(),
@@ -36,11 +36,11 @@ def induced_move(sp, type_bit):
     reference for the closed-form typed_move."""
     n = len(sp)
     lengths = [2 * (7 + i) for i in range(n)]
-    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = 7
+    lengths[n - 1 if type_bit == 1 else list(map(abs, sp)).index(n)] = 7
     E = IetSpec(lengths, sp, origin=0)
     ind = induce(E, (0, E.x[-1] - 7))
     assert ind.sub_iet.n == n
-    return ind.sub_iet.sp.entries, ind.itineraries.counts_matrix()
+    return ind.sub_iet.sp, ind.itineraries.counts_matrix()
 
 
 def lengths_of_type(sp, type_bit, rng):
@@ -48,7 +48,7 @@ def lengths_of_type(sp, type_bit, rng):
     type: the loser is at most 10/31, every other length at least 20/29."""
     n = len(sp)
     lengths = [Fraction(rng.randint(20, 40), 29) for _ in range(n)]
-    lengths[n - 1 if type_bit == 1 else sp.pi_inv[n] - 1] = Fraction(
+    lengths[n - 1 if type_bit == 1 else list(map(abs, sp)).index(n)] = Fraction(
         rng.randint(1, 10), 31)
     return lengths
 
@@ -60,16 +60,16 @@ def steps():
 
 def test_first_two_steps(steps):
     assert steps[0].type_bit == 1
-    assert tuple(steps[0].after) == (4, -5, -3, 2, 1)
+    assert steps[0].after == (4, -5, -3, 2, 1)
     assert steps[1].type_bit == 0
-    assert tuple(steps[1].after) == (5, -2, -4, 3, 1)
+    assert steps[1].after == (5, -2, -4, 3, 1)
 
 
 def test_full_reference_trace(steps):
-    got = [(tuple(steps[0].before), steps[0].type_bit)]
+    got = [(steps[0].before, steps[0].type_bit)]
     for k, st in enumerate(steps):
         nxt = steps[k + 1].type_bit if k + 1 < len(steps) else None
-        got.append((tuple(st.after), nxt))
+        got.append((st.after, nxt))
     assert got == list(REFERENCE_STEPS)
 
 
@@ -109,12 +109,22 @@ def test_permutations_recomputable_from_geometry(steps):
         assert recompute_permutation(st.after_iet) == st.after
 
 
+def test_steps_carry_the_typed_moves_entry_tuples(steps):
+    # before and after are plain entry tuples: after is typed_move's, and
+    # each step starts from the last one's after
+    assert steps[0].before == bundled_iet().sp
+    for k, st in enumerate(steps):
+        assert type(st.before) is tuple and type(st.after) is tuple
+        assert (st.after, st.matrix) == typed_move(st.before, st.type_bit)
+        assert k == 0 or st.before == steps[k - 1].after
+
+
 def test_run_zero_steps():
     assert rauzy_run(bundled_iet(), 0) == []
 
 
 def test_eighth_permutation(steps):
-    assert tuple(steps[7].after) == (-3, 4, -2, 5, 1)
+    assert steps[7].after == (-3, 4, -2, 5, 1)
 
 
 def test_degenerate_step():
@@ -127,7 +137,7 @@ def test_typed_move_needs_n_pieces():
     # the last piece goes to the last slot: the induced map drops it
     for t in (0, 1):
         with pytest.raises(DegenerateStep, match="induced map has 2 pieces"):
-            typed_move(SignedPermutation((2, -1, 3)), t)
+            typed_move((2, -1, 3), t)
 
 
 def _every_edge_nodes():
@@ -143,11 +153,8 @@ def test_typed_move_matches_induction():
     # gives the geometric induction's permutation and matrix
     count = 0
     for node in _every_edge_nodes():
-        sp = SignedPermutation(node)
         for t in (0, 1):
-            after, m = typed_move(node, t)
-            assert (after, m) == induced_move(sp, t)
-            assert typed_move(sp, t) == (after, m)
+            assert typed_move(node, t) == induced_move(node, t)
             count += 1
     assert count == 2 * (3 + 4 + 21 + 24 + 195 + 208 + 2201 + 2272 + 3000)
 
@@ -174,7 +181,7 @@ def test_cycle_detect(steps):
     cyc = rauzy_cycle_detect(E, 20)
     assert cyc is not None
     assert len(cyc.steps) == 14
-    assert cyc.product == MATRIX
+    assert cycle_matrix(cyc.steps) == MATRIX
     assert cyc.scale == th1
 
 
@@ -239,7 +246,7 @@ def test_golden_mean_rotation_cycle():
     E = IetSpec(alpha, (2, 1))
     cyc = rauzy_cycle_detect(E, 10)
     assert cyc is not None and len(cyc.steps) == 2
-    assert cyc.product == m
+    assert cycle_matrix(cyc.steps) == m
     assert [s.type_bit for s in cyc.steps] == [1, 0]
     assert cyc.scale == th
 
@@ -253,8 +260,7 @@ def test_step_matches_induction_on_every_edge(n, require_flips, rauzy_graph):
     # lengths).  A float view has no exact step
     small = [a * Fraction(1, 100) for a in bundled_iet().lengths]
     rng = random.Random(10 * n + require_flips)
-    for node in rauzy_graph(n, require_flips).nodes:
-        sp = SignedPermutation(node)
+    for sp in rauzy_graph(n, require_flips).nodes:
         for t in (0, 1):
             rational = lengths_of_type(sp, t, rng)
             algebraic = [v + rng.choice(small) for v in rational]
@@ -312,13 +318,13 @@ def assert_detect_matches_steps(E, max_steps):
         return None
     steps, product, scale = ref
     assert list(map(step_fields, cyc.steps)) == list(map(step_fields, steps))
-    assert cyc.product == product and cyc.scale == scale
+    assert cycle_matrix(cyc.steps) == product and cyc.scale == scale
     return cyc
 
 
 def test_detect_matches_step_chain_on_the_bundled_exchange():
     cyc = assert_detect_matches_steps(bundled_iet(), 20)
-    assert len(cyc.steps) == 14 and cyc.product == MATRIX
+    assert len(cyc.steps) == 14 and cycle_matrix(cyc.steps) == MATRIX
     assert assert_detect_matches_steps(bundled_iet(), 13) is None
 
 

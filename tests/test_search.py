@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import flipiet.search
-from flipiet.iet import IetSpec, SignedPermutation
+from flipiet.iet import IetSpec
 from flipiet.polys import (mat_det, mat_identity, mat_mul, quasi_positive,
                            row_masks, rows_mul, rows_quasi_positive,
                            rows_table)
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
+from flipiet.rauzy import cycle_matrix
 from flipiet.search import (WALK_BATCH, CycleCandidate, _census_worker,
                             cycle_search, cycle_validate,
                             signed_perms_enumerate)
@@ -81,17 +82,16 @@ def test_edges_match_induction_on_random_lengths(rauzy_graph):
     g = rauzy_graph(4, True)
     rng = random.Random(31)
     for ix, sp in enumerate(g.nodes):
-        spp = SignedPermutation(sp)
         for t in (0, 1):
             for _ in range(3):
-                E = IetSpec(lengths_of_type(spp, t, rng), spp)
+                E = IetSpec(lengths_of_type(sp, t, rng), sp)
                 t_ref, after, m, _sub = induced_step(E)
                 assert t_ref == t
                 if g.succ[ix][t] is None:
                     assert (sp, t, "target outside node class") in g.absent
-                    assert tuple(after) not in g.nodes
+                    assert after not in g.nodes
                     continue
-                assert tuple(after) == g.nodes[g.succ[ix][t]]
+                assert after == g.nodes[g.succ[ix][t]]
                 assert m == g.mats[ix][t]
 
 
@@ -165,10 +165,10 @@ def test_detect_matches_step_chain_on_the_census_qualifiers(qualifiers_5_14):
     # the step chain's cycle, which is the qualifier itself
     for c in qualifiers_5_14:
         alpha = shared_perron_data(c.product).perron[1]
-        E = IetSpec(alpha, SignedPermutation(c.nodes[0]))
+        E = IetSpec(alpha, c.nodes[0])
         cyc = assert_detect_matches_steps(E, len(c.types) + 2)
         assert tuple(st.type_bit for st in cyc.steps) == c.types
-        assert cyc.product == c.product
+        assert cycle_matrix(cyc.steps) == c.product
 
 
 def test_rotate_to_matches_mat_mul(qualifiers_5_14, rauzy_graph):

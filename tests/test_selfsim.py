@@ -71,7 +71,7 @@ def test_induce_rotation_half():
 def test_induce_contracted_copy(E, J):
     th1 = bundled_theta1()
     ind = induce(E, J)
-    assert ind.sub_iet.sp.entries == (-5, -3, 2, 1, -4)
+    assert ind.sub_iet.sp == (-5, -3, 2, 1, -4)
     for i in range(5):
         assert ind.sub_iet.lengths[i] * th1 == E.lengths[i]
 
@@ -325,14 +325,14 @@ def _reference_cylinder(E, word):
     the exchange's own scalars and their comparisons."""
     lo, hi = E.x[word[-1] - 1], E.x[word[-1]]
     for sym in word[-2::-1]:
-        j = E.sp.pi[sym - 1]
+        j = E.pi[sym - 1]
         slo, shi = E.y[j - 1], E.y[j]
         lo2 = lo if lo > slo else slo
         hi2 = hi if hi < shi else shi
         if not (lo2 < hi2):
             raise EmptyCylinder(f"prefix unrealizable at symbol {sym}")
         pl, pr = E.x[sym - 1], E.x[sym]
-        if E.sp.tau[sym - 1] > 0:
+        if E.tau[sym - 1] > 0:
             lo, hi = pl + (lo2 - slo), pl + (hi2 - slo)
         else:
             lo, hi = pr - (hi2 - slo), pr - (lo2 - slo)
