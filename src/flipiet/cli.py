@@ -10,6 +10,10 @@ Subcommands:
   eval       apply the exchange (or its inverse) to one point
   spectral   exact spectral report of an integer matrix
 
+With --out, wandering writes gaps.csv from one forked writer process while
+the parent verifies the certificate and runs the ergodic probe; the parent
+reaps it before it writes the certificate.  Only search takes --jobs.
+
 Exit codes: 0 success, 1 mismatch or failed certificate, 2 usage error,
 3 construction error.  Reports embed the settings that produced them and are
 deterministic byte for byte for a fixed configuration.
@@ -18,6 +22,7 @@ deterministic byte for byte for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -139,6 +144,53 @@ def cmd_selfsim(args):
     return 1 if mismatches else 0
 
 
+@contextlib.contextmanager
+def _gaps_written(gs, args):
+    """Write gaps.csv into the --out directory while the block runs.
+
+    The file is opened here, so a bad --out fails before the block.  A
+    forked writer renders the dump from its copy of the parent's memory
+    (nothing is pickled) and leaves by os._exit alone, so inherited stdio
+    buffers and atexit handlers never run twice.  After the block the
+    writer is reaped; one that failed raises OSError.  If the block raises,
+    the writer is killed and reaped and its partial file removed, which
+    leaves the files of a run whose dump never started.  Without os.fork
+    (Windows) the dump runs in process after the block."""
+    if not hasattr(os, "fork"):
+        yield
+        with _out_file(args, "gaps.csv") as fh:
+            gaps_csv(gs, fh)
+        return
+    with _out_file(args, "gaps.csv") as fh:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                gaps_csv(gs, fh)
+                fh.close()
+                code = 0
+            except BaseException:
+                import traceback    # here, so that importing the CLI loads no more
+                traceback.print_exc()
+                sys.stderr.flush()
+                raise
+            finally:
+                os._exit(code)
+    status = None
+    try:
+        yield
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            import signal           # likewise
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.remove(fh.name)
+    if status:
+        raise OSError(f"{fh.name}: the writer exited with status "
+                      f"{os.waitstatus_to_exitcode(status)}")
+
+
 def cmd_wandering(args):
     E, _bundled = _load_spec(args)
     N = args.gaps
@@ -156,13 +208,11 @@ def cmd_wandering(args):
         _emit(report, args, "wandering_certificate.json")
         return 1
     gs = gap_system_build(E, chain.sigma, lsv, N)
-    T = aiet_from_gaps(gs)
-    cert = verify_wandering(gs, T, E, kappa_target=chain.kappa_target)
-    probe = ergodic_probe(E, 5, args.probe_steps,
-                          reference=[float(v) for v in E.lengths])
-    if args.out:
-        with _out_file(args, "gaps.csv") as fh:
-            gaps_csv(gs, fh)
+    with _gaps_written(gs, args) if args.out else contextlib.nullcontext():
+        T = aiet_from_gaps(gs)
+        cert = verify_wandering(gs, T, E, kappa_target=chain.kappa_target)
+        probe = ergodic_probe(E, 5, args.probe_steps,
+                              reference=[float(v) for v in E.lengths])
     certificate = dataclasses.asdict(cert)
     certificate.update(kappa_target=chain.kappa_target, ok=cert.ok)
     report = {

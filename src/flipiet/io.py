@@ -60,7 +60,10 @@ def iet_to_json(E: IetSpec) -> dict:
 def iet_from_json(obj) -> IetSpec:
     """The exact exchange of obj: a length or origin given as a dict is
     algebraic, any other (a "p/q" string, an int or a float) is the exact
-    Fraction of it; a bool is a TypeError, not 0 or 1."""
+    Fraction of it; a bool is a TypeError, not 0 or 1, and so are lengths
+    that are not a list, such as a string read symbol by symbol."""
+    if not isinstance(obj["lengths"], list):
+        raise TypeError(f"lengths {obj['lengths']!r} is not a list")
     cache = {}
 
     def scalar(v):

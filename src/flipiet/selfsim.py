@@ -297,19 +297,22 @@ def stationary_window(sigma: Substitution, address, back: int, fwd: int):
     def ray(blocks, need, head):
         # blocks, then sigma^power of the last one, and so on, until they
         # hold need symbols, joined once.  Only the first (head) or last
-        # missing symbols of each level are kept: images are nonempty, so
-        # those depend only on the first (last) missing symbols of the level
-        # before, and the cut keeps the temporaries within a few times the
-        # window's size
-        def cut(word):
-            return word[:need - have] if head else word[have - need:]
+        # missing symbols of each level are kept.  Images are nonempty, so
+        # those depend only on the shortest prefix (suffix) of the level
+        # before whose image lengths add up to the missing count, and each
+        # gather expands only that: it makes the missing symbols and at most
+        # one image more
+        def cover(word):
+            ends = np.cumsum(sigma._lens[word if head else word[::-1]])
+            k = min(int(np.searchsorted(ends, need - have)) + 1, len(word))
+            return word[:k] if head else word[len(word) - k:]
 
         have = sum(map(len, blocks))
         while have < need:
             block = blocks[-1]
             for _ in range(power):
-                block = sigma(cut(block))
-            blocks.append(cut(block))
+                block = sigma(cover(block))
+            blocks.append(block[:need - have] if head else block[have - need:])
             have += len(blocks[-1])
         return np.concatenate(blocks if head else blocks[::-1])
 

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,7 +8,9 @@ import pytest
 
 import flipiet.cli
 import flipiet.denjoy
+import flipiet.io
 from flipiet.cli import main
+from flipiet.errors import ProbeHitsDiscontinuities
 from flipiet.io import (algebraic_from_json, algebraic_to_json, gaps_csv,
                         iet_from_json, iet_to_json, induction_trace_csv,
                         return_words_csv)
@@ -188,13 +191,95 @@ def test_gaps_csv_rows():
 
 
 def test_cli_wandering_without_out_writes_no_gaps(monkeypatch, capsys):
-    def refuse(gs, fh):
-        raise AssertionError("gaps.csv rendered without --out")
+    def refuse(*args):
+        raise AssertionError("gaps.csv rendered, or a writer forked, without --out")
 
     monkeypatch.setattr(flipiet.cli, "gaps_csv", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     rc = main(["wandering", "--gaps", "50", "--probe-steps", "10000"])
     assert rc in (0, 1)
     assert json.loads(capsys.readouterr().out)["qualifies"] is True
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """The pids that os.fork returns in the parent during a test."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _assert_reaped(pids):
+    # one writer, and it is no child of this process any more; other tests'
+    # children (a multiprocessing resource tracker) may outlive them, so a
+    # wait on any child (pid -1) would not tell
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+def test_cli_forked_gap_writer_writes_the_same_bytes(tmp_path, monkeypatch,
+                                                     writers):
+    # 10,001 rows, more than one chunk: the forked writer's gaps.csv is the
+    # in-memory rendering of the gap system the parent built, and both files
+    # are those of the in-process dump that runs where os.fork does not exist
+    built = []
+
+    def build(*args):
+        built.append(flipiet.denjoy.gap_system_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(flipiet.cli, "gap_system_build", build)
+    argv = ["wandering", "--gaps", "5000", "--probe-steps", "10000",
+            "--out", str(tmp_path)]
+    files = ("gaps.csv", "wandering_certificate.json")
+    assert 2 * 5000 + 1 > flipiet.io._GAPS_CHUNK
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        assert main(argv) == 0
+    in_process = [(tmp_path / name).read_bytes() for name in files]
+    assert main(argv) == 0
+    _assert_reaped(writers)
+    forked = [(tmp_path / name).read_bytes() for name in files]
+    fh = io.StringIO()
+    gaps_csv(built[-1], fh)
+    assert forked[0] == fh.getvalue().encode()
+    assert forked == in_process
+
+
+def test_cli_failed_gap_writer_raises_and_writes_no_certificate(tmp_path,
+                                                                monkeypatch,
+                                                                writers):
+    def fail(gs, fh):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(flipiet.cli, "gaps_csv", fail)
+    with pytest.raises(OSError, match="gaps.csv: the writer exited with status 1"):
+        main(["wandering", "--gaps", "50", "--probe-steps", "10000",
+              "--out", str(tmp_path)])
+    assert not (tmp_path / "wandering_certificate.json").exists()
+    _assert_reaped(writers)
+
+
+def test_cli_failed_stage_stops_the_gap_writer(tmp_path, monkeypatch, capsys,
+                                               writers):
+    # a stage that raises while the writer runs leaves the files of a run
+    # that raised before the dump: no gaps.csv, no certificate, no child
+    def stuck(*args, **kwargs):
+        raise ProbeHitsDiscontinuities("orbit kept hitting discontinuities")
+
+    monkeypatch.setattr(flipiet.cli, "ergodic_probe", stuck)
+    assert main(["wandering", "--gaps", "5000", "--out", str(tmp_path)]) == 3
+    assert "orbit kept hitting discontinuities" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    _assert_reaped(writers)
 
 
 def test_cli_wandering_that_does_not_qualify(tmp_path):
@@ -308,11 +393,12 @@ def test_cli_construction_error(tmp_path, capsys):
 @pytest.mark.parametrize("spec", [
     {"signed_permutation": [2.7, -1]}, {"signed_permutation": ["2", "-1"]},
     {"signed_permutation": [True, -2]}, {"lengths": [True, "1/2"]},
-    {"origin": False}])
+    {"origin": False}, {"lengths": "12"}])
 def test_cli_spec_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys,
                                                           spec):
-    # a float, string or bool entry is not read as int(entry), and a bool
-    # length or origin is not read as 1 or 0
+    # a float, string or bool entry is not read as int(entry), a bool
+    # length or origin is not read as 1 or 0, and a string of lengths is not
+    # read digit by digit (as 1 and 2)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"lengths": ["1/2", "1/2"],
                                 "signed_permutation": [2, -1], **spec}))

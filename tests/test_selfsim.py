@@ -273,6 +273,49 @@ def test_stationary_window_matches_uncut_construction(E, J):
                 _stationary_window_uncut(sigma, address, back, fwd)
 
 
+def _stationary_window_expand_then_cut(sigma, address, back, fwd):
+    """Reference: each level's missing symbols are cut from the image of
+    the level before's missing symbols, so every gather expands them all."""
+    c, j, power = address
+    img = np.array(sigma.images[c])
+    for _ in range(power - 1):
+        img = sigma(img)
+    p, s = img[:j], img[j + 1:]
+
+    def ray(blocks, need, head):
+        def cut(word):
+            return word[:need - have] if head else word[have - need:]
+
+        have = sum(map(len, blocks))
+        while have < need:
+            block = blocks[-1]
+            for _ in range(power):
+                block = sigma(cut(block))
+            blocks.append(cut(block))
+            have += len(blocks[-1])
+        return np.concatenate(blocks if head else blocks[::-1])
+
+    future = ray([img[j:j + 1], s], fwd + 1, True)[:fwd + 1]
+    past = ray([p], back, False)
+    return past[len(past) - back:], future
+
+
+def test_stationary_window_matches_expand_then_cut(E, J):
+    # the gathers expand only the prefix (suffix) whose images cover the
+    # missing symbols; the window is the same int64 arrays, out to the
+    # half-width N + TAIL_PROBE of a blow-up at N = 2 * 10**4
+    from flipiet.denjoy import TAIL_PROBE
+    _, its = associated_matrix(E, J)
+    sigma = substitution_from(its)
+    for address in occurrence_addresses(sigma, 1) + occurrence_addresses(sigma, 2):
+        for back, fwd in ((1, 1), (1, 2 * 10 ** 4 + TAIL_PROBE), (613, 29),
+                          (2 * 10 ** 4 + TAIL_PROBE, 2 * 10 ** 4 + TAIL_PROBE)):
+            got = stationary_window(sigma, address, back, fwd)
+            want = _stationary_window_expand_then_cut(sigma, address, back, fwd)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_cylinder_single_symbol(E):
     lo, hi = cylinder_locate(E, (1,))
     assert lo == E.x[0] and hi == E.x[1]

@@ -6,7 +6,8 @@ default is passed by some call in src/ or perfbench/, every dataclass field
 has a reader, every local a function assigns is read, every option of a
 subcommand is read by its command, every function the benchmark's tracer
 wraps is defined in src/, only IetSpec.__init__ and as_float set
-float_mode, and neither rauzy nor search imports selfsim.  A deletion that
+float_mode, neither rauzy nor search imports selfsim, and the one forked
+child is reaped and leaves by os._exit.  A deletion that
 leaves an import, a helper, a field, a local or an option behind, a
 parameter that only tests set, or that removes or renames a traced
 function, fails here."""
@@ -314,3 +315,39 @@ def test_typed_moves_run_no_induction():
              for module in imported(MODULES[name])
              if module.split(".")[-1] == "selfsim"]
     assert found == []
+
+
+def test_a_forked_child_is_reaped_and_leaves_by_os_exit():
+    """os.fork is called at one place in src/.  The function that calls it
+    also calls os.waitpid, and the child's branch (the if on the fork's
+    result being 0) is a try whose finally ends in os._exit, after nothing
+    but assignments of constants: the child never returns into its caller,
+    runs the atexit handlers or flushes the stdio buffers it inherited,
+    whatever it raises.  A later fork must come with its own reaping."""
+    def os_calls(node, attr):
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and getattr(c.func, "attr", None) == attr
+                and getattr(c.func.value, "id", None) == "os"]
+
+    forks = [(tree, call) for tree in MODULES.values()
+             for call in os_calls(tree, "fork")]
+    assert len(forks) == 1
+    tree, fork = forks[0]
+    holder = min((fn for _qualified, fn in _defs(tree.body, "")
+                  if fn.lineno <= fork.lineno <= fn.end_lineno),
+                 key=lambda fn: fn.end_lineno - fn.lineno)
+    assert os_calls(holder, "waitpid")
+    pid = next(stmt.targets[0].id for stmt in ast.walk(holder)
+               if isinstance(stmt, ast.Assign) and stmt.value is fork)
+    child = [stmt for stmt in ast.walk(holder) if isinstance(stmt, ast.If)
+             and isinstance(stmt.test, ast.Compare)
+             and getattr(stmt.test.left, "id", None) == pid
+             and isinstance(stmt.test.ops[0], ast.Eq)
+             and getattr(stmt.test.comparators[0], "value", None) == 0]
+    assert len(child) == 1
+    *before, guard = child[0].body
+    assert all(isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+               for stmt in before)
+    assert isinstance(guard, ast.Try) and guard.finalbody
+    last = guard.finalbody[-1]
+    assert isinstance(last, ast.Expr) and os_calls(last, "_exit") == [last.value]
