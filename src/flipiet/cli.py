@@ -36,8 +36,8 @@ from . import quintic
 from .errors import FlipIetError
 from .denjoy import (MIN_PROBE_STEPS, aiet_from_gaps, blowup_chain, ergodic_probe,
                      gap_system_build, induction_cycle, verify_wandering)
-from .io import (fraction_to_str, gaps_csv, iet_from_json, induction_trace_csv,
-                 return_words_csv)
+from .io import (coords_to_str, fraction_to_str, gaps_csv, iet_from_json,
+                 induction_trace_csv, return_words_csv)
 from .rauzy import cycle_matrix, rauzy_run
 from .selfsim import self_similarity_check
 from .spectral import perron_data, screen_real_roots
@@ -316,8 +316,7 @@ def cmd_spectral(args):
         **_factors_json(sd),
         "roots": [r.decimal(args.digits) for r, _ in sd.real_roots][::-1],
         "perron_vector_decimal": [v.decimal(args.digits) for v in sd.perron[1]],
-        "perron_vector_exact": [[fraction_to_str(c) for c in v.coords]
-                                for v in sd.perron[1]],
+        "perron_vector_exact": [coords_to_str(v) for v in sd.perron[1]],
         "verdict": verdict.reason,
     }
     _emit(report, args, "spectral_report.json")

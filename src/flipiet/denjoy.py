@@ -150,7 +150,7 @@ class InductionCycle:
 def induction_cycle(E: IetSpec, max_len: int) -> Optional[InductionCycle]:
     """The cycle, window and return-word matrix of E; None when no induction
     cycle closes within max_len steps."""
-    cyc = rauzy_cycle_detect(E, max_len)
+    cyc = rauzy_cycle_detect(E.sp, E.lengths, E.origin, max_len)
     if cyc is None:
         return None
     J = (E.origin, E.origin + E.total_length / cyc.scale)

@@ -9,6 +9,7 @@ is read as its exact Fraction.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,20 @@ def fraction_to_str(q) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
 
 
+def coords_to_str(a: AlgebraicNumber) -> list:
+    """a's coordinates as fraction_to_str writes them, read off its integer
+    numerators over one denominator, each reduced by one gcd."""
+    out = []
+    for n in a.nums:
+        g = math.gcd(n, a.den)
+        out.append(f"{n // g}/{a.den // g}" if a.den != g else str(n // g))
+    return out
+
+
 def algebraic_to_json(a: AlgebraicNumber) -> dict:
     return {
         "minpoly": list(a.field.minpoly.coeffs),
-        "coords": [fraction_to_str(c) for c in a.coords],
+        "coords": coords_to_str(a),
         "embedding": [fraction_to_str(a.embedding.lo), fraction_to_str(a.embedding.hi)],
     }
 

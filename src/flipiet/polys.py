@@ -5,7 +5,8 @@ Polynomials are stored with ascending coefficients.  The integer form is the
 dataclass :class:`IntPolynomial`; internal routines work on plain tuples of
 ints, and the degree sieve on residues mod small primes.  Rationals enter as
 integer numerators over one denominator: root intervals as integer ends
-(refine_root_interval), field elements as nums over den (numfield).
+(isolate_real_roots, refine_root_interval), field elements as nums over den
+(numfield).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, product
 from operator import mul
 
@@ -96,12 +98,6 @@ def _trim(c):
     return c
 
 
-def _sub(a, b):
-    n = max(len(a), len(b))
-    return _trim(tuple((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                       for i in range(n)))
-
-
 def _mul(a, b):
     if not a or not b:
         return ()
@@ -158,19 +154,24 @@ def sturm_chain(p: IntPolynomial):
     return chain
 
 
+@lru_cache(maxsize=4)
 def squarefree_chain(p: IntPolynomial):
     """(sf, chain): the squarefree part sf of p, p over gcd(p, p') made
-    primitive with positive leading coefficient, and the Sturm chain of sf.
-    The chain of p ends in gcd(p, p'): a constant when p is squarefree, so
-    one remainder sequence gives both.  Otherwise p is divided by the gcd
-    made primitive (integrally, by Gauss's lemma) and the quotient's chain
-    is run."""
+    primitive with positive leading coefficient, and the Sturm chain of sf
+    as a tuple.  The chain of p ends in gcd(p, p'): a constant when p is
+    squarefree, so one remainder sequence gives both.  Otherwise p is
+    divided by the gcd made primitive (integrally, by Gauss's lemma) and the
+    quotient's chain is run.
+
+    Kept for the four most recent polynomials, keyed on the coefficients: a
+    characteristic polynomial's factorization, its isolation and the
+    screen's count of roots above 1 read one remainder sequence."""
     sf = p.primitive()
     chain = sturm_chain(sf)
     if len(chain[-1]) > 1:
         sf = _try_divide(sf, IntPolynomial(chain[-1]).primitive()).primitive()
         chain = sturm_chain(sf)
-    return sf, chain
+    return sf, tuple(chain)
 
 
 def _neg_sturm_rem(a, b):
@@ -192,18 +193,17 @@ def _neg_sturm_rem(a, b):
     return tuple(-x // g for x in r)
 
 
-def _variations(chain, x):
-    signs = []
-    for c in chain:
-        v = _sign_at(c, x.numerator, x.denominator)
-        if v:
-            signs.append(v)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain, num, den):
+    """Sign variations of the chain at num/den, den > 0 (_value_at)."""
+    signs = [v > 0 for v in (_value_at(c, num, den) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots(chain, a, b):
-    """Number of real roots of the chain's polynomial in the interval (a, b]."""
-    return _variations(chain, a) - _variations(chain, b)
+    """Number of real roots of the chain's polynomial in the interval (a, b],
+    for int or Fraction ends."""
+    return (_variations(chain, a.numerator, a.denominator)
+            - _variations(chain, b.numerator, b.denominator))
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
@@ -216,44 +216,53 @@ def root_bound(p: IntPolynomial) -> Fraction:
 def isolate_real_roots(p: IntPolynomial):
     """Disjoint open rational intervals, one per distinct real root, ascending.
 
-    Endpoints are never roots.  Works on the squarefree part, so multiple
-    roots are reported once.
+    Endpoints are never roots.  Works on the squarefree part and its Sturm
+    chain (squarefree_chain), so multiple roots are reported once.
+    Bisection from the Cauchy bound (-B, B): an interval whose ends' sign
+    variations differ by more than one splits at its midpoint; a midpoint
+    that is a root moves right by a 48th of the width, then by a 16th of
+    that step, and so on, until it is none.  The ends are integers over one
+    denominator per interval (_value_at reads any positive one), made
+    Fractions on the way out.
     """
     sf, chain = squarefree_chain(p)
     if sf.degree <= 0:
         return []
+    c = sf.coeffs
     B = root_bound(sf)
+    b, den = B.numerator, B.denominator
     out = []
     # each interval goes with the sign variations at its ends, whose
-    # difference counts its roots
-    stack = [(-B, B, _variations(chain, -B), _variations(chain, B))]
+    # difference counts its roots; the left half is split first, so the
+    # roots come out ascending
+    stack = [(-b, b, den, _variations(chain, -b, den), _variations(chain, b, den))]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
+        lo, hi, den, vlo, vhi = stack.pop()
         k = vlo - vhi
         if k == 0:
             continue
         if k == 1:
-            out.append((lo, hi))
+            out.append((Fraction(lo, den), Fraction(hi, den)))
             continue
-        mid = (lo + hi) / 2
-        # endpoints of subintervals must avoid roots
-        shift = hi - lo
-        while not _sign_at(sf.coeffs, mid.numerator, mid.denominator):
-            shift /= 16
-            mid += shift / 3
-        vmid = _variations(chain, mid)
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
-    out.sort()
+        # the midpoint mid / den, and the shift (hi - lo) over the same den
+        mid, shift, den, lo, hi = lo + hi, 2 * (hi - lo), 2 * den, 2 * lo, 2 * hi
+        while not _value_at(c, mid, den):
+            # shift / 16, and mid + shift / 48, over 48 den
+            mid, shift, den = 48 * mid + shift, 3 * shift, 48 * den
+            lo, hi = 48 * lo, 48 * hi
+        vmid = _variations(chain, mid, den)
+        stack.append((mid, hi, den, vmid, vhi))
+        stack.append((lo, mid, den, vlo, vmid))
     return out
 
 
 def _value_at(c, num, den):
     """den^d c(num/den) for den > 0, d = len(c) - 1: the homogenised integer
     sum_i c_i num^i den^(d-i), which has the sign of c at num/den."""
-    v = c[-1]
+    it = reversed(c)
+    v = next(it)
     dp = 1
-    for ci in reversed(c[:-1]):
+    for ci in it:
         dp *= den
         v = v * num + ci * dp
     return v
@@ -431,7 +440,8 @@ def _find_factor(p: IntPolynomial, k: int):
         assert v != 0  # rational roots were extracted first
         ds = [d for d in _divisors(v) if d <= vb]
         divisor_sets.append([s * d for d in ds for s in (1, -1)])
-    # Lagrange basis over the chosen points
+    # Lagrange basis over the chosen points, as integer numerators over
+    # their least common denominator L
     basis = []
     for i, xi in enumerate(pts):
         num = (1,)
@@ -442,19 +452,21 @@ def _find_factor(p: IntPolynomial, k: int):
             num = _mul(num, (-xj, 1))
             den *= xi - xj
         basis.append((num, den))
+    L = math.lcm(*(abs(den) for _num, den in basis))
+    basis = [tuple(n * (L // den) for n in num) for num, den in basis]
     for combo in product(*divisor_sets):
-        coeffs = [Fraction(0)] * (k + 1)
-        for v, (num, den) in zip(combo, basis):
-            f = Fraction(v, den)
+        coeffs = [0] * (k + 1)
+        for v, num in zip(combo, basis):
             for i, ni in enumerate(num):
-                coeffs[i] += f * ni
-        if any(c.denominator != 1 for c in coeffs):
+                coeffs[i] += v * ni
+        if any(c % L for c in coeffs):
             continue
+        coeffs = [c // L for c in coeffs]
         if coeffs[k] == 0:
             continue
         if any(abs(c) > bound for c in coeffs):
             continue
-        g = IntPolynomial(tuple(int(c) for c in coeffs)).primitive()
+        g = IntPolynomial(tuple(coeffs)).primitive()
         if g.degree != k:
             continue
         q = _try_divide(p, g)
@@ -473,62 +485,77 @@ _SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 FACTOR_COUNTS = {"sieved": 0, "searched": 0, "degrees": 0}
 
 
-def _divmod_p(a, b, p):
-    """Quotient and remainder of integer polynomials over GF(p), with b
-    trimmed mod p and nonzero; both results reduced and trimmed."""
-    r = [x % p for x in a]
-    inv = pow(b[-1], -1, p)
-    db = len(b) - 1
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(r) - 1 - db, -1, -1):
-        f = r[k + db] * inv % p
-        if f:
-            q[k] = f
-            for i, bi in enumerate(b):
-                r[i + k] = (r[i + k] - f * bi) % p
-    return _trim(q), _trim(r[:db])
+def _rem_p(c, g, p):
+    """Residues mod p of the remainder of the integer polynomial c by g
+    (residues, g[-1] nonzero mod p), as a trimmed list.  No quotient is
+    kept, and only the coefficient each step clears is reduced on the way:
+    the others stay unreduced Python ints until the end."""
+    r = list(c)
+    d = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    for k in range(len(r) - 1, d - 1, -1):
+        q = r[k] * inv % p
+        if q:
+            for i in range(d):
+                r[k - d + i] -= q * g[i]
+    r = [x % p for x in r[:d]]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
-def _monic_gcd_p(a, b, p):
-    """Monic gcd over GF(p) of a nonzero a and any b (trimmed mod p)."""
+def _gcd_degree_p(a, b, p):
+    """Degree of gcd(a, b) over GF(p), for residue lists a (nonzero) and b."""
     while b:
-        a, b = b, _divmod_p(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return tuple(x * inv % p for x in a)
+        a, b = b, _rem_p(a, b, p)
+    return len(a) - 1
 
 
 def _ddf_degrees(f, p):
-    """Degrees of the irreducible factors of f over GF(p), by distinct-degree
-    factorization (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 14); None when p divides the leading coefficient or f is not
-    squarefree mod p, where the degrees say nothing about factors over Z."""
-    g = _trim(x % p for x in f)
-    if len(g) != len(f):                        # p divides the leading coefficient
+    """Degrees of the irreducible factors of f over GF(p), ascending, by
+    distinct-degree factorization (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 14); None when p divides the leading coefficient or f is
+    not squarefree mod p, where the degrees say nothing about factors over Z.
+
+    All work is mod g = f mod p.  Frobenius h -> h^p is linear over
+    GF(p), so h^p = sum_j h_j x^(jp) mod g: one row x^(jp) per j, and each
+    step is a matrix-vector product.  The factors are never divided
+    out: gcd(g, x^(p^i) - x) is the product of the factors whose degree
+    divides i, so its degree less that of the smaller such degrees found
+    counts the factors of degree i.  While twice the next degree exceeds
+    what is left, what is left is one irreducible factor."""
+    g = [x % p for x in f]
+    if not g[-1]:                               # p divides the leading coefficient
         return None
-    if len(_monic_gcd_p(g, _trim(x % p for x in _deriv(g)), p)) > 1:
+    d = len(g) - 1
+    if _gcd_degree_p(g, _rem_p([i * c for i, c in enumerate(g)][1:], g, p), p):
         return None                             # not squarefree mod p
-    g = _monic_gcd_p(g, (), p)                  # g made monic
-    x = (0, 1)
-    h = x                                   # x^(p^i) mod g
+    # rows[j] = x^(jp) mod g
+    rows = [[1], _rem_p([0] * p + [1], g, p)]
+    for _ in range(2, d):
+        prod = [0] * (2 * d - 1)
+        for a, u in enumerate(rows[-1]):
+            for b, v in enumerate(rows[1]):
+                prod[a + b] += u * v
+        rows.append(_rem_p(prod, g, p))
+    h = [0, 1]                                  # x^(p^i) mod g
     degrees = []
-    i = 0
-    while len(g) - 1 >= 2 * (i + 1):
+    left, i = d, 0
+    while left >= 2 * (i + 1):
         i += 1
-        # h^p mod g by square-and-multiply
-        acc, base, e = (1,), h, p
-        while e:
-            if e & 1:
-                acc = _divmod_p(_mul(acc, base), g, p)[1]
-            base = _divmod_p(_mul(base, base), g, p)[1]
-            e >>= 1
-        h = acc
-        d = _monic_gcd_p(g, _trim(v % p for v in _sub(h, x)), p)
-        if len(d) > 1:
-            degrees += [i] * ((len(d) - 1) // i)
-            g = _divmod_p(g, d, p)[0]
-            h = _divmod_p(h, g, p)[1]
-    if len(g) > 1:
-        degrees.append(len(g) - 1)
+        acc = [0] * d
+        for hj, row in zip(h, rows):
+            if hj:
+                for t, v in enumerate(row):
+                    acc[t] += hj * v
+        h = [v % p for v in acc]
+        acc[1] -= 1
+        k = _gcd_degree_p(g, _rem_p(acc, g, p), p)
+        k -= sum(e for e in degrees if i % e == 0)
+        degrees += [i] * (k // i)
+        left -= k
+    if left:
+        degrees.append(left)
     return degrees
 
 

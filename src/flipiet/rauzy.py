@@ -120,29 +120,34 @@ def length_step(entries, lengths) -> tuple:
     return type_bit, after, m, new
 
 
-def _steps(E: IetSpec):
-    """The induction's steps out of E, one at a time, on lengths alone."""
+def _steps(entries, lengths, origin):
+    """The induction's steps out of the exchange with these signed
+    permutation entries, piece lengths (a tuple) and left end, one at a
+    time, on lengths alone."""
+    while True:
+        type_bit, after, m, new = length_step(entries, lengths)
+        yield RauzyStep(type_bit=type_bit, matrix=m, before=entries, after=after,
+                        before_lengths=lengths, after_lengths=new, origin=origin)
+        entries, lengths = after, new
+
+
+def _exact_steps(E: IetSpec):
+    """_steps out of E; a float view is a TypeError."""
     if E.float_mode:
         raise TypeError("lengths must be exact for a Rauzy step")
-    sp, lengths = E.sp, E.lengths
-    while True:
-        type_bit, after, m, new = length_step(sp, lengths)
-        yield RauzyStep(type_bit=type_bit, matrix=m, before=sp, after=after,
-                        before_lengths=lengths, after_lengths=new,
-                        origin=E.origin)
-        sp, lengths = after, new
+    return _steps(E.sp, E.lengths, E.origin)
 
 
 def rauzy_step(E: IetSpec) -> tuple:
     """One typed induction step; returns (E', RauzyStep), E' its after_iet.
     A float view is a TypeError."""
-    step = next(_steps(E))
+    step = next(_exact_steps(E))
     return step.after_iet, step
 
 
 def rauzy_run(E: IetSpec, k: int):
     """k chained steps; raises DegenerateStep on a saddle connection."""
-    return list(islice(_steps(E), k))
+    return list(islice(_exact_steps(E), k))
 
 
 @cache
@@ -173,18 +178,20 @@ def cycle_matrix(steps):
     return step_product(st.matrix for st in steps)
 
 
-def rauzy_cycle_detect(E: IetSpec, max_steps: int) -> Optional[RauzyCycle]:
-    """Detect a return to the initial combinatorics with exactly proportional
-    lengths; the cycle equality test is exact, not merely combinatorial.
-    The steps run on lengths alone: no exchange is laid out."""
+def rauzy_cycle_detect(entries, lengths, origin, max_steps: int) -> Optional[RauzyCycle]:
+    """Detect a return of the exchange with these signed permutation
+    entries, piece lengths (a tuple) and left end to its initial
+    combinatorics with exactly proportional lengths; the cycle equality
+    test is exact, not merely combinatorial.  The steps run on lengths
+    alone (_steps): no exchange is laid out."""
     steps = []
-    total0 = E.total_length
-    for st in islice(_steps(E), max_steps):
+    total0 = sum(lengths)
+    for st in islice(_steps(entries, lengths, origin), max_steps):
         steps.append(st)
-        if st.after != E.sp:
+        if st.after != entries:
             continue
-        lengths = st.after_lengths
-        total = sum(lengths)
-        if all(lengths[j] * total0 == E.lengths[j] * total for j in range(E.n)):
+        new = st.after_lengths
+        total = sum(new)
+        if all(a * total0 == b * total for a, b in zip(new, lengths)):
             return RauzyCycle(steps=tuple(steps), scale=total0 / total)
     return None

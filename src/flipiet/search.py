@@ -10,9 +10,9 @@ Cycles are primitive closed walks up to rotation: Lyndon words over the edge
 alphabet (v, t), enumerated level by level by a walk cut at every prefix that
 is not a prenecklace.  Every cycle product is screened for the
 dominant-plus-conjugate eigenvalue hypotheses; screen survivors can be
-validated end to end by rebuilding the exchange with exact Perron lengths and
-stepping it along the cycle: each Rauzy step is one exact comparison of two
-lengths, which picks the typed move, and one exact subtraction.
+validated end to end by stepping the exact Perron lengths along the cycle:
+each Rauzy step is one exact comparison of two lengths, which picks the typed
+move, and one exact subtraction.
 
 Since a flipped exchange can induce to an orientation-preserving one but
 never back, no closed walk through an unflipped node returns to a flipped
@@ -30,7 +30,6 @@ from itertools import permutations
 import numpy as np
 
 from .errors import DegenerateStep, FlipIetError
-from .iet import IetSpec
 from .polys import mat_mul, row_masks, rows_quasi_positive, rows_table
 from .rauzy import rauzy_cycle_detect, step_product, typed_move
 from .spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
@@ -345,8 +344,9 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult
 
 
 def cycle_validate(cand: CycleCandidate) -> CycleCandidate:
-    """Rebuild the exchange with exact Perron lengths and check that the
-    induction really follows the candidate cycle."""
+    """Run the induction on the exact Perron lengths from the candidate's
+    first node (rauzy_cycle_detect, on entries and lengths alone) and check
+    that it really follows the candidate cycle."""
     cand.validation_reason = _validation_failure(cand) or "ok"
     cand.validated = cand.validation_reason == "ok"
     return cand
@@ -357,9 +357,8 @@ def _validation_failure(cand: CycleCandidate):
         sd = shared_perron_data(cand.product)
     except FlipIetError as exc:
         return f"perron data failed: {exc}"
-    E = IetSpec(sd.perron[1], cand.nodes[0], origin=0)
     try:
-        cyc = rauzy_cycle_detect(E, len(cand.types) + 2)
+        cyc = rauzy_cycle_detect(cand.nodes[0], sd.perron[1], 0, len(cand.types) + 2)
     except DegenerateStep as exc:
         return f"degenerate step: {exc}"
     if cyc is None:

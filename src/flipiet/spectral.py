@@ -10,12 +10,11 @@ factor as the Perron root t1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import NotAnEigenvalue, NotQuasiPositive
-from .numfield import AlgebraicNumber, NumberField, RootEmbedding
+from .numfield import AlgebraicNumber, NumberField, RootEmbedding, _interval_eval
 from .polys import (IntPolynomial, _mul, _rem_monic, _sign_at, char_poly,
                     count_roots, factor_rational, faddeev_leverrier,
                     isolate_real_roots, mat_transpose, quasi_positive,
@@ -67,7 +66,9 @@ def real_eigenvalues(m):
     One Sturm isolation of the characteristic polynomial gives disjoint
     intervals in ascending order whose ends are roots of no factor.  The
     factors are coprime, so each interval isolates a root of exactly one of
-    them: the one whose sign differs at its two ends."""
+    them: the one whose sign differs at its two ends.  The factorization
+    and the isolation read one remainder sequence of the characteristic
+    polynomial (polys.squarefree_chain, kept per polynomial)."""
     cp = _shared_loop(m)[0]
     factors = factor_rational(cp)
     fields = [NumberField(f, _trusted=True) for f, _mult in factors]
@@ -189,9 +190,9 @@ def eigen_left(m, theta: AlgebraicNumber):
 
 
 def _count_real_roots_above_one(cp: IntPolynomial) -> int:
-    chain = squarefree_chain(cp)[1]
-    b = root_bound(cp)
-    return count_roots(chain, Fraction(1), b)
+    """Distinct real roots of cp in (1, B), on the chain that the
+    factorization and isolation of cp then reuse (squarefree_chain)."""
+    return count_roots(squarefree_chain(cp)[1], 1, root_bound(cp))
 
 
 def bhm_screen(m) -> BhmVerdict:
@@ -203,7 +204,8 @@ def bhm_screen(m) -> BhmVerdict:
     Otherwise qualifies, with theta2 the largest conjugate candidate.  Past
     the Sturm count the roots come from shared_perron_data(m) (m a tuple of
     row tuples), which a validation of the same matrix then reuses; the
-    Sturm count and the Perron data read one Faddeev-LeVerrier loop.
+    Sturm count and the Perron data read one Faddeev-LeVerrier loop and one
+    remainder sequence.
     """
     if not quasi_positive(m):
         return BhmVerdict(False, None, None, "not_quasi_positive")
@@ -216,12 +218,27 @@ def bhm_screen(m) -> BhmVerdict:
 def screen_real_roots(roots) -> BhmVerdict:
     """The screen's verdict on a quasi-positive matrix from its real
     eigenvalues ((AlgebraicNumber, factor index), ... ascending, as
-    real_eigenvalues returns them)."""
+    real_eigenvalues returns them).  Which lie above 1 is read off their
+    isolating intervals where it can be (_exceeds_one)."""
     theta1, ix1 = roots[-1]
-    candidates = [(r, ix) for (r, ix) in roots[:-1] if r > 1]
+    candidates = [(r, ix) for (r, ix) in roots[:-1] if _exceeds_one(r)]
     if not candidates:
         return BhmVerdict(False, theta1, None, "no_real_theta2_gt1")
     conj = [r for (r, ix) in candidates if ix == ix1]
     if not conj:
         return BhmVerdict(False, theta1, None, "not_conjugate")
     return BhmVerdict(True, theta1, conj[-1], "qualifies")
+
+
+def _exceeds_one(r: AlgebraicNumber) -> bool:
+    """r > 1, read off the bounds of r's value on its isolating interval
+    (numfield._interval_eval) when 1 is not between them; a root of a
+    linear factor has a point interval, where the bounds are r itself.
+    When 1 lies between the bounds, the exact comparison decides."""
+    lo, hi, s = _interval_eval(r.nums, *r.embedding.interval)
+    s *= r.den
+    if lo > s:
+        return True
+    if hi <= s:
+        return False
+    return r > 1

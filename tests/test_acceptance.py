@@ -107,7 +107,7 @@ def test_criterion_4_spectral():
 def test_criterion_5_self_similarity(E, J):
     t0 = time.time()
     th1 = bundled_theta1()
-    cyc = rauzy_cycle_detect(E, 20)
+    cyc = rauzy_cycle_detect(E.sp, E.lengths, E.origin, 20)
     ok = cyc is not None and len(cyc.steps) == 14
     last = cyc.steps[-1]
     ok = ok and tuple(last.after) == SIGNED_PERMUTATION

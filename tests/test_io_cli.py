@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -457,6 +458,46 @@ def test_cli_spectral_reads_a_matrix_file(tmp_path):
         reports.append(json.loads((out / "spectral_report.json").read_text()))
         reports[-1].pop("config")
     assert reports[0] == reports[1]
+
+
+# spectral --matrix reports minus config, as SHA-256 of their canonical
+# JSON, recorded before the kernel's sieve, isolation, screen and exact
+# strings moved to integers: the bundled matrix; a census product screened
+# not_conjugate, with cp (t - 1)(t^2 - 3t + 1)(t^3 - 8t^2 + 6t - 1); and
+# two products of the n = 5 graph, with cp (t - 1)^2 (t^3 - 8t^2 - 4t + 1)
+# and (t^2 - 10t + 1)(t^3 - t + 1)
+SPECTRAL_REPORTS = {
+    "bundled": (
+        ((2, 4, 6, 5, 2), (0, 2, 1, 1, 1), (0, 0, 3, 2, 0), (1, 2, 2, 2, 1),
+         (1, 3, 5, 4, 2)),
+        "fd78b951316f9ce0624b5da90b2802cc7e39b9b6217aae261014e7495f3b9d74"),
+    "not_conjugate": (
+        ((2, 1, 1, 1, 1, 1), (1, 2, 0, 0, 0, 0), (1, 0, 2, 1, 2, 1),
+         (1, 0, 2, 2, 2, 1), (1, 0, 2, 1, 3, 1), (2, 2, 1, 1, 1, 1)),
+        "aa3ef873c6a5f334e6a2a10eeb7f92c55d69fd5f8fdaf9d90f24fee13d70e9ed"),
+    "square_of_t_minus_1": (
+        ((4, 9, 6, 3, 2), (1, 3, 2, 0, 0), (0, 0, 0, 0, 1), (2, 4, 3, 2, 0),
+         (2, 4, 3, 1, 1)),
+        "4e7acf8ddf43a77682a95bfdc6256c8a159d2774a002957a9803f9256b72eb86"),
+    "quadratic_times_cubic": (
+        ((2, 4, 4, 3, 2), (1, 2, 2, 1, 2), (0, 1, 1, 0, 0), (1, 2, 3, 2, 2),
+         (3, 7, 6, 4, 3)),
+        "29bad6514f38b5d24e964b434174e9629abd801d9646ef797591e85028225257"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_REPORTS))
+def test_spectral_report_bytes_are_pinned(tmp_path, name):
+    from flipiet.quintic import MATRIX
+    matrix, sha = SPECTRAL_REPORTS[name]
+    assert (matrix == MATRIX) == (name == "bundled")
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    assert main(["spectral", "--matrix", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectral_report.json").read_text())
+    report.pop("config")
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("text", ["[[1, 2, 3], [4, 5, 6]]", "[]", "[[1, 2], 3]",

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,8 +10,8 @@ import sympy
 from flipiet import polys
 from flipiet.errors import DegreeCapExceeded
 from flipiet.numfield import RootEmbedding
-from flipiet.polys import (IntPolynomial, _ddf_degrees, _deriv, _numerators,
-                           _sieve_degrees,
+from flipiet.polys import (_SIEVE_PRIMES, IntPolynomial, _ddf_degrees, _deriv,
+                           _mul, _numerators, _sieve_degrees, _trim,
                            char_poly, count_roots, factor_rational,
                            faddeev_leverrier, is_irreducible,
                            isolate_real_roots, mat_det, mat_mul,
@@ -529,3 +531,155 @@ def test_faddeev_leverrier_adjugate():
         prod = mat_mul(shifted, adj)
         assert prod == tuple(tuple(cp(t) * (i == j) for j in range(5))
                              for i in range(5))
+
+
+# ---------------------------------------------------------------------------
+# the kernel's earlier routines, kept as references: the degree sieve's
+# distinct-degree factorization with quotients and a fresh reduction mod p
+# at every step, and root isolation by bisection in Fractions
+
+def _sub_reference(a, b):
+    n = max(len(a), len(b))
+    return _trim(tuple((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                       for i in range(n)))
+
+
+def _divmod_p_reference(a, b, p):
+    """Quotient and remainder of integer polynomials over GF(p), with b
+    trimmed mod p and nonzero; both results reduced and trimmed."""
+    r = [x % p for x in a]
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1 - db, -1, -1):
+        f = r[k + db] * inv % p
+        if f:
+            q[k] = f
+            for i, bi in enumerate(b):
+                r[i + k] = (r[i + k] - f * bi) % p
+    return _trim(q), _trim(r[:db])
+
+
+def _monic_gcd_p_reference(a, b, p):
+    """Monic gcd over GF(p) of a nonzero a and any b (trimmed mod p)."""
+    while b:
+        a, b = b, _divmod_p_reference(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return tuple(x * inv % p for x in a)
+
+
+def _ddf_degrees_reference(f, p):
+    """Distinct-degree factorization over GF(p): h = x^(p^i) mod g by
+    square-and-multiply, each factor found divided out of g."""
+    g = _trim(x % p for x in f)
+    if len(g) != len(f):
+        return None
+    if len(_monic_gcd_p_reference(g, _trim(x % p for x in _deriv(g)), p)) > 1:
+        return None
+    g = _monic_gcd_p_reference(g, (), p)
+    x = (0, 1)
+    h = x
+    degrees = []
+    i = 0
+    while len(g) - 1 >= 2 * (i + 1):
+        i += 1
+        acc, base, e = (1,), h, p
+        while e:
+            if e & 1:
+                acc = _divmod_p_reference(_mul(acc, base), g, p)[1]
+            base = _divmod_p_reference(_mul(base, base), g, p)[1]
+            e >>= 1
+        h = acc
+        d = _monic_gcd_p_reference(g, _trim(v % p for v in _sub_reference(h, x)), p)
+        if len(d) > 1:
+            degrees += [i] * ((len(d) - 1) // i)
+            g = _divmod_p_reference(g, d, p)[0]
+            h = _divmod_p_reference(h, g, p)[1]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)
+    return degrees
+
+
+def _variations_reference(chain, x):
+    signs = [v > 0 for v in (IntPolynomial(c)(x) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _isolate_reference(p):
+    """Bisection in Fractions from the Cauchy bound, on the Sturm chain of
+    the squarefree part, with a midpoint that is a root moved right by a
+    third of a shift that starts at the width and shrinks sixteenfold."""
+    sf, chain = squarefree_chain(p)
+    if sf.degree <= 0:
+        return []
+    B = root_bound(sf)
+    out = []
+    stack = [(-B, B, _variations_reference(chain, -B),
+              _variations_reference(chain, B))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()
+        k = vlo - vhi
+        if k == 0:
+            continue
+        if k == 1:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        shift = hi - lo
+        while sf(mid) == 0:
+            shift /= 16
+            mid += shift / 3
+        vmid = _variations_reference(chain, mid)
+        stack.append((lo, mid, vlo, vmid))
+        stack.append((mid, hi, vmid, vhi))
+    out.sort()
+    return out
+
+
+def test_ddf_degrees_match_the_reference_on_every_sieve_prime(kernel_inputs):
+    # every input, its squarefree part and its factors of degree >= 2, at
+    # every prime of the sieve: the same degree list, or None for both
+    _matrices, inputs = kernel_inputs
+    cases = set()
+    for p in inputs:
+        cases.add(p.coeffs)
+        cases.add(squarefree_chain(p)[0].coeffs)
+        cases.update(f.coeffs for f, _m in factor_rational(p) if f.degree >= 2)
+    kinds = {"none": 0, "list": 0}
+    for c in sorted(cases):
+        for q in _SIEVE_PRIMES:
+            want = _ddf_degrees_reference(c, q)
+            assert _ddf_degrees(c, q) == want, (c, q)
+            kinds["none" if want is None else "list"] += 1
+    assert kinds["none"] > 1000 and kinds["list"] > 10000, kinds
+
+
+def test_isolation_matches_fraction_bisection(kernel_inputs):
+    _matrices, inputs = kernel_inputs
+    shifted = 0
+    for p in inputs:
+        got = isolate_real_roots(p)
+        assert got == _isolate_reference(p), p
+        # (-B, B) splits at 0 when it holds two roots or more, and a root
+        # there moves the split point
+        shifted += p(0) == 0 and len(got) > 1
+    assert shifted > 0
+
+
+# factor_rational on the kernel inputs, as recorded before the sieve and the
+# isolation moved to integers: a digest of the [(coeffs, multiplicity)]
+# lists, and what the factorizations added to FACTOR_COUNTS
+KERNEL_FACTORS_SHA256 = ("8fa483b96223fbcfe8074888eb8370a6"
+                         "5b1f8a822e42c1c4c17b7b637cc9cb5b")
+KERNEL_FACTOR_COUNTS = {"sieved": 84, "searched": 94, "degrees": 94}
+
+
+def test_factor_rational_is_unchanged_on_the_kernel_inputs(kernel_inputs):
+    _matrices, inputs = kernel_inputs
+    before = dict(polys.FACTOR_COUNTS)
+    out = [[(f.coeffs, k) for f, k in factor_rational(p)] for p in inputs]
+    moved = {k: polys.FACTOR_COUNTS[k] - before[k] for k in before}
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == KERNEL_FACTORS_SHA256
+    assert moved == KERNEL_FACTOR_COUNTS
+    # the n = 7 cycle: (t - 1)(t + 1)(t^5 - 3t^4 - 2t^3 + 6t^2 + t - 1)
+    assert out[133] == [((-1, 1), 1), ((1, 1), 1), ((-1, 1, 6, -2, -3, 1), 1)]

@@ -178,7 +178,7 @@ def test_graph_build_runs_no_induction(monkeypatch):
 def test_cycle_detect(steps):
     E = bundled_iet()
     th1 = bundled_theta1()
-    cyc = rauzy_cycle_detect(E, 20)
+    cyc = rauzy_cycle_detect(E.sp, E.lengths, E.origin, 20)
     assert cyc is not None
     assert len(cyc.steps) == 14
     assert cycle_matrix(cyc.steps) == MATRIX
@@ -186,7 +186,8 @@ def test_cycle_detect(steps):
 
 
 def test_cycle_detect_needs_fourteen():
-    assert rauzy_cycle_detect(bundled_iet(), 5) is None
+    E = bundled_iet()
+    assert rauzy_cycle_detect(E.sp, E.lengths, E.origin, 5) is None
 
 
 def test_cycle_detect_self_similarity_identity(steps):
@@ -244,7 +245,7 @@ def test_golden_mean_rotation_cycle():
     assert th.decimal(6) == "2.618034"
     assert [a.decimal(6) for a in alpha] == ["0.618034", "0.381966"]
     E = IetSpec(alpha, (2, 1))
-    cyc = rauzy_cycle_detect(E, 10)
+    cyc = rauzy_cycle_detect(E.sp, E.lengths, E.origin, 10)
     assert cyc is not None and len(cyc.steps) == 2
     assert cycle_matrix(cyc.steps) == m
     assert [s.type_bit for s in cyc.steps] == [1, 0]
@@ -309,10 +310,10 @@ def assert_detect_matches_steps(E, max_steps):
         ref = detect_by_steps(E, max_steps)
     except DegenerateStep as exc:
         with pytest.raises(DegenerateStep) as got:
-            rauzy_cycle_detect(E, max_steps)
+            rauzy_cycle_detect(E.sp, E.lengths, E.origin, max_steps)
         assert str(got.value) == str(exc)
         return None
-    cyc = rauzy_cycle_detect(E, max_steps)
+    cyc = rauzy_cycle_detect(E.sp, E.lengths, E.origin, max_steps)
     if ref is None:
         assert cyc is None
         return None
@@ -337,7 +338,7 @@ def test_detect_raises_the_step_chains_degenerate_step(lengths, entries,
     # the first two tie at the first and the second step
     E = IetSpec(lengths, entries)
     with pytest.raises(DegenerateStep, match=message):
-        rauzy_cycle_detect(E, 10)
+        rauzy_cycle_detect(E.sp, E.lengths, E.origin, 10)
     assert assert_detect_matches_steps(E, 10) is None
 
 

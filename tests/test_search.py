@@ -171,6 +171,22 @@ def test_detect_matches_step_chain_on_the_census_qualifiers(qualifiers_5_14):
         assert cycle_matrix(cyc.steps) == c.product
 
 
+def test_validation_lays_out_no_exchange(qualifiers_5_14, monkeypatch):
+    # validation steps the Perron lengths on entries and lengths alone: no
+    # IetSpec is built, so no positivity check or breakpoint layout runs
+    built = []
+    real = IetSpec.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(IetSpec, "__init__", counted)
+    for c in qualifiers_5_14:
+        assert cycle_validate(c).validated
+    assert built == []
+
+
 def test_rotate_to_matches_mat_mul(qualifiers_5_14, rauzy_graph):
     g = rauzy_graph(5, True)
     for c in qualifiers_5_14:

@@ -12,15 +12,16 @@ from flipiet.cli import main
 from flipiet.denjoy import blowup_chain
 from flipiet.errors import NotAnEigenvalue, NotQuasiPositive
 from flipiet.numfield import (NumberField, RootEmbedding,
-                              cross_embedding_dot_is_zero)
+                              cross_embedding_dot_is_zero, exact_sign)
 from flipiet.polys import (IntPolynomial, char_poly, count_roots,
                            factor_rational, isolate_real_roots, mat_identity,
                            mat_mul, mat_transpose, quasi_positive, sturm_chain)
 from flipiet.quintic import (MATRIX, REFERENCE_EIGENVALUES_3DP,
                              REFERENCE_LENGTHS_3DP, bundled_iet)
+from flipiet.search import cycle_search
 from flipiet.spectral import (bhm_screen, eigen_left, perron_data,
                               real_eigenvalues, screen_real_roots,
-                              solve_eigenvector)
+                              shared_perron_data, solve_eigenvector)
 
 
 def as_fraction(x):
@@ -178,8 +179,8 @@ def test_real_eigenvalues_order():
 
 def test_real_eigenvalues_isolates_the_char_poly_once(monkeypatch):
     # one isolation of the characteristic polynomial serves every factor:
-    # isolate_real_roots runs once and sturm_chain twice, once in the
-    # factorizer's squarefree step and once in the isolation, however many
+    # isolate_real_roots runs once and sturm_chain once, its chain shared by
+    # the factorizer's squarefree step and the isolation, however many
     # factors there are; the number field of a factor builds none until
     # root_in needs one
     import flipiet.polys
@@ -201,10 +202,60 @@ def test_real_eigenvalues_isolates_the_char_poly_once(monkeypatch):
     for m, nfactors in ((MATRIX, 2), (CENSUS_NOT_CONJUGATE, 3)):
         chains.clear()
         isolations.clear()
+        flipiet.polys.squarefree_chain.cache_clear()
         cp, factors, _ = real_eigenvalues(m)
         assert len(factors) == nfactors
         assert isolations == [cp]
-        assert chains == [cp, cp]
+        assert chains == [cp]
+
+
+def test_screen_and_perron_data_run_one_sturm_chain(monkeypatch, rauzy_graph):
+    # the screen's count of roots above 1, then the factorization and the
+    # isolation of the Perron data, read one remainder sequence of the
+    # characteristic polynomial of a qualifying census product
+    import flipiet.polys
+    product = cycle_search(rauzy_graph(5, True), 14).qualifying[0].product
+    chains = []
+    real_chain = flipiet.polys.sturm_chain
+
+    def chain(p):
+        chains.append(p)
+        return real_chain(p)
+
+    monkeypatch.setattr(flipiet.polys, "sturm_chain", chain)
+    flipiet.polys.squarefree_chain.cache_clear()
+    shared_perron_data.cache_clear()
+    assert bhm_screen(product).qualifies
+    shared_perron_data(product)
+    assert chains == [char_poly(product)]
+
+
+def _companion(p):
+    """The companion matrix of a monic integer polynomial, whose
+    characteristic polynomial it is."""
+    d = p.degree
+    return tuple(tuple(int(j == i - 1) if j < d - 1 else -p.coeffs[i]
+                       for j in range(d)) for i in range(d))
+
+
+def test_exceeds_one_off_the_interval_matches_the_exact_comparison(
+        kernel_inputs):
+    # every real eigenvalue of the kernel inputs, the random polynomials as
+    # companion matrices of their monic ones: r > 1 read off a fresh
+    # isolating interval agrees with the sign of r - 1 by exact arithmetic
+    # alone, on point intervals, on intervals that hold 1 and on the rest
+    matrices, inputs = kernel_inputs
+    monic = [p for p in inputs[len(matrices):] if p.coeffs[-1] == 1]
+    assert [char_poly(_companion(p)) for p in monic] == monic
+    matrices = matrices + [_companion(p) for p in monic]
+    kinds = Counter()
+    for m in matrices:
+        for r, _ix in real_eigenvalues(m)[2]:
+            a, b, den = r.embedding.interval
+            kinds["point" if a == b else "holds 1" if a < den < b else "other"] += 1
+            got = flipiet.spectral._exceeds_one(r)
+            assert got == (exact_sign(r - 1) > 0)
+    assert min(kinds.values()) >= 30, kinds
 
 
 def _real_eigenvalues_per_factor(m):
