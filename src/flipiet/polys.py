@@ -692,20 +692,27 @@ def faddeev_leverrier(m):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    m = tuple(tuple(int(x) for x in row) for row in m)
+    m = [list(map(int, row)) for row in m]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     terms = [mat_identity(n)]
-    ak = m
+    ak = [row[:] for row in m]          # M B_{k-1}, as lists of rows
+    tr = sum([m[i][i] for i in range(n)])
     for k in range(1, n + 1):
-        tr = sum(ak[i][i] for i in range(n))
         assert tr % k == 0
         ck = -(tr // k)
         coeffs[n - k] = ck
-        if k < n:
-            terms.append(tuple(tuple(ak[i][j] + (ck if i == j else 0) for j in range(n))
-                               for i in range(n)))
-            ak = mat_mul(m, terms[-1])
+        if k == n:
+            break
+        for i in range(n):
+            ak[i][i] += ck              # B_k, in place
+        terms.append(tuple(map(tuple, ak)))
+        cols = list(zip(*ak))
+        if k < n - 1:
+            ak = [[sum(map(mul, row, col)) for col in cols] for row in m]
+            tr = sum([ak[i][i] for i in range(n)])
+        else:                           # c_n reads only the trace of M B_k
+            tr = sum([sum(map(mul, row, col)) for row, col in zip(m, cols)])
     return IntPolynomial(tuple(coeffs)), tuple(terms)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DegenerateStep, FlipIetError
 from .polys import mat_mul, row_masks, rows_quasi_positive, rows_table
 from .rauzy import rauzy_cycle_detect, step_product, typed_move
-from .spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
+from .spectral import SCREEN_REASONS, bhm_screen, perron_data
 
 
 def signed_perms_enumerate(n: int, require_flips: bool = True):
@@ -100,8 +100,11 @@ WALK_BATCH = 256
 def _census_worker(args):
     """Screen every cycle whose smallest node is one of starts; return the
     screen-reason counts and the qualifying cycles as CycleCandidates, each
-    validated (cycle_validate) right after its screen, whose Perron data the
-    validation shares.
+    validated (cycle_validate) right after its screen.  The screen's verdict
+    and the roots that the validation's Perron data reads are those of the
+    product's characteristic polynomial, worked out once per polynomial
+    (spectral._Spectrum); the validation reads the screen's
+    Faddeev-LeVerrier loop too.
 
     Each cycle passes once, as its rotation that is a Lyndon word over the
     edge alphabet (v, t); it starts at the cycle's smallest node.  From each
@@ -113,7 +116,8 @@ def _census_worker(args):
     >= s) exceeds max_len.  The product's zero pattern rides down the walk
     as row bitmasks, one rows_table lookup per row; only cycles whose
     pattern is quasi-positive get the exact product, by column moves
-    (rauzy.step_product); each distinct pattern of a level is looked up once.
+    (rauzy.step_product), and the screen, which does not check the pattern
+    again; each distinct pattern of a level is looked up once.
 
     The walk is level-synchronous (_Walker): the starts go in batches of
     WALK_BATCH, and each step of a batch's whole frontier is one set of
@@ -130,7 +134,7 @@ def _census_worker(args):
     def screen(edges):
         seq = [divmod(e, 2) for e in edges]
         prod = step_product(mats[v][t] for (v, t) in seq)
-        verdict = bhm_screen(prod)
+        verdict = bhm_screen(prod, known_quasi_positive=True)
         reasons[verdict.reason] += 1
         if verdict.qualifies:
             hits.append(cycle_validate(CycleCandidate(
@@ -354,7 +358,7 @@ def cycle_validate(cand: CycleCandidate) -> CycleCandidate:
 
 def _validation_failure(cand: CycleCandidate):
     try:
-        sd = shared_perron_data(cand.product)
+        sd = perron_data(cand.product)
     except FlipIetError as exc:
         return f"perron data failed: {exc}"
     try:

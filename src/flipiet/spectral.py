@@ -59,29 +59,75 @@ def _shared_loop(m):
     return _faddeev_leverrier(tuple(map(tuple, m)))
 
 
-def real_eigenvalues(m):
-    """All real eigenvalues as exact algebraic numbers, ascending, each tagged
-    with the index of its irreducible factor.
+class _Spectrum:
+    """What a characteristic polynomial decides for every matrix that has
+    it, each part worked out when first asked for and then kept: the
+    factors and real roots (roots), the screen's verdict on a quasi-positive
+    matrix (verdict) and the Perron data of the latest matrix that
+    shared_perron_data was asked for (perron, as (rows, SpectralData)).
+    Roots of equal polynomials are the same algebraic numbers, so every
+    matrix with the polynomial shares one set of embeddings exactly."""
 
-    One Sturm isolation of the characteristic polynomial gives disjoint
-    intervals in ascending order whose ends are roots of no factor.  The
-    factors are coprime, so each interval isolates a root of exactly one of
-    them: the one whose sign differs at its two ends.  The factorization
-    and the isolation read one remainder sequence of the characteristic
-    polynomial (polys.squarefree_chain, kept per polynomial)."""
+    __slots__ = ("cp", "_roots", "_verdict", "perron")
+
+    def __init__(self, cp: IntPolynomial):
+        self.cp = cp
+        self._roots = self._verdict = self.perron = None
+
+    def roots(self):
+        """(factors, real roots) as real_eigenvalues returns them.
+
+        One Sturm isolation of the characteristic polynomial gives disjoint
+        intervals in ascending order whose ends are roots of no factor.  The
+        factors are coprime, so each interval isolates a root of exactly one
+        of them: the one whose sign differs at its two ends.  The
+        factorization and the isolation read one remainder sequence of the
+        polynomial (polys.squarefree_chain)."""
+        if self._roots is None:
+            factors = factor_rational(self.cp)
+            fields = [NumberField(f, _trusted=True) for f, _mult in factors]
+            found = []
+            for lo, hi in isolate_real_roots(self.cp):
+                ix = next(i for i, (f, _mult) in enumerate(factors)
+                          if _sign_at(f.coeffs, lo.numerator, lo.denominator)
+                          != _sign_at(f.coeffs, hi.numerator, hi.denominator))
+                f = factors[ix][0]
+                if f.degree == 1:   # monic, as a factor of cp: an integer root
+                    lo = hi = -f.coeffs[0]
+                found.append((fields[ix].generator(RootEmbedding(f, lo, hi)), ix))
+            self._roots = (factors, tuple(found))
+        return self._roots
+
+    def verdict(self) -> BhmVerdict:
+        """The screen's verdict on any quasi-positive matrix with this
+        characteristic polynomial.  A Sturm count of the distinct real roots
+        in (1, B), on the remainder sequence that the factorization and the
+        isolation then reuse, rejects a polynomial with at most one root
+        above 1 before any factoring; the rest is screen_real_roots."""
+        if self._verdict is None:
+            if count_roots(squarefree_chain(self.cp)[1], 1, root_bound(self.cp)) < 2:
+                self._verdict = BhmVerdict(False, None, None, "no_real_theta2_gt1")
+            else:
+                self._verdict = screen_real_roots(self.roots()[1])
+        return self._verdict
+
+
+@lru_cache(maxsize=256)
+def _spectrum(cp):
+    """The _Spectrum of a characteristic polynomial, kept for the 256 most
+    recent ones: a census screens every product of the same polynomial on
+    one entry (40 polynomials at --n 5 --max-len 14, 202 at --n 6
+    --max-len 16)."""
+    return _Spectrum(cp)
+
+
+def real_eigenvalues(m):
+    """(cp, factors, real roots): the characteristic polynomial, its
+    irreducible factors, and all real eigenvalues as exact algebraic
+    numbers, ascending, each tagged with the index of its factor; read off
+    the polynomial's entry of the spectrum memo (_Spectrum.roots)."""
     cp = _shared_loop(m)[0]
-    factors = factor_rational(cp)
-    fields = [NumberField(f, _trusted=True) for f, _mult in factors]
-    found = []
-    for lo, hi in isolate_real_roots(cp):
-        ix = next(i for i, (f, _mult) in enumerate(factors)
-                  if _sign_at(f.coeffs, lo.numerator, lo.denominator)
-                  != _sign_at(f.coeffs, hi.numerator, hi.denominator))
-        f = factors[ix][0]
-        if f.degree == 1:       # monic, as a factor of cp: an integer root
-            lo = hi = -f.coeffs[0]
-        found.append((fields[ix].generator(RootEmbedding(f, lo, hi)), ix))
-    return cp, factors, tuple(found)
+    return (cp, *_spectrum(cp).roots())
 
 
 def solve_eigenvector(m, theta: AlgebraicNumber, left=False):
@@ -168,14 +214,16 @@ def perron_data(m) -> SpectralData:
                         perron=(theta1, alpha))
 
 
-@lru_cache(maxsize=4)
 def shared_perron_data(m) -> SpectralData:
-    """perron_data(m) for a matrix given as a tuple of row tuples, kept for the
-    four most recently used matrices, so that the stages of one run share one
-    computation and one set of embeddings (the bundled exchange's lengths and
-    the Perron data of its blow-up chain, for instance), which only narrow in
-    place."""
-    return perron_data(m)
+    """perron_data(m), kept on the spectrum memo's entry of m's characteristic
+    polynomial for the latest matrix asked for with that polynomial, so that
+    the stages of one run share one computation (the bundled exchange's
+    lengths and the Perron data of its blow-up chain, for instance)."""
+    rows = tuple(map(tuple, m))
+    spectrum = _spectrum(_faddeev_leverrier(rows)[0])
+    if spectrum.perron is None or spectrum.perron[0] != rows:
+        spectrum.perron = (rows, perron_data(m))
+    return spectrum.perron[1]
 
 
 def eigen_left(m, theta: AlgebraicNumber):
@@ -189,30 +237,22 @@ def eigen_left(m, theta: AlgebraicNumber):
     return tuple(v * inv for v in vec)
 
 
-def _count_real_roots_above_one(cp: IntPolynomial) -> int:
-    """Distinct real roots of cp in (1, B), on the chain that the
-    factorization and isolation of cp then reuse (squarefree_chain)."""
-    return count_roots(squarefree_chain(cp)[1], 1, root_bound(cp))
-
-
-def bhm_screen(m) -> BhmVerdict:
+def bhm_screen(m, known_quasi_positive=False) -> BhmVerdict:
     """Screen for the wandering-interval hypotheses.
 
     not_quasi_positive when no power is positive; no_real_theta2_gt1 when the
     dominant root is the only real eigenvalue above 1; not_conjugate when the
     candidates in (1, theta1) all live in other irreducible factors.
     Otherwise qualifies, with theta2 the largest conjugate candidate.  Past
-    the Sturm count the roots come from shared_perron_data(m) (m a tuple of
-    row tuples), which a validation of the same matrix then reuses; the
-    Sturm count and the Perron data read one Faddeev-LeVerrier loop and one
-    remainder sequence.
+    quasi-positivity the verdict depends on the characteristic polynomial
+    alone, so it is the polynomial's entry of the spectrum memo
+    (_Spectrum.verdict), shared by every matrix with that polynomial.  A
+    caller that has decided quasi-positivity on m's zero pattern already
+    (the census walk) passes known_quasi_positive=True.
     """
-    if not quasi_positive(m):
+    if not (known_quasi_positive or quasi_positive(m)):
         return BhmVerdict(False, None, None, "not_quasi_positive")
-    if _count_real_roots_above_one(_shared_loop(m)[0]) < 2:
-        # at most the Perron root exceeds 1; skip factorization entirely
-        return BhmVerdict(False, None, None, "no_real_theta2_gt1")
-    return screen_real_roots(shared_perron_data(m).real_roots)
+    return _spectrum(_shared_loop(m)[0]).verdict()
 
 
 def screen_real_roots(roots) -> BhmVerdict:

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import flipiet.polys
 import flipiet.search
+import flipiet.spectral
 from flipiet.polys import IntPolynomial, char_poly
 from flipiet.quintic import MATRIX
 from flipiet.rauzy import step_product, typed_move
@@ -14,6 +16,25 @@ from flipiet.search import cycle_search, rauzy_graph_build
 # at n = 7: its start and step types
 N7_START = (2, -3, 5, 4, -6, 7, 1)
 N7_TYPES = (0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0)
+
+
+def _clear_memos():
+    """Empty every functools memo of spectral and polys."""
+    for module in (flipiet.spectral, flipiet.polys):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.fixture
+def fresh_memos():
+    """Every memo of spectral and polys empty when the test starts and when
+    it ends, so that a test counting calls or refinements sees the same
+    counts whatever ran before it.  The fixture's value is the function that
+    empties them, for a test that fills them before the part it counts."""
+    _clear_memos()
+    yield _clear_memos
+    _clear_memos()
 
 
 @pytest.fixture(scope="session")
@@ -80,9 +101,9 @@ def kernel_inputs(rauzy_graph):
     screened = []
     screen = flipiet.search.bhm_screen
 
-    def recording_screen(m):
+    def recording_screen(m, **kwargs):
         screened.append(m)
-        return screen(m)
+        return screen(m, **kwargs)
 
     flipiet.search.bhm_screen = recording_screen
     try:

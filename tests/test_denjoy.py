@@ -249,11 +249,11 @@ def test_semiconjugacy_sampler_propagates_other_errors(setting, gaps,
         verify_wandering(gaps, T, E)
 
 
-def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch):
+def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch,
+                                                            fresh_memos):
     # one Perron computation and one set of real eigenvalues: the screen
     # reads the roots that the Perron data already holds
     import flipiet.spectral
-    from flipiet.spectral import shared_perron_data
     calls = []
     eigen_calls = []
     real = flipiet.spectral.perron_data
@@ -269,11 +269,7 @@ def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch):
 
     monkeypatch.setattr(flipiet.spectral, "perron_data", counted)
     monkeypatch.setattr(flipiet.spectral, "real_eigenvalues", counted_eigen)
-    shared_perron_data.cache_clear()
-    try:
-        chain = blowup_chain(bundled_iet())
-    finally:
-        shared_perron_data.cache_clear()
+    chain = blowup_chain(bundled_iet())
     assert chain.lsv is not None
     assert calls == [MATRIX]
     assert eigen_calls == [MATRIX]

@@ -402,7 +402,7 @@ def test_decimal_matches_sympy_on_the_bundled_matrix():
             assert Fraction(got) == _rounded(v, digits)
 
 
-def test_decimal_refinements_are_counted():
+def test_decimal_refinements_are_counted(fresh_memos):
     # perron_data on fresh embeddings, then the decimals of the spectral
     # report: every sign is the filter's, on shadows narrowed to about float
     # precision, and three decimals narrow once more

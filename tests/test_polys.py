@@ -533,6 +533,51 @@ def test_faddeev_leverrier_adjugate():
                              for i in range(5))
 
 
+def _faddeev_leverrier_reference(m):
+    """The loop as it was written before it worked on lists in place: each
+    B_k built entry by entry, each product by mat_mul."""
+    n = len(m)
+    m = tuple(tuple(int(x) for x in row) for row in m)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    terms = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    ak = m
+    for k in range(1, n + 1):
+        tr = sum(ak[i][i] for i in range(n))
+        assert tr % k == 0
+        ck = -(tr // k)
+        coeffs[n - k] = ck
+        if k < n:
+            terms.append(tuple(tuple(ak[i][j] + (ck if i == j else 0)
+                                     for j in range(n)) for i in range(n)))
+            ak = mat_mul(m, terms[-1])
+    return IntPolynomial(tuple(coeffs)), tuple(terms)
+
+
+def test_faddeev_leverrier_matches_the_reference(kernel_inputs):
+    # the kernel's matrices and 120 seeded integer matrices of size 1 to 7,
+    # some with negative entries: the same polynomial and the same integer
+    # matrices, as tuples of int tuples; the input is left as it was
+    rng = random.Random(53)
+    matrices = list(kernel_inputs[0])
+    for k in range(120):
+        n = k % 7 + 1
+        low = -9 if k % 2 else 0
+        matrices.append(tuple(tuple(rng.randint(low, 9) for _ in range(n))
+                              for _ in range(n)))
+    matrices.append([[True, 2], [3, 4]])
+    for m in matrices:
+        before = [list(row) for row in m]
+        cp, terms = faddeev_leverrier(m)
+        assert (cp, terms) == _faddeev_leverrier_reference(m)
+        assert all(type(x) is int for b in terms for row in b for x in row)
+        assert all(type(b) is tuple and all(type(row) is tuple for row in b)
+                   for b in terms)
+        assert [list(row) for row in m] == before
+    with pytest.raises(ValueError, match="not square"):
+        faddeev_leverrier(((1, 2), (3,)))
+
+
 # ---------------------------------------------------------------------------
 # the kernel's earlier routines, kept as references: the degree sieve's
 # distinct-degree factorization with quotients and a fresh reduction mod p

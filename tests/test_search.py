@@ -12,7 +12,7 @@ from flipiet.polys import (mat_det, mat_identity, mat_mul, quasi_positive,
                            row_masks, rows_mul, rows_quasi_positive,
                            rows_table)
 from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
-from flipiet.rauzy import cycle_matrix
+from flipiet.rauzy import cycle_matrix, step_product
 from flipiet.search import (WALK_BATCH, CycleCandidate, _census_worker,
                             cycle_search, cycle_validate,
                             signed_perms_enumerate)
@@ -538,9 +538,9 @@ def test_census_matches_reference_enumeration(n, max_len, monkeypatch,
     screened = []
     screen = flipiet.search.bhm_screen
 
-    def recording_screen(m):
+    def recording_screen(m, **kwargs):
         screened.append(m)
-        return screen(m)
+        return screen(m, **kwargs)
 
     monkeypatch.setattr(flipiet.search, "bhm_screen", recording_screen)
     r = cycle_search(g, max_len)
@@ -550,3 +550,25 @@ def test_census_matches_reference_enumeration(n, max_len, monkeypatch,
     assert r.screen_reasons["not_quasi_positive"] == len(ref) - len(ref_qp)
     assert r.screen_reasons["qualifies"] == len(r.qualifying)
     assert sorted(screened) == ref_qp and ref_qp
+
+
+def test_walk_patterns_are_the_screened_products_patterns(rauzy_graph):
+    # the census screens a product without checking quasi-positivity again:
+    # for every cycle it screens at n = 5 to max length 14, the row bitmasks
+    # that the walk carried, which rows_quasi_positive passed, are the zero
+    # pattern of the exact product, whose entries are nonnegative
+    g = rauzy_graph(5, True)
+    walker = flipiet.search._Walker(g.succ, g.mats, 5)
+    starts = list(range(len(g.nodes)))
+    screened = 0
+    for k in range(0, len(starts), WALK_BATCH):
+        for rows, edges in walker.walk(starts[k:k + WALK_BATCH], 14):
+            for pattern, path in zip(map(tuple, rows.tolist()), edges.tolist()):
+                if not rows_quasi_positive(pattern):
+                    continue
+                prod = step_product(g.mats[v][t]
+                                    for v, t in (divmod(e, 2) for e in path))
+                assert row_masks(prod) == pattern
+                assert min(map(min, prod)) >= 0 and quasi_positive(prod)
+                screened += 1
+    assert screened == 132

@@ -6,8 +6,9 @@ default is passed by some call in src/ or perfbench/, every dataclass field
 has a reader, every local a function assigns is read, every option of a
 subcommand is read by its command, every function the benchmark's tracer
 wraps is defined in src/, only IetSpec.__init__ and as_float set
-float_mode, neither rauzy nor search imports selfsim, and the one forked
-child is reaped and leaves by os._exit.  A deletion that
+float_mode, neither rauzy nor search imports selfsim, the one forked
+child is reaped and leaves by os._exit, and the functools memos are the
+six pinned below.  A deletion that
 leaves an import, a helper, a field, a local or an option behind, a
 parameter that only tests set, or that removes or renames a traced
 function, fails here."""
@@ -351,3 +352,35 @@ def test_a_forked_child_is_reaped_and_leaves_by_os_exit():
     assert isinstance(guard, ast.Try) and guard.finalbody
     last = guard.finalbody[-1]
     assert isinstance(last, ast.Expr) and os_calls(last, "_exit") == [last.value]
+
+
+def test_memos_are_pinned():
+    """The functions in src/ under functools.cache or lru_cache, each with
+    the parameters its memo is keyed on and its bound (None for cache).
+    Each memo hands one result to every caller and holds what it keeps
+    until evicted, so a new memo, a new key or a wider bound takes an edit
+    here."""
+    found = {}
+    for name, tree in MODULES.items():
+        for qualified, fn in _defs(tree.body, name):
+            for dec in fn.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                called = call.func if call else dec
+                kind = getattr(called, "id", getattr(called, "attr", None))
+                if kind not in ("cache", "lru_cache"):
+                    continue
+                bound = None if kind == "cache" else 128    # lru_cache's default
+                for arg in (call.args if call else []):
+                    bound = ast.literal_eval(arg)
+                for kw in (call.keywords if call else []):
+                    if kw.arg == "maxsize":
+                        bound = ast.literal_eval(kw.value)
+                found[qualified] = (tuple(a.arg for a in fn.args.args), bound)
+    assert found == {
+        "cli.build_parser": ((), None),
+        "polys.squarefree_chain": (("p",), 4),
+        "rauzy._step_matrix": (("n", "s", "through"), None),
+        "rauzy._column_moves": (("m",), None),
+        "spectral._faddeev_leverrier": (("rows",), 4),
+        "spectral._spectrum": (("cp",), 256),
+    }

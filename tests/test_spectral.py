@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 import flipiet.numfield
+import flipiet.search
 import flipiet.spectral
 from flipiet.cli import main
 from flipiet.denjoy import blowup_chain
@@ -177,7 +178,8 @@ def test_real_eigenvalues_order():
     assert len(roots) == 5
 
 
-def test_real_eigenvalues_isolates_the_char_poly_once(monkeypatch):
+def test_real_eigenvalues_isolates_the_char_poly_once(monkeypatch,
+                                                      fresh_memos):
     # one isolation of the characteristic polynomial serves every factor:
     # isolate_real_roots runs once and sturm_chain once, its chain shared by
     # the factorizer's squarefree step and the isolation, however many
@@ -202,14 +204,14 @@ def test_real_eigenvalues_isolates_the_char_poly_once(monkeypatch):
     for m, nfactors in ((MATRIX, 2), (CENSUS_NOT_CONJUGATE, 3)):
         chains.clear()
         isolations.clear()
-        flipiet.polys.squarefree_chain.cache_clear()
         cp, factors, _ = real_eigenvalues(m)
         assert len(factors) == nfactors
         assert isolations == [cp]
         assert chains == [cp]
 
 
-def test_screen_and_perron_data_run_one_sturm_chain(monkeypatch, rauzy_graph):
+def test_screen_and_perron_data_run_one_sturm_chain(monkeypatch, rauzy_graph,
+                                                    fresh_memos):
     # the screen's count of roots above 1, then the factorization and the
     # isolation of the Perron data, read one remainder sequence of the
     # characteristic polynomial of a qualifying census product
@@ -223,8 +225,7 @@ def test_screen_and_perron_data_run_one_sturm_chain(monkeypatch, rauzy_graph):
         return real_chain(p)
 
     monkeypatch.setattr(flipiet.polys, "sturm_chain", chain)
-    flipiet.polys.squarefree_chain.cache_clear()
-    shared_perron_data.cache_clear()
+    fresh_memos()
     assert bhm_screen(product).qualifies
     shared_perron_data(product)
     assert chains == [char_poly(product)]
@@ -514,12 +515,12 @@ def test_perron_data_runs_one_faddeev_leverrier_loop(monkeypatch):
     assert sd.char_poly.coeffs == (-1, 9, -26, 28, -11, 1)
 
 
-def test_bhm_screen_runs_one_faddeev_leverrier_loop(monkeypatch):
+def test_bhm_screen_runs_one_faddeev_leverrier_loop(monkeypatch, fresh_memos):
     # a qualifying matrix: the screen's loop, which gives the Sturm count,
     # also gives the Perron data; quasi-positivity is checked by the screen
-    # and again by perron_data
+    # and again by perron_data; the screen's theta1 is the one root that
+    # the memo of the characteristic polynomial holds
     import flipiet.polys
-    from flipiet.spectral import shared_perron_data
     loops, checks = [], []
     real_loop = flipiet.polys.faddeev_leverrier
     real_check = flipiet.polys.quasi_positive
@@ -536,23 +537,20 @@ def test_bhm_screen_runs_one_faddeev_leverrier_loop(monkeypatch):
     monkeypatch.setattr(flipiet.spectral, "faddeev_leverrier", counted_loop)
     monkeypatch.setattr(flipiet.polys, "quasi_positive", counted_check)
     monkeypatch.setattr(flipiet.spectral, "quasi_positive", counted_check)
-    shared_perron_data.cache_clear()
-    flipiet.spectral._faddeev_leverrier.cache_clear()
-    try:
-        verdict = bhm_screen(MATRIX)
-        assert shared_perron_data(MATRIX).real_roots[-1][0] is verdict.theta1
-    finally:
-        shared_perron_data.cache_clear()
-        flipiet.spectral._faddeev_leverrier.cache_clear()
+    verdict = bhm_screen(MATRIX)
+    sd = shared_perron_data(MATRIX)
+    owner = flipiet.spectral._spectrum(sd.char_poly)
+    assert owner.roots()[1][-1][0] is verdict.theta1
+    assert sd.real_roots[-1][0] is verdict.theta1
     assert verdict.reason == "qualifies"
     assert loops == [MATRIX] and checks == [MATRIX, MATRIX]
 
 
-def test_bundled_blowup_chain_runs_one_faddeev_leverrier_loop(monkeypatch):
+def test_bundled_blowup_chain_runs_one_faddeev_leverrier_loop(monkeypatch,
+                                                              fresh_memos):
     # the Perron data and the left theta2-eigenvector of the blow-up read
     # the same loop
     import flipiet.polys
-    from flipiet.spectral import shared_perron_data
     loops = []
     real = flipiet.polys.faddeev_leverrier
 
@@ -562,13 +560,7 @@ def test_bundled_blowup_chain_runs_one_faddeev_leverrier_loop(monkeypatch):
 
     monkeypatch.setattr(flipiet.polys, "faddeev_leverrier", counted)
     monkeypatch.setattr(flipiet.spectral, "faddeev_leverrier", counted)
-    shared_perron_data.cache_clear()
-    flipiet.spectral._faddeev_leverrier.cache_clear()
-    try:
-        chain = blowup_chain(bundled_iet())
-    finally:
-        shared_perron_data.cache_clear()
-        flipiet.spectral._faddeev_leverrier.cache_clear()
+    chain = blowup_chain(bundled_iet())
     assert chain.lsv is not None
     assert loops.count(MATRIX) == 1
 
@@ -585,8 +577,11 @@ def test_spectral_functions_accept_a_list_of_lists():
     assert eigen_left(rows, theta2) == eigen_left(MATRIX, theta2)
 
 
-def test_shared_perron_data_keeps_the_four_most_recent_matrices(monkeypatch):
-    from flipiet.spectral import shared_perron_data
+def test_shared_perron_data_keeps_the_latest_matrix_of_each_char_poly(
+        monkeypatch, fresh_memos):
+    # a and b have one characteristic polynomial, t^2 - 3t + 1, and c
+    # another: each polynomial keeps the Perron data of its latest matrix,
+    # and the matrices of one polynomial share its roots
     computed = []
     real = flipiet.spectral.perron_data
 
@@ -595,16 +590,90 @@ def test_shared_perron_data_keeps_the_four_most_recent_matrices(monkeypatch):
         return real(m, *args)
 
     monkeypatch.setattr(flipiet.spectral, "perron_data", counted)
-    mats = [((k, 1), (1, 1)) for k in range(1, 6)]
-    shared_perron_data.cache_clear()
-    try:
-        first = shared_perron_data(mats[0])
-        for m in mats[1:4]:
-            shared_perron_data(m)
-        assert shared_perron_data(mats[0]) is first      # a hit, now the newest
-        shared_perron_data(mats[4])                      # evicts mats[1]
-        shared_perron_data(mats[0])
-        shared_perron_data(mats[1])
-    finally:
-        shared_perron_data.cache_clear()
-    assert computed == mats + [mats[1]]
+    a, b, c = ((2, 1), (1, 1)), ((1, 1), (1, 2)), ((3, 1), (1, 1))
+    first = shared_perron_data(a)
+    shared_perron_data(c)
+    assert shared_perron_data(a) is first        # c is kept on its own entry
+    second = shared_perron_data(b)               # replaces a on the entry
+    assert second.real_roots is first.real_roots
+    assert second.perron[1] != first.perron[1]
+    assert shared_perron_data(b) is second
+    shared_perron_data(a)
+    assert computed == [a, c, b, a]
+
+
+def _census_screens(graph, max_len):
+    """The (product, verdict) pairs that the census screens, in order."""
+    screened = []
+    screen = flipiet.search.bhm_screen
+
+    def recording_screen(m, **kwargs):
+        screened.append((m, screen(m, **kwargs)))
+        return screened[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flipiet.search, "bhm_screen", recording_screen)
+        cycle_search(graph, max_len)
+    return screened
+
+
+def _same_number(a, b):
+    """a and b are the same element of the same field at the same root: a
+    point interval (the root of a linear factor) equal to the other, or two
+    intervals that overlap (RootEmbedding.same_root, which reads two equal
+    point intervals as disjoint)."""
+    return (a.field == b.field and (a.nums, a.den) == (b.nums, b.den)
+            and (a.embedding.interval == b.embedding.interval
+                 or a.embedding.same_root(b.embedding)))
+
+
+@pytest.mark.parametrize("n, max_len, count, qualifying",
+                         [(5, 14, 132, 24), (6, 14, 243, 0)])
+def test_memoized_screen_matches_a_cold_screen(n, max_len, count, qualifying,
+                                               rauzy_graph, fresh_memos):
+    # the verdict the census got off the memo, and the real roots the memo
+    # holds, against a screen of each product alone with every memo empty
+    screened = _census_screens(rauzy_graph(n, True), max_len)
+    assert len(screened) == count
+    warm = [(m, verdict, real_eigenvalues(m)[2]) for m, verdict in screened]
+    reasons = Counter()
+    for m, verdict, roots in warm:
+        fresh_memos()
+        cold = bhm_screen(m)
+        assert (cold.reason, cold.theta1, cold.theta2) \
+            == (verdict.reason, verdict.theta1, verdict.theta2)
+        cold_roots = real_eigenvalues(m)[2]
+        assert [ix for _r, ix in cold_roots] == [ix for _r, ix in roots]
+        assert all(map(_same_number, (r for r, _ix in cold_roots),
+                       (r for r, _ix in roots)))
+        reasons[verdict.reason] += 1
+    assert reasons["qualifies"] == qualifying
+
+
+def test_census_solves_each_char_poly_once(monkeypatch, rauzy_graph,
+                                           fresh_memos):
+    # n = 5 to max length 14: 132 screened products with 40 characteristic
+    # polynomials, 24 qualifiers with 2; the Sturm count runs once per
+    # polynomial, factoring and isolation once per qualifying one, the
+    # eigenvector solve once per qualifier, and quasi-positivity is checked
+    # by the validation's Perron data alone
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(flipiet.spectral, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("count_roots", "factor_rational", "isolate_real_roots",
+                 "solve_eigenvector", "quasi_positive"):
+        monkeypatch.setattr(flipiet.spectral, name, counted(name))
+    r = cycle_search(rauzy_graph(5, True), 14)
+    assert len(r.qualifying) == 24
+    assert calls == {"count_roots": 40, "factor_rational": 2,
+                     "isolate_real_roots": 2, "solve_eigenvector": 24,
+                     "quasi_positive": 24}
+    info = flipiet.spectral._spectrum.cache_info()
+    assert (info.misses, info.hits) == (40, 132 + 24 - 40)
