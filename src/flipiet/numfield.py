@@ -38,8 +38,8 @@ from fractions import Fraction
 from .errors import (AmbiguousRoot, DivisionByZero, FieldMismatch, NoRoot,
                      ReduciblePolynomial, SignNotConverged)
 from .polys import (IntPolynomial, _mul, _numerators, _rem_monic, count_roots,
-                    faddeev_leverrier, is_irreducible, mat_mul, mat_transpose,
-                    refine_root_interval, sturm_chain)
+                    is_irreducible, mat_mul, mat_transpose, refine_root_interval,
+                    sturm_chain)
 
 
 class RootEmbedding:
@@ -122,12 +122,20 @@ class RootEmbedding:
         return self._shadow
 
     def same_root(self, other) -> bool:
+        """Whether two embeddings of one polynomial pin the same root: their
+        intervals meet.  A proper isolating interval's ends are no roots, so
+        two that only share an end hold different roots, and the test is
+        strict; a point interval (a == b, the root of a linear factor) is
+        its root, and counts as closed."""
         if self is other:
             return True
         a, b, den = self.interval
         oa, ob, oden = other.interval
-        return (self.poly.coeffs == other.poly.coeffs
-                and not (b * oden <= oa * den or ob * den <= a * oden))
+        if self.poly.coeffs != other.poly.coeffs:
+            return False
+        if a == b or oa == ob:
+            return a * oden <= ob * den and oa * den <= b * oden
+        return a * oden < ob * den and oa * den < b * oden
 
     def __repr__(self):
         return f"RootEmbedding({self.lo}, {self.hi})"
@@ -270,19 +278,16 @@ class AlgebraicNumber:
 
     def inverse(self):
         """1/x for x = nums/den.  Let A be the integer matrix of multiplication
-        by nums (column j: nums t^j mod m).  The Faddeev-LeVerrier loop gives
-        A B_(d-1) = -c_0 I (Cayley-Hamilton), so A^-1 = -B_(d-1)/c_0, and 1/x
-        is den times the first column of A^-1."""
+        by nums (column j: nums t^j mod m); 1/x is den times the solution of
+        A z = e_0 (_solve_unit)."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         d, m = self.field.degree, self.field.minpoly.coeffs
         cols = [_rem_monic((0,) * j + self.nums, m) for j in range(d)]
-        cp, terms = faddeev_leverrier(tuple(zip(*cols)))
-        c0 = cp.coeffs[0]
-        s = -1 if c0 > 0 else 1
-        return AlgebraicNumber(self.field,
-                               tuple(s * self.den * row[0] for row in terms[-1]),
-                               abs(c0), self.embedding)
+        x, det = _solve_unit([list(row) for row in zip(*cols)])
+        s = -1 if det < 0 else 1
+        return AlgebraicNumber(self.field, tuple(s * self.den * v for v in x),
+                               abs(det), self.embedding)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -321,6 +326,8 @@ class AlgebraicNumber:
         return (sh and filtered_sign(self.nums, *sh)) or exact_sign(self)
 
     def compare(self, other) -> int:
+        if isinstance(other, int) and not other:
+            return self.sign()
         o = self._lift(other)
         d = self - o
         return d.sign()
@@ -429,6 +436,36 @@ _TINY = 2.0 ** -1000
 # aims its image at 2^-DECIMAL_GUARD of a unit in the last digit
 SHADOW_BITS = 64
 DECIMAL_GUARD = 8
+
+
+def _solve_unit(a):
+    """(x, D) with A x = D e_0 and D = +-det A, for an invertible integer
+    matrix A given as a list of row lists, which it overwrites: one
+    fraction-free (Bareiss) elimination of [A | e_0], whose last pivot is D,
+    and back-substitution, whose divisions are exact because D z is the
+    integer vector adj(A) e_0 up to sign for the solution z of A z = e_0."""
+    d = len(a)
+    for i, row in enumerate(a):
+        row.append(int(i == 0))
+    prev = 1
+    for k in range(d):
+        if not a[k][k]:             # a nonzero pivot below, A being invertible
+            j = next(i for i in range(k + 1, d) if a[i][k])
+            a[k], a[j] = a[j], a[k]
+        p, pivot_row = a[k][k], a[k]
+        for row in a[k + 1:]:
+            q = row[k]
+            row[k + 1:] = [(p * v - q * w) // prev
+                           for v, w in zip(row[k + 1:], pivot_row[k + 1:])]
+            row[k] = 0
+        prev = p
+    det = prev
+    x = [0] * d
+    for i in range(d - 1, -1, -1):
+        row = a[i]
+        tail = sum(row[j] * x[j] for j in range(i + 1, d))
+        x[i] = (det * row[d] - tail) // row[i]
+    return x, det
 
 
 def filtered_sign(coeffs, shadows, errors) -> int:

@@ -7,8 +7,9 @@ the last image slot.  The step type is 0 when l_n > l_s and 1 when l_n < l_s;
 equality is a saddle connection and aborts.  The type alone fixes the new
 signed permutation and the elementary matrix (Rauzy 1979; Nogueira 1989),
 and typed_move writes both down in closed form from the entries, so the
-search graph and the step share one move that runs no induction.  The new
-lengths are the old ones rearranged, with one exact subtraction: the
+step runs no induction; the search graph takes the same closed form as
+array expressions over all nodes at once.  The new lengths are the old
+ones rearranged, with one exact subtraction, whose sign is the type: the
 winner's length less the loser's.  So induction runs on (entries, lengths)
 alone (length_step), and an exchange is laid out only when a step's
 after_iet is asked for.
@@ -97,25 +98,26 @@ def length_step(entries, lengths) -> tuple:
     """(type, after entries, matrix, new lengths) of the step out of the
     signed permutation entries with these piece lengths (a tuple).
 
-    The type is one exact comparison of l_n and l_s.  The new lengths solve
-    matrix . new = old, where the matrix is a permutation matrix plus one 1,
-    so they are the old ones moved with the pieces, and the winner's length
-    less the loser's: piece n's for type 0, the kept part of s for type 1,
-    whose through part gets l_n.  Every new length is positive by
-    construction."""
+    One exact subtraction decides the step: the sign of d = l_n - l_s is
+    the type.  The new lengths solve matrix . new = old, where the matrix is
+    a permutation matrix plus one 1, so they are the old ones moved with the
+    pieces, and the winner's length less the loser's: d for piece n at type
+    0, and -d for the kept part of s at type 1, whose through part gets l_n.
+    Every new length is positive by construction."""
     n = len(entries)
     s = (entries.index(n) if n in entries else entries.index(-n)) + 1
     if s == n:
         raise DegenerateStep("last piece is sent to the last slot")
-    l_n, l_s = lengths[n - 1], lengths[s - 1]
-    if l_n == l_s:
+    l_n = lengths[n - 1]
+    d = l_n - lengths[s - 1]
+    if not d:
         raise DegenerateStep("saddle connection: competing lengths are equal")
-    type_bit = 0 if l_n > l_s else 1
+    type_bit = 0 if d > 0 else 1
     after, m = typed_move(entries, type_bit)
     if type_bit == 0:
-        new = lengths[:n - 1] + (l_n - l_s,)
+        new = lengths[:n - 1] + (d,)
     else:
-        pair = (l_s - l_n, l_n) if entries[s - 1] > 0 else (l_n, l_s - l_n)
+        pair = (-d, l_n) if entries[s - 1] > 0 else (l_n, -d)
         new = lengths[:s - 1] + pair + lengths[s:n - 1]
     return type_bit, after, m, new
 

@@ -4,15 +4,17 @@ Nodes are irreducible signed permutations (with at least one flip when flips
 are required); the two typed edges out of a node are rauzy.typed_move, the
 closed-form move that rauzy_step itself takes, so the graph carries exactly
 the combinatorics of the induction engine, with the elementary matrix
-attached to each edge.  Building it runs no induction.
+attached to each edge.  The graph is arrays (RauzyGraph): the move's closed
+form runs as array expressions over all nodes at once (Rauzy 1979;
+Nogueira 1989), and builds no tuple and runs no induction.
 
 Cycles are primitive closed walks up to rotation: Lyndon words over the edge
 alphabet (v, t), enumerated level by level by a walk cut at every prefix that
 is not a prenecklace.  Every cycle product is screened for the
 dominant-plus-conjugate eigenvalue hypotheses; screen survivors can be
 validated end to end by stepping the exact Perron lengths along the cycle:
-each Rauzy step is one exact comparison of two lengths, which picks the typed
-move, and one exact subtraction.
+each Rauzy step is one exact subtraction of two lengths, whose sign picks
+the typed move.
 
 Since a flipped exchange can induce to an orientation-preserving one but
 never back, no closed walk through an unflipped node returns to a flipped
@@ -24,69 +26,130 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import permutations
 
 import numpy as np
 
 from .errors import DegenerateStep, FlipIetError
 from .polys import mat_mul, row_masks, rows_quasi_positive, rows_table
-from .rauzy import rauzy_cycle_detect, step_product, typed_move
+from .rauzy import _step_matrix, rauzy_cycle_detect, step_product
 from .spectral import SCREEN_REASONS, bhm_screen, perron_data
 
 
 def signed_perms_enumerate(n: int, require_flips: bool = True):
-    """All irreducible signed permutations on n symbols, sorted."""
+    """All irreducible signed permutations on n symbols, as the rows of an
+    int8 array in the sorted order of their entries tuples."""
     if not (2 <= n <= 7):
         raise ValueError("n must be between 2 and 7")
-    out = []
-    for base in permutations(range(1, n + 1)):
-        if any(max(base[:k]) == k for k in range(1, n)):
-            continue                    # reducible: base[:k] is {1..k}
-        for mask in range(1 if require_flips else 0, 2 ** n):
-            out.append(tuple((-base[i] if (mask >> i) & 1 else base[i])
-                             for i in range(n)))
-    return sorted(out)
+    base = np.array(list(permutations(range(1, n + 1))), np.int8)
+    # reducible: base[:k] is {1..k} for some k < n
+    base = base[(np.maximum.accumulate(base[:, :-1], axis=1)
+                 > np.arange(1, n)).all(axis=1)]
+    masks = np.arange(1 if require_flips else 0, 2 ** n)
+    signs = (1 - 2 * (masks[:, None] >> np.arange(n) & 1)).astype(np.int8)
+    perms = (base[:, None, :] * signs).reshape(-1, n)
+    return perms[np.argsort(_row_keys(perms))]
 
 
-@dataclass
+def _row_keys(rows):
+    """Each row of entries in [-7, 7] packed into an int64, four bits an
+    entry, the first one highest: the keys sort as the rows' tuples do."""
+    n = rows.shape[1]
+    keys = np.zeros(len(rows), np.int64)
+    for j in range(n):
+        keys <<= 4
+        keys |= rows[:, j] + n
+    return keys
+
+
+@dataclass(eq=False)
 class RauzyGraph:
+    """The typed-move graph as arrays.  Node k is row k of perms, the
+    irreducible (flipped) signed permutations in the sorted order of their
+    entries tuples; targets[k, t] is the node that edge (k, t) leads to, or
+    -1 when its target leaves the node class; the edge's step matrix is
+    rauzy._step_matrix(n, s[k], None) for t = 0 and
+    rauzy._step_matrix(n, s[k], through[k]) for t = 1.
+
+    nodes, succ, mats, absent and index are tuple views of the arrays, each
+    built when first read: nodes[k] is row k as a tuple, succ[k][t] a
+    target or None, mats[k][t] a step matrix or None, and absent lists
+    (node, type, reason) per absent edge."""
     n: int
     require_flips: bool
-    nodes: tuple                    # sorted signed-permutation tuples
-    succ: tuple                     # succ[ix][type] = target index or None
-    mats: tuple                     # mats[ix][type] = elementary matrix or None
-    absent: tuple                   # (node, type, reason)
+    perms: np.ndarray               # (nodes, n) int8 entries
+    targets: np.ndarray             # (nodes, 2) int32
+    s: np.ndarray                   # (nodes,) int8, pi^-1(n)
+    through: np.ndarray             # (nodes,) int8, type 1's through part
+
+    @cached_property
+    def nodes(self):
+        return tuple(map(tuple, self.perms.tolist()))
+
+    @cached_property
+    def succ(self):
+        return tuple((None if u0 < 0 else u0, None if u1 < 0 else u1)
+                     for u0, u1 in self.targets.tolist())
+
+    @cached_property
+    def mats(self):
+        n = self.n
+        return tuple((None if u0 < 0 else _step_matrix(n, s, None),
+                      None if u1 < 0 else _step_matrix(n, s, through))
+                     for (u0, u1), s, through in zip(self.targets.tolist(),
+                                                     self.s.tolist(),
+                                                     self.through.tolist()))
+
+    @cached_property
+    def absent(self):
+        v, t = np.nonzero(self.targets < 0)
+        return tuple((tuple(node), t, "target outside node class")
+                     for node, t in zip(self.perms[v].tolist(), t.tolist()))
+
+    @cached_property
+    def _ix(self):
+        return {node: k for k, node in enumerate(self.nodes)}
 
     def index(self, entries):
         return self._ix[tuple(entries)]
 
-    def __post_init__(self):
-        self._ix = {node: k for k, node in enumerate(self.nodes)}
-
 
 def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
-    """Full typed-move graph over the irreducible (flipped) permutations."""
-    nodes = tuple(signed_perms_enumerate(n, require_flips))
-    ix = {node: k for k, node in enumerate(nodes)}
-    succ = []
-    mats = []
-    absent = []
-    for node in nodes:
-        row_s = [None, None]
-        row_m = [None, None]
-        for t in (0, 1):
-            target, m = typed_move(node, t)
-            if target not in ix:
-                # target lost all flips (or reducibility); dead end for cycles
-                absent.append((node, t, "target outside node class"))
-            else:
-                row_s[t] = ix[target]
-                row_m[t] = m
-        succ.append(tuple(row_s))
-        mats.append(tuple(row_m))
-    return RauzyGraph(n=n, require_flips=require_flips, nodes=nodes,
-                      succ=tuple(succ), mats=tuple(mats), absent=tuple(absent))
+    """Full typed-move graph over the irreducible (flipped) permutations:
+    both typed moves of every node at once, rauzy.typed_move's closed form
+    as array expressions, and each target's rank by a binary search of the
+    nodes' packed keys."""
+    perms = signed_perms_enumerate(n, require_flips)
+    keys = _row_keys(perms)
+    rows = np.arange(len(perms))
+    s = np.argmax(np.abs(perms) == n, axis=1)   # pi^-1(n) - 1, below n - 1
+    e_n, e_s = perms[:, n - 1], perms[rows, s]
+    m = np.abs(e_n)
+    same = (e_s > 0) == (e_n > 0)
+    # type 0: n and s share slots m and m + 1, every other slot above m
+    # moves up by one
+    after0 = perms + (perms > m[:, None]) - (perms < -m[:, None])
+    after0[:, n - 1] = np.where(e_n > 0, m, -m - 1)
+    slot = np.where(e_n > 0, m + 1, m)
+    after0[rows, s] = np.where(same, slot, -slot)
+    # type 1: piece n leaves, and s splits into a kept and a through part
+    after1 = perms.copy()
+    for j in range(2, n):
+        after1[:, j] = np.where(j > s + 1, perms[:, j - 1], perms[:, j])
+    kept = np.where(e_s > 0, n, -n)
+    through = np.where(same, m, -m)
+    after1[rows, s] = np.where(e_s > 0, kept, through)
+    after1[rows, s + 1] = np.where(e_s > 0, through, kept)
+    targets = np.empty((len(perms), 2), np.int32)
+    for t, after in enumerate((after0, after1)):
+        key = _row_keys(after)
+        ix = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+        targets[:, t] = np.where(keys[ix] == key, ix, -1)
+    s = (s + 1).astype(np.int8)
+    return RauzyGraph(n=n, require_flips=require_flips, perms=perms,
+                      targets=targets, s=s,
+                      through=(s + (e_s > 0)).astype(np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +161,8 @@ WALK_BATCH = 256
 
 
 def _census_worker(args):
-    """Screen every cycle whose smallest node is one of starts; return the
+    """Screen every cycle whose smallest node is one of starts, on the
+    graph's arrays (perms, targets, s, through, starts, max_len); return the
     screen-reason counts and the qualifying cycles as CycleCandidates, each
     validated (cycle_validate) right after its screen.  The screen's verdict
     and the roots that the validation's Perron data reads are those of the
@@ -115,31 +179,33 @@ def _census_worker(args):
     cut when its depth plus the distance back to s (reverse BFS within nodes
     >= s) exceeds max_len.  The product's zero pattern rides down the walk
     as row bitmasks, one rows_table lookup per row; only cycles whose
-    pattern is quasi-positive get the exact product, by column moves
-    (rauzy.step_product), and the screen, which does not check the pattern
-    again; each distinct pattern of a level is looked up once.
+    pattern is quasi-positive get their step matrices, from the walker's
+    table of them, their exact product, by column moves
+    (rauzy.step_product), and the screen, which does not check the pattern again; each distinct pattern
+    of a level is looked up once.  Only qualifying cycles get their nodes
+    as tuples.
 
     The walk is level-synchronous (_Walker): the starts go in batches of
     WALK_BATCH, and each step of a batch's whole frontier is one set of
     array operations.
     """
-    nodes, succ, mats, starts, max_len = args
-    n = len(nodes[0])
-    walker = _Walker(succ, mats, n)
+    perms, targets, s, through, starts, max_len = args
+    n = perms.shape[1]
+    walker = _Walker(targets, s, through, n)
     pack = 1 << (7 * np.arange(n, dtype=np.int64))  # 7 bits a row, n <= 7
     pattern_ok = {}                 # packed pattern -> rows_quasi_positive
     reasons = Counter()
     hits = []
 
     def screen(edges):
-        seq = [divmod(e, 2) for e in edges]
-        prod = step_product(mats[v][t] for (v, t) in seq)
+        prod = step_product(map(walker.mats.__getitem__,
+                                (walker.offset[edges] >> n).tolist()))
         verdict = bhm_screen(prod, known_quasi_positive=True)
         reasons[verdict.reason] += 1
         if verdict.qualifies:
             hits.append(cycle_validate(CycleCandidate(
-                nodes=tuple(nodes[v] for (v, t) in seq),
-                types=tuple(t for (v, t) in seq), product=prod,
+                nodes=tuple(map(tuple, perms[edges >> 1].tolist())),
+                types=tuple((edges & 1).tolist()), product=prod,
                 theta1=verdict.theta1.decimal(12),
                 theta2=verdict.theta2.decimal(12))))
 
@@ -155,7 +221,7 @@ def _census_worker(args):
                         tuple(rows[i].tolist()))
             ok = np.array([pattern_ok[key] for key in keys])[inv]
             reasons["not_quasi_positive"] += int(np.count_nonzero(~ok))
-            for path in edges[ok].tolist():
+            for path in edges[ok]:
                 screen(path)
     return reasons, hits
 
@@ -170,26 +236,26 @@ class _Walker:
     Bit b is set when a walk of at most the current radius leads from u to
     start b through nodes > start b, or u is start b.  Node N stands for
     the target of an absent edge and its words stay 0.  The node tables
-    have W (N + 1) entries or fewer; nothing has N times the batch.
+    have W (N + 1) entries or fewer; nothing has N times the batch.  Edge
+    (v, t) is the code e = 2 v + t, which indexes succ and offset flat.
     """
 
-    def __init__(self, succ, mats, n):
-        N = len(succ)
-        tables = {}                 # zero pattern -> its rows_table's index
-        ids = {}                    # matrix -> its pattern's index
-        for row in mats:
-            for m in row:
-                if m and m not in ids:
-                    ids[m] = tables.setdefault(row_masks(m), len(tables))
+    def __init__(self, targets, s, through, n):
+        N = len(targets)
         self.n = n
-        # the rows_table of every pattern, stacked flat: edge (v, t) maps a
-        # row mask r to tab[offset[v, t] | r]
-        self.tab = np.array([rows_table(b) for b in tables], np.uint8).ravel()
-        self.offset = np.fromiter((ids.get(m, 0) << n for row in mats
-                                   for m in row), np.int32, 2 * N)
-        self.offset = self.offset.reshape(N, 2)
-        self.succ = np.fromiter((N if u is None else u for row in succ
-                                 for u in row), np.int32, 2 * N).reshape(N, 2)
+        # every step matrix, in the order (s, None), (s, s), (s, s + 1) of
+        # (s, through) for s = 1 .. n - 1, and the rows_tables of their zero
+        # patterns, stacked flat: edge e has matrix mats[offset[e] >> n] and
+        # maps a row mask r to tab[offset[e] | r]
+        self.mats = [_step_matrix(n, k, part)
+                     for k in range(1, n) for part in (None, k, k + 1)]
+        self.tab = np.array([rows_table(row_masks(m)) for m in self.mats],
+                            np.uint8).ravel()
+        code = 3 * (s.astype(np.int32) - 1)
+        self.offset = (np.stack([code, code + 1 + (through - s)], axis=1)
+                       << n).ravel()
+        self.succ = np.where(targets < 0, N, targets).astype(np.int32)
+        self.types = np.arange(2, dtype=np.int32)
         # pred[u] lists the sources of u's in-edges, padded with -1: one
         # column per pass, each scattering the edges no pass has placed
         edge = np.flatnonzero(self.succ.ravel() < N).astype(np.int32)
@@ -219,16 +285,20 @@ class _Walker:
         levels = [level]
         for _ in range(1, max_len):
             w = self.pred[level[0] // W]
-            keep = w >= 0
-            m = np.broadcast_to(level[1][:, None], w.shape)[keep]
-            w = (W * w + (level[0] % W)[:, None])[keep]
-            order = np.argsort(w)           # OR the masks of each index
-            w, m = w[order], m[order]
-            head = np.flatnonzero(np.diff(w, prepend=-1))
+            src, col = (w >= 0).nonzero()
+            if not len(src):
+                break
+            w = W * w[src, col] + level[0][src] % W
+            order = w.argsort()             # OR the masks of each index
+            w, m = w[order], level[1][src[order]]
+            head = np.empty(len(w), bool)   # the first of each run of w
+            head[0] = True
+            np.not_equal(w[1:], w[:-1], out=head[1:])
+            head = head.nonzero()[0]
             w, m = w[head], np.bitwise_or.reduceat(m, head)
             # start b < node: slots 64 k .. j - 1 of word k, j starts below
-            j = np.searchsorted(starts, w // W)
-            m &= ~self.within[w] & self.low[np.clip(j - 64 * (w % W), 0, 64)]
+            j = starts.searchsorted(w // W) - 64 * (w % W)
+            m &= ~self.within[w] & self.low[np.minimum(np.maximum(j, 0), 64)]
             keep = m != 0
             if not keep.any():
                 break
@@ -255,27 +325,27 @@ class _Walker:
             for depth in range(1, max_len + 1):
                 # within is at radius max_len - depth
                 c = path[np.arange(len(v)), depth - p]  # one period back
-                u = self.succ[v]
-                e = 2 * v[:, None] + np.arange(2, dtype=np.int32)
+                e = 2 * v[:, None] + self.types
                 # cut: too long, or no Lyndon word's prefix
-                reach = self.within[W * u + word[:, None]] & bit[:, None]
-                parent, t = np.nonzero((reach != 0) & (e >= c[:, None]))
+                reach = self.within[W * self.succ[v] + word[:, None]]
+                keep = np.logical_and(reach & bit[:, None], e >= c[:, None])
+                parent = keep.ravel().nonzero()[0]
                 if max_len - depth < len(levels):
                     nodes, masks = levels[max_len - depth]
                     self.within[nodes] &= ~masks
                 if not len(parent):
                     return
-                rows = self.tab[self.offset[v[parent], t][:, None]
-                                | rows[parent]]
-                e = e[parent, t]
-                v = u[parent, t]
+                e = e.ravel()[parent]
+                parent >>= 1
+                rows = self.tab[self.offset[e][:, None] | rows[parent]]
+                v = self.succ.ravel()[e]
                 s = s[parent]
                 word = word[parent]
                 bit = bit[parent]
                 p = np.where(e > c[parent], depth, p[parent])
                 path = path[parent]
                 path[:, depth] = e
-                closed = np.flatnonzero((v == s) & (p == depth))
+                closed = ((v == s) & (p == depth)).nonzero()[0]
                 if len(closed):
                     yield rows[closed], path[closed, 1:depth + 1]
         finally:
@@ -326,9 +396,10 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult
         raise ValueError("max_len must be between 1 and 20")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    nodes = list(range(len(graph.nodes)))
+    nodes = list(range(len(graph.perms)))
     chunks = jobs
-    payloads = [(graph.nodes, graph.succ, graph.mats, nodes[i::chunks], max_len)
+    payloads = [(graph.perms, graph.targets, graph.s, graph.through,
+                 nodes[i::chunks], max_len)
                 for i in range(chunks) if nodes[i::chunks]]
     if jobs > 1:
         from multiprocessing import get_context     # only pools pay its import
@@ -342,7 +413,7 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult
     qualifying = sorted((c for _reasons, hits in parts for c in hits),
                         key=lambda c: (len(c.types), c.nodes, c.types))
     return SearchResult(n=graph.n, require_flips=graph.require_flips,
-                        max_len=max_len, node_count=len(graph.nodes),
+                        max_len=max_len, node_count=len(graph.perms),
                         cycles_checked=sum(reasons.values()),
                         qualifying=qualifying, screen_reasons=dict(reasons))
 

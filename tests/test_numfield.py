@@ -12,7 +12,9 @@ from flipiet.numfield import (NumberField, RootEmbedding, _interval_eval,
                               cross_embedding_dot_is_zero, exact_sign,
                               filtered_sign, float_enclosure, nf_field_make,
                               nf_root)
-from flipiet.polys import (IntPolynomial, _numerators, is_irreducible,
+from flipiet.numfield import AlgebraicNumber
+from flipiet.polys import (IntPolynomial, _numerators, _rem_monic,
+                           factor_rational, faddeev_leverrier, is_irreducible,
                            isolate_real_roots)
 from flipiet.quintic import MATRIX
 from flipiet.spectral import perron_data, real_eigenvalues, solve_eigenvector
@@ -82,6 +84,68 @@ def test_arith_inverse(th1):
     one = th1 * th1.inverse()
     assert one.coords[0] == 1 and all(c == 0 for c in one.coords[1:])
     assert th1 + th1.field.rational(0, th1.embedding) == th1
+
+
+def _inverse_reference(x):
+    """1/x by the Faddeev-LeVerrier loop on the matrix A of multiplication
+    by x's numerators: A B_(d-1) = -c_0 I, so 1/x is -den B_(d-1) e_0 / c_0."""
+    d, m = x.field.degree, x.field.minpoly.coeffs
+    cols = [_rem_monic((0,) * j + x.nums, m) for j in range(d)]
+    cp, terms = faddeev_leverrier(tuple(zip(*cols)))
+    c0 = cp.coeffs[0]
+    s = -1 if c0 > 0 else 1
+    return AlgebraicNumber(x.field, tuple(s * x.den * row[0] for row in terms[-1]),
+                           abs(c0), x.embedding)
+
+
+def test_inverse_matches_the_faddeev_leverrier_reference(kernel_inputs):
+    # the fields of the kernel inputs' monic irreducible factors: in each,
+    # the generator and seeded elements, a third of them with a zero
+    # constant numerator, which is the elimination's first pivot
+    _matrices, polys = kernel_inputs
+    fields = {g.coeffs: NumberField(g, _trusted=True)
+              for p in polys for g, _mult in factor_rational(p)
+              if g.coeffs[-1] == 1}
+    assert len(fields) > 100 and {f.degree for f in fields.values()} >= {1, 5}
+    rng = random.Random(34)
+    pivot_zero = 0
+    for f in fields.values():
+        # one embedding object for the field's elements: the inverse and
+        # the product read only that it is shared, not its interval
+        emb = RootEmbedding(f.minpoly, 0, 1)
+        elements = [f.generator(emb)]
+        for k in range(6):
+            nums = [rng.choice((0, rng.randint(-30, 30)))
+                    for _ in range(f.degree)]
+            nums[0] = 0 if k % 3 == 0 else rng.randint(1, 30)
+            elements.append(AlgebraicNumber(f, tuple(nums),
+                                            rng.randint(1, 12), emb))
+        for x in (x for x in elements if not x.is_zero()):  # t's root 0
+            inv = x.inverse()
+            want = _inverse_reference(x)
+            assert (inv.nums, inv.den) == (want.nums, want.den)
+            assert (x * inv).nums == (1,) + (0,) * (f.degree - 1)
+            pivot_zero += f.degree > 1 and x.nums[0] == 0
+        with pytest.raises(DivisionByZero):
+            f.rational(0, emb).inverse()
+    assert pivot_zero > 200
+
+
+def test_same_root_reads_a_point_interval_as_closed():
+    # the root of t + 1 built twice on [-1, -1] is one root: the generators
+    # are equal and add; two proper isolating intervals that only share an
+    # end hold different roots
+    f = nf_field_make(IntPolynomial((1, 1)))
+    point = RootEmbedding(f.minpoly, -1, -1)
+    a = f.generator(point)
+    b = f.generator(RootEmbedding(f.minpoly, -1, -1))
+    assert point.same_root(b.embedding) and a == b
+    assert (a + b).nums == (-2,)
+    assert point.same_root(RootEmbedding(f.minpoly, -2, 0))
+    assert not point.same_root(RootEmbedding(f.minpoly, 0, 1))
+    q = IntPolynomial((-2, 0, 1))
+    assert not RootEmbedding(q, -2, 0).same_root(RootEmbedding(q, 0, 2))
+    assert RootEmbedding(q, 1, 2).same_root(RootEmbedding(q, Fraction(5, 4), 3))
 
 
 def test_power_reduction(th1):

@@ -143,8 +143,10 @@ def test_typed_move_needs_n_pieces():
 def _every_edge_nodes():
     for n in range(2, 6):
         for require_flips in (True, False):
-            yield from signed_perms_enumerate(n, require_flips)
-    yield from random.Random(6).sample(signed_perms_enumerate(6, False), 3000)
+            yield from map(tuple, signed_perms_enumerate(n, require_flips)
+                           .tolist())
+    nodes = list(map(tuple, signed_perms_enumerate(6, False).tolist()))
+    yield from random.Random(6).sample(nodes, 3000)
 
 
 def test_typed_move_matches_induction():

@@ -1,20 +1,25 @@
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from functools import cache, reduce
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 import flipiet.search
+from flipiet.errors import DegenerateStep
 from flipiet.iet import IetSpec
 from flipiet.polys import (mat_det, mat_identity, mat_mul, quasi_positive,
                            row_masks, rows_mul, rows_quasi_positive,
                            rows_table)
-from flipiet.quintic import MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION
-from flipiet.rauzy import cycle_matrix, step_product
+from flipiet.quintic import (MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION,
+                             bundled_iet)
+from flipiet.rauzy import (_step_matrix, cycle_matrix, length_step,
+                           step_product, typed_move)
 from flipiet.search import (WALK_BATCH, CycleCandidate, _census_worker,
-                            cycle_search, cycle_validate,
+                            cycle_search, cycle_validate, rauzy_graph_build,
                             signed_perms_enumerate)
 from flipiet.spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
 from test_rauzy import (assert_detect_matches_steps, induced_step,
@@ -22,13 +27,96 @@ from test_rauzy import (assert_detect_matches_steps, induced_step,
 
 
 def test_enumerate_n2():
-    assert signed_perms_enumerate(2, True) == [(-2, -1), (-2, 1), (2, -1)]
-    assert (2, 1) in signed_perms_enumerate(2, False)
-    assert (1, 2) not in signed_perms_enumerate(2, False)    # reducible
+    assert signed_perms_enumerate(2, True).tolist() == [[-2, -1], [-2, 1],
+                                                        [2, -1]]
+    assert [2, 1] in signed_perms_enumerate(2, False).tolist()
+    assert [1, 2] not in signed_perms_enumerate(2, False).tolist()  # reducible
 
 
 def test_enumerate_contains_bundled_node():
-    assert SIGNED_PERMUTATION in signed_perms_enumerate(5, True)
+    assert list(SIGNED_PERMUTATION) in signed_perms_enumerate(5, True).tolist()
+
+
+# ---------------------------------------------------------------------------
+# reference graph: the tuples, one rauzy.typed_move call per edge
+
+def _reference_nodes(n, require_flips):
+    out = []
+    for base in permutations(range(1, n + 1)):
+        if any(max(base[:k]) == k for k in range(1, n)):
+            continue                    # reducible: base[:k] is {1..k}
+        for mask in range(1 if require_flips else 0, 2 ** n):
+            out.append(tuple((-base[i] if (mask >> i) & 1 else base[i])
+                             for i in range(n)))
+    return sorted(out)
+
+
+@cache
+def _reference_graph(n, require_flips):
+    """(nodes, succ, mats, absent) as tuples, as RauzyGraph's views read."""
+    nodes = tuple(_reference_nodes(n, require_flips))
+    ix = {node: k for k, node in enumerate(nodes)}
+    succ, mats, absent = [], [], []
+    for node in nodes:
+        row_s = [None, None]
+        row_m = [None, None]
+        for t in (0, 1):
+            target, m = typed_move(node, t)
+            if target not in ix:
+                absent.append((node, t, "target outside node class"))
+            else:
+                row_s[t] = ix[target]
+                row_m[t] = m
+        succ.append(tuple(row_s))
+        mats.append(tuple(row_m))
+    return nodes, tuple(succ), tuple(mats), tuple(absent)
+
+
+@pytest.mark.parametrize("n, require_flips",
+                         [(n, f) for n in range(2, 7) for f in (True, False)])
+def test_graph_matches_the_tuple_reference(n, require_flips):
+    # a fresh graph, so that each view is built from the arrays here
+    g = rauzy_graph_build(n, require_flips)
+    nodes, succ, mats, absent = _reference_graph(n, require_flips)
+    assert g.perms.dtype == np.int8 and g.targets.dtype == np.int32
+    assert g.nodes == nodes
+    assert g.succ == succ
+    assert g.mats == mats
+    assert g.absent == absent
+    for k in random.Random(n).sample(range(len(nodes)), min(50, len(nodes))):
+        assert g.index(nodes[k]) == k
+        assert g.index(list(nodes[k])) == k
+
+
+def _in_class(entries, require_flips):
+    """Whether signed permutation entries are a node of the graph."""
+    base = [abs(e) for e in entries]
+    return (not any(max(base[:k]) == k for k in range(1, len(base)))
+            and (min(entries) < 0 or not require_flips))
+
+
+@pytest.mark.parametrize("require_flips", [True, False])
+def test_n7_graph_matches_typed_move_on_a_sample(require_flips):
+    # the node count is the irreducible permutations' times the sign masks;
+    # the rows are strictly sorted; and every edge of 5,000 seeded nodes is
+    # the typed move's, present exactly when its target is in the class
+    g = rauzy_graph_build(7, require_flips)
+    irreducible = sum(1 for base in permutations(range(1, 8))
+                      if not any(max(base[:k]) == k for k in range(1, 7)))
+    assert len(g.perms) == irreducible * (127 if require_flips else 128)
+    assert (np.diff(flipiet.search._row_keys(g.perms)) > 0).all()
+    for k in random.Random(7).sample(range(len(g.perms)), 5000):
+        node = tuple(g.perms[k].tolist())
+        assert _in_class(node, require_flips)
+        for t in (0, 1):
+            target, m = typed_move(node, t)
+            u = int(g.targets[k, t])
+            if not _in_class(target, require_flips):
+                assert u == -1
+                continue
+            assert tuple(g.perms[u].tolist()) == target
+            through = int(g.through[k]) if t else None
+            assert _step_matrix(7, int(g.s[k]), through) == m
 
 
 def test_n2_graph_closure(rauzy_graph):
@@ -197,6 +285,49 @@ def test_rotate_to_matches_mat_mul(qualifiers_5_14, rauzy_graph):
                                             for v, t in zip(nodes, types)])
 
 
+def _length_step_reference(entries, lengths):
+    """rauzy.length_step with a comparison for equality, one for order and
+    a subtraction for the new length."""
+    n = len(entries)
+    s = (entries.index(n) if n in entries else entries.index(-n)) + 1
+    if s == n:
+        raise DegenerateStep("last piece is sent to the last slot")
+    l_n, l_s = lengths[n - 1], lengths[s - 1]
+    if l_n == l_s:
+        raise DegenerateStep("saddle connection: competing lengths are equal")
+    type_bit = 0 if l_n > l_s else 1
+    after, m = typed_move(entries, type_bit)
+    if type_bit == 0:
+        new = lengths[:n - 1] + (l_n - l_s,)
+    else:
+        pair = (l_s - l_n, l_n) if entries[s - 1] > 0 else (l_n, l_s - l_n)
+        new = lengths[:s - 1] + pair + lengths[s:n - 1]
+    return type_bit, after, m, new
+
+
+def test_length_step_matches_the_reference(qualifiers_5_14):
+    # the 24 census qualifiers' Perron lengths, and the bundled exchange's,
+    # each stepped once around its cycle and once more; then the saddle
+    # connection and the last piece sent to the last slot
+    starts = [(c.nodes[0], shared_perron_data(c.product).perron[1],
+               len(c.types)) for c in qualifiers_5_14]
+    E = bundled_iet()
+    starts.append((E.sp, E.lengths, 14))
+    for entries, lengths, period in starts:
+        for _ in range(period + 1):
+            got = length_step(entries, lengths)
+            assert got == _length_step_reference(entries, lengths)
+            _type, entries, _m, lengths = got
+    half = (Fraction(1, 2), Fraction(1, 2))
+    for entries in ((-2, 1), (-1, 2)):
+        messages = []
+        for step in (length_step, _length_step_reference):
+            with pytest.raises(DegenerateStep) as info:
+                step(entries, half)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
 _REFERENCE_NODES = tuple(sp for sp, _t in REFERENCE_STEPS[:-1])
 _REFERENCE_TYPES = tuple(t for _sp, t in REFERENCE_STEPS[:-1])
 
@@ -345,9 +476,10 @@ def _candidate_key(c):
 
 
 def _assert_worker_matches_reference(g, starts, max_len):
-    payload = (g.nodes, g.succ, g.mats, starts, max_len)
-    reasons, hits = _census_worker(payload)
-    ref_reasons, ref_hits = _reference_census_worker(payload)
+    reasons, hits = _census_worker((g.perms, g.targets, g.s, g.through,
+                                    starts, max_len))
+    ref_reasons, ref_hits = _reference_census_worker(
+        (g.nodes, g.succ, g.mats, starts, max_len))
     assert reasons == ref_reasons
     assert (sorted(map(_candidate_key, hits))
             == sorted(map(_candidate_key, ref_hits)))
@@ -383,13 +515,62 @@ def test_census_worker_matches_reference_on_start_lists(pick, rauzy_graph):
     _assert_worker_matches_reference(g, starts, max_len)
 
 
+def _reference_walker_tables(succ, mats, n):
+    """The walker's successor, offset, stacked row table and predecessor
+    arrays, built from the tuple graph: one table per distinct zero
+    pattern, in the order the edges first show it."""
+    N = len(succ)
+    tables = {}                 # zero pattern -> its rows_table's index
+    ids = {}                    # matrix -> its pattern's index
+    for row in mats:
+        for m in row:
+            if m and m not in ids:
+                ids[m] = tables.setdefault(row_masks(m), len(tables))
+    tab = np.array([rows_table(b) for b in tables], np.uint8).ravel()
+    offset = np.array([[ids.get(m, 0) << n for m in row] for row in mats],
+                      np.int32)
+    succ = np.array([[N if u is None else u for u in row] for row in succ],
+                    np.int32)
+    edge = np.flatnonzero(succ.ravel() < N).astype(np.int32)
+    v, u = edge >> 1, succ.ravel()[edge]
+    pred = np.full((N, 0), -1, np.int32)
+    while len(u):
+        col = np.full((N, 1), -1, np.int32)
+        col[u, 0] = v
+        placed = col[u, 0] == v
+        pred = np.hstack([pred, col])
+        v, u = v[~placed], u[~placed]
+    return succ, offset, tab, pred
+
+
+@pytest.mark.parametrize("n, require_flips",
+                         [(n, f) for n in range(2, 7) for f in (True, False)])
+def test_walker_tables_match_the_tuple_reference(n, require_flips,
+                                                 rauzy_graph):
+    # the same successors and in-edge sources, and every present edge maps
+    # each row mask as its matrix's rows_table does
+    g = rauzy_graph(n, require_flips)
+    nodes, succ, mats, _absent = _reference_graph(n, require_flips)
+    walker = flipiet.search._Walker(g.targets, g.s, g.through, n)
+    ref_succ, ref_offset, ref_tab, ref_pred = _reference_walker_tables(
+        succ, mats, n)
+    assert walker.succ.dtype == np.int32
+    assert (walker.succ == ref_succ).all()
+    assert walker.pred.shape == ref_pred.shape
+    assert (walker.pred == ref_pred).all()
+    present = ref_succ < len(nodes)
+    masks = np.arange(1 << n)
+    assert (walker.tab[walker.offset[present.ravel()][:, None] | masks]
+            == ref_tab[ref_offset[present][:, None] | masks]).all()
+
+
 @pytest.mark.parametrize("max_len", [4, 10])
 def test_walker_distance_levels_match_reverse_bfs(max_len, rauzy_graph):
     # one batch of seeded starts: bit b of a node's words sits in the level
     # of its distance to start b through nodes above it, as the reference
     # walk's reverse BFS finds it, and in no other level
     g = rauzy_graph(5, True)
-    walker = flipiet.search._Walker(g.succ, g.mats, 5)
+    walker = flipiet.search._Walker(g.targets, g.s, g.through, 5)
     starts = sorted(random.Random(max_len).sample(range(len(g.nodes)),
                                                   WALK_BATCH))
     words = WALK_BATCH // 64
@@ -427,8 +608,9 @@ def test_census_walk_working_set_is_fixed(n, max_len, bound, rauzy_graph):
     # byte per start of a batch and node would add 1.9 MB at n=6, and the
     # recursive walk's distance dicts took 6.4 MB at n=6/10.
     g = rauzy_graph(n, True)
-    _census_worker((g.nodes, g.succ, g.mats, [0], 4))    # one-time imports
-    payload = (g.nodes, g.succ, g.mats, list(range(len(g.nodes))), max_len)
+    arrays = (g.perms, g.targets, g.s, g.through)
+    _census_worker(arrays + ([0], 4))                   # one-time imports
+    payload = arrays + (list(range(len(g.perms))), max_len)
     tracemalloc.start()
     try:
         _census_worker(payload)
@@ -558,7 +740,7 @@ def test_walk_patterns_are_the_screened_products_patterns(rauzy_graph):
     # that the walk carried, which rows_quasi_positive passed, are the zero
     # pattern of the exact product, whose entries are nonnegative
     g = rauzy_graph(5, True)
-    walker = flipiet.search._Walker(g.succ, g.mats, 5)
+    walker = flipiet.search._Walker(g.targets, g.s, g.through, 5)
     starts = list(range(len(g.nodes)))
     screened = 0
     for k in range(0, len(starts), WALK_BATCH):

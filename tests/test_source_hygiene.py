@@ -7,8 +7,9 @@ has a reader, every local a function assigns is read, every option of a
 subcommand is read by its command, every function the benchmark's tracer
 wraps is defined in src/, only IetSpec.__init__ and as_float set
 float_mode, neither rauzy nor search imports selfsim, the one forked
-child is reaped and leaves by os._exit, and the functools memos are the
-six pinned below.  A deletion that
+child is reaped and leaves by os._exit, the Faddeev-LeVerrier loop runs
+in the package under spectral's memo alone, and the functools memos are
+the six pinned below.  A deletion that
 leaves an import, a helper, a field, a local or an option behind, a
 parameter that only tests set, or that removes or renames a traced
 function, fails here."""
@@ -352,6 +353,32 @@ def test_a_forked_child_is_reaped_and_leaves_by_os_exit():
     assert isinstance(guard, ast.Try) and guard.finalbody
     last = guard.finalbody[-1]
     assert isinstance(last, ast.Expr) and os_calls(last, "_exit") == [last.value]
+
+
+def _callers(called):
+    """The innermost function in src/ around each call of a function or
+    method of this name, qualified by module."""
+    out = set()
+    for name, tree in MODULES.items():
+        defs = list(_defs(tree.body, name))
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call) and called
+                    == getattr(call.func, "id", getattr(call.func, "attr", None))):
+                out.add(min(((q, fn) for q, fn in defs
+                             if fn.lineno <= call.lineno <= fn.end_lineno),
+                            key=lambda d: d[1].end_lineno - d[1].lineno)[0])
+    return out
+
+
+def test_faddeev_leverrier_runs_under_the_spectral_memo_alone():
+    """polys.faddeev_leverrier, d - 1 integer matrix products, is called by
+    spectral's memo and by polys.char_poly, whose one caller, mat_det, has
+    none in src/: an inverse or a solve that runs the whole loop again
+    fails here."""
+    assert _callers("faddeev_leverrier") == {"spectral._faddeev_leverrier",
+                                             "polys.char_poly"}
+    assert _callers("char_poly") == {"polys.mat_det"}
+    assert _callers("mat_det") == set()
 
 
 def test_memos_are_pinned():

@@ -617,16 +617,6 @@ def _census_screens(graph, max_len):
     return screened
 
 
-def _same_number(a, b):
-    """a and b are the same element of the same field at the same root: a
-    point interval (the root of a linear factor) equal to the other, or two
-    intervals that overlap (RootEmbedding.same_root, which reads two equal
-    point intervals as disjoint)."""
-    return (a.field == b.field and (a.nums, a.den) == (b.nums, b.den)
-            and (a.embedding.interval == b.embedding.interval
-                 or a.embedding.same_root(b.embedding)))
-
-
 @pytest.mark.parametrize("n, max_len, count, qualifying",
                          [(5, 14, 132, 24), (6, 14, 243, 0)])
 def test_memoized_screen_matches_a_cold_screen(n, max_len, count, qualifying,
@@ -644,8 +634,7 @@ def test_memoized_screen_matches_a_cold_screen(n, max_len, count, qualifying,
             == (verdict.reason, verdict.theta1, verdict.theta2)
         cold_roots = real_eigenvalues(m)[2]
         assert [ix for _r, ix in cold_roots] == [ix for _r, ix in roots]
-        assert all(map(_same_number, (r for r, _ix in cold_roots),
-                       (r for r, _ix in roots)))
+        assert [r for r, _ix in cold_roots] == [r for r, _ix in roots]
         reasons[verdict.reason] += 1
     assert reasons["qualifies"] == qualifying
 
