@@ -44,8 +44,8 @@ from .rauzy import RauzyCycle, rauzy_cycle_detect
 from .selfsim import (ItinerarySet, Substitution, associated_matrix,
                       cylinder_locate, occurrence_addresses, stationary_window,
                       substitution_from)
-from .spectral import (BhmVerdict, SpectralData, eigen_left,
-                       screen_real_roots, shared_perron_data)
+from .spectral import (BhmVerdict, SpectralData, eigen_left, perron_data,
+                       screen_real_roots)
 
 PROBE_LENGTH = 100_000
 KAPPA_FIT_START = 100
@@ -180,7 +180,7 @@ def blowup_chain(E: IetSpec, max_len: int = 20) -> BlowupChain:
     if ind is None:
         raise FlipIetError("input exchange is not self-similar within the bound")
     sigma = substitution_from(ind.itineraries)
-    sd = shared_perron_data(ind.matrix)
+    sd = perron_data(ind.matrix)
     verdict = screen_real_roots(sd.real_roots)
     lsv = kappa_target = None
     if verdict.qualifies:
@@ -199,6 +199,7 @@ class GapSystem:
     orbit_points: np.ndarray          # float positions of E^n(p), index n+N
     symbols: np.ndarray               # piece symbol a_n, index n+N
     gap_lengths: np.ndarray           # normalized, sums to 1
+    order: np.ndarray                 # argsort of orbit_points: the layout
     positions: np.ndarray             # left endpoints after blow-up
     total_gap: float                  # raw (unnormalized) total mass
     tail_estimate: float              # estimated mass fraction beyond the window
@@ -295,8 +296,8 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
                             "not Cauchy at this horizon")
 
     return GapSystem(half_width=N, orbit_points=pts, symbols=word,
-                     gap_lengths=g, positions=pos, total_gap=total,
-                     tail_estimate=tail_raw / total,
+                     gap_lengths=g, order=order, positions=pos,
+                     total_gap=total, tail_estimate=tail_raw / total,
                      kappa_forward=kf, kappa_backward=kb, iet=E)
 
 
@@ -313,7 +314,7 @@ class AietApprox:
 
     breakpoints: tuple               # 0 = b_0 < b_1 < ... < b_n = 1
     slopes: tuple                    # signed: tau_i * exp(w_i)
-    intercepts: tuple                # fitted per piece (None if no data)
+    intercepts: tuple                # fitted per piece
     flips: tuple
 
     def piece_of(self, y: float) -> int:
@@ -338,13 +339,13 @@ def _median(a):
 
 
 def aiet_from_gaps(gs: GapSystem) -> AietApprox:
-    """Assemble the global affine map from the gap recursion."""
+    """Assemble the global affine map from the gap recursion.  Raises
+    DivergentGaps when a piece has no interior gap pair to fit it on."""
     E = gs.iet
     # blown-up breakpoints: mass strictly left of each x_j
     xs = E.as_float().x
-    order = np.argsort(gs.orbit_points)
-    sorted_pts = gs.orbit_points[order]
-    csum = np.concatenate([[0.0], np.cumsum(gs.gap_lengths[order])])
+    sorted_pts = gs.orbit_points[gs.order]
+    csum = np.concatenate([[0.0], np.cumsum(gs.gap_lengths[gs.order])])
     bks = [0.0]
     for xj in xs[1:-1]:
         k = int(np.searchsorted(sorted_pts, xj))
@@ -355,14 +356,13 @@ def aiet_from_gaps(gs: GapSystem) -> AietApprox:
     slopes = []
     intercepts = []
     for i, sel in enumerate(gs.interior_classes(), start=1):
-        if len(sel):
-            ratio = gs.gap_lengths[sel + 1] / gs.gap_lengths[sel]
-            beta = E.tau[i - 1] * float(_median(ratio))
-            c = float(_median(mids[sel + 1] - beta * mids[sel]))
-        else:
-            beta, c = float(E.tau[i - 1]), None     # degenerate: no interior data
+        if not len(sel):
+            raise DivergentGaps(f"piece {i} has no interior gap pair in the "
+                                f"window of half-width {gs.half_width}")
+        ratio = gs.gap_lengths[sel + 1] / gs.gap_lengths[sel]
+        beta = E.tau[i - 1] * float(_median(ratio))
         slopes.append(beta)
-        intercepts.append(c)
+        intercepts.append(float(_median(mids[sel + 1] - beta * mids[sel])))
     return AietApprox(breakpoints=tuple(bks), slopes=tuple(slopes),
                       intercepts=tuple(intercepts), flips=E.tau)
 
@@ -420,7 +420,7 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
     tol = {"affine": 10 * tail, "semi": 10 * tail, "density": 0.01,
            "two_sided": 0.02, "kappa": 0.05}
 
-    order = np.argsort(gs.orbit_points)
+    order = gs.order
     po = gs.positions[order]
     go = gs.gap_lengths[order]
     overlap = float(((po[:-1] + go[:-1]) - po[1:]).max())
@@ -462,15 +462,13 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
 
     grid = np.linspace(0.0, 1.0, 2001)
     density = _max_distance_to_intervals(grid, lefts, rights)
-    fsel, bsel = np.arange(N + 1, 2 * N + 1), np.arange(N)
 
-    def subset_density(sel):
-        o = sel[np.argsort(gs.positions[sel])]
+    def subset_density(o):
         return _max_distance_to_intervals(grid, gs.positions[o],
                                           gs.positions[o] + gs.gap_lengths[o])
 
-    fdens = subset_density(fsel)
-    bdens = subset_density(bsel)
+    fdens = subset_density(order[order > N])
+    bdens = subset_density(order[order < N])
 
     kf, kb = gs.kappa_forward, gs.kappa_backward
     kappa_ok = True

@@ -15,7 +15,7 @@ suite and the CLI compare recomputed objects against them byte for byte.
 from __future__ import annotations
 
 from .iet import IetSpec
-from .spectral import shared_perron_data
+from .spectral import perron_data
 
 MATRIX = (
     (2, 4, 6, 5, 2),
@@ -62,8 +62,8 @@ REFERENCE_LENGTHS_3DP = ("0.380", "0.091", "0.070", "0.170", "0.289")
 
 
 def bundled_spectral():
-    """Exact spectral data of MATRIX (shared, see shared_perron_data)."""
-    return shared_perron_data(MATRIX)
+    """Exact spectral data of MATRIX."""
+    return perron_data(MATRIX)
 
 
 def bundled_iet() -> IetSpec:

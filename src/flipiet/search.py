@@ -67,18 +67,18 @@ def _row_keys(rows):
 class RauzyGraph:
     """The typed-move graph as arrays.  Node k is row k of perms, the
     irreducible (flipped) signed permutations in the sorted order of their
-    entries tuples; targets[k, t] is the node that edge (k, t) leads to, or
-    -1 when its target leaves the node class; the edge's step matrix is
-    rauzy._step_matrix(n, s[k], None) for t = 0 and
-    rauzy._step_matrix(n, s[k], through[k]) for t = 1.
+    entries tuples, whose packed keys (_row_keys) are keys; targets[k, t] is
+    the node that edge (k, t) leads to, or -1 when its target leaves the
+    node class; the edge's step matrix is rauzy._step_matrix(n, s[k], None)
+    for t = 0 and rauzy._step_matrix(n, s[k], through[k]) for t = 1.
 
-    nodes, succ, mats, absent and index are tuple views of the arrays, each
-    built when first read: nodes[k] is row k as a tuple, succ[k][t] a
-    target or None, mats[k][t] a step matrix or None, and absent lists
-    (node, type, reason) per absent edge."""
+    nodes, succ and mats are tuple views of the arrays, each built when
+    first read, for perfbench's spectra pool: nodes[k] is row k as a tuple,
+    succ[k][t] a target or None, and mats[k][t] a step matrix or None."""
     n: int
     require_flips: bool
     perms: np.ndarray               # (nodes, n) int8 entries
+    keys: np.ndarray                # (nodes,) int64, ascending
     targets: np.ndarray             # (nodes, 2) int32
     s: np.ndarray                   # (nodes,) int8, pi^-1(n)
     through: np.ndarray             # (nodes,) int8, type 1's through part
@@ -101,18 +101,15 @@ class RauzyGraph:
                                                      self.s.tolist(),
                                                      self.through.tolist()))
 
-    @cached_property
-    def absent(self):
-        v, t = np.nonzero(self.targets < 0)
-        return tuple((tuple(node), t, "target outside node class")
-                     for node, t in zip(self.perms[v].tolist(), t.tolist()))
-
-    @cached_property
-    def _ix(self):
-        return {node: k for k, node in enumerate(self.nodes)}
-
     def index(self, entries):
-        return self._ix[tuple(entries)]
+        """The node with these entries, by a binary search of keys;
+        KeyError when there is none."""
+        row = np.array(entries, np.int64).reshape(1, -1)
+        if row.shape[1] == self.n:
+            k = int(self.keys.searchsorted(_row_keys(row)[0]))
+            if k < len(self.keys) and (self.perms[k] == row[0]).all():
+                return k
+        raise KeyError(tuple(entries))
 
 
 def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
@@ -148,7 +145,7 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
         targets[:, t] = np.where(keys[ix] == key, ix, -1)
     s = (s + 1).astype(np.int8)
     return RauzyGraph(n=n, require_flips=require_flips, perms=perms,
-                      targets=targets, s=s,
+                      keys=keys, targets=targets, s=s,
                       through=(s + (e_s > 0)).astype(np.int8))
 
 
@@ -370,8 +367,13 @@ class CycleCandidate:
         k = self.nodes.index(node_entries)
         nodes = self.nodes[k:] + self.nodes[:k]
         types = self.types[k:] + self.types[:k]
-        prod = step_product(graph.mats[graph.index(entries)][t]
-                            for entries, t in zip(nodes, types))
+        ks = [graph.index(entries) for entries in nodes]
+        if (graph.targets[ks, list(types)] < 0).any():
+            raise KeyError("the cycle walks an edge absent from the graph")
+        s, through = graph.s[ks].tolist(), graph.through[ks].tolist()
+        prod = step_product(
+            _step_matrix(graph.n, s[i], through[i] if t else None)
+            for i, t in enumerate(types))
         return nodes, types, prod
 
 

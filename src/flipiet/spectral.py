@@ -22,7 +22,7 @@ from .polys import (IntPolynomial, _mul, _rem_monic, _sign_at, char_poly,
 
 __all__ = [
     "SpectralData", "BhmVerdict", "char_poly", "factor_rational",
-    "isolate_real_roots", "perron_data", "shared_perron_data", "eigen_left",
+    "isolate_real_roots", "perron_data", "eigen_left",
     "bhm_screen", "screen_real_roots", "real_eigenvalues", "solve_eigenvector",
 ]
 
@@ -62,17 +62,16 @@ def _shared_loop(m):
 class _Spectrum:
     """What a characteristic polynomial decides for every matrix that has
     it, each part worked out when first asked for and then kept: the
-    factors and real roots (roots), the screen's verdict on a quasi-positive
-    matrix (verdict) and the Perron data of the latest matrix that
-    shared_perron_data was asked for (perron, as (rows, SpectralData)).
-    Roots of equal polynomials are the same algebraic numbers, so every
-    matrix with the polynomial shares one set of embeddings exactly."""
+    factors and real roots (roots) and the screen's verdict on a
+    quasi-positive matrix (verdict).  Roots of equal polynomials are the
+    same algebraic numbers, so every matrix with the polynomial shares one
+    set of embeddings exactly."""
 
-    __slots__ = ("cp", "_roots", "_verdict", "perron")
+    __slots__ = ("cp", "_roots", "_verdict")
 
     def __init__(self, cp: IntPolynomial):
         self.cp = cp
-        self._roots = self._verdict = self.perron = None
+        self._roots = self._verdict = None
 
     def roots(self):
         """(factors, real roots) as real_eigenvalues returns them.
@@ -212,18 +211,6 @@ def perron_data(m) -> SpectralData:
         assert v.sign() > 0, "Perron eigenvector must be positive"
     return SpectralData(char_poly=cp, factors=factors, real_roots=roots,
                         perron=(theta1, alpha))
-
-
-def shared_perron_data(m) -> SpectralData:
-    """perron_data(m), kept on the spectrum memo's entry of m's characteristic
-    polynomial for the latest matrix asked for with that polynomial, so that
-    the stages of one run share one computation (the bundled exchange's
-    lengths and the Perron data of its blow-up chain, for instance)."""
-    rows = tuple(map(tuple, m))
-    spectrum = _spectrum(_faddeev_leverrier(rows)[0])
-    if spectrum.perron is None or spectrum.perron[0] != rows:
-        spectrum.perron = (rows, perron_data(m))
-    return spectrum.perron[1]
 
 
 def eigen_left(m, theta: AlgebraicNumber):

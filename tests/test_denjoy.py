@@ -251,9 +251,10 @@ def test_semiconjugacy_sampler_propagates_other_errors(setting, gaps,
 
 def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch,
                                                             fresh_memos):
-    # one Perron computation and one set of real eigenvalues: the screen
-    # reads the roots that the Perron data already holds
+    # one Perron computation and one set of real eigenvalues per
+    # blowup_chain: the screen reads the roots that the Perron data holds
     import flipiet.spectral
+    E = bundled_iet()
     calls = []
     eigen_calls = []
     real = flipiet.spectral.perron_data
@@ -267,9 +268,9 @@ def test_blowup_of_bundled_example_computes_perron_data_once(monkeypatch,
         eigen_calls.append(m)
         return real_eigen(m, **kw)
 
-    monkeypatch.setattr(flipiet.spectral, "perron_data", counted)
+    monkeypatch.setattr(denjoy, "perron_data", counted)
     monkeypatch.setattr(flipiet.spectral, "real_eigenvalues", counted_eigen)
-    chain = blowup_chain(bundled_iet())
+    chain = blowup_chain(E)
     assert chain.lsv is not None
     assert calls == [MATRIX]
     assert eigen_calls == [MATRIX]
@@ -318,6 +319,20 @@ def test_engineered_duplicate_points_fail(setting, gaps):
     T = aiet_from_gaps(gs_bad)
     cert = verify_wandering(gs_bad, T, E)
     assert not cert.orbit_points_distinct
+
+
+def test_a_layout_that_does_not_sort_the_points_fails(setting, gaps):
+    # two entries of the layout order swapped: the orbit points read in that
+    # order no longer ascend
+    import dataclasses
+    order = gaps.order.copy()
+    order[[3, 10]] = order[[10, 3]]
+    gs_bad = dataclasses.replace(gaps, order=order)
+    E = setting[0]
+    assert not verify_wandering(gs_bad, aiet_from_gaps(gs_bad),
+                                E).orbit_points_distinct
+    assert verify_wandering(gaps, aiet_from_gaps(gaps),
+                            E).orbit_points_distinct
 
 
 def test_monotone_improvement(setting):

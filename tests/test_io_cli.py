@@ -151,6 +151,16 @@ def test_cli_search_reports_screen_reasons(tmp_path):
     assert rep["absent_edges"] == {"target outside node class": 768}
 
 
+def test_cli_wandering_small_windows_report_or_exit_3(capsys):
+    # a window too small to give each piece an interior gap pair (at N = 9,
+    # piece 3) is a DivergentGaps error, exit 3, never a traceback
+    codes = {N: main(["wandering", "--gaps", str(N), "--probe-steps", "10000"])
+             for N in range(1, 13)}
+    assert set(codes.values()) <= {0, 1, 3}
+    assert codes[9] == 3
+    assert "piece 3 has no interior gap pair" in capsys.readouterr().err
+
+
 def test_cli_reports_list_roots_descending(tmp_path):
     assert main(["spectral", "--digits", "3", "--out", str(tmp_path)]) == 0
     assert main(["wandering", "--gaps", "200", "--probe-steps", "10000",

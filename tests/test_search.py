@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import flipiet.search
+from conftest import N7_START, N7_TYPES, n7_product
+from flipiet.cli import main
 from flipiet.errors import DegenerateStep
 from flipiet.iet import IetSpec
 from flipiet.polys import (mat_det, mat_identity, mat_mul, quasi_positive,
@@ -21,7 +24,7 @@ from flipiet.rauzy import (_step_matrix, cycle_matrix, length_step,
 from flipiet.search import (WALK_BATCH, CycleCandidate, _census_worker,
                             cycle_search, cycle_validate, rauzy_graph_build,
                             signed_perms_enumerate)
-from flipiet.spectral import SCREEN_REASONS, bhm_screen, shared_perron_data
+from flipiet.spectral import SCREEN_REASONS, bhm_screen, perron_data
 from test_rauzy import (assert_detect_matches_steps, induced_step,
                         lengths_of_type)
 
@@ -53,7 +56,9 @@ def _reference_nodes(n, require_flips):
 
 @cache
 def _reference_graph(n, require_flips):
-    """(nodes, succ, mats, absent) as tuples, as RauzyGraph's views read."""
+    """(nodes, succ, mats, absent) as tuples: the first three as
+    RauzyGraph's views read, and absent as (node, type, reason) per edge
+    whose target leaves the node class."""
     nodes = tuple(_reference_nodes(n, require_flips))
     ix = {node: k for k, node in enumerate(nodes)}
     succ, mats, absent = [], [], []
@@ -82,10 +87,25 @@ def test_graph_matches_the_tuple_reference(n, require_flips):
     assert g.nodes == nodes
     assert g.succ == succ
     assert g.mats == mats
-    assert g.absent == absent
+    v, t = np.nonzero(g.targets < 0)
+    assert tuple((nodes[k], u, "target outside node class")
+                 for k, u in zip(v.tolist(), t.tolist())) == absent
     for k in random.Random(n).sample(range(len(nodes)), min(50, len(nodes))):
         assert g.index(nodes[k]) == k
         assert g.index(list(nodes[k])) == k
+
+
+@pytest.mark.parametrize("n, require_flips",
+                         [(n, f) for n in range(2, 7) for f in (True, False)])
+def test_cli_search_counts_the_reference_absent_edges(n, require_flips,
+                                                      capsys):
+    # the report counts the absent edges off targets < 0; the tuple
+    # reference lists them one typed move at a time
+    absent = _reference_graph(n, require_flips)[3]
+    argv = ["search", "--n", str(n), "--max-len", "1"]
+    assert main(argv + ([] if require_flips else ["--no-flips"])) == 0
+    assert json.loads(capsys.readouterr().out)["absent_edges"] == (
+        {"target outside node class": len(absent)} if absent else {})
 
 
 def _in_class(entries, require_flips):
@@ -159,8 +179,8 @@ def test_graph_absent_edges_have_one_reason(n, absent, rauzy_graph):
     # pieces: an edge is absent only when it leaves the node class
     for require_flips in (True, False):
         g = rauzy_graph(n, require_flips)
-        assert [reason for *_, reason in g.absent] == (
-            ["target outside node class"] * absent)
+        assert np.count_nonzero(g.targets < 0) == absent
+        assert (g.targets >= -1).all()
 
 
 def test_edges_match_induction_on_random_lengths(rauzy_graph):
@@ -176,7 +196,7 @@ def test_edges_match_induction_on_random_lengths(rauzy_graph):
                 t_ref, after, m, _sub = induced_step(E)
                 assert t_ref == t
                 if g.succ[ix][t] is None:
-                    assert (sp, t, "target outside node class") in g.absent
+                    assert g.targets[ix, t] == -1
                     assert after not in g.nodes
                     continue
                 assert after == g.nodes[g.succ[ix][t]]
@@ -252,7 +272,7 @@ def test_detect_matches_step_chain_on_the_census_qualifiers(qualifiers_5_14):
     # each qualifier's Perron exchange: the lengths-only detection finds
     # the step chain's cycle, which is the qualifier itself
     for c in qualifiers_5_14:
-        alpha = shared_perron_data(c.product).perron[1]
+        alpha = perron_data(c.product).perron[1]
         E = IetSpec(alpha, c.nodes[0])
         cyc = assert_detect_matches_steps(E, len(c.types) + 2)
         assert tuple(st.type_bit for st in cyc.steps) == c.types
@@ -285,6 +305,45 @@ def test_rotate_to_matches_mat_mul(qualifiers_5_14, rauzy_graph):
                                             for v, t in zip(nodes, types)])
 
 
+def test_rotate_to_matches_the_typed_moves_on_the_n7_cycle(rauzy_graph):
+    # at every node of the n = 7 cycle of length 11, the product of the
+    # typed moves' own matrices along the rotated cycle
+    g = rauzy_graph(7, True)
+    nodes, entries = [], N7_START
+    for t in N7_TYPES:
+        nodes.append(entries)
+        entries = typed_move(entries, t)[0]
+    cand = CycleCandidate(nodes=tuple(nodes), types=N7_TYPES,
+                          product=n7_product(), theta1="", theta2="")
+    for node in nodes:
+        got_nodes, types, prod = cand.rotate_to(node, g)
+        assert got_nodes[0] == node
+        assert prod == reduce(mat_mul, [typed_move(v, t)[1]
+                                        for v, t in zip(got_nodes, types)])
+
+
+def test_graph_readers_raise_the_errors_the_census_check_catches(rauzy_graph):
+    # an unknown node and a missing edge raise KeyError (or TypeError),
+    # which perfbench's census check reads as "no such rotation"
+    g = rauzy_graph(5, True)
+    assert g.index(list(SIGNED_PERMUTATION)) == g.index(SIGNED_PERMUTATION)
+    for entries in ((5, 4, 3, 2, 1), (1, 2, 3, 4, 5), (-5, -3, 2, 1),
+                    (-5, -3, 2, 1, -4, 6), (-5, -3, 2, 1, 9),
+                    (-9, -3, 2, 1, -4)):
+        with pytest.raises(KeyError):
+            g.index(entries)
+    unknown = CycleCandidate(nodes=((5, 4, 3, 2, 1),), types=(0,),
+                             product=(), theta1="", theta2="")
+    with pytest.raises((KeyError, TypeError)):
+        unknown.rotate_to((5, 4, 3, 2, 1), g)
+    k, t = np.argwhere(g.targets < 0)[0].tolist()
+    node = tuple(g.perms[k].tolist())
+    missing = CycleCandidate(nodes=(node,), types=(t,), product=(),
+                             theta1="", theta2="")
+    with pytest.raises((KeyError, TypeError)):
+        missing.rotate_to(node, g)
+
+
 def _length_step_reference(entries, lengths):
     """rauzy.length_step with a comparison for equality, one for order and
     a subtraction for the new length."""
@@ -309,7 +368,7 @@ def test_length_step_matches_the_reference(qualifiers_5_14):
     # the 24 census qualifiers' Perron lengths, and the bundled exchange's,
     # each stepped once around its cycle and once more; then the saddle
     # connection and the last piece sent to the last slot
-    starts = [(c.nodes[0], shared_perron_data(c.product).perron[1],
+    starts = [(c.nodes[0], perron_data(c.product).perron[1],
                len(c.types)) for c in qualifiers_5_14]
     E = bundled_iet()
     starts.append((E.sp, E.lengths, 14))

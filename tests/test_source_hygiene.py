@@ -8,8 +8,10 @@ subcommand is read by its command, every function the benchmark's tracer
 wraps is defined in src/, only IetSpec.__init__ and as_float set
 float_mode, neither rauzy nor search imports selfsim, the one forked
 child is reaped and leaves by os._exit, the Faddeev-LeVerrier loop runs
-in the package under spectral's memo alone, and the functools memos are
-the six pinned below.  A deletion that
+in the package under spectral's memo alone, the functools memos are the
+six pinned below, RauzyGraph's cached views are nodes, succ and mats,
+_Spectrum keeps only what the polynomial decides, and the blow-up's
+orbit points are sorted in gap_system_build alone.  A deletion that
 leaves an import, a helper, a field, a local or an option behind, a
 parameter that only tests set, or that removes or renames a traced
 function, fails here."""
@@ -411,3 +413,45 @@ def test_memos_are_pinned():
         "spectral._faddeev_leverrier": (("rows",), 4),
         "spectral._spectrum": (("cp",), 256),
     }
+
+
+def _class(module, name):
+    return next(node for node in MODULES[module].body
+                if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def test_rauzy_graph_caches_three_tuple_views():
+    """The graph is its arrays; nodes, succ and mats are the tuple views
+    that perfbench's spectra pool reads, and no other view is cached on
+    it."""
+    cached = [fn.name for fn in _class("search", "RauzyGraph").body
+              if isinstance(fn, ast.FunctionDef)
+              and any(getattr(d, "id", None) == "cached_property"
+                      for d in fn.decorator_list)]
+    assert cached == ["nodes", "succ", "mats"]
+
+
+def test_spectrum_keeps_what_the_polynomial_decides():
+    """The spectrum memo's entry holds the polynomial, its roots and the
+    screen's verdict: nothing that depends on a matrix of the polynomial."""
+    slots = [ast.literal_eval(stmt.value)
+             for stmt in _class("spectral", "_Spectrum").body
+             if isinstance(stmt, ast.Assign)
+             and [getattr(t, "id", None) for t in stmt.targets]
+             == ["__slots__"]]
+    assert slots == [("cp", "_roots", "_verdict")]
+
+
+def test_orbit_points_are_sorted_in_gap_system_build_alone():
+    """gap_system_build lays the gaps out in the order of the orbit points
+    and keeps it (GapSystem.order); the other readers take that order.  In
+    denjoy only it and _probe_history, which sorts the probe's own history,
+    argsort, and no sort anywhere in src/ reads orbit_points."""
+    assert {q for q in _callers("argsort") if q.startswith("denjoy.")} == {
+        "denjoy.gap_system_build", "denjoy._probe_history"}
+    sorts = [call for tree in MODULES.values() for call in ast.walk(tree)
+             if isinstance(call, ast.Call)
+             and getattr(call.func, "id", getattr(call.func, "attr", None))
+             in ("argsort", "sort", "sorted", "lexsort")]
+    assert not [call.lineno for call in sorts for node in ast.walk(call)
+                if getattr(node, "attr", None) == "orbit_points"]

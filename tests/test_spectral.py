@@ -22,7 +22,7 @@ from flipiet.quintic import (MATRIX, REFERENCE_EIGENVALUES_3DP,
 from flipiet.search import cycle_search
 from flipiet.spectral import (bhm_screen, eigen_left, perron_data,
                               real_eigenvalues, screen_real_roots,
-                              shared_perron_data, solve_eigenvector)
+                              solve_eigenvector)
 
 
 def as_fraction(x):
@@ -227,7 +227,7 @@ def test_screen_and_perron_data_run_one_sturm_chain(monkeypatch, rauzy_graph,
     monkeypatch.setattr(flipiet.polys, "sturm_chain", chain)
     fresh_memos()
     assert bhm_screen(product).qualifies
-    shared_perron_data(product)
+    perron_data(product)
     assert chains == [char_poly(product)]
 
 
@@ -538,7 +538,7 @@ def test_bhm_screen_runs_one_faddeev_leverrier_loop(monkeypatch, fresh_memos):
     monkeypatch.setattr(flipiet.polys, "quasi_positive", counted_check)
     monkeypatch.setattr(flipiet.spectral, "quasi_positive", counted_check)
     verdict = bhm_screen(MATRIX)
-    sd = shared_perron_data(MATRIX)
+    sd = perron_data(MATRIX)
     owner = flipiet.spectral._spectrum(sd.char_poly)
     assert owner.roots()[1][-1][0] is verdict.theta1
     assert sd.real_roots[-1][0] is verdict.theta1
@@ -575,31 +575,6 @@ def test_spectral_functions_accept_a_list_of_lists():
     assert solve_eigenvector(rows, theta1) == solve_eigenvector(MATRIX, theta1)
     theta2 = screen_real_roots(roots).theta2
     assert eigen_left(rows, theta2) == eigen_left(MATRIX, theta2)
-
-
-def test_shared_perron_data_keeps_the_latest_matrix_of_each_char_poly(
-        monkeypatch, fresh_memos):
-    # a and b have one characteristic polynomial, t^2 - 3t + 1, and c
-    # another: each polynomial keeps the Perron data of its latest matrix,
-    # and the matrices of one polynomial share its roots
-    computed = []
-    real = flipiet.spectral.perron_data
-
-    def counted(m, *args):
-        computed.append(m)
-        return real(m, *args)
-
-    monkeypatch.setattr(flipiet.spectral, "perron_data", counted)
-    a, b, c = ((2, 1), (1, 1)), ((1, 1), (1, 2)), ((3, 1), (1, 1))
-    first = shared_perron_data(a)
-    shared_perron_data(c)
-    assert shared_perron_data(a) is first        # c is kept on its own entry
-    second = shared_perron_data(b)               # replaces a on the entry
-    assert second.real_roots is first.real_roots
-    assert second.perron[1] != first.perron[1]
-    assert shared_perron_data(b) is second
-    shared_perron_data(a)
-    assert computed == [a, c, b, a]
 
 
 def _census_screens(graph, max_len):
