@@ -9,12 +9,19 @@ form runs as array expressions over all nodes at once (Rauzy 1979;
 Nogueira 1989), and builds no tuple and runs no induction.
 
 Cycles are primitive closed walks up to rotation: Lyndon words over the edge
-alphabet (v, t), enumerated level by level by a walk cut at every prefix that
-is not a prenecklace.  Every cycle product is screened for the
-dominant-plus-conjugate eigenvalue hypotheses; screen survivors can be
-validated end to end by stepping the exact Perron lengths along the cycle:
-each Rauzy step is one exact subtraction of two lengths, whose sign picks
-the typed move.
+alphabet (v, t), enumerated by a walk cut at every prefix that is not a
+prenecklace.  A closed walk never leaves the Rauzy class of its start, its
+strongly connected component (Rauzy 1979), so the walk goes class by class:
+the classes come from one Tarjan search per census (Tarjan 1972), and the
+walk reads each class's nodes under indices that keep their order, in
+batches of at most WALK_STARTS starts and frontier slices of at most
+WALK_ROWS rows.  A class whose edges' zero patterns together are reducible
+holds no quasi-positive cycle, so its cycles are counted, by the traces of
+its adjacency matrix's powers, and not walked.  Every cycle product
+is screened for the dominant-plus-conjugate eigenvalue hypotheses; screen
+survivors can be validated end to end by stepping the exact Perron lengths
+along the cycle: each Rauzy step is one exact subtraction of two lengths,
+whose sign picks the typed move.
 
 Since a flipped exchange can induce to an orientation-preserving one but
 never back, no closed walk through an unflipped node returns to a flipped
@@ -27,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -152,14 +159,219 @@ def rauzy_graph_build(n: int, require_flips: bool = True) -> RauzyGraph:
 # ---------------------------------------------------------------------------
 # closed-walk enumeration
 
-# starts walked side by side: one bit each of four uint64 words of
-# distance masks per node
-WALK_BATCH = 256
+# a walk batch has at most WALK_STARTS starts, whose reverse BFS and walk
+# grow from them, and the walk extends at most WALK_ROWS rows of a frontier
+# at once
+WALK_STARTS = 1 << 9
+WALK_ROWS = 1 << 12
+
+
+def _rauzy_classes(targets):
+    """The Rauzy classes of the graph with these targets that carry a cycle:
+    its strongly connected components but the single nodes without a loop,
+    each as an ascending int32 array, by one iterative depth-first search
+    over the edges (Tarjan 1972, with Pearce's one rank a node: a node's
+    rank falls to the lowest rank it reaches on the stack, and a node whose
+    rank stays its own roots a class)."""
+    t0, t1 = targets.T.tolist()
+    N = len(t0)
+    rank = [0] * N              # 0 until found; N + 1 once its class is out
+    label = [-1] * N            # its class, if that carries a cycle
+    stack, path, resume, owns = [], [], [], []  # each node on path, its
+                                                # next edge and own rank
+    count = classes = 0
+    for root in range(N):
+        if rank[root]:
+            continue
+        count += 1
+        v, t, own = root, 0, count
+        rank[v] = own
+        while True:
+            while t < 2:                # v's edges t and on, up to a new
+                u = t1[v] if t else t0[v]   # target
+                t += 1
+                if u >= 0:
+                    low = rank[u]
+                    if not low:
+                        break
+                    if low < rank[v]:
+                        rank[v] = low
+            else:                       # v is done
+                if rank[v] < own:
+                    stack.append(v)
+                else:                   # v roots a class: pop it
+                    members = [v]
+                    while stack and rank[stack[-1]] >= own:
+                        members.append(stack.pop())
+                    cyclic = len(members) > 1 or v in (t0[v], t1[v])
+                    for u in members:
+                        rank[u] = N + 1
+                        if cyclic:
+                            label[u] = classes
+                    classes += cyclic
+                if not path:
+                    break
+                u, v, t, own = v, path.pop(), resume.pop(), owns.pop()
+                if rank[u] < rank[v]:
+                    rank[v] = rank[u]
+                continue
+            path.append(v)
+            resume.append(t)
+            owns.append(own)
+            count += 1
+            v, t, own = u, 0, count
+            rank[v] = own
+    label = np.array(label, np.int32)
+    nodes = np.argsort(label, kind="stable").astype(np.int32)
+    ends = list(accumulate(np.bincount(label[label >= 0],
+                                       minlength=classes).tolist()))
+    nodes = nodes[len(nodes) - ends[-1]:] if ends else nodes[:0]
+    return [nodes[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _class_of(graph, classes):
+    """Each node's index among these classes (ascending node arrays), -1
+    for a node in none, and one entry more, -1, that the target -1 of an
+    absent edge reads."""
+    home = np.full(len(graph.perms) + 1, -1, np.int32)
+    home[np.concatenate(classes)] = np.repeat(np.arange(len(classes)),
+                                              [len(c) for c in classes])
+    return home
+
+
+def _class_payload(graph, classes, max_len):
+    """The census worker's payload for these classes (ascending node
+    arrays): the graph's arrays restricted to their nodes, laid out class
+    after class, with the targets renumbered and every edge that leaves its
+    class absent, the class sizes and max_len."""
+    nodes = np.concatenate(classes)
+    local = np.full(len(graph.perms) + 1, -1, np.int32)     # as _class_of
+    local[nodes] = np.arange(len(nodes))
+    home = _class_of(graph, classes)
+    targets = graph.targets[nodes]
+    targets = np.where(home[targets] == home[nodes][:, None],
+                       local[targets], -1).astype(np.int32)
+    return (graph.perms[nodes], targets, graph.s[nodes], graph.through[nodes],
+            [len(c) for c in classes], max_len)
+
+
+def _edge_matrices(n):
+    """Every step matrix at n, in the order (s, None), (s, s), (s, s + 1)
+    of (s, through) for s = 1 .. n - 1."""
+    return [_step_matrix(n, k, part)
+            for k in range(1, n) for part in (None, k, k + 1)]
+
+
+def _edge_matrix_ids(s, through):
+    """Each edge's index into _edge_matrices, one row per node and one
+    column per type."""
+    code = 3 * (s.astype(np.int64) - 1)
+    return np.stack([code, code + 1 + (through - s)], axis=1)
+
+
+def _qualifiable(graph, classes):
+    """Whether each class can hold a quasi-positive cycle: whether the zero
+    patterns of its edges' step matrices, ORed, are irreducible, that is
+    whether the pattern with the identity added is primitive.  A product of
+    matrices that share a block of zeros keeps it, so no cycle of a class
+    whose patterns together are reducible is quasi-positive."""
+    nodes = np.concatenate(classes)
+    home = _class_of(graph, classes)
+    mats = _edge_matrix_ids(graph.s[nodes], graph.through[nodes])
+    inside = home[graph.targets[nodes]] == home[nodes][:, None]
+    used = np.bitwise_or.reduce(np.where(inside, 1 << mats, 0), axis=1)
+    used = np.bitwise_or.reduceat(
+        used, np.cumsum([0] + [len(c) for c in classes[:-1]]))
+    patterns = [row_masks(m) for m in _edge_matrices(graph.n)]
+    verdict = {}
+    for mask in set(used.tolist()):
+        rows = [1 << i for i in range(graph.n)]
+        for m, b in enumerate(patterns):
+            if mask >> m & 1:
+                rows = [r | c for r, c in zip(rows, b)]
+        verdict[mask] = rows_quasi_positive(tuple(rows))
+    return [verdict[mask] for mask in used.tolist()]
+
+
+def _mobius(k):
+    """The Moebius function of k >= 1."""
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
+def _cycle_count(graph, classes, max_len):
+    """The number of primitive cycles of length at most max_len, up to
+    rotation, in these classes: the sum over lengths k of (1/k) times the
+    sum over d | k of mu(k/d) tr(A^d), A running over the classes'
+    adjacency matrices with one count per edge.  Classes whose sizes round
+    up to one power of 2 go as one stack of matrices, and each power costs
+    two row gathers, as a node has at most two edges; A^d has entries at
+    most 2^d."""
+    N = len(graph.perms)
+    traces = [0] * (max_len + 1)
+    home = _class_of(graph, classes)
+    rank = np.zeros(N + 1, np.intp)
+    targets = np.vstack([graph.targets, [[-1, -1]]])    # node N: no edge
+    groups = {}                 # by size up to a power of 2, padded with N
+    for c in classes:
+        groups.setdefault(1 << (len(c) - 1).bit_length(), []).append(c)
+    for size, group in groups.items():
+        nodes = np.full((len(group), size), N)
+        nodes[np.arange(size) < np.array([len(c) for c in group])[:, None]] = (
+            np.concatenate(group))
+        rank[nodes] = np.arange(size)
+        t = targets[nodes]
+        succ = np.where((t >= 0) & (home[t] == home[nodes][..., None]),
+                        rank[t], size)                  # size: no edge
+        row = np.arange(len(group))[:, None]
+        # A^d, a zero row below it: row i of A^d is the sum of the rows of
+        # A^(d - 1) at i's targets
+        power = np.zeros((len(group), size + 1, size), np.int64)
+        power[:, np.arange(size), np.arange(size)] = 1
+        for d in range(1, max_len + 1):
+            power[:, :size] = (power[row, succ[..., 0]]
+                               + power[row, succ[..., 1]])
+            traces[d] += int(np.trace(power[:, :size], axis1=1,
+                                      axis2=2).sum())
+    return sum(sum(_mobius(k // d) * traces[d]
+                   for d in range(1, k + 1) if k % d == 0) // k
+               for k in range(1, max_len + 1))
+
+
+def _walk_batches(sizes):
+    """The walk batches of the classes of these sizes, laid out one after
+    another: yield (x, slot, k) for the batch of nodes x .. x + len(slot) - 1,
+    whose first k are its starts and where slot[u - x] is node u's rank
+    among its class's nodes in the batch.  A batch holds whole classes, all
+    of whose nodes are starts, while they have at most WALK_STARTS nodes;
+    a bigger class goes in windows of WALK_STARTS starts, each batch holding
+    a window and the rest of the class above it."""
+    ends = list(accumulate(sizes))
+    x = i = 0
+    while i < len(sizes):
+        j = i
+        while j < len(sizes) and ends[j] - x <= WALK_STARTS:
+            j += 1
+        if j > i:
+            heads = np.repeat(np.array(ends[i:j]) - sizes[i:j], sizes[i:j])
+            yield x, np.arange(x, ends[j - 1]) - heads, ends[j - 1] - x
+            x, i = ends[j - 1], j
+            continue
+        for x in range(x, ends[i], WALK_STARTS):
+            yield x, np.arange(ends[i] - x), min(ends[i] - x, WALK_STARTS)
+        x, i = ends[i], i + 1
 
 
 def _census_worker(args):
-    """Screen every cycle whose smallest node is one of starts, on the
-    graph's arrays (perms, targets, s, through, starts, max_len); return the
+    """Screen every cycle of the classes of the payload (_class_payload:
+    perms, targets, s, through, class sizes, max_len); return the
     screen-reason counts and the qualifying cycles as CycleCandidates, each
     validated (cycle_validate) right after its screen.  The screen's verdict
     and the roots that the validation's Perron data reads are those of the
@@ -167,26 +379,31 @@ def _census_worker(args):
     (spectral._Spectrum); the validation reads the screen's
     Faddeev-LeVerrier loop too.
 
-    Each cycle passes once, as its rotation that is a Lyndon word over the
-    edge alphabet (v, t); it starts at the cycle's smallest node.  From each
-    start s the walk visits only nodes >= s and extends only prenecklaces,
-    the prefixes of Lyndon words, by Duval's period p: an edge below the one
-    p back cuts the branch, and a closed walk is Lyndon exactly when p is
-    its length (Duval 1983; Ruskey, Savage and Wang 1992).  A branch is also
-    cut when its depth plus the distance back to s (reverse BFS within nodes
-    >= s) exceeds max_len.  The product's zero pattern rides down the walk
+    A closed walk never leaves the Rauzy class of its start, so the walk
+    reads only the payload's classes, whose nodes it indexes class after
+    class; within a class that order is the graph's, so the cycle's
+    rotations compare as they do in the graph.  Each cycle passes once, as
+    its rotation that is a Lyndon word over the edge alphabet (v, t); it
+    starts at the cycle's smallest node.  From each start s the walk visits
+    only nodes >= s and extends only prenecklaces, the prefixes of Lyndon
+    words, by Duval's period p: an edge below the one p back cuts the
+    branch, and a closed walk is Lyndon exactly when p is its length (Duval
+    1983; Ruskey, Savage and Wang 1992).  A branch is also cut when its
+    depth plus the distance back to s (reverse BFS within nodes >= s of s's
+    class) exceeds max_len.  The product's zero pattern rides down the walk
     as row bitmasks, one rows_table lookup per row; only cycles whose
     pattern is quasi-positive get their step matrices, from the walker's
     table of them, their exact product, by column moves
-    (rauzy.step_product), and the screen, which does not check the pattern again; each distinct pattern
-    of a level is looked up once.  Only qualifying cycles get their nodes
-    as tuples.
+    (rauzy.step_product), and the screen, which does not check the pattern
+    again; each distinct pattern of a closing slice is looked up once.  Only
+    qualifying cycles get their nodes as tuples.
 
-    The walk is level-synchronous (_Walker): the starts go in batches of
-    WALK_BATCH, and each step of a batch's whole frontier is one set of
-    array operations.
+    The walk goes by batches (_walk_batches), whole classes of at most
+    WALK_STARTS nodes together or a window of WALK_STARTS starts of a
+    bigger class; each step of a frontier slice of at most WALK_ROWS rows
+    is one set of array operations (_Walker).
     """
-    perms, targets, s, through, starts, max_len = args
+    perms, targets, s, through, sizes, max_len = args
     n = perms.shape[1]
     walker = _Walker(targets, s, through, n)
     pack = 1 << (7 * np.arange(n, dtype=np.int64))  # 7 bits a row, n <= 7
@@ -206,16 +423,15 @@ def _census_worker(args):
                 theta1=verdict.theta1.decimal(12),
                 theta2=verdict.theta2.decimal(12))))
 
-    starts = sorted(starts)
-    for k in range(0, len(starts), WALK_BATCH):
-        for rows, edges in walker.walk(starts[k:k + WALK_BATCH], max_len):
-            keys, first, inv = np.unique(rows @ pack, return_index=True,
+    for batch in _walk_batches(sizes):
+        for rows, edges in walker.walk(*batch, max_len):
+            keys, first, inv = np.unique(pack @ rows, return_index=True,
                                          return_inverse=True)
             keys = keys.tolist()
             for key, i in zip(keys, first.tolist()):
                 if key not in pattern_ok:
                     pattern_ok[key] = rows_quasi_positive(
-                        tuple(rows[i].tolist()))
+                        tuple(rows[:, i].tolist()))
             ok = np.array([pattern_ok[key] for key in keys])[inv]
             reasons["not_quasi_positive"] += int(np.count_nonzero(~ok))
             for path in edges[ok]:
@@ -224,33 +440,37 @@ def _census_worker(args):
 
 
 class _Walker:
-    """The graph as arrays for the level-synchronous walk, and the distance
-    masks of the batch being walked.
+    """The graph as arrays for the walk, and the distance words of the
+    batch being walked.
 
-    Slot b of a batch is its b-th smallest start, bit b % 64 of word
-    b // 64.  Node u's words are entries W u .. W u + W - 1 of within,
-    W = WALK_BATCH // 64, and a (node, word) pair is one flat index W u + k.
-    Bit b is set when a walk of at most the current radius leads from u to
-    start b through nodes > start b, or u is start b.  Node N stands for
-    the target of an absent edge and its words stay 0.  The node tables
-    have W (N + 1) entries or fewer; nothing has N times the batch.  Edge
+    A batch (_walk_batches) is the run of nodes x .. x + M - 1 of one
+    class, or of whole classes; the walk indexes them u - x, which keeps
+    their order within a class, and local node M stands for the target of
+    an absent edge or of one below the batch.  Its starts are its first k
+    nodes.  Node u's slot, slot[u - x], is its rank among its class's nodes
+    in the batch; a start owns bit slot % 64 of word slot // 64 of the W
+    words of every node of its class, W = 1 + (largest start slot) // 64:
+    local node u's words are entries W u .. W u + W - 1 of within, and a
+    (node, word) pair is one flat index W u + j.  A bit is set when a walk
+    of at most the current radius leads from the node to its start through
+    nodes above that start, or the node is that start; node M's words stay
+    0.  Every table but the graph's is sized by the batch: within has
+    W (M + 1) entries, W at most WALK_STARTS / 64, and the reverse BFS
+    never leaves a class, as the payload has no edge between two.  Edge
     (v, t) is the code e = 2 v + t, which indexes succ and offset flat.
     """
 
     def __init__(self, targets, s, through, n):
         N = len(targets)
         self.n = n
-        # every step matrix, in the order (s, None), (s, s), (s, s + 1) of
-        # (s, through) for s = 1 .. n - 1, and the rows_tables of their zero
-        # patterns, stacked flat: edge e has matrix mats[offset[e] >> n] and
-        # maps a row mask r to tab[offset[e] | r]
-        self.mats = [_step_matrix(n, k, part)
-                     for k in range(1, n) for part in (None, k, k + 1)]
+        # every step matrix (_edge_matrices) and the rows_tables of their
+        # zero patterns, stacked flat: edge e has matrix mats[offset[e] >> n]
+        # and maps a row mask r to tab[offset[e] | r]
+        self.mats = _edge_matrices(n)
         self.tab = np.array([rows_table(row_masks(m)) for m in self.mats],
                             np.uint8).ravel()
-        code = 3 * (s.astype(np.int32) - 1)
-        self.offset = (np.stack([code, code + 1 + (through - s)], axis=1)
-                       << n).ravel()
+        self.offset = (_edge_matrix_ids(s, through)
+                       << n).astype(np.uint16).ravel()
         self.succ = np.where(targets < 0, N, targets).astype(np.int32)
         self.types = np.arange(2, dtype=np.int32)
         # pred[u] lists the sources of u's in-edges, padded with -1: one
@@ -264,90 +484,131 @@ class _Walker:
             placed = col[u, 0] == v
             self.pred = np.hstack([self.pred, col])
             v, u = v[~placed], u[~placed]
-        self.words = WALK_BATCH // 64
-        self.within = np.zeros((N + 1) * self.words, np.uint64)
         # low[k] has the bits 0 .. k - 1 of a word
         self.low = np.array([(1 << k) - 1 for k in range(65)], np.uint64)
 
-    def _distances(self, starts, max_len):
-        """Reverse BFS from every start of the batch at once, to radius
-        max_len - 1: return its levels as (flat indices, word masks), with
-        bit b of a node's words in the level of its distance to start b,
-        and leave within at that radius."""
-        W = self.words
-        slot = np.arange(len(starts))
-        bits = np.uint64(1) << (slot % 64).astype(np.uint64)
-        level = (W * starts + slot // 64, bits)
-        self.within[level[0]] = level[1]
+    def _distances(self, x, slot, k, max_len):
+        """Reverse BFS from the k starts of the batch (x, slot, k) at once,
+        to radius max_len - 2, as the walk's first step reads no distance:
+        size words and within by the batch, leave within at that radius and
+        return its levels as (flat indices, word masks), with a start's bit
+        of a node's words in the level of its distance to that start."""
+        M = len(slot)
+        W = self.words = 1 + int(slot[:k].max()) // 64
+        within = self.within = np.zeros((M + 1) * W, np.uint64)
+        # the batch's targets, local node M for one absent or below x, and
+        # (W times) them by edge code
+        succ = self.succ[x:x + M].ravel() - x
+        succ[(succ < 0) | (succ > M)] = M
+        self.local, self.local_w = succ, W * succ
+        pred = self.pred[x:x + M] - x               # sources below x: < 0
+        stamp = np.empty((M + 1) * W, np.int32)
+        level = (W * np.arange(k, dtype=np.int32) + slot[:k] // 64,
+                 np.uint64(1) << (slot[:k] % 64).astype(np.uint64))
+        within[level[0]] = level[1]
         levels = [level]
-        for _ in range(1, max_len):
-            w = self.pred[level[0] // W]
-            src, col = (w >= 0).nonzero()
-            if not len(src):
+        for _ in range(1, max_len - 1):
+            # the (node, word) entries of the sources of the level's in-edges
+            v = level[0] // W
+            w = pred.take(v, 0)
+            w = (W * w + (level[0] - W * v)[:, None])[w >= 0]
+            if not len(w):
                 break
-            w = W * w[src, col] + level[0][src] % W
-            order = w.argsort()             # OR the masks of each index
-            w, m = w[order], level[1][src[order]]
-            head = np.empty(len(w), bool)   # the first of each run of w
-            head[0] = True
-            np.not_equal(w[1:], w[:-1], out=head[1:])
-            head = head.nonzero()[0]
-            w, m = w[head], np.bitwise_or.reduceat(m, head)
-            # start b < node: slots 64 k .. j - 1 of word k, j starts below
-            j = starts.searchsorted(w // W) - 64 * (w % W)
-            m &= ~self.within[w] & self.low[np.minimum(np.maximum(j, 0), 64)]
-            keep = m != 0
-            if not keep.any():
+            # one entry per flat index: the last one written to its stamp
+            rank = np.arange(len(w), dtype=np.int32)
+            stamp[w] = rank
+            w = w[stamp.take(w) == rank]
+            v = w // W
+            j = w - W * v
+            # a bit new to the node's words is at this distance when one of
+            # its targets has it and its start is below the node: of word j,
+            # slots 64 j .. b - 1, b the node's slot
+            m = (within.take(self.local_w.take(2 * v) + j)
+                 | within.take(self.local_w.take(2 * v + 1) + j))
+            m &= ~within.take(w)
+            m &= self.low.take(np.clip(slot.take(v) - 64 * j, 0, 64))
+            keep = np.flatnonzero(m)
+            if not len(keep):
                 break
-            level = (w[keep], m[keep])
-            self.within[level[0]] |= level[1]
+            level = (w.take(keep), m.take(keep))
+            within[level[0]] |= level[1]
             levels.append(level)
         return levels
 
-    def walk(self, starts, max_len):
-        """Walk the prenecklaces from every start of one batch (sorted, at
-        most WALK_BATCH) level by level; yield, per level, the closing
-        Lyndon walks' zero patterns (uint8 row bitmasks, one column per
-        row) and their edge codes 2 * v + t."""
-        s = v = np.array(starts, np.int32)  # each row's start and node
-        levels = self._distances(s, max_len)
-        word = np.arange(len(s), dtype=np.int32) // 64  # each row's slot,
-        bit = levels[0][1]                  # as its word and bit
-        W = self.words
-        p = np.ones(len(s), np.intp)        # Duval's period
-        rows = np.broadcast_to((1 << np.arange(self.n)).astype(np.uint8),
-                               (len(s), self.n))
-        path = np.full((len(s), max_len + 1), -1, np.int32)
-        try:
-            for depth in range(1, max_len + 1):
-                # within is at radius max_len - depth
-                c = path[np.arange(len(v)), depth - p]  # one period back
-                e = 2 * v[:, None] + self.types
-                # cut: too long, or no Lyndon word's prefix
-                reach = self.within[W * self.succ[v] + word[:, None]]
-                keep = np.logical_and(reach & bit[:, None], e >= c[:, None])
-                parent = keep.ravel().nonzero()[0]
-                if max_len - depth < len(levels):
-                    nodes, masks = levels[max_len - depth]
-                    self.within[nodes] &= ~masks
-                if not len(parent):
-                    return
-                e = e.ravel()[parent]
-                parent >>= 1
-                rows = self.tab[self.offset[e][:, None] | rows[parent]]
-                v = self.succ.ravel()[e]
-                s = s[parent]
-                word = word[parent]
-                bit = bit[parent]
-                p = np.where(e > c[parent], depth, p[parent])
-                path = path[parent]
-                path[:, depth] = e
-                closed = ((v == s) & (p == depth)).nonzero()[0]
-                if len(closed):
-                    yield rows[closed], path[closed, 1:depth + 1]
-        finally:
-            for nodes, _ in levels:
-                self.within[nodes] = 0
+    def walk(self, x, slot, k, max_len):
+        """Walk the prenecklaces from the k starts of the batch (x, slot, k)
+        depth first, in slices of at most WALK_ROWS rows of a frontier;
+        yield, per slice, the closing Lyndon walks' zero patterns (uint8
+        row bitmasks, one row of the array per row of the pattern, one
+        column per walk) and their edge codes 2 v + t, one row per walk.
+
+        A row of the frontier is a column of its arrays: its doubled start
+        and node, Duval's period p, its pattern, and its path of edge codes
+        after a sentinel, int16 while the batch's codes fit.  The stack
+        holds the slices still to walk; within is put back at the radius a
+        slice needs when a deeper one has cleared more of it.  The first
+        step only keeps the targets not below the start."""
+        levels = self._distances(x, slot, k, max_len)
+        within = self.within
+        M = len(slot)
+        succ2, succW = 2 * self.local, self.local_w
+        offset = self.offset[2 * x:2 * (x + M)]
+        types = self.types[:, None]
+        code = np.int16 if 2 * M < 1 << 15 else np.int32
+        # each start's word and bit, by doubled start
+        word = np.repeat(slot[:k] // 64, 2)
+        bit = np.repeat(levels[0][1], 2)
+        held = len(levels)                  # levels 0 .. held - 1 in within
+        s2 = 2 * np.arange(k, dtype=np.int32)
+        stack = [(1, 0, s2, s2, np.ones(k, np.int8),
+                  np.repeat((1 << np.arange(self.n, dtype=np.uint8))[:, None],
+                            k, 1),
+                  np.full((1, k), -1, code))]
+        while stack:
+            depth, lo, s2, v2, p, rows, path = stack.pop()
+            # rows lo .. hi - 1 of a frontier whose paths have depth - 1
+            # edges after a sentinel; the rest waits below
+            hi = lo + WALK_ROWS
+            if hi < len(v2):
+                stack.append((depth, hi, s2, v2, p, rows, path))
+            row = np.arange(lo, min(hi, len(v2)))
+            s2, v2, p = s2[lo:hi], v2[lo:hi], p[lo:hi]
+            # within goes to radius max_len - depth
+            for nodes, masks in levels[held:max_len - depth + 1]:
+                within[nodes] |= masks
+            held = max(held, min(len(levels), max_len - depth + 1))
+            # the edge one period back
+            c = path.take(row + len(path[0]) * (depth - p).astype(np.intp))
+            e = v2 + types
+            # cut: too long, or no Lyndon word's prefix
+            if depth > 1:
+                keep = within.take(succW.take(e) + word.take(s2))
+                keep = np.logical_and(keep & bit.take(s2), e >= c)
+            else:       # the first step, which reads no distance
+                keep = succ2.take(e)
+                keep = (keep >= s2) & (keep < 2 * M)
+            flat = np.flatnonzero(keep)
+            e, parent = e.take(flat), flat % len(row)
+            if max_len - depth < held:
+                nodes, masks = levels[max_len - depth]
+                within[nodes] &= ~masks
+                held = max_len - depth
+            if not len(e):
+                continue
+            u2, s2 = succ2.take(e), s2.take(parent)
+            p = np.where(e > c.take(parent), np.int8(depth),
+                         p.take(parent))
+            parent += lo
+            rows = self.tab.take(offset.take(e) | rows.take(parent, 1))
+            path_c = np.empty((depth + 1, len(e)), code)
+            path.take(parent, 1, path_c[:depth], "clip")
+            path_c[depth] = e
+            closed = np.flatnonzero((u2 == s2) & (p == depth))
+            if len(closed):
+                yield (rows.take(closed, 1),
+                       path_c[1:].take(closed, 1).T + np.intp(2 * x))
+            if depth < max_len:
+                stack.append((depth + 1, 0, s2, u2, p, rows, path_c))
 
 
 @dataclass
@@ -390,26 +651,42 @@ class SearchResult:
 
 def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult:
     """Enumerate primitive cycles up to max_len (up to rotation), screen every
-    product, and validate the survivors with exact induction.  With jobs > 1
-    the start nodes, and so the screening and validation, are dealt out in
-    one chunk per process of a pool of that many processes, so each worker
-    receives the graph once."""
+    product, and validate the survivors with exact induction.  The walk goes
+    class by class over the graph's Rauzy classes that carry a cycle and can
+    hold a quasi-positive one (_qualifiable); the cycles of the other
+    classes are counted as not quasi-positive (_cycle_count).  With
+    jobs > 1 the classes, and so the screening and validation, are dealt out
+    in shares of about equal node counts, largest class first, one share per
+    process of a pool of at most that many processes, so each worker
+    receives only its own classes' arrays."""
     if not 1 <= max_len <= 20:
         raise ValueError("max_len must be between 1 and 20")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    nodes = list(range(len(graph.perms)))
-    chunks = jobs
-    payloads = [(graph.perms, graph.targets, graph.s, graph.through,
-                 nodes[i::chunks], max_len)
-                for i in range(chunks) if nodes[i::chunks]]
-    if jobs > 1:
+    classes = _rauzy_classes(graph.targets)
+    # a class that cannot hold a quasi-positive cycle is counted, not walked
+    qualifiable = _qualifiable(graph, classes) if classes else []
+    counted = [c for c, ok in zip(classes, qualifiable) if not ok]
+    classes = [c for c, ok in zip(classes, qualifiable) if ok]
+    shares = [[] for _ in range(min(jobs, len(classes)))]
+    loads = [0] * len(shares)
+    for c in sorted(classes, key=len, reverse=True):
+        i = loads.index(min(loads))
+        shares[i].append(c)
+        loads[i] += len(c)
+    # each share's smallest classes first, so that a batch's classes have
+    # about the same size and words
+    payloads = [_class_payload(graph, sorted(share, key=len), max_len)
+                for share in shares]
+    if len(payloads) > 1:
         from multiprocessing import get_context     # only pools pay its import
-        with get_context("spawn").Pool(jobs) as pool:
+        with get_context("spawn").Pool(len(payloads)) as pool:
             parts = pool.map(_census_worker, payloads)
     else:
         parts = [_census_worker(p) for p in payloads]
     reasons = Counter(dict.fromkeys(SCREEN_REASONS, 0))
+    if counted:
+        reasons["not_quasi_positive"] += _cycle_count(graph, counted, max_len)
     for part_reasons, _hits in parts:
         reasons.update(part_reasons)
     qualifying = sorted((c for _reasons, hits in parts for c in hits),

@@ -95,9 +95,10 @@ def _random_kernel_polys(seed, count):
 def kernel_inputs(rauzy_graph):
     """(matrices, polys) on which the exact kernel is held to its
     references: the 132 quasi-positive cycle products that the n = 5 census
-    to max length 14 screens, quintic.MATRIX and the n = 7 cycle's product;
-    and their characteristic polynomials followed by 200 seeded random
-    ones."""
+    to max length 14 screens, in sorted order, so that the order in which
+    the walk meets them does not matter, quintic.MATRIX and the n = 7
+    cycle's product; and their characteristic polynomials followed by 200
+    seeded random ones."""
     screened = []
     screen = flipiet.search.bhm_screen
 
@@ -111,6 +112,6 @@ def kernel_inputs(rauzy_graph):
     finally:
         flipiet.search.bhm_screen = screen
     assert len(screened) == 132
-    matrices = screened + [MATRIX, n7_product()]
+    matrices = sorted(screened) + [MATRIX, n7_product()]
     polys = [char_poly(m) for m in matrices] + _random_kernel_polys(41, 200)
     return matrices, polys

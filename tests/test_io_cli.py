@@ -127,6 +127,38 @@ def test_cli_spectral(tmp_path):
     assert rep["verdict"] == "qualifies"
 
 
+# SHA-256 of each search report minus its config, as the census found
+# them: a change to the walk that keeps its results keeps these
+SEARCH_REPORT_DIGESTS = {
+    (2, True, 10):
+        "adf6fa9c65bac321a9f68cfe9b10afdd60fe08152784b586f35f5acebfabe7e3",
+    (2, False, 10):
+        "a16c6b19d75e3e03439633b0dea16437b8e24553826b049aa9ba871f0958237d",
+    (3, True, 10):
+        "8a341e1ac2b93b681b7ba3400aacaec0330912bf95eaa45fd207a97f642ad9e4",
+    (3, False, 10):
+        "c87faea54df7e6a597a81e9bee796530378061999098f327d20450892d47f80d",
+    (4, True, 10):
+        "b54a83f41aa3ab856a54d778d45ca2d057953504caebea6b00766cf71bfde65b",
+    (4, False, 10):
+        "a743dfefd104aabe9b678df3612ebbb116fdc2b3d49952ec8fe305bfa01ea150",
+    (5, True, 10):
+        "f8336315af60df65bd156ab09ddbc223d0762ed228fafab651f0a2d3ccc1c759",
+    (5, False, 10):
+        "c662a8c891a15a654ad3a33883aa1aad11d041247b6e1b45032a45496c5d1775",
+    (6, True, 10):
+        "4ec1a0eb204377b1b969b50d19b4fdc154d22fa50e4017b61eaa41b126742ed8",
+    (6, False, 10):
+        "8bfa548cc7a20cbaf13b7831a2429727e5ee7273ef86bfcf531d6ac898cdded7",
+    (5, True, 14):
+        "825b8e8653aec5138ae0d48b25e81b1795ae8671897f846935a86e56bf910799",
+    (6, True, 12):
+        "912b7b45f875efc3430e02898295be938b313e9f8ccc74e6f278a6aa8cce5856",
+    (7, True, 8):
+        "f4e99d909c7f0242f779db0e99fa20b12048e3d899217d4c4031034f314a0ae0",
+}
+
+
 def test_cli_search_small(tmp_path):
     rc = main(["search", "--n", "2", "--max-len", "4", "--out", str(tmp_path)])
     assert rc == 0
@@ -149,6 +181,21 @@ def test_cli_search_reports_screen_reasons(tmp_path):
     assert len(rep["qualifying"]) == 24
     assert all(c["validation"] == "ok" for c in rep["qualifying"])
     assert rep["absent_edges"] == {"target outside node class": 768}
+
+
+@pytest.mark.parametrize("n, require_flips, max_len",
+                         list(SEARCH_REPORT_DIGESTS))
+def test_cli_search_reports_keep_their_digests(n, require_flips, max_len,
+                                               tmp_path):
+    argv = ["search", "--n", str(n), "--max-len", str(max_len),
+            "--out", str(tmp_path)]
+    assert main(argv + ([] if require_flips else ["--no-flips"])) == 0
+    report = json.loads((tmp_path / "search_report.json").read_text())
+    del report["config"]
+    text = json.dumps(report, sort_keys=True).encode()
+    assert (hashlib.sha256(text).hexdigest()
+            == SEARCH_REPORT_DIGESTS[n, require_flips, max_len])
+
 
 
 def test_cli_wandering_small_windows_report_or_exit_3(capsys):

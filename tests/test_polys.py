@@ -711,11 +711,11 @@ def test_isolation_matches_fraction_bisection(kernel_inputs):
     assert shifted > 0
 
 
-# factor_rational on the kernel inputs, as recorded before the sieve and the
-# isolation moved to integers: a digest of the [(coeffs, multiplicity)]
-# lists, and what the factorizations added to FACTOR_COUNTS
-KERNEL_FACTORS_SHA256 = ("8fa483b96223fbcfe8074888eb8370a6"
-                         "5b1f8a822e42c1c4c17b7b637cc9cb5b")
+# factor_rational on the kernel inputs, their screened products in sorted
+# order: a digest of the [(coeffs, multiplicity)] lists, and what the
+# factorizations added to FACTOR_COUNTS
+KERNEL_FACTORS_SHA256 = ("066b7f4aa0cf12dae104690e4f8b0f8a"
+                         "02b5edf8a5ba2c12c7e9a839bd804b8d")
 KERNEL_FACTOR_COUNTS = {"sieved": 84, "searched": 94, "degrees": 94}
 
 

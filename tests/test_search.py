@@ -1,10 +1,12 @@
 import json
+import multiprocessing
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from flipiet.quintic import (MATRIX, REFERENCE_STEPS, SIGNED_PERMUTATION,
                              bundled_iet)
 from flipiet.rauzy import (_step_matrix, cycle_matrix, length_step,
                            step_product, typed_move)
-from flipiet.search import (WALK_BATCH, CycleCandidate, _census_worker,
-                            cycle_search, cycle_validate, rauzy_graph_build,
+from flipiet.search import (CycleCandidate, _census_worker, _class_payload,
+                            _rauzy_classes, _walk_batches, cycle_search,
+                            cycle_validate, rauzy_graph_build,
                             signed_perms_enumerate)
 from flipiet.spectral import SCREEN_REASONS, bhm_screen, perron_data
 from test_rauzy import (assert_detect_matches_steps, induced_step,
@@ -454,12 +457,131 @@ def test_search_results_independent_of_worker_count(rauzy_graph):
 
 
 def test_census_on_two_workers_matches_one(rauzy_graph):
-    # n=5 at max_len 12: the starts dealt out to two spawned workers
+    # n=5 at max_len 12: the classes dealt out to two spawned workers
     g = rauzy_graph(5, True)
     r1 = cycle_search(g, 12, jobs=1)
     r2 = cycle_search(g, 12, jobs=2)
     assert r1 == r2
     assert r1.cycles_checked > 0
+
+
+@pytest.mark.parametrize("n, require_flips, walked",
+                         [(2, True, 0), (2, False, 1), (3, True, 2),
+                          (3, False, 3)])
+def test_search_pool_is_no_larger_than_its_payloads(n, require_flips, walked,
+                                                    rauzy_graph, monkeypatch):
+    # the census walks 0, 1, 2 and 3 classes of these graphs (it counts
+    # the rest), so --jobs 8 deals out that many payloads: the pool starts
+    # no more processes, and none for one payload.  The stand-in pool
+    # records its size and maps in process, so no process starts here.
+    pools = []
+
+    class Pool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            pools.append((self.processes, len(payloads)))
+            return list(map(fn, payloads))
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    g = rauzy_graph(n, require_flips)
+    assert cycle_search(g, 10, jobs=8) == cycle_search(g, 10, jobs=1)
+    assert pools == ([(walked, walked)] if walked > 1 else [])
+
+
+def _mobius(k):
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
+@pytest.mark.parametrize("n, require_flips, max_len, total",
+                         [(4, True, 20, 79300), (4, False, 16, None),
+                          (5, True, 14, 35964)])
+def test_walk_checks_each_class_s_primitive_cycles(n, require_flips, max_len,
+                                                    total, rauzy_graph):
+    # the primitive cycles of length k in a class, up to rotation, number
+    # (1/k) sum over d | k of mu(k/d) tr(A^d), A the class's edge-count
+    # adjacency matrix, whose exact int64 powers have entries at most
+    # 2^max_len; the walk must close exactly that many from the class's
+    # starts
+    g = rauzy_graph(n, require_flips)
+    classes = sorted(_rauzy_classes(g.targets), key=len)
+    payload = _class_payload(g, classes, max_len)
+    home = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    walker = flipiet.search._Walker(*payload[1:4], n)
+    walked = Counter()
+    for batch in _walk_batches(payload[4]):
+        for rows, edges in walker.walk(*batch, max_len):
+            walked.update((h, edges.shape[1])
+                          for h in home[edges[:, 0] >> 1].tolist())
+    counted = Counter()
+    for h, c in enumerate(classes):
+        rank = {u: i for i, u in enumerate(c.tolist())}
+        a = np.zeros((len(c), len(c)), np.int64)
+        for u in c.tolist():
+            for v in g.targets[u].tolist():
+                if v in rank:
+                    a[rank[u], rank[v]] += 1
+        power, traces = np.eye(len(c), dtype=np.int64), [None]
+        for _ in range(max_len):
+            power = power @ a
+            traces.append(int(np.trace(power)))
+        for k in range(1, max_len + 1):
+            cycles, rest = divmod(sum(_mobius(k // d) * traces[d]
+                                      for d in range(1, k + 1)
+                                      if k % d == 0), k)
+            assert rest == 0
+            if cycles:
+                counted[h, k] = cycles
+    assert walked == counted
+    assert (flipiet.search._cycle_count(g, classes, max_len)
+            == sum(counted.values()))
+    if total is not None:
+        assert sum(counted.values()) == total
+
+
+@pytest.mark.parametrize("n, max_len", [(4, 16), (5, 14), (6, 10)])
+def test_classes_the_census_counts_hold_no_quasi_positive_cycle(n, max_len,
+                                                               rauzy_graph):
+    # cycle_search counts the cycles of a class whose edges' zero patterns
+    # together are reducible instead of walking them: the walk finds no
+    # quasi-positive pattern in such a class, and every class the census
+    # walks is one whose patterns together are irreducible
+    g = rauzy_graph(n, True)
+    classes = _rauzy_classes(g.targets)
+    qualifiable = flipiet.search._qualifiable(g, classes)
+    counted = [c for c, ok in zip(classes, qualifiable) if not ok]
+    assert counted and len(counted) < len(classes)
+    payload = _class_payload(g, counted, max_len)
+    walker = flipiet.search._Walker(*payload[1:4], n)
+    walks = 0
+    for batch in _walk_batches(payload[4]):
+        for rows, edges in walker.walk(*batch, max_len):
+            assert not any(map(rows_quasi_positive,
+                               map(tuple, rows.T.tolist())))
+            walks += len(edges)
+    assert walks == flipiet.search._cycle_count(g, counted, max_len) > 0
+    for c, ok in zip(classes, qualifiable):
+        patterns = {row_masks(g.mats[v][t]) for v in c.tolist()
+                    for t in (0, 1) if g.succ[v][t] in c}
+        union = reduce(lambda a, b: tuple(x | y for x, y in zip(a, b)),
+                       patterns, tuple(1 << i for i in range(n)))
+        assert ok == rows_quasi_positive(union)
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +656,12 @@ def _candidate_key(c):
             c.validated, c.validation_reason)
 
 
-def _assert_worker_matches_reference(g, starts, max_len):
-    reasons, hits = _census_worker((g.perms, g.targets, g.s, g.through,
-                                    starts, max_len))
+def _assert_worker_matches_reference(g, classes, max_len, starts=None):
+    # the worker on these classes against the reference walk from their
+    # nodes, or from the given starts
+    reasons, hits = _census_worker(_class_payload(g, classes, max_len))
+    if starts is None:
+        starts = np.concatenate(classes).tolist()
     ref_reasons, ref_hits = _reference_census_worker(
         (g.nodes, g.succ, g.mats, starts, max_len))
     assert reasons == ref_reasons
@@ -551,27 +676,41 @@ def _assert_worker_matches_reference(g, starts, max_len):
                          + [(5, True, 14), (6, True, 10)])
 def test_census_worker_matches_reference_walk(n, require_flips, max_len,
                                               rauzy_graph):
+    # every class, in the order cycle_search deals them to one worker,
+    # against the reference walk from every node
     g = rauzy_graph(n, require_flips)
+    classes = sorted(_rauzy_classes(g.targets), key=len)
     reasons, hits = _assert_worker_matches_reference(
-        g, list(range(len(g.nodes))), max_len)
+        g, classes, max_len, list(range(len(g.nodes))))
     assert sum(reasons.values()) > 0
     if (n, max_len) == (5, 14):
         assert sum(reasons.values()) == 35964 and len(hits) == 24
 
 
-@pytest.mark.parametrize("pick", ["bundled node", "every third",
-                                  "batch and a half, reversed"])
-def test_census_worker_matches_reference_on_start_lists(pick, rauzy_graph):
-    # one start (whose cycles include the bundled one), the start list of
-    # the second of three workers, and a list whose length is no multiple
-    # of the batch, given in decreasing order
+@pytest.mark.parametrize("pick", ["bundled node's class", "every third class",
+                                  "largest class, split",
+                                  "small batches and slices"])
+def test_census_worker_matches_reference_on_class_lists(pick, rauzy_graph,
+                                                        monkeypatch):
+    # the class whose cycles include the bundled one; the classes of one
+    # worker of three; the largest class (171 nodes) in windows of 64
+    # starts; and every class in batches of at most 5 starts whose
+    # frontiers the walk extends 7 rows at a time, so that it puts back
+    # the distances a deeper slice has cleared
     g = rauzy_graph(5, True)
-    starts = {"bundled node": [g.index(SIGNED_PERMUTATION)],
-              "every third": list(range(len(g.nodes)))[1::3],
-              "batch and a half, reversed":
-                  list(range(3 * WALK_BATCH // 2 + 5))[::-1]}[pick]
-    max_len = 14 if pick == "bundled node" else 12
-    _assert_worker_matches_reference(g, starts, max_len)
+    classes = _rauzy_classes(g.targets)
+    bundled = g.index(SIGNED_PERMUTATION)
+    if pick == "largest class, split":
+        monkeypatch.setattr(flipiet.search, "WALK_STARTS", 64)
+    if pick == "small batches and slices":
+        monkeypatch.setattr(flipiet.search, "WALK_STARTS", 5)
+        monkeypatch.setattr(flipiet.search, "WALK_ROWS", 7)
+    picked = {"bundled node's class": [c for c in classes if bundled in c],
+              "every third class": classes[1::3],
+              "largest class, split": [max(classes, key=len)],
+              "small batches and slices": classes}[pick]
+    max_len = 14 if pick == "bundled node's class" else 12
+    _assert_worker_matches_reference(g, picked, max_len)
 
 
 def _reference_walker_tables(succ, mats, n):
@@ -624,52 +763,67 @@ def test_walker_tables_match_the_tuple_reference(n, require_flips,
 
 
 @pytest.mark.parametrize("max_len", [4, 10])
-def test_walker_distance_levels_match_reverse_bfs(max_len, rauzy_graph):
-    # one batch of seeded starts: bit b of a node's words sits in the level
-    # of its distance to start b through nodes above it, as the reference
-    # walk's reverse BFS finds it, and in no other level
+def test_walker_distance_levels_match_reverse_bfs(max_len, rauzy_graph,
+                                                  monkeypatch):
+    # every batch of the n = 5 classes, whole classes and windows of 64
+    # starts of a bigger one: bit b of a node's words sits in the level of
+    # its distance to start b of its class through nodes above that start,
+    # as the reference walk's reverse BFS restricted to the start's class
+    # finds it, up to max_len - 2 (the walk's first step reads no
+    # distance), and in no other level
+    monkeypatch.setattr(flipiet.search, "WALK_STARTS", 64)
     g = rauzy_graph(5, True)
-    walker = flipiet.search._Walker(g.targets, g.s, g.through, 5)
-    starts = sorted(random.Random(max_len).sample(range(len(g.nodes)),
-                                                  WALK_BATCH))
-    words = WALK_BATCH // 64
-    got = {}
-    levels = walker._distances(np.array(starts, np.int32), max_len)
-    for d, (flat, masks) in enumerate(levels):
-        for f, m in zip(flat.tolist(), masks.tolist()):
-            node, k = divmod(f, words)
-            for bit in range(64):
-                if m >> bit & 1:
-                    assert (64 * k + bit, node) not in got
-                    got[64 * k + bit, node] = d
+    classes = sorted(_rauzy_classes(g.targets), key=len)
+    payload = _class_payload(g, classes, max_len)
+    nodes = np.concatenate(classes).tolist()
+    home = {u: i for i, c in enumerate(classes) for u in c.tolist()}
+    walker = flipiet.search._Walker(*payload[1:4], 5)
     pred = [[] for _ in g.succ]
     for v, row in enumerate(g.succ):
         for u in row:
             if u is not None:
                 pred[u].append(v)
-    want = {}
-    for b, s in enumerate(starts):
-        dist = {s: 0}
-        frontier = [s]
-        for d in range(1, max_len):
-            frontier = {u for v in frontier for u in pred[v]
-                        if u > s and u not in dist}
-            dist.update(dict.fromkeys(frontier, d))
-        want.update({(b, u): d for u, d in dist.items()})
-    assert got == want
+    windows = 0
+    for x, slot, k in _walk_batches(payload[4]):
+        windows += k < len(slot)
+        got = {}
+        levels = walker._distances(x, slot, k, max_len)
+        for d, (flat, masks) in enumerate(levels):
+            for f, m in zip(flat.tolist(), masks.tolist()):
+                u, j = divmod(f, walker.words)
+                for b in range(64):
+                    if m >> b & 1:
+                        start = nodes[x + u - slot[u] + 64 * j + b]
+                        assert (start, nodes[x + u]) not in got
+                        got[start, nodes[x + u]] = d
+        want = {}
+        for s in nodes[x:x + k]:
+            dist = {s: 0}
+            frontier = [s]
+            for d in range(1, max_len - 1):
+                frontier = {u for v in frontier for u in pred[v]
+                            if u > s and u not in dist
+                            and home.get(u) == home[s]}
+                dist.update(dict.fromkeys(frontier, d))
+            want.update({(s, u): d for u, d in dist.items()})
+        assert got == want
+    assert windows > 1
 
 
 @pytest.mark.parametrize("n, max_len, bound",
-                         [(5, 14, 2 * 2 ** 20), (6, 10, 5 * 2 ** 19)])
+                         [(5, 14, 2 * 2 ** 20), (6, 10, 5 * 2 ** 19),
+                          (7, 8, 12 * 2 ** 20)])
 def test_census_walk_working_set_is_fixed(n, max_len, bound, rauzy_graph):
-    # the graph's arrays, the distance masks and one batch's frontier: about
-    # 1.2 MB at n=5/14 and 1.7 MB at n=6/10 (29,043 nodes).  One table of a
-    # byte per start of a batch and node would add 1.9 MB at n=6, and the
-    # recursive walk's distance dicts took 6.4 MB at n=6/10.
+    # the worker on every class at n=5/14 and n=6/10, and on the largest
+    # n=7 class (56,987 nodes) at max length 8: the walker's arrays, one
+    # batch's distance words and BFS levels and the frontier slices of its
+    # walk, about 1.8, 1.8 and 10.8 MB.  Four words of start bits for every
+    # node of the n=7 graph would take 13.4 MiB alone, and the recursive
+    # walk's distance dicts took 6.4 MB at n=6/10.
     g = rauzy_graph(n, True)
-    arrays = (g.perms, g.targets, g.s, g.through)
-    _census_worker(arrays + ([0], 4))                   # one-time imports
-    payload = arrays + (list(range(len(g.perms))), max_len)
+    classes = sorted(_rauzy_classes(g.targets), key=len)
+    _census_worker(_class_payload(g, classes[:1], 4))   # one-time imports
+    payload = _class_payload(g, classes if n < 7 else classes[-1:], max_len)
     tracemalloc.start()
     try:
         _census_worker(payload)
@@ -799,16 +953,19 @@ def test_walk_patterns_are_the_screened_products_patterns(rauzy_graph):
     # that the walk carried, which rows_quasi_positive passed, are the zero
     # pattern of the exact product, whose entries are nonnegative
     g = rauzy_graph(5, True)
-    walker = flipiet.search._Walker(g.targets, g.s, g.through, 5)
-    starts = list(range(len(g.nodes)))
+    classes = sorted(_rauzy_classes(g.targets), key=len)
+    payload = _class_payload(g, classes, 14)
+    nodes = np.concatenate(classes)
+    walker = flipiet.search._Walker(*payload[1:4], 5)
     screened = 0
-    for k in range(0, len(starts), WALK_BATCH):
-        for rows, edges in walker.walk(starts[k:k + WALK_BATCH], 14):
-            for pattern, path in zip(map(tuple, rows.tolist()), edges.tolist()):
+    for batch in _walk_batches(payload[4]):
+        for rows, edges in walker.walk(*batch, 14):
+            for pattern, path in zip(map(tuple, rows.T.tolist()),
+                                     edges.tolist()):
                 if not rows_quasi_positive(pattern):
                     continue
-                prod = step_product(g.mats[v][t]
-                                    for v, t in (divmod(e, 2) for e in path))
+                prod = step_product(g.mats[nodes[e >> 1]][e & 1]
+                                    for e in path)
                 assert row_masks(prod) == pattern
                 assert min(map(min, prod)) >= 0 and quasi_positive(prod)
                 screened += 1
