@@ -46,10 +46,14 @@ class NonpositiveLength(FlipIetError):
 
 
 class AtDiscontinuity(FlipIetError):
-    """Evaluation requested exactly at a discontinuity or slot boundary."""
+    """Evaluation requested exactly at a discontinuity or slot boundary, or
+    outside the domain when domain is its pair of ends."""
 
-    def __init__(self, point, index=None):
-        super().__init__(f"point {point!r} lies on a discontinuity")
+    def __init__(self, point, index=None, domain=None):
+        super().__init__(
+            f"point {point} lies on a discontinuity" if domain is None else
+            f"point {point} lies outside the domain "
+            f"[{float(domain[0]):g}, {float(domain[1]):g}]")
         self.point = point
         self.index = index
 

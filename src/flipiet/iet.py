@@ -155,8 +155,10 @@ class IetSpec:
 def _open_cell(ends, p):
     """Index i of the open interval (ends[i-1], ends[i]) holding p, by one
     bisect_left; AtDiscontinuity(p, i) when p is ends[i], and with 0 or
-    len(ends) - 1 when p lies outside."""
+    len(ends) - 1 and the domain's ends when p lies outside."""
     i = bisect_left(ends, p)
     if 0 < i < len(ends) and p != ends[i]:
         return i
-    raise AtDiscontinuity(p, min(i, len(ends) - 1))
+    outside = i == len(ends) or (i == 0 and p != ends[0])
+    raise AtDiscontinuity(p, min(i, len(ends) - 1),
+                          (ends[0], ends[-1]) if outside else None)

@@ -11,17 +11,19 @@ Nogueira 1989), and builds no tuple and runs no induction.
 Cycles are primitive closed walks up to rotation: Lyndon words over the edge
 alphabet (v, t), enumerated by a walk cut at every prefix that is not a
 prenecklace.  A closed walk never leaves the Rauzy class of its start, its
-strongly connected component (Rauzy 1979), so the walk goes class by class:
-the classes come from one Tarjan search per census (Tarjan 1972), and the
-walk reads each class's nodes under indices that keep their order, in
-batches of at most WALK_STARTS starts and frontier slices of at most
-WALK_ROWS rows.  A class whose edges' zero patterns together are reducible
-holds no quasi-positive cycle, so its cycles are counted, by the traces of
-its adjacency matrix's powers, and not walked.  Every cycle product
-is screened for the dominant-plus-conjugate eigenvalue hypotheses; screen
-survivors can be validated end to end by stepping the exact Perron lengths
-along the cycle: each Rauzy step is one exact subtraction of two lengths,
-whose sign picks the typed move.
+strongly connected component (Rauzy 1979), so the census goes class by
+class: the classes come from one Tarjan search per census (Tarjan 1972),
+and _class_payload alone lays them out, class after class and each in its
+graph order, with the targets renumbered and -1 for every edge that is
+absent or leaves its class.  The census stages read that layout, not the
+graph.  The walk goes in batches of at most WALK_STARTS starts and
+frontier slices of at most WALK_ROWS rows.  A class whose edges' zero
+patterns together are reducible holds no quasi-positive cycle, so its
+cycles are counted, by the traces of its adjacency matrix's powers, and
+not walked.  Every cycle product is screened for the dominant-plus-conjugate
+eigenvalue hypotheses; screen survivors can be validated end to end by
+stepping the exact Perron lengths along the cycle: each Rauzy step is one
+exact subtraction of two lengths, whose sign picks the typed move.
 
 Since a flipped exchange can induce to an orientation-preserving one but
 never back, no closed walk through an unflipped node returns to a flipped
@@ -229,30 +231,28 @@ def _rauzy_classes(targets):
     return [nodes[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _class_of(graph, classes):
-    """Each node's index among these classes (ascending node arrays), -1
-    for a node in none, and one entry more, -1, that the target -1 of an
-    absent edge reads."""
-    home = np.full(len(graph.perms) + 1, -1, np.int32)
-    home[np.concatenate(classes)] = np.repeat(np.arange(len(classes)),
-                                              [len(c) for c in classes])
-    return home
-
-
 def _class_payload(graph, classes, max_len):
-    """The census worker's payload for these classes (ascending node
-    arrays): the graph's arrays restricted to their nodes, laid out class
-    after class, with the targets renumbered and every edge that leaves its
-    class absent, the class sizes and max_len."""
+    """The census payload of these classes (ascending node arrays, as
+    _rauzy_classes gives them), the one layout every census stage reads:
+    (perms, targets, mat_ids, sizes, max_len).  Its nodes are the classes'
+    nodes laid out class after class, so class c is the run of local nodes
+    from its head, the sum of sizes[:c], on.  targets[i, t] is the local
+    node that edge (i, t) leads to, or -1 when the edge is absent or leaves
+    its class; mat_ids[i, t] is its step matrix's index into
+    _edge_matrices."""
     nodes = np.concatenate(classes)
-    local = np.full(len(graph.perms) + 1, -1, np.int32)     # as _class_of
+    sizes = [len(c) for c in classes]
+    local = np.full(len(graph.perms) + 1, -1, np.int32)  # entry -1: no edge
     local[nodes] = np.arange(len(nodes))
-    home = _class_of(graph, classes)
-    targets = graph.targets[nodes]
-    targets = np.where(home[targets] == home[nodes][:, None],
-                       local[targets], -1).astype(np.int32)
-    return (graph.perms[nodes], targets, graph.s[nodes], graph.through[nodes],
-            [len(c) for c in classes], max_len)
+    targets = local[graph.targets[nodes]]
+    # an edge stays when its target lies in its class's run head .. end - 1
+    end = np.repeat(np.cumsum(sizes), sizes)[:, None]
+    targets[(targets < end - np.repeat(sizes, sizes)[:, None])
+            | (targets >= end)] = -1
+    # (s, None), (s, s), (s, s + 1) are 3 s - 3, 3 s - 2 and 3 s - 1
+    s, through = graph.s[nodes], graph.through[nodes]
+    mat_ids = np.stack([3 * s - 3, 2 * s - 2 + through], 1)
+    return graph.perms[nodes], targets, mat_ids, sizes, max_len
 
 
 def _edge_matrices(n):
@@ -262,30 +262,22 @@ def _edge_matrices(n):
             for k in range(1, n) for part in (None, k, k + 1)]
 
 
-def _edge_matrix_ids(s, through):
-    """Each edge's index into _edge_matrices, one row per node and one
-    column per type."""
-    code = 3 * (s.astype(np.int64) - 1)
-    return np.stack([code, code + 1 + (through - s)], axis=1)
-
-
-def _qualifiable(graph, classes):
-    """Whether each class can hold a quasi-positive cycle: whether the zero
-    patterns of its edges' step matrices, ORed, are irreducible, that is
-    whether the pattern with the identity added is primitive.  A product of
-    matrices that share a block of zeros keeps it, so no cycle of a class
-    whose patterns together are reducible is quasi-positive."""
-    nodes = np.concatenate(classes)
-    home = _class_of(graph, classes)
-    mats = _edge_matrix_ids(graph.s[nodes], graph.through[nodes])
-    inside = home[graph.targets[nodes]] == home[nodes][:, None]
-    used = np.bitwise_or.reduce(np.where(inside, 1 << mats, 0), axis=1)
-    used = np.bitwise_or.reduceat(
-        used, np.cumsum([0] + [len(c) for c in classes[:-1]]))
-    patterns = [row_masks(m) for m in _edge_matrices(graph.n)]
+def _qualifiable(payload):
+    """Whether each class of the payload (_class_payload) can hold a
+    quasi-positive cycle: whether the zero patterns of its edges' step
+    matrices, ORed, are irreducible, that is whether the pattern with the
+    identity added is primitive.  A product of matrices that share a block
+    of zeros keeps it, so no cycle of a class whose patterns together are
+    reducible is quasi-positive."""
+    perms, targets, mat_ids, sizes, _max_len = payload
+    n = perms.shape[1]
+    used = np.bitwise_or.reduce(
+        np.where(targets >= 0, 1 << mat_ids.astype(np.int64), 0), axis=1)
+    used = np.bitwise_or.reduceat(used, np.cumsum([0] + sizes[:-1]))
+    patterns = [row_masks(m) for m in _edge_matrices(n)]
     verdict = {}
     for mask in set(used.tolist()):
-        rows = [1 << i for i in range(graph.n)]
+        rows = [1 << i for i in range(n)]
         for m, b in enumerate(patterns):
             if mask >> m & 1:
                 rows = [r | c for r, c in zip(rows, b)]
@@ -306,35 +298,31 @@ def _mobius(k):
     return -mu if k > 1 else mu
 
 
-def _cycle_count(graph, classes, max_len):
+def _cycle_count(payload):
     """The number of primitive cycles of length at most max_len, up to
-    rotation, in these classes: the sum over lengths k of (1/k) times the
-    sum over d | k of mu(k/d) tr(A^d), A running over the classes'
-    adjacency matrices with one count per edge.  Classes whose sizes round
-    up to one power of 2 go as one stack of matrices, and each power costs
-    two row gathers, as a node has at most two edges; A^d has entries at
-    most 2^d."""
-    N = len(graph.perms)
+    rotation, in the classes of the payload (_class_payload): the sum over
+    lengths k of (1/k) times the sum over d | k of mu(k/d) tr(A^d), A
+    running over the classes' adjacency matrices with one count per edge.
+    A class's nodes rank by local node minus its head.  Classes whose sizes
+    round up to one power of 2 go as one stack of matrices, and each power
+    costs two row gathers, as a node has at most two edges; A^d has entries
+    at most 2^d."""
+    _perms, targets, _mat_ids, sizes, max_len = payload
     traces = [0] * (max_len + 1)
-    home = _class_of(graph, classes)
-    rank = np.zeros(N + 1, np.intp)
-    targets = np.vstack([graph.targets, [[-1, -1]]])    # node N: no edge
-    groups = {}                 # by size up to a power of 2, padded with N
-    for c in classes:
-        groups.setdefault(1 << (len(c) - 1).bit_length(), []).append(c)
+    targets = np.vstack([targets, [[-1, -1]]])  # row -1 pads: no edge
+    groups = {}                 # (head, size) by size up to a power of 2
+    for head, m in zip(accumulate([0] + sizes), sizes):
+        groups.setdefault(1 << (m - 1).bit_length(), []).append((head, m))
     for size, group in groups.items():
-        nodes = np.full((len(group), size), N)
-        nodes[np.arange(size) < np.array([len(c) for c in group])[:, None]] = (
-            np.concatenate(group))
-        rank[nodes] = np.arange(size)
-        t = targets[nodes]
-        succ = np.where((t >= 0) & (home[t] == home[nodes][..., None]),
-                        rank[t], size)                  # size: no edge
+        head, m = np.array(group).T[:, :, None]
+        rank = np.arange(size)
+        t = targets[np.where(rank < m, head + rank, -1)]
+        succ = np.where(t >= 0, t - head[..., None], size)  # size: no edge
         row = np.arange(len(group))[:, None]
         # A^d, a zero row below it: row i of A^d is the sum of the rows of
         # A^(d - 1) at i's targets
         power = np.zeros((len(group), size + 1, size), np.int64)
-        power[:, np.arange(size), np.arange(size)] = 1
+        power[:, rank, rank] = 1
         for d in range(1, max_len + 1):
             power[:, :size] = (power[row, succ[..., 0]]
                                + power[row, succ[..., 1]])
@@ -371,7 +359,7 @@ def _walk_batches(sizes):
 
 def _census_worker(args):
     """Screen every cycle of the classes of the payload (_class_payload:
-    perms, targets, s, through, class sizes, max_len); return the
+    perms, targets, mat_ids, class sizes, max_len); return the
     screen-reason counts and the qualifying cycles as CycleCandidates, each
     validated (cycle_validate) right after its screen.  The screen's verdict
     and the roots that the validation's Perron data reads are those of the
@@ -403,9 +391,9 @@ def _census_worker(args):
     bigger class; each step of a frontier slice of at most WALK_ROWS rows
     is one set of array operations (_Walker).
     """
-    perms, targets, s, through, sizes, max_len = args
+    perms, _targets, _mat_ids, sizes, max_len = args
     n = perms.shape[1]
-    walker = _Walker(targets, s, through, n)
+    walker = _Walker(args)
     pack = 1 << (7 * np.arange(n, dtype=np.int64))  # 7 bits a row, n <= 7
     pattern_ok = {}                 # packed pattern -> rows_quasi_positive
     reasons = Counter()
@@ -440,28 +428,31 @@ def _census_worker(args):
 
 
 class _Walker:
-    """The graph as arrays for the walk, and the distance words of the
+    """A payload's arrays for the walk (_class_payload), read as laid out:
+    succ is its targets, -1 for an edge that is absent or leaves its class,
+    and offset[e] >> n edge e's matrix id; and the distance words of the
     batch being walked.
 
     A batch (_walk_batches) is the run of nodes x .. x + M - 1 of one
     class, or of whole classes; the walk indexes them u - x, which keeps
-    their order within a class, and local node M stands for the target of
-    an absent edge or of one below the batch.  Its starts are its first k
-    nodes.  Node u's slot, slot[u - x], is its rank among its class's nodes
-    in the batch; a start owns bit slot % 64 of word slot // 64 of the W
-    words of every node of its class, W = 1 + (largest start slot) // 64:
-    local node u's words are entries W u .. W u + W - 1 of within, and a
-    (node, word) pair is one flat index W u + j.  A bit is set when a walk
-    of at most the current radius leads from the node to its start through
-    nodes above that start, or the node is that start; node M's words stay
-    0.  Every table but the graph's is sized by the batch: within has
-    W (M + 1) entries, W at most WALK_STARTS / 64, and the reverse BFS
-    never leaves a class, as the payload has no edge between two.  Edge
-    (v, t) is the code e = 2 v + t, which indexes succ and offset flat.
+    their order within a class, and local node M stands for a target -1 or
+    one below the batch.  Its starts are its first k nodes.  Node u's slot,
+    slot[u - x], is its rank among its class's nodes in the batch; a start
+    owns bit slot % 64 of word slot // 64 of the W words of every node of
+    its class, W = 1 + (largest start slot) // 64: local node u's words
+    are entries W u .. W u + W - 1 of within, and a (node, word) pair is
+    one flat index W u + j.  A bit is set when a walk of at most the
+    current radius leads from the node to its start through nodes above
+    that start, or the node is that start; node M's words stay 0.  Every
+    table but the payload's is sized by the batch: within has W (M + 1)
+    entries, W at most WALK_STARTS / 64, and the reverse BFS never leaves
+    a class, as the payload has no edge between two.  Edge (v, t) is the
+    code e = 2 v + t, which indexes succ and offset flat.
     """
 
-    def __init__(self, targets, s, through, n):
-        N = len(targets)
+    def __init__(self, payload):
+        perms, targets, mat_ids, _sizes, _max_len = payload
+        N, n = perms.shape
         self.n = n
         # every step matrix (_edge_matrices) and the rows_tables of their
         # zero patterns, stacked flat: edge e has matrix mats[offset[e] >> n]
@@ -469,14 +460,13 @@ class _Walker:
         self.mats = _edge_matrices(n)
         self.tab = np.array([rows_table(row_masks(m)) for m in self.mats],
                             np.uint8).ravel()
-        self.offset = (_edge_matrix_ids(s, through)
-                       << n).astype(np.uint16).ravel()
-        self.succ = np.where(targets < 0, N, targets).astype(np.int32)
+        self.offset = (mat_ids.astype(np.uint16) << n).ravel()
+        self.succ = targets
         self.types = np.arange(2, dtype=np.int32)
         # pred[u] lists the sources of u's in-edges, padded with -1: one
         # column per pass, each scattering the edges no pass has placed
-        edge = np.flatnonzero(self.succ.ravel() < N).astype(np.int32)
-        v, u = edge >> 1, self.succ.ravel()[edge]
+        edge = np.flatnonzero(targets.ravel() >= 0).astype(np.int32)
+        v, u = edge >> 1, targets.ravel()[edge]
         self.pred = np.full((N, 0), -1, np.int32)
         while len(u):
             col = np.full((N, 1), -1, np.int32)
@@ -496,10 +486,10 @@ class _Walker:
         M = len(slot)
         W = self.words = 1 + int(slot[:k].max()) // 64
         within = self.within = np.zeros((M + 1) * W, np.uint64)
-        # the batch's targets, local node M for one absent or below x, and
-        # (W times) them by edge code
+        # the batch's targets, local node M for -1 or one below x, and (W
+        # times) them by edge code
         succ = self.succ[x:x + M].ravel() - x
-        succ[(succ < 0) | (succ > M)] = M
+        succ[succ < 0] = M
         self.local, self.local_w = succ, W * succ
         pred = self.pred[x:x + M] - x               # sources below x: < 0
         stamp = np.empty((M + 1) * W, np.int32)
@@ -665,7 +655,8 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult
         raise ValueError("jobs must be at least 1")
     classes = _rauzy_classes(graph.targets)
     # a class that cannot hold a quasi-positive cycle is counted, not walked
-    qualifiable = _qualifiable(graph, classes) if classes else []
+    qualifiable = (_qualifiable(_class_payload(graph, classes, max_len))
+                   if classes else [])
     counted = [c for c, ok in zip(classes, qualifiable) if not ok]
     classes = [c for c, ok in zip(classes, qualifiable) if ok]
     shares = [[] for _ in range(min(jobs, len(classes)))]
@@ -686,7 +677,8 @@ def cycle_search(graph: RauzyGraph, max_len: int, jobs: int = 1) -> SearchResult
         parts = [_census_worker(p) for p in payloads]
     reasons = Counter(dict.fromkeys(SCREEN_REASONS, 0))
     if counted:
-        reasons["not_quasi_positive"] += _cycle_count(graph, counted, max_len)
+        reasons["not_quasi_positive"] += _cycle_count(
+            _class_payload(graph, counted, max_len))
     for part_reasons, _hits in parts:
         reasons.update(part_reasons)
     qualifying = sorted((c for _reasons, hits in parts for c in hits),

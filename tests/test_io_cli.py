@@ -109,6 +109,27 @@ def test_cli_eval_inverse(capsys):
     assert abs(float(capsys.readouterr().out.strip()) - 0.1) < 1e-12
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--x", "7/3"], "point 7/3 lies outside the domain [0, 1]"),
+    (["--x", "2.0"], "point 2.0 lies outside the domain [0, 1]"),
+    (["--x=-1/2", "--inverse"], "point -1/2 lies outside the domain [0, 1]"),
+    (["--x", "1/1"], "point 1 lies on a discontinuity"),
+    (["--x", "0.0", "--inverse"], "point 0.0 lies on a discontinuity")])
+def test_cli_eval_names_a_point_outside_the_domain(argv, message, capsys):
+    # exact and float points beyond either end of the domain, and its two
+    # ends, which are discontinuities: exit 3 with the point as given
+    assert main(["eval", *argv]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_orbit_from_outside_the_domain_stops_at_once(capsys):
+    # the orbit records the hit and raises nothing
+    assert main(["orbit", "--x", "2.0", "--steps", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "config": {"steps": 3, "x": 2.0}, "points": [2.0], "word": [],
+        "terminated_at_discontinuity": 0}
+
+
 def test_cli_orbit(tmp_path):
     rc = main(["orbit", "--x", "0.1", "--steps", "5", "--out", str(tmp_path)])
     assert rc == 0

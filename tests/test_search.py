@@ -497,6 +497,38 @@ def test_search_pool_is_no_larger_than_its_payloads(n, require_flips, walked,
     assert pools == ([(walked, walked)] if walked > 1 else [])
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("pick", ["all classes", "every third class"])
+def test_class_payload_matches_the_tuple_layout(n, pick, rauzy_graph):
+    # the one class layout every census stage reads, against one built from
+    # the tuple graph: the classes' nodes class after class, each class in
+    # ascending order; the class sizes; an edge renumbered when its target
+    # lies in its class, so inside the class's run of local nodes, and -1
+    # when it is absent or leaves its class; and each edge's step matrix
+    g = rauzy_graph(n, True)
+    classes = _rauzy_classes(g.targets)
+    if pick == "every third class":
+        classes = classes[1::3]
+    perms, targets, mat_ids, sizes, max_len = _class_payload(g, classes, 9)
+    order = [u for c in classes for u in sorted(c.tolist())]
+    local = {u: i for i, u in enumerate(order)}
+    home = {u: h for h, c in enumerate(classes) for u in c.tolist()}
+    assert list(map(tuple, perms.tolist())) == [g.nodes[u] for u in order]
+    assert sizes == [len(c) for c in classes] and max_len == 9
+    assert targets.tolist() == [
+        [-1 if w is None or home.get(w) != home[u] else local[w]
+         for w in g.succ[u]] for u in order]
+    head = 0
+    for size in sizes:
+        run = targets[head:head + size]
+        assert ((run == -1) | ((run >= head) & (run < head + size))).all()
+        head += size
+    assert head == len(targets) and (targets >= 0).any()
+    mats = flipiet.search._edge_matrices(n)
+    assert all(mats[i] == m for u, ids in zip(order, mat_ids.tolist())
+               for i, m in zip(ids, g.mats[u]) if m)
+
+
 def _mobius(k):
     mu, p = 1, 2
     while p * p <= k:
@@ -523,9 +555,9 @@ def test_walk_checks_each_class_s_primitive_cycles(n, require_flips, max_len,
     classes = sorted(_rauzy_classes(g.targets), key=len)
     payload = _class_payload(g, classes, max_len)
     home = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
-    walker = flipiet.search._Walker(*payload[1:4], n)
+    walker = flipiet.search._Walker(payload)
     walked = Counter()
-    for batch in _walk_batches(payload[4]):
+    for batch in _walk_batches(payload[3]):
         for rows, edges in walker.walk(*batch, max_len):
             walked.update((h, edges.shape[1])
                           for h in home[edges[:, 0] >> 1].tolist())
@@ -549,7 +581,7 @@ def test_walk_checks_each_class_s_primitive_cycles(n, require_flips, max_len,
             if cycles:
                 counted[h, k] = cycles
     assert walked == counted
-    assert (flipiet.search._cycle_count(g, classes, max_len)
+    assert (flipiet.search._cycle_count(payload)
             == sum(counted.values()))
     if total is not None:
         assert sum(counted.values()) == total
@@ -564,18 +596,19 @@ def test_classes_the_census_counts_hold_no_quasi_positive_cycle(n, max_len,
     # walks is one whose patterns together are irreducible
     g = rauzy_graph(n, True)
     classes = _rauzy_classes(g.targets)
-    qualifiable = flipiet.search._qualifiable(g, classes)
+    qualifiable = flipiet.search._qualifiable(
+        _class_payload(g, classes, max_len))
     counted = [c for c, ok in zip(classes, qualifiable) if not ok]
     assert counted and len(counted) < len(classes)
     payload = _class_payload(g, counted, max_len)
-    walker = flipiet.search._Walker(*payload[1:4], n)
+    walker = flipiet.search._Walker(payload)
     walks = 0
-    for batch in _walk_batches(payload[4]):
+    for batch in _walk_batches(payload[3]):
         for rows, edges in walker.walk(*batch, max_len):
             assert not any(map(rows_quasi_positive,
                                map(tuple, rows.T.tolist())))
             walks += len(edges)
-    assert walks == flipiet.search._cycle_count(g, counted, max_len) > 0
+    assert walks == flipiet.search._cycle_count(payload) > 0
     for c, ok in zip(classes, qualifiable):
         patterns = {row_masks(g.mats[v][t]) for v in c.tolist()
                     for t in (0, 1) if g.succ[v][t] in c}
@@ -714,9 +747,9 @@ def test_census_worker_matches_reference_on_class_lists(pick, rauzy_graph,
 
 
 def _reference_walker_tables(succ, mats, n):
-    """The walker's successor, offset, stacked row table and predecessor
-    arrays, built from the tuple graph: one table per distinct zero
-    pattern, in the order the edges first show it."""
+    """The walker's successor (-1 for an absent edge), offset, stacked row
+    table and predecessor arrays, built from the tuple graph: one table per
+    distinct zero pattern, in the order the edges first show it."""
     N = len(succ)
     tables = {}                 # zero pattern -> its rows_table's index
     ids = {}                    # matrix -> its pattern's index
@@ -727,9 +760,9 @@ def _reference_walker_tables(succ, mats, n):
     tab = np.array([rows_table(b) for b in tables], np.uint8).ravel()
     offset = np.array([[ids.get(m, 0) << n for m in row] for row in mats],
                       np.int32)
-    succ = np.array([[N if u is None else u for u in row] for row in succ],
+    succ = np.array([[-1 if u is None else u for u in row] for row in succ],
                     np.int32)
-    edge = np.flatnonzero(succ.ravel() < N).astype(np.int32)
+    edge = np.flatnonzero(succ.ravel() >= 0).astype(np.int32)
     v, u = edge >> 1, succ.ravel()[edge]
     pred = np.full((N, 0), -1, np.int32)
     while len(u):
@@ -746,17 +779,20 @@ def _reference_walker_tables(succ, mats, n):
 def test_walker_tables_match_the_tuple_reference(n, require_flips,
                                                  rauzy_graph):
     # the same successors and in-edge sources, and every present edge maps
-    # each row mask as its matrix's rows_table does
+    # each row mask as its matrix's rows_table does, on the payload that
+    # holds every node of the graph as one class, where _class_payload
+    # keeps the graph's order and edges
     g = rauzy_graph(n, require_flips)
-    nodes, succ, mats, _absent = _reference_graph(n, require_flips)
-    walker = flipiet.search._Walker(g.targets, g.s, g.through, n)
+    _nodes, succ, mats, _absent = _reference_graph(n, require_flips)
+    walker = flipiet.search._Walker(
+        _class_payload(g, [np.arange(len(g.perms), dtype=np.int32)], 2))
     ref_succ, ref_offset, ref_tab, ref_pred = _reference_walker_tables(
         succ, mats, n)
     assert walker.succ.dtype == np.int32
     assert (walker.succ == ref_succ).all()
     assert walker.pred.shape == ref_pred.shape
     assert (walker.pred == ref_pred).all()
-    present = ref_succ < len(nodes)
+    present = ref_succ >= 0
     masks = np.arange(1 << n)
     assert (walker.tab[walker.offset[present.ravel()][:, None] | masks]
             == ref_tab[ref_offset[present][:, None] | masks]).all()
@@ -777,14 +813,14 @@ def test_walker_distance_levels_match_reverse_bfs(max_len, rauzy_graph,
     payload = _class_payload(g, classes, max_len)
     nodes = np.concatenate(classes).tolist()
     home = {u: i for i, c in enumerate(classes) for u in c.tolist()}
-    walker = flipiet.search._Walker(*payload[1:4], 5)
+    walker = flipiet.search._Walker(payload)
     pred = [[] for _ in g.succ]
     for v, row in enumerate(g.succ):
         for u in row:
             if u is not None:
                 pred[u].append(v)
     windows = 0
-    for x, slot, k in _walk_batches(payload[4]):
+    for x, slot, k in _walk_batches(payload[3]):
         windows += k < len(slot)
         got = {}
         levels = walker._distances(x, slot, k, max_len)
@@ -956,9 +992,9 @@ def test_walk_patterns_are_the_screened_products_patterns(rauzy_graph):
     classes = sorted(_rauzy_classes(g.targets), key=len)
     payload = _class_payload(g, classes, 14)
     nodes = np.concatenate(classes)
-    walker = flipiet.search._Walker(*payload[1:4], 5)
+    walker = flipiet.search._Walker(payload)
     screened = 0
-    for batch in _walk_batches(payload[4]):
+    for batch in _walk_batches(payload[3]):
         for rows, edges in walker.walk(*batch, 14):
             for pattern, path in zip(map(tuple, rows.T.tolist()),
                                      edges.tolist()):

@@ -10,8 +10,9 @@ float_mode, neither rauzy nor search imports selfsim, the one forked
 child is reaped and leaves by os._exit, the Faddeev-LeVerrier loop runs
 in the package under spectral's memo alone, the functools memos are the
 six pinned below, RauzyGraph's cached views are nodes, succ and mats,
-_Spectrum keeps only what the polynomial decides, and the blow-up's
-orbit points are sorted in gap_system_build alone.  A deletion that
+_Spectrum keeps only what the polynomial decides, the blow-up's orbit
+points are sorted in gap_system_build alone, and the census stages after
+_class_payload read its class layout, not the graph.  A deletion that
 leaves an import, a helper, a field, a local or an option behind, a
 parameter that only tests set, or that removes or renames a traced
 function, fails here."""
@@ -455,3 +456,35 @@ def test_orbit_points_are_sorted_in_gap_system_build_alone():
              in ("argsort", "sort", "sorted", "lexsort")]
     assert not [call.lineno for call in sorts for node in ast.walk(call)
                 if getattr(node, "attr", None) == "orbit_points"]
+
+
+def test_census_stages_read_the_class_payload_alone():
+    """_class_payload alone lays the Rauzy classes out.  The stages that
+    read its payload, _qualifiable, _cycle_count, _census_worker and
+    _Walker, take no graph and read none of RauzyGraph's fields, views or
+    methods; the walker's own n, succ and mats share three of those names
+    and are read through self or walker.  In search only _class_payload,
+    cycle_search (for _rauzy_classes), CycleCandidate.rotate_to and the
+    graph's own views read an attribute targets."""
+    body = _class("search", "RauzyGraph").body
+    graph = ({fn.name for fn in body if isinstance(fn, ast.FunctionDef)}
+             | {f.target.id for f in body if isinstance(f, ast.AnnAssign)})
+    stages = [node for node in MODULES["search"].body
+              if getattr(node, "name", None)
+              in ("_qualifiable", "_cycle_count", "_census_worker", "_Walker")]
+    assert len(stages) == 4 and {"targets", "succ", "index"} <= graph
+    found = [f"{stage.name}: {ast.unparse(node)}"
+             for stage in stages for node in ast.walk(stage)
+             if (isinstance(node, ast.arg) and node.arg == "graph")
+             or (isinstance(node, ast.Name)
+                 and node.id in ("graph", "RauzyGraph"))
+             or (isinstance(node, ast.Attribute) and node.attr in graph
+                 and getattr(node.value, "id", None) not in ("self",
+                                                             "walker"))]
+    assert found == []
+    readers = {q for q, fn in _defs(MODULES["search"].body, "search")
+               for node in ast.walk(fn)
+               if getattr(node, "attr", None) == "targets"}
+    assert readers == {"search._class_payload", "search.cycle_search",
+                       "search.CycleCandidate.rotate_to",
+                       "search.RauzyGraph.succ", "search.RauzyGraph.mats"}
