@@ -12,7 +12,8 @@ Subcommands:
 
 With --out, wandering writes gaps.csv from one forked writer process while
 the parent verifies the certificate and runs the ergodic probe; the parent
-reaps it before it writes the certificate.  Only search takes --jobs.
+reaps it before it writes the certificate.  Only search takes --jobs.  Only
+selfsim and wandering (and --probe-steps) import denjoy and selfsim.
 
 Exit codes: 0 success, 1 mismatch or failed certificate, 2 usage error,
 3 construction error.  Reports embed the settings that produced them and are
@@ -33,12 +34,9 @@ from functools import cache
 
 from . import quintic
 from .errors import FlipIetError
-from .denjoy import (MIN_PROBE_STEPS, aiet_from_gaps, blowup_chain, ergodic_probe,
-                     gap_system_build, induction_cycle, verify_wandering)
 from .io import (coords_to_str, fraction_to_str, gaps_csv, iet_from_json,
                  induction_trace_csv, return_words_csv)
 from .rauzy import cycle_matrix, rauzy_run
-from .selfsim import self_similarity_check
 from .spectral import perron_data, screen_real_roots
 from .search import cycle_search, rauzy_graph_build
 
@@ -100,6 +98,7 @@ def _factors_json(sd):
 
 
 def cmd_selfsim(args):
+    from . import denjoy, selfsim       # here: see the module docstring
     E, bundled = _load_spec(args)
     steps = rauzy_run(E, 14) if bundled else None
     report = {"config": _config_of(args)}
@@ -116,7 +115,7 @@ def cmd_selfsim(args):
         if prod != quintic.MATRIX:
             mismatches.append("matrix product")
         report["matrix"] = [list(r) for r in prod]
-    ind = induction_cycle(E, args.max_len)
+    ind = denjoy.induction_cycle(E, args.max_len)
     if ind is None:
         report["cycle"] = None
         mismatches.append("no induction cycle within bound")
@@ -134,7 +133,7 @@ def cmd_selfsim(args):
                     mismatches.append(f"return word {i}")
             if ind.matrix != quintic.MATRIX:
                 mismatches.append("associated matrix")
-        ss = self_similarity_check(E, ind.J)
+        ss = selfsim.self_similarity_check(E, ind.J)
         report["self_similar"] = bool(ss.ok)
         if not ss.ok:
             mismatches.append(f"self-similarity: {ss.reason}")
@@ -191,9 +190,10 @@ def _gaps_written(gs, args):
 
 
 def cmd_wandering(args):
+    from . import denjoy                 # here: see the module docstring
     E, _bundled = _load_spec(args)
     N = args.gaps
-    chain = blowup_chain(E, args.max_len)
+    chain = denjoy.blowup_chain(E, args.max_len)
     sd, lsv = chain.spectral, chain.lsv
     spectral_report = {
         **_factors_json(sd),
@@ -206,12 +206,12 @@ def cmd_wandering(args):
                   "qualifies": False}
         _emit(report, args, "wandering_certificate.json")
         return 1
-    gs = gap_system_build(E, chain.sigma, lsv, N)
+    gs = denjoy.gap_system_build(E, chain.sigma, lsv, N)
     with _gaps_written(gs, args) if args.out else contextlib.nullcontext():
-        T = aiet_from_gaps(gs)
-        cert = verify_wandering(gs, T, E, kappa_target=chain.kappa_target)
-        probe = ergodic_probe(E, 5, args.probe_steps,
-                              reference=[float(v) for v in E.lengths])
+        T = denjoy.aiet_from_gaps(gs)
+        cert = denjoy.verify_wandering(gs, T, E, kappa_target=chain.kappa_target)
+        probe = denjoy.ergodic_probe(E, 5, args.probe_steps,
+                                     reference=[float(v) for v in E.lengths])
     certificate = dataclasses.asdict(cert)
     certificate.update(kappa_target=chain.kappa_target, ok=cert.ok)
     report = {
@@ -347,8 +347,9 @@ def point(text):
 
 
 def probe_steps(text):
-    if int(text) < MIN_PROBE_STEPS:
-        raise argparse.ArgumentTypeError(f"{text} is below {MIN_PROBE_STEPS}")
+    from . import denjoy
+    if int(text) < denjoy.MIN_PROBE_STEPS:
+        raise argparse.ArgumentTypeError(f"{text} is below {denjoy.MIN_PROBE_STEPS}")
     return int(text)
 
 

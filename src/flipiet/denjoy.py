@@ -94,12 +94,12 @@ def _envelope_exponent(S):
 
 def _decays_both_ways(sigma, address, ws, N):
     """True when the Birkhoff sums of the weight array ws along the
-    stationary point of the address decay forward and backward; the window
-    and the sums are freed on return, before the next address."""
-    past, future = stationary_window(sigma, address, N, N)
+    stationary point of the address decay forward and backward; the past ray
+    is built only when the future decays, and both are freed on return."""
+    _, future = stationary_window(sigma, address, 0, N)
     # backward sums: S_{-m} = -sum of w over the last m past symbols
-    return (_decay_verdict(ws, future[:N])[1]
-            and _decay_verdict(-ws, past[::-1])[1])
+    return (_decay_verdict(ws, future[:N])[1] and _decay_verdict(
+        -ws, stationary_window(sigma, address, N, 0)[0][::-1])[1])
 
 
 def log_slope_select(matrix, theta2: AlgebraicNumber,
@@ -254,7 +254,7 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
         raise ValueError("window half-width must be positive")
     h = N + TAIL_PROBE
     window = np.concatenate(stationary_window(sigma, lsv.address, h, h))
-    word = window[h - N:h + N + 1]            # indices 0..2N <-> n = -N..N
+    word = window[h - N:h + N + 1].copy()   # 0..2N <-> n = -N..N; a view pins window
     lo, hi = cylinder_locate(E, word)
     p_start = (lo + hi) / Fraction(2)         # = E^{-N}(p)
     shift, sign = map(np.array, zip(*E.as_float().branches))

@@ -173,6 +173,30 @@ def test_one_window_per_gap_system(setting, monkeypatch):
     assert calls == [(300 + TAIL_PROBE, 300 + TAIL_PROBE)]
 
 
+def test_address_scan_builds_a_past_ray_only_after_a_decaying_future(
+        setting, monkeypatch):
+    # the bundled example's scan tries six addresses; four fail forward, so
+    # two past rays are built, and the selected vector is the same
+    _E, sigma, verdict, lsv, _ = setting
+    calls = []
+
+    def counted(sigma, address, back, fwd):
+        calls.append((address, back, fwd))
+        return stationary_window(sigma, address, back, fwd)
+
+    monkeypatch.setattr(denjoy, "stationary_window", counted)
+    assert log_slope_select(MATRIX, verdict.theta2, sigma) == lsv
+    futures = [address for address, back, fwd in calls if fwd]
+    pasts = [address for address, back, fwd in calls if back]
+    assert len(futures) == 6 and len(pasts) == 2
+    assert pasts[-1] == futures[-1] == lsv.address
+
+
+def test_gap_symbols_own_their_word(gaps):
+    # a view would keep the whole tail window alive with the gap system
+    assert gaps.symbols.base is None
+
+
 def test_blowup_orbit_follows_the_float_view(setting):
     # one float map: the float view rounds each exact breakpoint and slot end
     # once, and its eval reproduces every orbit step bit for bit

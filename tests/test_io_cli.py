@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -309,13 +311,13 @@ def test_cli_forked_gap_writer_writes_the_same_bytes(tmp_path, monkeypatch,
     # 10,001 rows, more than one chunk: the forked writer's gaps.csv is the
     # in-memory rendering of the gap system the parent built, and both files
     # are those of the in-process dump that runs where os.fork does not exist
-    built = []
+    built, original = [], flipiet.denjoy.gap_system_build
 
     def build(*args):
-        built.append(flipiet.denjoy.gap_system_build(*args))
+        built.append(original(*args))
         return built[-1]
 
-    monkeypatch.setattr(flipiet.cli, "gap_system_build", build)
+    monkeypatch.setattr(flipiet.denjoy, "gap_system_build", build)
     argv = ["wandering", "--gaps", "5000", "--probe-steps", "10000",
             "--out", str(tmp_path)]
     files = ("gaps.csv", "wandering_certificate.json")
@@ -354,11 +356,38 @@ def test_cli_failed_stage_stops_the_gap_writer(tmp_path, monkeypatch, capsys,
     def stuck(*args, **kwargs):
         raise ProbeHitsDiscontinuities("orbit kept hitting discontinuities")
 
-    monkeypatch.setattr(flipiet.cli, "ergodic_probe", stuck)
+    monkeypatch.setattr(flipiet.denjoy, "ergodic_probe", stuck)
     assert main(["wandering", "--gaps", "5000", "--out", str(tmp_path)]) == 3
     assert "orbit kept hitting discontinuities" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
     _assert_reaped(writers)
+
+
+def _after_cli_import(openblas_threads, code):
+    """What code prints, stripped, in a fresh interpreter after import
+    flipiet.cli, started with OPENBLAS_NUM_THREADS set to openblas_threads
+    (None: unset)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                     os.pardir, "src")
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return subprocess.run([sys.executable, "-c", "import os, flipiet.cli\n" + code],
+                          env=env, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_cli_import_starts_no_openblas_thread():
+    # so the gap writer forks a process that has one thread
+    assert _after_cli_import(None, "print(next(line for line in open("
+                             "'/proc/self/status') if line.startswith("
+                             "'Threads:')))") == "Threads:\t1"
+
+
+def test_cli_import_keeps_the_users_openblas_threads():
+    assert _after_cli_import("2", "print(os.environ['OPENBLAS_NUM_THREADS'])") == "2"
 
 
 def test_cli_wandering_that_does_not_qualify(tmp_path):

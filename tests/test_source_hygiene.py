@@ -1,4 +1,4 @@
-"""Static checks on the package source: every import is used, every
+"""Checks on the package source: every import is used, every
 private module-level function and private method has a caller, every
 public function and method is referenced outside its own body, no function
 takes a private parameter but the two named below, every parameter with a
@@ -6,7 +6,8 @@ default is passed by some call in src/ or perfbench/, every dataclass field
 has a reader, every local a function assigns is read, every option of a
 subcommand is read by its command, every function the benchmark's tracer
 wraps is defined in src/, only IetSpec.__init__ and as_float set
-float_mode, neither rauzy nor search imports selfsim, the one forked
+float_mode, neither rauzy nor search imports selfsim, a census run
+through the CLI loads neither denjoy nor selfsim, the one forked
 child is reaped and leaves by os._exit, the Faddeev-LeVerrier loop runs
 in the package under spectral's memo alone, the functools memos are the
 six pinned below, RauzyGraph's cached views are nodes, succ and mats,
@@ -18,6 +19,9 @@ parameter that only tests set, or that removes or renames a traced
 function, fails here."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -320,6 +324,20 @@ def test_typed_moves_run_no_induction():
              for module in imported(MODULES[name])
              if module.split(".")[-1] == "selfsim"]
     assert found == []
+
+
+def test_search_loads_neither_denjoy_nor_selfsim():
+    """A fresh interpreter that imports the CLI and runs a census has not
+    loaded the blow-up or self-similarity module: only selfsim and
+    wandering import them, when they run."""
+    code = ("import sys, flipiet.cli\n"
+            "assert flipiet.cli.main(['search', '--n', '3', '--max-len', '6']) == 0\n"
+            "print(sorted(m for m in ('flipiet.denjoy', 'flipiet.selfsim')"
+            " if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_a_forked_child_is_reaped_and_leaves_by_os_exit():
