@@ -3,7 +3,10 @@ induction, spectral screening, and, in flipiet.selfsim and flipiet.denjoy
 (not imported here), self-similarity certification and the blow-up
 construction of affine exchanges with wandering intervals.  Unless it is
 set, OPENBLAS_NUM_THREADS is 1: flipiet makes no multi-threaded BLAS call,
-and a process with one thread forks safely."""
+so numpy starts no OpenBLAS worker threads, and search's --jobs workers
+inherit the setting.  flipiet calls os.fork nowhere: the gap dump
+(flipiet.reprs, loaded by io.gaps_csv) runs in process, and the census pool
+starts its workers with spawn."""
 
 import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")    # before numpy loads

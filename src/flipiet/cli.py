@@ -10,10 +10,11 @@ Subcommands:
   eval       apply the exchange (or its inverse) to one point
   spectral   exact spectral report of an integer matrix
 
-With --out, wandering writes gaps.csv from one forked writer process while
-the parent verifies the certificate and runs the ergodic probe; the parent
-reaps it before it writes the certificate.  Only search takes --jobs.  Only
-selfsim and wandering (and --probe-steps) import denjoy and selfsim.
+With --out, wandering opens gaps.csv before it verifies the certificate and
+runs the ergodic probe, and writes it after them, before the certificate.
+A report is rendered only when it is written or printed.  Only search takes
+--jobs.  Only selfsim and wandering (and --probe-steps) import denjoy and
+selfsim.
 
 Exit codes: 0 success, 1 mismatch or failed certificate, 2 usage error,
 3 construction error.  Reports embed the settings that produced them and are
@@ -57,9 +58,8 @@ def _emit(obj, args, name):
 
 
 def _write(text, args, name):
-    if args.out:
-        with _out_file(args, name) as fh:
-            fh.write(text)
+    with _out_file(args, name) as fh:
+        fh.write(text)
 
 
 def _read_json(path, option):
@@ -104,8 +104,8 @@ def cmd_selfsim(args):
     report = {"config": _config_of(args)}
     mismatches = []
     if bundled:
-        trace = induction_trace_csv(steps)
-        _write(trace, args, "induction_trace.csv")
+        if args.out:
+            _write(induction_trace_csv(steps), args, "induction_trace.csv")
         got = [(st.before, st.type_bit) for st in steps]
         got.append((steps[-1].after, None))
         for k, (sp, t) in enumerate(quintic.REFERENCE_STEPS):
@@ -125,7 +125,8 @@ def cmd_selfsim(args):
                            "scale": scale.decimal(args.digits)
                            if hasattr(scale, "decimal") else float(scale)}
         its = ind.itineraries
-        _write(return_words_csv(its), args, "return_words.csv")
+        if args.out:
+            _write(return_words_csv(its), args, "return_words.csv")
         if bundled:
             ref = {i: (n, w) for (i, n, w) in quintic.REFERENCE_ITINERARIES}
             for i in ref:
@@ -143,50 +144,17 @@ def cmd_selfsim(args):
 
 
 @contextlib.contextmanager
-def _gaps_written(gs, args):
-    """Write gaps.csv into the --out directory while the block runs.
-
-    The file is opened here, so a bad --out fails before the block.  A
-    forked writer renders the dump from its copy of the parent's memory
-    (nothing is pickled) and leaves by os._exit alone, so inherited stdio
-    buffers and atexit handlers never run twice.  After the block the
-    writer is reaped; one that failed raises OSError.  If the block raises,
-    the writer is killed and reaped and its partial file removed, which
-    leaves the files of a run whose dump never started.  Without os.fork
-    (Windows) the dump runs in process after the block."""
-    if not hasattr(os, "fork"):
-        yield
-        with _out_file(args, "gaps.csv") as fh:
-            gaps_csv(gs, fh)
-        return
-    with _out_file(args, "gaps.csv") as fh:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                gaps_csv(gs, fh)
-                fh.close()
-                code = 0
-            except BaseException:
-                import traceback    # here, so that importing the CLI loads no more
-                traceback.print_exc()
-                sys.stderr.flush()
-                raise
-            finally:
-                os._exit(code)
-    status = None
-    try:
-        yield
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        if status is None:
-            import signal           # likewise
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+def _opened_first(args, name):
+    """The file name in the --out directory, opened before the block, so that
+    a bad --out fails before it, and removed if the block raises, which
+    leaves the files of a run that raised before writing it."""
+    with _out_file(args, name) as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
             os.remove(fh.name)
-    if status:
-        raise OSError(f"{fh.name}: the writer exited with status "
-                      f"{os.waitstatus_to_exitcode(status)}")
+            raise
 
 
 def cmd_wandering(args):
@@ -207,11 +175,14 @@ def cmd_wandering(args):
         _emit(report, args, "wandering_certificate.json")
         return 1
     gs = denjoy.gap_system_build(E, chain.sigma, lsv, N)
-    with _gaps_written(gs, args) if args.out else contextlib.nullcontext():
+    dump = _opened_first(args, "gaps.csv") if args.out else contextlib.nullcontext()
+    with dump as fh:
         T = denjoy.aiet_from_gaps(gs)
         cert = denjoy.verify_wandering(gs, T, E, kappa_target=chain.kappa_target)
         probe = denjoy.ergodic_probe(E, 5, args.probe_steps,
                                      reference=[float(v) for v in E.lengths])
+        if fh is not None:
+            gaps_csv(gs, fh)
     certificate = dataclasses.asdict(cert)
     certificate.update(kappa_target=chain.kappa_target, ok=cert.ok)
     report = {
@@ -267,10 +238,11 @@ def cmd_search(args):
 
 def cmd_induct(args):
     E, _ = _load_spec(args)
-    steps = rauzy_run(E, args.steps)
-    _write(induction_trace_csv(steps), args, "induction_trace.csv")
-    if not args.out:
-        print(induction_trace_csv(steps), end="")
+    trace = induction_trace_csv(rauzy_run(E, args.steps))
+    if args.out:
+        _write(trace, args, "induction_trace.csv")
+    else:
+        print(trace, end="")
     return 0
 
 

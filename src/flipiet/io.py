@@ -120,21 +120,22 @@ def return_words_csv(itineraries) -> str:
     return "\n".join(lines) + "\n"
 
 
-_GAPS_CHUNK = 4096      # rows of gaps.csv converted and written at once
+_GAPS_CHUNK = 4096      # rows of gaps.csv rendered and written at once
 
 
 def gaps_csv(gs, fh):
     """Write rows n,symbol,orbit_point,gap_length,position to the open text
     file fh, _GAPS_CHUNK rows at a time, so that the dump is never held in
-    memory.  Each column of a chunk is converted once, to Python ints and
-    floats, whose repr is the text."""
+    memory.  Each chunk's columns are converted once, to int64 and float64
+    arrays, and rendered by reprs.csv_rows: the floats as repr writes them,
+    with no Python call per value."""
+    from .reprs import csv_rows     # here, so that only a dump compiles it
     fh.write("n,symbol,orbit_point,gap_length,position\n")
     h = gs.half_width
     for a in range(0, 2 * h + 1, _GAPS_CHUNK):
         rows = slice(a, min(a + _GAPS_CHUNK, 2 * h + 1))
-        cols = [np.asarray(col[rows], dtype=float).tolist()
-                for col in (gs.orbit_points, gs.gap_lengths, gs.positions)]
-        fh.writelines([f"{n},{sym},{p!r},{g!r},{q!r}\n" for n, sym, p, g, q in
-                       zip(range(a - h, rows.stop - h),
-                           np.asarray(gs.symbols[rows], dtype=int).tolist(),
-                           *cols)])
+        ints = [np.arange(a - h, rows.stop - h),
+                np.asarray(gs.symbols[rows], dtype=np.int64)]
+        floats = [np.asarray(col[rows], dtype=np.float64)
+                  for col in (gs.orbit_points, gs.gap_lengths, gs.positions)]
+        fh.write(csv_rows(ints, floats).decode("ascii"))

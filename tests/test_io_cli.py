@@ -273,44 +273,17 @@ def test_gaps_csv_rows():
 
 def test_cli_wandering_without_out_writes_no_gaps(monkeypatch, capsys):
     def refuse(*args):
-        raise AssertionError("gaps.csv rendered, or a writer forked, without --out")
+        raise AssertionError("gaps.csv rendered without --out")
 
     monkeypatch.setattr(flipiet.cli, "gaps_csv", refuse)
-    monkeypatch.setattr(os, "fork", refuse)
     rc = main(["wandering", "--gaps", "50", "--probe-steps", "10000"])
     assert rc in (0, 1)
     assert json.loads(capsys.readouterr().out)["qualifies"] is True
 
 
-@pytest.fixture
-def writers(monkeypatch):
-    """The pids that os.fork returns in the parent during a test."""
-    pids, fork = [], os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
-def _assert_reaped(pids):
-    # one writer, and it is no child of this process any more; other tests'
-    # children (a multiprocessing resource tracker) may outlive them, so a
-    # wait on any child (pid -1) would not tell
-    assert len(pids) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pids[0], os.WNOHANG)
-
-
-def test_cli_forked_gap_writer_writes_the_same_bytes(tmp_path, monkeypatch,
-                                                     writers):
-    # 10,001 rows, more than one chunk: the forked writer's gaps.csv is the
-    # in-memory rendering of the gap system the parent built, and both files
-    # are those of the in-process dump that runs where os.fork does not exist
+def test_cli_gap_dump_is_gaps_csv_of_the_built_system(tmp_path, monkeypatch):
+    # 10,001 rows, more than one chunk: the CLI's gaps.csv is the dump of
+    # the gap system it built
     built, original = [], flipiet.denjoy.gap_system_build
 
     def build(*args):
@@ -318,41 +291,32 @@ def test_cli_forked_gap_writer_writes_the_same_bytes(tmp_path, monkeypatch,
         return built[-1]
 
     monkeypatch.setattr(flipiet.denjoy, "gap_system_build", build)
-    argv = ["wandering", "--gaps", "5000", "--probe-steps", "10000",
-            "--out", str(tmp_path)]
-    files = ("gaps.csv", "wandering_certificate.json")
     assert 2 * 5000 + 1 > flipiet.io._GAPS_CHUNK
-    with monkeypatch.context() as m:
-        m.delattr(os, "fork")
-        assert main(argv) == 0
-    in_process = [(tmp_path / name).read_bytes() for name in files]
-    assert main(argv) == 0
-    _assert_reaped(writers)
-    forked = [(tmp_path / name).read_bytes() for name in files]
+    assert main(["wandering", "--gaps", "5000", "--probe-steps", "10000",
+                 "--out", str(tmp_path)]) == 0
     fh = io.StringIO()
     gaps_csv(built[-1], fh)
-    assert forked[0] == fh.getvalue().encode()
-    assert forked == in_process
+    assert (tmp_path / "gaps.csv").read_bytes() == fh.getvalue().encode()
 
 
 def test_cli_failed_gap_writer_raises_and_writes_no_certificate(tmp_path,
-                                                                monkeypatch,
-                                                                writers):
+                                                                monkeypatch):
+    # a dump that raises propagates its OSError; no certificate is written
+    # and the partial gaps.csv is removed
     def fail(gs, fh):
+        fh.write("n,symbol,orbit_point,gap_length,position\n")
         raise OSError("No space left on device")
 
     monkeypatch.setattr(flipiet.cli, "gaps_csv", fail)
-    with pytest.raises(OSError, match="gaps.csv: the writer exited with status 1"):
+    with pytest.raises(OSError, match="No space left on device"):
         main(["wandering", "--gaps", "50", "--probe-steps", "10000",
               "--out", str(tmp_path)])
-    assert not (tmp_path / "wandering_certificate.json").exists()
-    _assert_reaped(writers)
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_failed_stage_stops_the_gap_writer(tmp_path, monkeypatch, capsys,
-                                               writers):
-    # a stage that raises while the writer runs leaves the files of a run
-    # that raised before the dump: no gaps.csv, no certificate, no child
+def test_cli_failed_stage_leaves_no_files(tmp_path, monkeypatch, capsys):
+    # a stage that raises after gaps.csv was opened leaves the files of a
+    # run that raised before it: no gaps.csv, no certificate
     def stuck(*args, **kwargs):
         raise ProbeHitsDiscontinuities("orbit kept hitting discontinuities")
 
@@ -360,7 +324,41 @@ def test_cli_failed_stage_stops_the_gap_writer(tmp_path, monkeypatch, capsys,
     assert main(["wandering", "--gaps", "5000", "--out", str(tmp_path)]) == 3
     assert "orbit kept hitting discontinuities" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    _assert_reaped(writers)
+
+
+def test_cli_bad_out_fails_before_the_stages(tmp_path, monkeypatch):
+    # an --out that names a file fails when gaps.csv is opened, before the
+    # certificate's stages run
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(flipiet.denjoy, "verify_wandering", refuse)
+    (tmp_path / "taken").write_text("")
+    with pytest.raises(FileExistsError):
+        main(["wandering", "--gaps", "50", "--probe-steps", "10000",
+              "--out", str(tmp_path / "taken")])
+
+
+def test_cli_renders_each_report_once(tmp_path, monkeypatch, capsys):
+    # a report is rendered when it is written or printed, and only then
+    renders = []
+
+    def counted(render):
+        def wrapper(*args):
+            renders.append(render.__name__)
+            return render(*args)
+        return wrapper
+
+    for name in ("induction_trace_csv", "return_words_csv"):
+        monkeypatch.setattr(flipiet.cli, name, counted(getattr(flipiet.cli, name)))
+    assert main(["induct"]) == 0
+    assert renders == ["induction_trace_csv"]
+    assert capsys.readouterr().out.startswith("k,p,t\n")
+    renders.clear()
+    assert main(["selfsim"]) == 0
+    assert renders == []
+    assert main(["selfsim", "--out", str(tmp_path)]) == 0
+    assert sorted(renders) == ["induction_trace_csv", "return_words_csv"]
 
 
 def _after_cli_import(openblas_threads, code):
@@ -380,7 +378,7 @@ def _after_cli_import(openblas_threads, code):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs /proc/self/status")
 def test_cli_import_starts_no_openblas_thread():
-    # so the gap writer forks a process that has one thread
+    # numpy starts no OpenBLAS worker thread: flipiet makes no threaded BLAS call
     assert _after_cli_import(None, "print(next(line for line in open("
                              "'/proc/self/status') if line.startswith("
                              "'Threads:')))") == "Threads:\t1"

@@ -7,8 +7,8 @@ has a reader, every local a function assigns is read, every option of a
 subcommand is read by its command, every function the benchmark's tracer
 wraps is defined in src/, only IetSpec.__init__ and as_float set
 float_mode, neither rauzy nor search imports selfsim, a census run
-through the CLI loads neither denjoy nor selfsim, the one forked
-child is reaped and leaves by os._exit, the Faddeev-LeVerrier loop runs
+through the CLI loads neither denjoy nor selfsim, src/ calls os.fork
+nowhere, the Faddeev-LeVerrier loop runs
 in the package under spectral's memo alone, the functools memos are the
 six pinned below, RauzyGraph's cached views are nodes, succ and mats,
 _Spectrum keeps only what the polynomial decides, the blow-up's orbit
@@ -340,40 +340,15 @@ def test_search_loads_neither_denjoy_nor_selfsim():
     assert out.splitlines()[-1] == "[]"
 
 
-def test_a_forked_child_is_reaped_and_leaves_by_os_exit():
-    """os.fork is called at one place in src/.  The function that calls it
-    also calls os.waitpid, and the child's branch (the if on the fork's
-    result being 0) is a try whose finally ends in os._exit, after nothing
-    but assignments of constants: the child never returns into its caller,
-    runs the atexit handlers or flushes the stdio buffers it inherited,
-    whatever it raises.  A later fork must come with its own reaping."""
-    def os_calls(node, attr):
-        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
-                and getattr(c.func, "attr", None) == attr
-                and getattr(c.func.value, "id", None) == "os"]
-
-    forks = [(tree, call) for tree in MODULES.values()
-             for call in os_calls(tree, "fork")]
-    assert len(forks) == 1
-    tree, fork = forks[0]
-    holder = min((fn for _qualified, fn in _defs(tree.body, "")
-                  if fn.lineno <= fork.lineno <= fn.end_lineno),
-                 key=lambda fn: fn.end_lineno - fn.lineno)
-    assert os_calls(holder, "waitpid")
-    pid = next(stmt.targets[0].id for stmt in ast.walk(holder)
-               if isinstance(stmt, ast.Assign) and stmt.value is fork)
-    child = [stmt for stmt in ast.walk(holder) if isinstance(stmt, ast.If)
-             and isinstance(stmt.test, ast.Compare)
-             and getattr(stmt.test.left, "id", None) == pid
-             and isinstance(stmt.test.ops[0], ast.Eq)
-             and getattr(stmt.test.comparators[0], "value", None) == 0]
-    assert len(child) == 1
-    *before, guard = child[0].body
-    assert all(isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
-               for stmt in before)
-    assert isinstance(guard, ast.Try) and guard.finalbody
-    last = guard.finalbody[-1]
-    assert isinstance(last, ast.Expr) and os_calls(last, "_exit") == [last.value]
+def test_src_calls_os_fork_nowhere():
+    """No module in src/ reads os.fork or os.forkpty, or imports them: the
+    gap dump runs in process, and the census's pool spawns its workers."""
+    forks = [node for tree in MODULES.values() for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in ("fork", "forkpty")
+                 and getattr(node.value, "id", None) == "os")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and {a.name for a in node.names} & {"fork", "forkpty"})]
+    assert forks == []
 
 
 def _callers(called):
