@@ -20,10 +20,15 @@ construction.  The exchange must therefore be exact, as every IetSpec is;
 the orbit positions are a float shadow that follows the word through the
 branch table of E.as_float(), the one float map that the certificate and
 the ergodic probe also evaluate, and the probe's step-by-step moves are
-IetSpec.orbit on that view.  The window word is one int64 array, built
-once per gap system, and the orbit is read off it by iet.branch_walk, the
-composed-branch walk that cylinder_locate also runs and that the ergodic
-probe reads off its one laid-out history.
+IetSpec.orbit on that view.  Symbol words are one byte a symbol, as the
+substitution makes them.  The gap system's word is cut from one
+stationary window of two rays, built once per gap system, which also feed
+the tail's sums chunk by chunk and are freed before the decay fits.  The
+orbit is read off the word by iet.branch_walk, the composed-branch walk
+that cylinder_locate also runs and that the ergodic probe's verified
+blocks run on the history that they grow.  The two fixed-seed draws (the
+probe's seed points, the semiconjugacy samples) come from draws.Pcg64,
+numpy's default_rng stream without numpy.random.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from .draws import Pcg64
 from .errors import (AtDiscontinuity, DivergentGaps, FlipIetError,
                      ProbeHitsDiscontinuities, SignSelectionFailed)
 from .iet import IetSpec, branch_walk
@@ -75,7 +81,10 @@ def _decay_verdict(w, word):
     the final sum below -2: marginal sequences whose excursions recur near
     zero at geometrically spaced scales would otherwise pass or fail
     depending on the probe horizon."""
-    S = np.concatenate([[0.0], np.cumsum(np.take(w, word - 1))])
+    S = np.empty(len(word) + 1)
+    S[0] = 0.0
+    np.take(w, word - 1, out=S[1:])
+    np.cumsum(S[1:], out=S[1:])
     k0 = max(KAPPA_FIT_START, int(0.3 * len(word)))
     tail_max = S[k0:].max() if len(S) > k0 else S.max()
     return S, bool(tail_max <= -1.0 and S[-1] <= -2.0)
@@ -220,16 +229,26 @@ class GapSystem:
 
 
 TAIL_PROBE = 100_000
+TAIL_CHUNK = 2 ** 14         # symbols whose partial sums are formed at once
 
 
-def _centred_sums(incr, m):
-    """S_{-m..m}: one sequential cumsum of incr[:2m] from 0 (incr[2m] is
-    never summed), shifted so that S_0 = 0."""
-    S = np.empty(2 * m + 1)
-    S[0] = 0.0
-    np.cumsum(incr[:2 * m], out=S[1:])
-    S -= S[m]
-    return S
+def _fold(table, symbols, carry, out=None):
+    """The partial sums carry, carry + t_0, (carry + t_0) + t_1, ... of
+    t = table[symbols], written to out (len(symbols) + 1 entries) when it
+    is given, and the last of them.  One np.cumsum per TAIL_CHUNK symbols,
+    with the carry as the chunk's first element: the sequential fold of the
+    whole run, bit for bit, in one reused chunk buffer when out is None."""
+    buf = np.empty(TAIL_CHUNK + 1) if out is None else out
+    buf[0] = carry
+    for a in range(0, len(symbols), TAIL_CHUNK):
+        chunk = symbols[a:a + TAIL_CHUNK]
+        at = 0 if out is None else a
+        seg = buf[at:at + len(chunk) + 1]
+        seg[0] = carry
+        np.take(table, chunk, out=seg[1:])
+        np.cumsum(seg, out=seg)
+        carry = seg[-1]
+    return carry
 
 
 def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
@@ -247,24 +266,39 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     TAIL_PROBE indices on each side (symbols only, no orbit geometry) and
     summing the exponentiated Birkhoff sums there directly; the stretched
     exponential decay makes the remainder beyond the probe negligible.  One
-    stationary window of half-width h = N + TAIL_PROBE holds both: the word
-    w_{-N..N} is its middle.
+    stationary window of half-width h = N + TAIL_PROBE holds both: its two
+    rays give the word w_{-N..N}, and one sequential fold along them from
+    n = -h, chunk by chunk (_fold), gives the 2 TAIL_PROBE tail terms, which
+    are centred at n = 0, exponentiated and summed in index order.  The
+    rays and the terms are freed before the cylinder is located, and the
+    Birkhoff sums of the window once the decay exponents are fitted.
     """
     if N < 1:
         raise ValueError("window half-width must be positive")
-    h = N + TAIL_PROBE
-    window = np.concatenate(stationary_window(sigma, lsv.address, h, h))
-    word = window[h - N:h + N + 1].copy()   # 0..2N <-> n = -N..N; a view pins window
+    past, future = stationary_window(sigma, lsv.address, N + TAIL_PROBE,
+                                     N + TAIL_PROBE)
+    word = np.concatenate((past[TAIL_PROBE:], future[:N + 1]))  # n = -N..N
+    # the fold from n = -h: the terms at n < -N, the centre n = 0, then the
+    # terms at n > N; the window's own sums start afresh at n = -N below,
+    # since the tail's would round them otherwise
+    table = np.concatenate(([0.0], lsv.signed_float))
+    tail = np.empty(2 * TAIL_PROBE)
+    carry = _fold(table, past[:TAIL_PROBE - 1], 0.0, tail[:TAIL_PROBE])
+    centre = _fold(table, past[TAIL_PROBE - 1:], carry)
+    carry = _fold(table, future[:N + 1], centre)
+    _fold(table, future[N + 1:-1], carry, tail[TAIL_PROBE:])
+    del past, future
+    tail -= centre
+    np.exp(tail, out=tail)
+    tail_raw = float(tail.sum())
+    del tail
+
     lo, hi = cylinder_locate(E, word)
     p_start = (lo + hi) / Fraction(2)         # = E^{-N}(p)
-    shift, sign = map(np.array, zip(*E.as_float().branches))
-    pts = np.multiply(*branch_walk(word[:-1] - 1, shift, sign, 1.0,
-                                   float(p_start)))      # z_k = e_k u_k
 
-    # the window's Birkhoff sums from n = -N, and the tail's from n = -h: two
-    # cumsums, since the tail's alone would round the window's sums otherwise
-    incr = np.concatenate(([0.0], lsv.signed_float))[window]
-    S = _centred_sums(incr[h - N:], N)
+    S = np.empty(2 * N + 1)
+    _fold(table, word[:-1], 0.0, S)
+    S -= S[N]
     g = np.exp(S)
 
     if N >= 50:
@@ -275,9 +309,16 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
             raise DivergentGaps(
                 f"boundary gap mass {boundary:.3g} exceeds central mass {nearby:.3g}")
 
+    # the decay fits, whose transients are the largest, before the orbit
+    kf = _envelope_exponent(S[N:])
+    kb = _envelope_exponent(S[N::-1])
+    del S
     total = float(g.sum())
     g /= total
 
+    shift, sign = map(np.array, zip(*E.as_float().branches))
+    pts = np.multiply(*branch_walk(word[:-1] - 1, shift, sign, 1.0,
+                                   float(p_start)))      # z_k = e_k u_k
     order = np.argsort(pts)
     if np.diff(pts[order]).min() <= 0:
         raise DivergentGaps("duplicate orbit points: the blow-up point was not "
@@ -285,12 +326,6 @@ def gap_system_build(E: IetSpec, sigma: Substitution, lsv: LogSlopeVector,
     pos = np.empty(2 * N + 1)
     pos[order] = np.concatenate([[0.0], np.cumsum(g[order])[:-1]])
 
-    kf = _envelope_exponent(S[N:])
-    kb = _envelope_exponent(S[N::-1])
-    # exponentiated in place, then the mass at |n| > N in index order
-    eS = _centred_sums(incr, h)
-    np.exp(eS, out=eS)
-    tail_raw = float(np.concatenate((eS[:h - N], eS[h + N + 1:])).sum())
     if tail_raw > 10 * total:
         raise DivergentGaps("extension mass dwarfs the window; the sum is "
                             "not Cauchy at this horizon")
@@ -410,9 +445,11 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
     The tolerances are 10x the estimated truncation tail for the affine and
     semiconjugacy defects, 0.01 for gap density, 0.02 for the one-sided
     densities and 0.05 for the decay exponents; all are recorded in the
-    certificate.  The SEMI_SAMPLES semiconjugacy samples are drawn with a
-    fixed seed.  A sample whose orbit point lies on a breakpoint of the
-    float exchange (AtDiscontinuity) is skipped and counted in
+    certificate.  The SEMI_SAMPLES semiconjugacy samples are distinct
+    interior indices drawn by draws.Pcg64(2024).sample, which is
+    numpy's default_rng(2024).choice(np.arange(1, 2N), replace=False)
+    without numpy.random.  A sample whose orbit point lies on a breakpoint
+    of the float exchange (AtDiscontinuity) is skipped and counted in
     semiconjugacy_skipped; any other error propagates.
     """
     N = gs.half_width
@@ -444,11 +481,11 @@ def verify_wandering(gs: GapSystem, T: AietApprox, E: IetSpec,
         return float(gs.orbit_points[order[k]])
 
     Ef = E.as_float()
-    rng = np.random.default_rng(2024)
-    interior = np.arange(1, 2 * N)
-    pick = rng.choice(interior, size=min(SEMI_SAMPLES, len(interior)), replace=False)
     semi_defect = 0.0
     skipped = 0
+    # distinct interior indices 1 .. 2N - 1
+    pick = [k + 1 for k in Pcg64(2024).sample(2 * N - 1,
+                                              min(SEMI_SAMPLES, 2 * N - 1))]
     for k in pick:
         y = gs.positions[k]                    # a boundary point of the gap set
         hy = float(gs.orbit_points[k])
@@ -499,31 +536,101 @@ class ErgodicReport:
     steps: int
 
 
-PROBE_HISTORY = 2 ** 15      # scalar steps of the one history that seeds the guesses
+PROBE_HISTORY = 2 ** 15      # steps of the one history that seeds the guesses
+PROBE_SEED_STEPS = 2 ** 10   # of them, the scalar steps that it starts from
 PROBE_BLOCK = 2 ** 14        # most steps one verified block advances
 
 
-def _probe_history(Ef: IetSpec, z, steps):
-    """The guess history of a probe: one Ef.orbit of min(steps,
-    PROBE_HISTORY) steps from z, laid out once, or None when it hits a
-    breakpoint.  For the word w and points h_0 .. h_m it holds h_0 .. h_{m-1}
-    sorted (with their order), the word, E_k = sign[w_0] ... sign[w_{k-1}]
-    for k = 0 .. m (E_0 = 1), the signed shifts E_{k+1} shift[w_k], and the
-    ends of each step's piece seen in the frame E_k: E_k h_k lies strictly
-    between the k-th pair."""
-    seg = Ef.orbit(z, min(steps, PROBE_HISTORY))
-    if seg.terminated_at_discontinuity is not None:
-        return None
-    word = np.array(seg.word)
-    pts = np.array(seg.points[:-1])
-    del seg
+def _layout(Ef: IetSpec, pts, word):
+    """The guess history of the points h_0 .. h_{m-1} and their word w:
+    the points sorted, with their order (int32), the word, E_k = sign[w_0]
+    ... sign[w_{k-1}] for k = 0 .. m (E_0 = 1, int8), the signed shifts
+    E_{k+1} shift[w_k], and the ends of each step's piece seen in the frame
+    E_k: E_k h_k lies strictly between the k-th pair."""
     order = np.argsort(pts, kind="stable")
     xa = np.array(Ef.x)
     shift, sign = map(np.array, zip(*Ef.branches))
-    e = np.cumprod(np.concatenate(([1.0], sign[word - 1])))
-    a, b = e[:-1] * xa[word - 1], e[:-1] * xa[word]
-    return (pts[order], order, word, e, e[1:] * shift[word - 1],
-            np.minimum(a, b), np.maximum(a, b))
+    e = np.empty(len(word) + 1, dtype=np.int8)
+    e[0] = 1
+    np.cumprod(sign.astype(np.int8)[word - 1], dtype=np.int8, out=e[1:])
+    flip = e[:-1] < 0                 # the frame -1 swaps the piece's ends
+    return (pts[order], order.astype(np.int32), word, e,
+            e[1:] * shift[word - 1], e[:-1] * xa[word - 1 + flip],
+            e[:-1] * xa[word - flip])
+
+
+def _block(Ef: IetSpec, history, z, budget):
+    """One verified block of at most budget steps of the float orbit of z,
+    guessed from the history (see _orbit_counts): (j, p, v, i, z').  The
+    orbit's first p points are e[j:j + p] v[:p], with the symbols
+    word[j:j + p].  When the guess held to the block's end, i is 0 and z'
+    is the next point, e[j + p] v[p]; otherwise one step of Ef.orbit moves
+    that point on: i is its symbol and z' the point after it.  None when
+    that step hits a breakpoint."""
+    sorted_pts, order, word, e, signed, lo, hi = history
+    m = len(word)
+    k = int(np.searchsorted(sorted_pts, z))
+    if k == m or (k > 0 and z - sorted_pts[k - 1] < sorted_pts[k] - z):
+        k -= 1
+    j = int(order[k])
+    L = min(PROBE_BLOCK, budget, m - j)
+    v = np.cumsum(np.concatenate(([e[j] * z], signed[j:j + L])))
+    ok = (lo[j:j + L] < v[:L]) & (v[:L] < hi[j:j + L])
+    p = L if ok.all() else int(ok.argmin())
+    z = float(e[j + p] * v[p])
+    if p == L:
+        return j, p, v, 0, z
+    step = Ef.orbit(z, 1)
+    if step.terminated_at_discontinuity is not None:
+        return None
+    return j, p, v, step.word[0], step.points[-1]
+
+
+def _probe_history(Ef: IetSpec, z, steps):
+    """The guess history of a probe: the float orbit of z over H =
+    min(steps, PROBE_HISTORY) steps, laid out by _layout, or None when it
+    hits a breakpoint.  Its first PROBE_SEED_STEPS steps are one Ef.orbit;
+    then it grows by the verified blocks of _block, each guessed from the
+    history so far, which is laid out again each time it doubles.  So its
+    points and word are those of Ef.orbit(z, H) bit for bit, with no
+    Python float per step."""
+    H = min(steps, PROBE_HISTORY)
+    seg = Ef.orbit(z, min(H, PROBE_SEED_STEPS))
+    if seg.terminated_at_discontinuity is not None:
+        return None
+    pts = np.empty(H)
+    word = np.empty(H, dtype=np.min_scalar_type(Ef.n))
+    m = len(seg.word)
+    pts[:m], word[:m], z = seg.points[:-1], seg.word, seg.points[-1]
+    del seg
+    while m < H:
+        t, m = m, min(2 * m, H)
+        z = _extend(Ef, _layout(Ef, pts[:t], word[:t]), z, pts[t:m], word[t:m])
+        if z is None:
+            return None
+    return _layout(Ef, pts, word)
+
+
+def _extend(Ef: IetSpec, history, z, pts, word):
+    """Write the float orbit of z, len(pts) steps of it, to pts and word,
+    by the verified blocks of _block guessed from the history: each block's
+    points and symbols, then the point and symbol of the step it handed
+    over, if any.  Returns the point after them, or None on a breakpoint
+    hit."""
+    guess, e = history[2:4]
+    t = 0
+    while t < len(pts):
+        walked = _block(Ef, history, z, len(pts) - t)
+        if walked is None:
+            return None
+        j, p, v, i, z = walked
+        np.multiply(e[j:j + p], v[:p], out=pts[t:t + p])
+        word[t:t + p] = guess[j:j + p]
+        t += p
+        if i:
+            pts[t], word[t] = e[j + p] * v[p], i
+            t += 1
+    return z
 
 
 def _orbit_counts(Ef: IetSpec, z, steps, history=None):
@@ -531,15 +638,16 @@ def _orbit_counts(Ef: IetSpec, z, steps, history=None):
     equal to the word of Ef.orbit(z, steps); None on a breakpoint hit.
 
     history is a _probe_history, by default the one of z itself.  From
-    step 0, each block of up to PROBE_BLOCK steps takes as its guess the
-    itinerary that follows the history point h_j nearest to z (nearby points
-    share their pieces for a long time).  The block walks in the history's
-    frame: v = cumsum([E_j z, signed shifts from j]) is iet.branch_walk's
-    u times E_j, exactly, since rounding is odd, so its k-th point is
-    E_{j+k} v_k, the step-by-step float bit for bit.  Each v_k is checked
-    to lie strictly between its guessed piece's ends in that frame, which is
-    Ef.orbit's check on the point; the verified prefix is counted, and at
-    the first mismatch one step of Ef.orbit moves on, or reports the hit.
+    step 0, each block of up to PROBE_BLOCK steps (_block) takes as its
+    guess the itinerary that follows the history point h_j nearest to z
+    (nearby points share their pieces for a long time).  The block walks in
+    the history's frame: v = cumsum([E_j z, signed shifts from j]) is
+    iet.branch_walk's u times E_j, exactly, since rounding is odd, so its
+    k-th point is E_{j+k} v_k, the step-by-step float bit for bit.  Each v_k
+    is checked to lie strictly between its guessed piece's ends in that
+    frame, which is Ef.orbit's check on the point; the verified prefix is
+    counted, and at the first mismatch one step of Ef.orbit moves on, or
+    reports the hit.
 
     A history whose blocks average fewer than 64 steps, with PROBE_HISTORY
     steps of credit, does not follow this orbit (it may never visit the
@@ -555,27 +663,15 @@ def _orbit_counts(Ef: IetSpec, z, steps, history=None):
                 return None
             blocks, since = 0, done
         blocks += 1
-        sorted_pts, order, word, e, signed, lo, hi = history
-        m = len(word)
-        k = int(np.searchsorted(sorted_pts, z))
-        if k == m or (k > 0 and z - sorted_pts[k - 1] < sorted_pts[k] - z):
-            k -= 1
-        j = int(order[k])
-        L = min(PROBE_BLOCK, steps - done, m - j)
-        v = np.cumsum(np.concatenate(([e[j] * z], signed[j:j + L])))
-        ok = (lo[j:j + L] < v[:L]) & (v[:L] < hi[j:j + L])
-        p = L if ok.all() else int(ok.argmin())
-        counts += np.bincount(word[j:j + p], minlength=Ef.n + 1)
-        done += p
-        z = float(e[j + p] * v[p])
-        if p == L:
-            continue
-        step = Ef.orbit(z, 1)
-        if step.terminated_at_discontinuity is not None:
+        walked = _block(Ef, history, z, steps - done)
+        if walked is None:
             return None
-        (i,), z = step.word, step.points[-1]
-        counts[i] += 1
-        done += 1
+        j, p, _v, i, z = walked
+        counts += np.bincount(history[2][j:j + p], minlength=Ef.n + 1)
+        done += p
+        if i:
+            counts[i] += 1
+            done += 1
     return counts[1:].tolist()
 
 
@@ -583,17 +679,19 @@ def ergodic_probe(E: IetSpec, seeds, steps: int,
                   reference=None) -> ErgodicReport:
     """Time averages of the piece indicators along float orbits.
 
-    seeds may be a count (seeded rng picks start points) or an iterable of
-    floats.  A discontinuity hit reseeds, up to 10 retries per orbit.
+    seeds may be a count or an iterable of floats.  A count draws its start
+    points from draws.Pcg64(2024).random(), which is numpy's
+    default_rng(2024).random() without numpy.random.  A discontinuity hit
+    reseeds, up to 10 retries per orbit.
 
     The orbits run in verified blocks (_orbit_counts), and they are exactly
     the step-by-step float orbits z -> a_i + s_i z (s_i = +-1): once the
     pieces are known, iet.branch_walk's one cumsum gives every point bit for
     bit, and each point's piece is checked as bisect_left finds it, hits
     included.  Every orbit guesses from one shared history
-    (_probe_history), laid out once from the first seed; a first seed whose
-    history hits a breakpoint counts as a hit and is reseeded, and the
-    history is taken from the new seed.
+    (_probe_history), grown from the first seed by the same verified blocks;
+    a first seed whose history hits a breakpoint counts as a hit and is
+    reseeded, and the history is taken from the new seed.
     """
     if steps < MIN_PROBE_STEPS:
         raise ValueError("probe needs at least 1e4 steps")
@@ -601,7 +699,7 @@ def ergodic_probe(E: IetSpec, seeds, steps: int,
     xs = Ef.x
     n = E.n
     if isinstance(seeds, int):
-        rng = np.random.default_rng(20_24)
+        rng = Pcg64(2024)
         lo, hi = xs[0], xs[-1]
         span = hi - lo
         seed_pts = [lo + span * (0.02 + 0.96 * rng.random()) for _ in range(seeds)]

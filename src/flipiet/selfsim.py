@@ -214,19 +214,22 @@ class Substitution:
         self._lens = np.zeros(self.alphabet[-1] + 2, dtype=np.int64)
         self._lens[list(self.alphabet)] = [len(self.images[a]) for a in self.alphabet]
         self._starts = np.cumsum(self._lens) - self._lens
+        # the joined images in the smallest unsigned type of the alphabet,
+        # one byte a symbol below 256, and so is every image
         self._joined = np.array([s for a in self.alphabet for s in self.images[a]],
-                                dtype=np.int64)
+                                dtype=np.min_scalar_type(self.alphabet[-1]))
 
     def __call__(self, word):
-        """The image of the 1-D integer array word, as an int64 array, by one
-        gather from the joined images."""
+        """The image of the 1-D integer array word, in the dtype of the
+        joined images, by one gather from them."""
         word = np.asarray(word, dtype=np.int64)
         at = np.clip(word, 0, len(self._lens) - 1)
         lens = self._lens[at]
         if not lens.all():
             raise ValueError(f"symbol {word[lens.argmin()]} outside the alphabet")
         offsets = np.repeat(self._starts[at] - np.cumsum(lens) + lens, lens)
-        return self._joined[offsets + np.arange(len(offsets))]
+        offsets += np.arange(len(offsets))
+        return self._joined[offsets]
 
     def __repr__(self):
         ims = ", ".join(f"{i}->{''.join(map(str, w))}" for i, w in sorted(self.images.items()))
@@ -256,7 +259,7 @@ def fixed_word(sigma: Substitution, side: str, length: int):
     seeds = [a for a in sigma.alphabet if sigma.images[a][end] == a]
     if not seeds:
         raise NoFixedSeed(f"no symbol {verb} its own image")
-    word = np.array(sigma.images[seeds[0]])
+    word = sigma([seeds[0]])
     while len(word) < length:
         word = sigma(word)
     return (word[:length] if end == 0 else word[-length:]), seeds[0]
@@ -281,12 +284,12 @@ def stationary_window(sigma: Substitution, address, back: int, fwd: int):
 
     For sigma^m(c) = p . c . s the point's future reads c s sigma^m(s)
     sigma^2m(s) ... and its past reads ... sigma^2m(p) sigma^m(p) p.  Returns
-    int64 arrays (past, future) with len(past) = back and len(future) =
-    fwd + 1.
+    arrays (past, future) in the dtype of sigma's images, with len(past) =
+    back and len(future) = fwd + 1.
     """
     c, j, power = address
-    img = np.array(sigma.images[c])
-    for _ in range(power - 1):
+    img = np.array([c])
+    for _ in range(power):
         img = sigma(img)
     if img[j] != c:
         raise ValueError("address does not mark an occurrence of its symbol")

@@ -8,6 +8,7 @@ from flipiet import denjoy
 from flipiet.denjoy import (TAIL_PROBE, aiet_from_gaps, blowup_chain,
                             ergodic_probe, gap_system_build, log_slope_select,
                             verify_wandering)
+from flipiet.draws import Pcg64
 from flipiet.errors import DivergentGaps
 from flipiet.iet import IetSpec
 from flipiet.quintic import MATRIX, bundled_iet
@@ -193,8 +194,41 @@ def test_address_scan_builds_a_past_ray_only_after_a_decaying_future(
 
 
 def test_gap_symbols_own_their_word(gaps):
-    # a view would keep the whole tail window alive with the gap system
-    assert gaps.symbols.base is None
+    # a view would keep the rays of the tail alive with the gap system; the
+    # word is one byte a symbol, as the substitution makes it
+    assert gaps.symbols.base is None and gaps.symbols.dtype == np.uint8
+
+
+def test_gap_system_memory_is_what_its_results_need(setting):
+    # after a warm-up call, the N = 2 * 10**4 blow-up allocates at most 5 MiB
+    # at its peak: one-byte rays, the tail's terms folded from them chunk by
+    # chunk, no window of length 2 (N + TAIL_PROBE) + 1 in floats
+    import tracemalloc
+    E, sigma, _verdict, lsv, _ = setting
+    gap_system_build(E, sigma, lsv, 1500)
+    tracemalloc.start()
+    try:
+        gap_system_build(E, sigma, lsv, 2 * 10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2 ** 20
+
+
+def test_tail_fold_is_one_cumsum(monkeypatch):
+    # chunk by chunk, with the carry as each chunk's first element, the fold
+    # is the whole run's sequential cumsum bit for bit, at any chunk size
+    rng = np.random.default_rng(17)
+    table = np.concatenate(([0.0], rng.standard_normal(5)))
+    for length in (0, 1, 7, 64, 1000):
+        symbols = rng.integers(1, 6, size=length).astype(np.uint8)
+        want = np.cumsum(np.concatenate(([0.25], table[symbols])))
+        for chunk in (1, 3, 64, 2 ** 14):
+            monkeypatch.setattr(denjoy, "TAIL_CHUNK", chunk)
+            out = np.empty(length + 1)
+            assert denjoy._fold(table, symbols, 0.25, out) == want[-1]
+            assert out.tobytes() == want.tobytes()
+            assert denjoy._fold(table, symbols, 0.25) == want[-1]
 
 
 def test_blowup_orbit_follows_the_float_view(setting):
@@ -650,9 +684,9 @@ def test_probe_kernel_premises_hold_in_floats():
 
 
 def test_probe_working_set_is_fixed():
-    # the one shared history (seven arrays of 2^15 entries) and one block,
-    # about 2.3 MB, at any number of steps or seeds; the points of a
-    # 10^6-step orbit alone would take 8 MB
+    # the one shared history (seven arrays of 2^15 entries, 38 bytes an
+    # entry), its growth and one block, about 1.9 MB at any number of steps or
+    # seeds; the points of a 10^6-step orbit alone would take 8 MB
     import tracemalloc
     E = bundled_iet()
     ergodic_probe(E, 1, 10 ** 4)         # one-time float views and imports
@@ -663,6 +697,75 @@ def test_probe_working_set_is_fixed():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert max(peaks) < 4 * 2 ** 20
+
+
+def _probe_seeds(E, count):
+    """The start points that ergodic_probe draws for a count of seeds."""
+    xs = E.as_float().x
+    rng = Pcg64(2024)
+    return [xs[0] + (xs[-1] - xs[0]) * (0.02 + 0.96 * rng.random())
+            for _ in range(count)]
+
+
+def _history_orbit(history):
+    """The points h_0 .. h_{m-1} and the word of a laid-out history."""
+    sorted_pts, order, word = history[:3]
+    pts = np.empty(len(word))
+    pts[order] = sorted_pts
+    return pts, word
+
+
+@pytest.mark.parametrize("history_steps", [None, 2 ** 10])
+@pytest.mark.parametrize("steps", [10 ** 6, 5_000])
+def test_grown_history_is_the_scalar_orbit(monkeypatch, history_steps, steps):
+    # the probe's five seeds: the history grown by verified blocks from a
+    # scalar start is Ef.orbit(z, H) in points (bit for bit) and word, at
+    # PROBE_HISTORY steps, at 2^10 (the scalar start alone) and at 5,000
+    # steps (a last doubling cut short)
+    if history_steps is not None:
+        monkeypatch.setattr(denjoy, "PROBE_HISTORY", history_steps)
+    E = bundled_iet()
+    Ef = E.as_float()
+    H = min(steps, denjoy.PROBE_HISTORY)
+    for z in _probe_seeds(E, 5):
+        history = denjoy._probe_history(Ef, z, steps)
+        ref = Ef.orbit(z, H)
+        pts, word = _history_orbit(history)
+        assert pts.tobytes() == np.array(ref.points[:-1]).tobytes()
+        assert word.tolist() == ref.word
+        assert (word.dtype, history[1].dtype, history[3].dtype) == (
+            np.uint8, np.int32, np.int8)
+
+
+def test_grown_history_stops_where_the_scalar_orbit_hits():
+    # dyadic exchanges whose last piece flips in place: their orbits stay on
+    # a lattice that holds the breakpoints, so many hit one, some after the
+    # scalar start, inside the grown blocks.  The history is None exactly
+    # where Ef.orbit(z, PROBE_HISTORY) hits, and the orbit otherwise
+    rng = np.random.default_rng(41)
+    H = denjoy.PROBE_HISTORY
+    hits_while_growing = whole = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        den = 2 ** int(rng.integers(12, 17))
+        ints = rng.integers(1, den, size=n)
+        ints[-1] = 1
+        perm = [int(v) + 1 for v in rng.permutation(n - 1)]
+        Ef = IetSpec(tuple(Fraction(int(v), den) for v in ints),
+                     (*perm, -n)).as_float()
+        for c in rng.integers(1, int(ints.sum()), size=3):
+            z = int(c) / den
+            ref = Ef.orbit(z, H)
+            history = denjoy._probe_history(Ef, z, H)
+            hit = ref.terminated_at_discontinuity
+            assert (history is None) == (hit is not None)
+            if hit is None:
+                pts, word = _history_orbit(history)
+                assert pts.tobytes() == np.array(ref.points[:-1]).tobytes()
+                assert word.tolist() == ref.word
+                whole += 1
+            hits_while_growing += hit is not None and hit > denjoy.PROBE_SEED_STEPS
+    assert hits_while_growing >= 10 and whole >= 10
 
 
 def _long_orbits(monkeypatch):
@@ -681,7 +784,8 @@ def _long_orbits(monkeypatch):
 
 
 def test_probe_lays_out_one_history(monkeypatch):
-    # the wandering report's probe: five seeds, one scalar history
+    # the wandering report's probe: five seeds, one history, whose scalar
+    # start is the one Ef.orbit of more than one step
     starts = _long_orbits(monkeypatch)
     ergodic_probe(bundled_iet(), 5, 10 ** 6)
     assert len(starts) == 1

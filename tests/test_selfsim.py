@@ -175,16 +175,21 @@ def test_fixed_word_small_substitution():
 
 
 def test_substitution_gather_matches_tuple_reference(E, J):
-    # random words, the empty one included, over the bundled substitution
-    # and a two-letter one
+    # random words, the empty one included, over the bundled substitution,
+    # a two-letter one and one of 300 letters; images come in the smallest
+    # unsigned dtype of the alphabet (one byte below 256)
     _, its = associated_matrix(E, J)
     rng = np.random.default_rng(3)
-    for sigma in (substitution_from(its), Substitution({1: (1, 2), 2: (2, 1)})):
+    wide = Substitution({a: (a % 300 + 1, a) for a in range(1, 301)})
+    for sigma, dtype in ((substitution_from(its), np.uint8),
+                         (Substitution({1: (1, 2), 2: (2, 1)}), np.uint8),
+                         (wide, np.uint16)):
         for length in (0, 1, 2, 17, 1000):
             word = rng.integers(1, len(sigma.alphabet) + 1, size=length)
             got = sigma(word)
-            assert got.dtype == np.int64 and got.shape == (len(got),)
+            assert got.dtype == dtype and got.shape == (len(got),)
             assert tuple(got) == _substitute(sigma, word)
+            assert tuple(sigma(got)) == _substitute(sigma, got)
     assert sigma(()).tolist() == []
 
 
@@ -275,9 +280,10 @@ def test_stationary_window_matches_uncut_construction(E, J):
 
 def _stationary_window_expand_then_cut(sigma, address, back, fwd):
     """Reference: each level's missing symbols are cut from the image of
-    the level before's missing symbols, so every gather expands them all."""
+    the level before's missing symbols, so every gather expands them all.
+    Its words are in the dtype of sigma's images, as the window's are."""
     c, j, power = address
-    img = np.array(sigma.images[c])
+    img = np.array(sigma.images[c], dtype=sigma(()).dtype)
     for _ in range(power - 1):
         img = sigma(img)
     p, s = img[:j], img[j + 1:]
@@ -302,7 +308,7 @@ def _stationary_window_expand_then_cut(sigma, address, back, fwd):
 
 def test_stationary_window_matches_expand_then_cut(E, J):
     # the gathers expand only the prefix (suffix) whose images cover the
-    # missing symbols; the window is the same int64 arrays, out to the
+    # missing symbols; the window is the same one-byte arrays, out to the
     # half-width N + TAIL_PROBE of a blow-up at N = 2 * 10**4
     from flipiet.denjoy import TAIL_PROBE
     _, its = associated_matrix(E, J)
@@ -313,7 +319,7 @@ def test_stationary_window_matches_expand_then_cut(E, J):
             got = stationary_window(sigma, address, back, fwd)
             want = _stationary_window_expand_then_cut(sigma, address, back, fwd)
             for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
+                assert g.dtype == w.dtype == np.uint8 and np.array_equal(g, w)
 
 
 def test_cylinder_single_symbol(E):

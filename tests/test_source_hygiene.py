@@ -8,7 +8,8 @@ subcommand is read by its command, every function the benchmark's tracer
 wraps is defined in src/, only IetSpec.__init__ and as_float set
 float_mode, neither rauzy nor search imports selfsim, a census run
 through the CLI loads neither denjoy nor selfsim, src/ calls os.fork
-nowhere, the Faddeev-LeVerrier loop runs
+nowhere, src/ reads numpy.random nowhere and a wandering run does not load
+it, the Faddeev-LeVerrier loop runs
 in the package under spectral's memo alone, the functools memos are the
 six pinned below, RauzyGraph's cached views are nodes, succ and mats,
 _Spectrum keeps only what the polynomial decides, the blow-up's orbit
@@ -351,6 +352,30 @@ def test_src_calls_os_fork_nowhere():
     assert forks == []
 
 
+def test_src_draws_without_numpy_random():
+    """No module in src/ reads np.random or numpy.random, or imports it, and
+    a wandering run in a fresh interpreter leaves numpy.random unloaded: the
+    blow-up's two fixed-seed draws are draws.Pcg64's."""
+    found = [f"{name}: {ast.unparse(node)}" for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "random"
+                 and getattr(node.value, "id", None) in ("np", "numpy"))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").startswith("numpy")
+                 and ((node.module or "").startswith("numpy.random")
+                      or "random" in {a.name for a in node.names}))
+             or (isinstance(node, ast.Import)
+                 and any(a.name.startswith("numpy.random") for a in node.names))]
+    assert found == []
+    code = ("import sys, flipiet.cli\n"
+            "flipiet.cli.main(['wandering', '--gaps', '1500'])\n"
+            "print('numpy.random' in sys.modules, 'flipiet.denjoy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False True"
+
+
 def _callers(called):
     """The innermost function in src/ around each call of a function or
     method of this name, qualified by module."""
@@ -439,10 +464,10 @@ def test_spectrum_keeps_what_the_polynomial_decides():
 def test_orbit_points_are_sorted_in_gap_system_build_alone():
     """gap_system_build lays the gaps out in the order of the orbit points
     and keeps it (GapSystem.order); the other readers take that order.  In
-    denjoy only it and _probe_history, which sorts the probe's own history,
+    denjoy only it and _layout, which sorts the probe's own history,
     argsort, and no sort anywhere in src/ reads orbit_points."""
     assert {q for q in _callers("argsort") if q.startswith("denjoy.")} == {
-        "denjoy.gap_system_build", "denjoy._probe_history"}
+        "denjoy.gap_system_build", "denjoy._layout"}
     sorts = [call for tree in MODULES.values() for call in ast.walk(tree)
              if isinstance(call, ast.Call)
              and getattr(call.func, "id", getattr(call.func, "attr", None))
