@@ -26,7 +26,8 @@ stationary window of two rays, built once per gap system, which also feed
 the tail's sums chunk by chunk and are freed before the decay fits.  The
 orbit is read off the word by iet.branch_walk, the composed-branch walk
 that cylinder_locate also runs and that the ergodic probe's verified
-blocks run on the history that they grow.  The two fixed-seed draws (the
+blocks run: one walk per orbit, which counts it and grows the history
+that the blocks guess from.  The two fixed-seed draws (the
 probe's seed points, the semiconjugacy samples) come from draws.Pcg64,
 numpy's default_rng stream without numpy.random.
 """
@@ -76,15 +77,14 @@ class LogSlopeVector:
 
 def _decay_verdict(w, word):
     """(S, decaying): the partial sums S_0 = 0, S_{k+1} = S_k + w[word_k] of
-    the array w along the integer array word, and the decay verdict on them.
+    the array w along the integer array word (w[i - 1] for symbol i), folded
+    by _fold, and the decay verdict on them.
     The verdict demands the whole tail (last 70 percent) stay below -1 and
     the final sum below -2: marginal sequences whose excursions recur near
     zero at geometrically spaced scales would otherwise pass or fail
     depending on the probe horizon."""
     S = np.empty(len(word) + 1)
-    S[0] = 0.0
-    np.take(w, word - 1, out=S[1:])
-    np.cumsum(S[1:], out=S[1:])
+    _fold(np.concatenate(([0.0], w)), word, 0.0, S)
     k0 = max(KAPPA_FIT_START, int(0.3 * len(word)))
     tail_max = S[k0:].max() if len(S) > k0 else S.max()
     return S, bool(tail_max <= -1.0 and S[-1] <= -2.0)
@@ -586,59 +586,12 @@ def _block(Ef: IetSpec, history, z, budget):
     return j, p, v, step.word[0], step.points[-1]
 
 
-def _probe_history(Ef: IetSpec, z, steps):
-    """The guess history of a probe: the float orbit of z over H =
-    min(steps, PROBE_HISTORY) steps, laid out by _layout, or None when it
-    hits a breakpoint.  Its first PROBE_SEED_STEPS steps are one Ef.orbit;
-    then it grows by the verified blocks of _block, each guessed from the
-    history so far, which is laid out again each time it doubles.  So its
-    points and word are those of Ef.orbit(z, H) bit for bit, with no
-    Python float per step."""
-    H = min(steps, PROBE_HISTORY)
-    seg = Ef.orbit(z, min(H, PROBE_SEED_STEPS))
-    if seg.terminated_at_discontinuity is not None:
-        return None
-    pts = np.empty(H)
-    word = np.empty(H, dtype=np.min_scalar_type(Ef.n))
-    m = len(seg.word)
-    pts[:m], word[:m], z = seg.points[:-1], seg.word, seg.points[-1]
-    del seg
-    while m < H:
-        t, m = m, min(2 * m, H)
-        z = _extend(Ef, _layout(Ef, pts[:t], word[:t]), z, pts[t:m], word[t:m])
-        if z is None:
-            return None
-    return _layout(Ef, pts, word)
-
-
-def _extend(Ef: IetSpec, history, z, pts, word):
-    """Write the float orbit of z, len(pts) steps of it, to pts and word,
-    by the verified blocks of _block guessed from the history: each block's
-    points and symbols, then the point and symbol of the step it handed
-    over, if any.  Returns the point after them, or None on a breakpoint
-    hit."""
-    guess, e = history[2:4]
-    t = 0
-    while t < len(pts):
-        walked = _block(Ef, history, z, len(pts) - t)
-        if walked is None:
-            return None
-        j, p, v, i, z = walked
-        np.multiply(e[j:j + p], v[:p], out=pts[t:t + p])
-        word[t:t + p] = guess[j:j + p]
-        t += p
-        if i:
-            pts[t], word[t] = e[j + p] * v[p], i
-            t += 1
-    return z
-
-
 def _orbit_counts(Ef: IetSpec, z, steps, history=None):
-    """Visits to pieces 1..n of the float orbit of z over steps steps,
-    equal to the word of Ef.orbit(z, steps); None on a breakpoint hit.
+    """(counts, history): the visits to pieces 1..n of the float orbit of z
+    over steps steps, equal to the word of Ef.orbit(z, steps), and the
+    history to guess the next orbit from; None on a breakpoint hit.
 
-    history is a _probe_history, by default the one of z itself.  From
-    step 0, each block of up to PROBE_BLOCK steps (_block) takes as its
+    From step 0, each block of up to PROBE_BLOCK steps (_block) takes as its
     guess the itinerary that follows the history point h_j nearest to z
     (nearby points share their pieces for a long time).  The block walks in
     the history's frame: v = cumsum([E_j z, signed shifts from j]) is
@@ -649,30 +602,66 @@ def _orbit_counts(Ef: IetSpec, z, steps, history=None):
     counted, and at the first mismatch one step of Ef.orbit moves on, or
     reports the hit.
 
-    A history whose blocks average fewer than 64 steps, with PROBE_HISTORY
-    steps of credit, does not follow this orbit (it may never visit the
-    orbit's part of the domain, as in a periodic island of an exchange that
-    is not minimal); the orbit then lays out its own from where it stands.
+    One walk per orbit: with no history given, the orbit grows its own over
+    its first H = min(steps, PROBE_HISTORY) steps as it counts them.  They
+    start with one Ef.orbit of PROBE_SEED_STEPS steps; then each block,
+    guessed from the history so far, appends its points e_{j+k} v_k and
+    symbols, and those of the step it handed over, and the buffers are laid
+    out again (_layout) each time they double.  So the history is
+    Ef.orbit(z, H) bit for bit, with no Python float per step.  A history
+    that was given is returned as it came.
+
+    Once grown, a history whose blocks average fewer than 64 steps, with
+    PROBE_HISTORY steps of credit, does not follow this orbit (it may never
+    visit the orbit's part of the domain, as in a periodic island of an
+    exchange that is not minimal); the orbit then grows its own from where
+    it stands.
     """
     counts = np.zeros(Ef.n + 1, dtype=np.int64)
+    shared, pts = history, None       # pts: the points of a growing history
     done = blocks = since = 0
     while done < steps:
-        if history is None or 64 * blocks > PROBE_HISTORY + done - since:
-            history = _probe_history(Ef, z, steps - done)
-            if history is None:
+        if pts is None and (history is None
+                            or 64 * blocks > PROBE_HISTORY + done - since):
+            history, since = None, done
+            H = min(steps - done, PROBE_HISTORY)
+            seg = Ef.orbit(z, min(H, PROBE_SEED_STEPS))
+            if seg.terminated_at_discontinuity is not None:
                 return None
-            blocks, since = 0, done
-        blocks += 1
-        walked = _block(Ef, history, z, steps - done)
-        if walked is None:
-            return None
-        j, p, _v, i, z = walked
-        counts += np.bincount(history[2][j:j + p], minlength=Ef.n + 1)
-        done += p
-        if i:
-            counts[i] += 1
-            done += 1
-    return counts[1:].tolist()
+            pts = np.empty(H)
+            word = np.empty(H, dtype=np.min_scalar_type(Ef.n))
+            t = len(seg.word)             # the entries of the next layout
+            pts[:t], word[:t], z = seg.points[:-1], seg.word, seg.points[-1]
+            counts += np.bincount(word[:t], minlength=Ef.n + 1)
+            done += t
+            del seg
+        else:
+            walked = _block(Ef, history, z, steps - done if pts is None
+                            else since + t - done)
+            if walked is None:
+                return None
+            j, p, v, i, z = walked
+            guess, e = history[2:4]
+            blocks += 1
+            counts += np.bincount(guess[j:j + p], minlength=Ef.n + 1)
+            counts[i] += 1                # counts[0] when none is handed over
+            if pts is not None:
+                m = done - since
+                np.multiply(e[j:j + p], v[:p], out=pts[m:m + p])
+                word[m:m + p] = guess[j:j + p]
+                if i:
+                    pts[m + p], word[m + p] = e[j + p] * v[p], i
+            done += p + (i != 0)
+            del walked, guess, e, v       # nothing of it outlives a layout
+        if pts is not None and done - since == t:
+            history = None                # the old layout goes first
+            history = _layout(Ef, pts[:t], word[:t])
+            if t < len(pts):
+                t = min(2 * t, len(pts))
+            else:                         # grown: held to the rule from now
+                pts = word = None
+                blocks, since = 0, done
+    return counts[1:].tolist(), history if shared is None else shared
 
 
 def ergodic_probe(E: IetSpec, seeds, steps: int,
@@ -688,23 +677,22 @@ def ergodic_probe(E: IetSpec, seeds, steps: int,
     the step-by-step float orbits z -> a_i + s_i z (s_i = +-1): once the
     pieces are known, iet.branch_walk's one cumsum gives every point bit for
     bit, and each point's piece is checked as bisect_left finds it, hits
-    included.  Every orbit guesses from one shared history
-    (_probe_history), grown from the first seed by the same verified blocks;
-    a first seed whose history hits a breakpoint counts as a hit and is
-    reseeded, and the history is taken from the new seed.
+    included.  One walk per orbit: the first seed's orbit grows the history
+    that every later orbit guesses from, by the same verified blocks that
+    count it; a first seed that hits a breakpoint is reseeded, and the
+    history is grown from the new seed.  An empty seed set is a ValueError.
     """
     if steps < MIN_PROBE_STEPS:
         raise ValueError("probe needs at least 1e4 steps")
     Ef = E.as_float()
-    xs = Ef.x
-    n = E.n
+    lo, span = Ef.x[0], Ef.x[-1] - Ef.x[0]
     if isinstance(seeds, int):
         rng = Pcg64(2024)
-        lo, hi = xs[0], xs[-1]
-        span = hi - lo
         seed_pts = [lo + span * (0.02 + 0.96 * rng.random()) for _ in range(seeds)]
     else:
         seed_pts = [float(s) for s in seeds]
+    if not seed_pts:
+        raise ValueError("probe needs at least one seed")
 
     retries = 0
     averages = []
@@ -712,27 +700,22 @@ def ergodic_probe(E: IetSpec, seeds, steps: int,
     for z0 in seed_pts:
         attempts = 0
         while True:
-            if history is None:
-                history = _probe_history(Ef, z0, steps)
-            counts = (None if history is None
-                      else _orbit_counts(Ef, z0, steps, history))
-            if counts is not None:
+            walked = _orbit_counts(Ef, z0, steps, history)
+            if walked is not None:
+                counts, history = walked
                 averages.append(tuple(c / steps for c in counts))
                 break
             attempts += 1
             retries += 1
             if attempts > 10:
                 raise ProbeHitsDiscontinuities("orbit kept hitting discontinuities")
-            z0 = xs[0] + (xs[-1] - xs[0]) * ((z0 * 7919.77 + attempts) % 1.0)
+            z0 = lo + span * ((z0 * 7919.77 + attempts) % 1.0)
 
-    spread = 0.0
-    for j in range(n):
-        col = [av[j] for av in averages]
-        spread = max(spread, max(col) - min(col))
+    spread = max(max(col) - min(col) for col in zip(*averages))
     max_dev = None
     if reference is not None:
         ref = [float(v) for v in reference]
-        max_dev = max(abs(av[j] - ref[j]) for av in averages for j in range(n))
+        max_dev = max(abs(av[j] - ref[j]) for av in averages for j in range(E.n))
 
     return ErgodicReport(per_seed=tuple(averages), spread=spread,
                          max_deviation=max_dev, retries=retries, steps=steps)

@@ -422,6 +422,12 @@ def test_ergodic_probe_rejects_tiny_budget():
         ergodic_probe(bundled_iet(), 1, 100)
 
 
+@pytest.mark.parametrize("seeds", [0, []])
+def test_ergodic_probe_rejects_an_empty_seed_set(seeds):
+    with pytest.raises(ValueError, match="at least one seed"):
+        ergodic_probe(bundled_iet(), seeds, 10 ** 4)
+
+
 def test_address_selection_stable_across_probe_lengths(setting, monkeypatch):
     # marginal addresses whose excursions recur near zero at geometric scales
     # must not flip the scan outcome when the probe horizon changes
@@ -640,11 +646,12 @@ def test_probe_blocks_reproduce_the_float_orbit(monkeypatch):
 
     def check(E, z0, steps):
         handed_over.clear()
-        counts = denjoy._orbit_counts(E, z0, steps)
+        walked = denjoy._orbit_counts(E, z0, steps)
         ref = orbit(E, z0, steps)
         if ref.terminated_at_discontinuity is not None:
-            assert counts is None
+            assert walked is None
             return 0
+        counts = walked[0]
         assert counts == np.bincount(ref.word, minlength=E.n + 1)[1:].tolist()
         assert set(handed_over) <= set(ref.points[:-1])
         return len(handed_over)
@@ -697,6 +704,9 @@ def test_probe_working_set_is_fixed():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert max(peaks) < 4 * 2 ** 20
+    # the growing history's old layout and last block are freed before each
+    # new layout, so no two layouts are alive at once
+    assert max(peaks) <= 2 * 2 ** 20
 
 
 def _probe_seeds(E, count):
@@ -728,7 +738,7 @@ def test_grown_history_is_the_scalar_orbit(monkeypatch, history_steps, steps):
     Ef = E.as_float()
     H = min(steps, denjoy.PROBE_HISTORY)
     for z in _probe_seeds(E, 5):
-        history = denjoy._probe_history(Ef, z, steps)
+        history = denjoy._orbit_counts(Ef, z, steps)[1]
         ref = Ef.orbit(z, H)
         pts, word = _history_orbit(history)
         assert pts.tobytes() == np.array(ref.points[:-1]).tobytes()
@@ -756,11 +766,11 @@ def test_grown_history_stops_where_the_scalar_orbit_hits():
         for c in rng.integers(1, int(ints.sum()), size=3):
             z = int(c) / den
             ref = Ef.orbit(z, H)
-            history = denjoy._probe_history(Ef, z, H)
+            walked = denjoy._orbit_counts(Ef, z, H)
             hit = ref.terminated_at_discontinuity
-            assert (history is None) == (hit is not None)
+            assert (walked is None) == (hit is not None)
             if hit is None:
-                pts, word = _history_orbit(history)
+                pts, word = _history_orbit(walked[1])
                 assert pts.tobytes() == np.array(ref.points[:-1]).tobytes()
                 assert word.tolist() == ref.word
                 whole += 1
@@ -781,6 +791,31 @@ def _long_orbits(monkeypatch):
 
     monkeypatch.setattr(IetSpec, "orbit", recorded)
     return starts
+
+
+def test_probe_walks_each_orbit_once(monkeypatch):
+    # the steps that the verified blocks walk (each one's prefix and the
+    # step it hands over) and the scalar start's steps are the probe's
+    # seeds x steps: the first orbit grows the history as it counts itself
+    block, orbit = denjoy._block, IetSpec.orbit
+    walked = []
+
+    def counted_block(*args):
+        out = block(*args)
+        if out is not None:
+            walked.append(out[1] + (out[3] != 0))
+        return out
+
+    def counted_orbit(self, z, steps):
+        out = orbit(self, z, steps)
+        if steps > 1:
+            walked.append(len(out.word))
+        return out
+
+    monkeypatch.setattr(denjoy, "_block", counted_block)
+    monkeypatch.setattr(IetSpec, "orbit", counted_orbit)
+    assert ergodic_probe(bundled_iet(), 5, 10 ** 6).retries == 0
+    assert sum(walked) == 5 * 10 ** 6
 
 
 def test_probe_lays_out_one_history(monkeypatch):

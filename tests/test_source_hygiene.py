@@ -402,6 +402,14 @@ def test_faddeev_leverrier_runs_under_the_spectral_memo_alone():
     assert _callers("mat_det") == set()
 
 
+def test_probe_blocks_walk_in_orbit_counts_alone():
+    """_orbit_counts is the ergodic probe's one block walker: it counts
+    each orbit and grows the shared history in the same walk, so a second
+    loop around _block, which would walk the history's steps again, fails
+    here."""
+    assert _callers("_block") == {"denjoy._orbit_counts"}
+
+
 def test_memos_are_pinned():
     """The functions in src/ under functools.cache or lru_cache, each with
     the parameters its memo is keyed on and its bound (None for cache).
